@@ -29,6 +29,7 @@ from .geometry import DistanceSpec
 from .io import read_manifest, read_points, read_tree, write_manifest, write_points
 from .layered import (
     Layer,
+    build_adjacency,
     count_chains,
     count_incidences,
     count_tree_embeddings,
@@ -57,20 +58,12 @@ def _parse_d2(text: str):
         return float(text)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CHAIN_CENSUS_THREADS")
-    return int(env) if env else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chain-census")
     ap.add_argument("--seed", type=int, default=0, help="u64 seed for randomized steps")
     ap.add_argument("--eps", type=float, default=0.25, help="diameter / decomposition step")
     ap.add_argument("--mode", type=_parse_mode, default=None, help="exact or tol:<eps>")
     ap.add_argument("--out", default=None, help="output path (file or directory)")
-    ap.add_argument("--threads", type=int, default=None, help="worker count (results never change)")
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -192,10 +185,11 @@ def _layer_from_file(path) -> tuple[Layer, str]:
 
 def _cmd_count(args) -> int:
     cfg = read_manifest(args.manifest)
-    chains = count_chains(cfg, threads=_threads(args))
+    adj = build_adjacency(cfg)
+    chains = count_chains(cfg, adjacency=adj)
     if args.walks:
         print(f"chains {chains}")
-        print(f"walks {count_walks(cfg)}")
+        print(f"walks {count_walks(cfg, adjacency=adj)}")
     else:
         print(chains)
     return 0
@@ -259,7 +253,6 @@ def _cmd_experiment(args) -> int:
         seed=args.seed,
         eps=args.eps,
         slope_tol=args.slope_tol,
-        threads=_threads(args),
     )
     csv = report_csv(report, timings=args.timings)
     if args.out:

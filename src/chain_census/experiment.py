@@ -146,7 +146,6 @@ def run_experiment(
     seed: int = 0,
     eps: float = 0.25,
     slope_tol: float = 0.2,
-    threads: int = 1,
 ) -> ExperimentReport:
     n_values = sorted(n_values)
     if len(n_values) < 3:
@@ -160,7 +159,7 @@ def run_experiment(
         try:
             cfg = _make_config(construction, k, n, seed, eps)
             adj = build_adjacency(cfg)
-            chains = count_chains(cfg, adjacency=adj, threads=threads)
+            chains = count_chains(cfg, adjacency=adj)
             walks = count_walks(cfg, adjacency=adj)
             inc = adj.total_edges()
             row = ExperimentRow(

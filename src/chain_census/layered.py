@@ -4,6 +4,12 @@ A configuration is k+1 point layers plus k squared distances; the objects
 counted are walks (consecutive distances match, repeats allowed), chains
 (additionally all points pairwise distinct) and embeddings of a
 distance-labeled tree.  All counts are exact Python integers.
+
+All three are counted by one engine (see "the counting engine" below): a
+dynamic program over adjacency lists counts homomorphisms, and a Möbius
+correction over coincidence patterns removes tuples that reuse a point.
+Enumeration of single tuples survives only in the exhaustive oracles at
+the end of this module.
 """
 
 from __future__ import annotations
@@ -118,30 +124,80 @@ class BipartiteAdjacency:
         return sum(self.edge_count(i) for i in range(len(self.neighbors)))
 
 
-def _grid_candidates(points_a, points_b, radius: float):
-    """Candidate index pairs within `radius` via uniform grid hashing.
+def _exact_cell(r2) -> tuple[int, int]:
+    """Integers (w, den) with w/den >= sqrt(r2), within 2**-20 of it."""
+    num, den = r2.as_integer_ratio()
+    scale = 1 << 20
+    return math.isqrt(num * den * scale * scale) + 1, den * scale
 
-    Yields (i, j) supersets of all pairs at distance <= radius; exactness is
-    left to the caller's distance predicate.
+
+def _grid_candidates(points_a, points_b, reach2, exact: bool):
+    """Candidate index pairs within squared distance `reach2` via uniform
+    grid hashing.
+
+    Yields (i, j) supersets of all pairs at squared distance <= reach2;
+    exactness is left to the caller's distance predicate.  Exact rational
+    coordinates get their cell keys by exact floor division, so no float
+    rounding can put two neighbours two cells apart.
     """
     if not points_a or not points_b:
         return
-    cell = radius * (1.0 + 1e-9)
-    if cell <= 0.0:
-        cell = 1.0
-    dim = points_a[0].dim
+    if exact:
+        width, den = _exact_cell(reach2)
+
+        def key(p):
+            return tuple((c * den) // width for c in p.coords)
+
+    else:
+        cell = math.sqrt(max(reach2, 0.0)) * (1.0 + 1e-9)
+        if cell <= 0.0:
+            cell = 1.0
+
+        def key(p):
+            return tuple(math.floor(float(c) / cell) for c in p.coords)
+
     buckets: dict[tuple, list[int]] = defaultdict(list)
     for j, q in enumerate(points_b):
-        key = tuple(math.floor(float(c) / cell) for c in q.coords)
-        buckets[key].append(j)
-    offsets = list(product((-1, 0, 1), repeat=dim))
+        buckets[key(q)].append(j)
+    offsets = list(product((-1, 0, 1), repeat=points_a[0].dim))
     for i, p in enumerate(points_a):
-        base = tuple(math.floor(float(c) / cell) for c in p.coords)
+        base = key(p)
         for off in offsets:
             bucket = buckets.get(tuple(b + o for b, o in zip(base, off)))
             if bucket:
                 for j in bucket:
                     yield i, j
+
+
+def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offenders=None):
+    """lists[a]: sorted indices b with pa[a], pb[b] at squared distance d2.
+
+    The one pairwise kernel: only ``spec.eps`` is read, so the spec may
+    carry other distances.  "brute" tests every pair, "grid" only the
+    pairs a uniform grid puts in neighbouring cells, "auto" picks grid for
+    more than 4096 pairs.  With an `offenders` list, tolerant pairs in the
+    guard band (eps, 100*eps] are appended to it.
+    """
+    eps = spec.eps
+    certify = offenders is not None and bool(eps)
+    if strategy == "grid" or (strategy == "auto" and len(pa) * len(pb) > 4096):
+        if eps is None:
+            reach2 = d2
+        else:
+            reach2 = float(d2) + (100.0 * eps if certify else eps)
+        pairs = _grid_candidates(pa, pb, reach2, exact=eps is None)
+    else:
+        pairs = product(range(len(pa)), range(len(pb)))
+    lists: list[list[int]] = [[] for _ in pa]
+    for a, b in pairs:
+        p, q = pa[a], pb[b]
+        if matches_distance(p, q, d2, spec):
+            lists[a].append(b)
+        elif certify:
+            gap = abs(float(squared_distance(p.as_float(), q.as_float())) - float(d2))
+            if eps < gap <= 100.0 * eps:
+                offenders.append((p, q, gap))
+    return tuple(tuple(sorted(nb)) for nb in lists)
 
 
 def build_adjacency(
@@ -155,43 +211,21 @@ def build_adjacency(
     """
     if certify is None:
         certify = not config.spec.exact
-    eps = config.spec.eps
-    levels = []
-    offenders = []
-    for i in range(config.k):
-        pa = config.layers[i].points
-        pb = config.layers[i + 1].points
-        d2 = config.spec.delta2[i]
-        use_grid = strategy == "grid" or (
-            strategy == "auto" and len(pa) * len(pb) > 4096
+    offenders: list | None = [] if certify else None
+    levels = tuple(
+        _pair_lists(
+            config.layers[i].points,
+            config.layers[i + 1].points,
+            config.spec.delta2[i],
+            config.spec,
+            strategy,
+            offenders,
         )
-        lists: list[list[int]] = [[] for _ in pa]
-        if use_grid:
-            reach2 = float(d2) + (100.0 * eps if certify and eps else (eps or 0.0))
-            seen_pairs = _grid_candidates(pa, pb, math.sqrt(max(reach2, 0.0)))
-            for a, b in seen_pairs:
-                p, q = pa[a], pb[b]
-                if matches_distance(p, q, d2, config.spec):
-                    lists[a].append(b)
-                elif certify and eps:
-                    gap = abs(float(squared_distance(p.as_float(), q.as_float())) - float(d2))
-                    if eps < gap <= 100.0 * eps:
-                        offenders.append((p, q, gap))
-        else:
-            for a, p in enumerate(pa):
-                for b, q in enumerate(pb):
-                    if matches_distance(p, q, d2, config.spec):
-                        lists[a].append(b)
-                    elif certify and eps:
-                        gap = abs(
-                            float(squared_distance(p.as_float(), q.as_float())) - float(d2)
-                        )
-                        if eps < gap <= 100.0 * eps:
-                            offenders.append((p, q, gap))
-        levels.append(tuple(tuple(sorted(nb)) for nb in lists))
+        for i in range(config.k)
+    )
     if offenders:
         raise CertificationError(offenders)
-    return BipartiteAdjacency(tuple(levels))
+    return BipartiteAdjacency(levels)
 
 
 def certify_config(config: LayeredConfig) -> None:
@@ -199,108 +233,277 @@ def certify_config(config: LayeredConfig) -> None:
     build_adjacency(config, strategy="auto", certify=True)
 
 
-def _coord_classes(config: LayeredConfig):
+def _coord_classes(layers) -> list[list[int]]:
     """Map coordinates to dense integer classes shared across layers."""
     ids: dict[tuple, int] = {}
-    per_layer = []
-    for layer in config.layers:
-        row = []
-        for p in layer.points:
-            c = ids.setdefault(p.coords, len(ids))
-            row.append(c)
-        per_layer.append(row)
-    return per_layer, len(ids)
+    return [[ids.setdefault(p.coords, len(ids)) for p in layer.points] for layer in layers]
 
 
-def count_walks(
-    config: LayeredConfig,
-    adjacency: BipartiteAdjacency | None = None,
-    threads: int = 1,
-) -> int:
+# ---------------------------------------------------------------------------
+# the counting engine
+#
+# Every count runs over a rooted tree whose vertex v draws its point from one
+# layer (a chain is a path rooted at its last position).  classes[v][i] is
+# the coordinate class of point i of v's layer, shared across layers, and
+# lists[v][i] holds the indices of the parent-layer points adjacent to it.
+#
+# Homomorphisms (walks, for a path) come from one bottom-up product-of-sums
+# pass over the adjacency lists, O(E).  Injective counts (chains,
+# embeddings) follow by Möbius inversion on the lattice of set partitions:
+#
+#     injective = sum over coincidence patterns pi of mu(pi) * homs(pi),
+#     mu(pi) = product over blocks B of (-1)^(|B|-1) (|B|-1)!,
+#
+# where homs(pi) counts homomorphisms that give all vertices of each block
+# one coordinate class.  A pattern can count anything only if each block's
+# layers share a class and no block holds two tree neighbours, unless some
+# point is adjacent to a point of its own class along their edge (possible
+# only in tolerant mode with eps >= d2).  With pairwise-disjoint layers the
+# trivial pattern is the only one and a count is a single O(E) pass; in
+# general it costs O(E) per pattern and pinned class, and the number of
+# patterns grows like a Bell number when every vertex draws from one set.
+
+
+def _merge(a: tuple, b: tuple):
+    """Union of two block-class assignments, or None if they disagree."""
+    if a == b:
+        return a
+    out = []
+    for x, y in zip(a, b):
+        if x is None:
+            out.append(y)
+        elif y is None or x == y:
+            out.append(x)
+        else:
+            return None
+    return tuple(out)
+
+
+def _add(into: dict, counts: dict) -> None:
+    for a, x in counts.items():
+        into[a] = into.get(a, 0) + x
+
+
+class _CountTree:
+    """A rooted tree of layers joined by adjacency lists, and its counts."""
+
+    def __init__(self, classes, parent, lists, order):
+        self.classes = classes
+        self.parent = parent
+        self.lists = lists
+        self.order = list(order)  # every child before its parent, root last
+        self.kids: list[list[int]] = [[] for _ in classes]
+        self.below: list[set] = [set() for _ in classes]
+        for v in self.order:
+            if parent[v] >= 0:
+                self.kids[parent[v]].append(v)
+            self.below[v] = {v}.union(*(self.below[u] for u in self.kids[v]))
+        self._reverse: dict[int, list[list[int]]] = {}
+        self._where: dict[int, dict[int, list[int]]] = {}
+        self._self_adjacent: dict[int, bool] = {}
+
+    # -- coincidence patterns ----------------------------------------------
+
+    def _may_share(self, u: int, v: int) -> bool:
+        """Whether vertices u and v can take points of one class."""
+        if self.parent[v] == u:
+            u, v = v, u
+        elif self.parent[u] != v:
+            return True
+        if u not in self._self_adjacent:
+            own, up = self.classes[u], self.classes[v]
+            self._self_adjacent[u] = any(
+                up[p] == own[q] for q, ps in enumerate(self.lists[u]) for p in ps
+            )
+        return self._self_adjacent[u]
+
+    def patterns(self):
+        """(mu, blocks) for each coincidence pattern whose count may be
+        nonzero; blocks are its non-singleton (members, shared classes)."""
+        sets = [set(c) for c in self.classes]
+        blocks: list[list] = []
+
+        def place(v: int):
+            if v == len(sets):
+                big = [(tuple(m), s) for m, s in blocks if len(m) > 1]
+                mu = math.prod((-1) ** (len(m) - 1) * math.factorial(len(m) - 1) for m, _ in big)
+                yield mu, big
+                return
+            for block in blocks:
+                members, shared = block
+                common = shared & sets[v]
+                if common and all(self._may_share(u, v) for u in members):
+                    members.append(v)
+                    block[1] = common
+                    yield from place(v + 1)
+                    members.pop()
+                    block[1] = shared
+            blocks.append([[v], sets[v]])
+            yield from place(v + 1)
+            blocks.pop()
+
+        return place(0)
+
+    # -- homomorphism counts -----------------------------------------------
+
+    def homs(self, blocks=()) -> int:
+        """Homomorphisms that give all members of each block one class.
+
+        The first block is pinned to each of its shared classes in turn;
+        the state of a vertex maps each of its points to counts per
+        assignment of classes to the other blocks still open there.
+        """
+        pinned, shared = blocks[0] if blocks else ((), (None,))
+        carried = [m for m, _ in blocks[1:]]
+        slot = [-1] * len(self.classes)
+        closing: dict[int, list[int]] = {}
+        for j, members in enumerate(carried):
+            for v in members:
+                slot[v] = j
+            top = next(v for v in self.order if self.below[v].issuperset(members))
+            closing.setdefault(top, []).append(j)
+        unset = (None,) * len(carried)
+        return sum(self._pass(slot, closing, unset, pinned, c) for c in sorted(shared))
+
+    def _pass(self, slot, closing, unset, pinned, pin_class) -> int:
+        classes = self.classes
+        states: dict[int, dict] = {}
+        for v in self.order:
+            allowed = self._points_of(v, pin_class) if v in pinned else None
+            state = None
+            for u in self.kids[v]:
+                if allowed is None:
+                    part = self._push(u, states.pop(u))
+                else:
+                    part = self._pull(u, states.pop(u), allowed)
+                state = part if state is None else self._join(state, part)
+            if state is None:
+                unit = {unset: 1}
+                state = {p: unit for p in (range(len(classes[v])) if allowed is None else allowed)}
+            if slot[v] >= 0 or v in closing:
+                state = self._settle(state, slot[v], classes[v], closing.get(v, ()))
+            if not state:
+                return 0
+            states[v] = state
+        return sum(x for counts in states[v].values() for x in counts.values())
+
+    def _points_of(self, v: int, c: int) -> list[int]:
+        if v not in self._where:
+            where: dict[int, list[int]] = {}
+            for p, cp in enumerate(self.classes[v]):
+                where.setdefault(cp, []).append(p)
+            self._where[v] = where
+        return self._where[v].get(c, [])
+
+    def _push(self, u: int, state: dict) -> dict:
+        """Carry the child's counts to every adjacent parent point."""
+        lists = self.lists[u]
+        out: dict[int, dict] = {}
+        for q, counts in state.items():
+            for p in lists[q]:
+                if p in out:
+                    _add(out[p], counts)
+                else:
+                    out[p] = dict(counts)
+        return out
+
+    def _pull(self, u: int, state: dict, allowed) -> dict:
+        """Gather the child's counts into the few allowed parent points."""
+        if u not in self._reverse:
+            rev: list[list[int]] = [[] for _ in self.classes[self.parent[u]]]
+            for q, ps in enumerate(self.lists[u]):
+                for p in ps:
+                    rev[p].append(q)
+            self._reverse[u] = rev
+        rev = self._reverse[u]
+        out: dict[int, dict] = {}
+        for p in allowed:
+            counts: dict = {}
+            for q in rev[p]:
+                if q in state:
+                    _add(counts, state[q])
+            if counts:
+                out[p] = counts
+        return out
+
+    @staticmethod
+    def _join(left: dict, right: dict) -> dict:
+        """Pointwise product of two children's contributions."""
+        out = {}
+        for p, a_counts in left.items():
+            b_counts = right.get(p)
+            if b_counts is None:
+                continue
+            counts: dict = {}
+            for a, x in a_counts.items():
+                for b, y in b_counts.items():
+                    ab = _merge(a, b)
+                    if ab is not None:
+                        counts[ab] = counts.get(ab, 0) + x * y
+            if counts:
+                out[p] = counts
+        return out
+
+    @staticmethod
+    def _settle(state: dict, j: int, cls, done) -> dict:
+        """Give block j (if any) the class of the vertex's own point, and
+        forget the classes of the blocks in `done`, whose members all lie
+        in this vertex's subtree."""
+        out = {}
+        for p, counts in state.items():
+            c = cls[p]
+            settled: dict = {}
+            for a, x in counts.items():
+                if j >= 0:
+                    if a[j] is None:
+                        a = a[:j] + (c,) + a[j + 1 :]
+                    elif a[j] != c:
+                        continue
+                if done:
+                    a = tuple(None if i in done else ci for i, ci in enumerate(a))
+                settled[a] = settled.get(a, 0) + x
+            if settled:
+                out[p] = settled
+        return out
+
+    def injective(self) -> int:
+        """Homomorphisms that give distinct vertices distinct classes."""
+        return sum(mu * self.homs(blocks) for mu, blocks in self.patterns())
+
+
+def _chain_tree(config: LayeredConfig, adjacency: BipartiteAdjacency | None) -> _CountTree:
+    adj = adjacency or build_adjacency(config)
+    k = config.k
+    return _CountTree(
+        _coord_classes(config.layers),
+        list(range(1, k + 1)) + [-1],
+        list(adj.neighbors) + [None],
+        range(k + 1),
+    )
+
+
+def count_walks(config: LayeredConfig, adjacency: BipartiteAdjacency | None = None) -> int:
     """Tuples with matching consecutive distances, repetitions allowed.
 
-    Layer-by-layer dynamic programming; the distinct-free upper surrogate
-    for count_chains.  The first layer may be partitioned across workers;
-    the summed result is identical for every partitioning.
+    One layer-by-layer dynamic programming pass over the adjacency, O(E);
+    the distinct-free upper surrogate for count_chains.
     """
     if config.k == 0:
         return len(config.layers[0])
-    adj = adjacency or build_adjacency(config)
-
-    def push(start_indices) -> int:
-        counts = [0] * len(config.layers[0])
-        for p in start_indices:
-            counts[p] = 1
-        for i in range(config.k):
-            nxt = [0] * len(config.layers[i + 1])
-            level = adj.neighbors[i]
-            for p, c in enumerate(counts):
-                if c:
-                    for q in level[p]:
-                        nxt[q] += c
-            counts = nxt
-        return sum(counts)
-
-    roots = range(len(config.layers[0]))
-    if threads <= 1 or len(config.layers[0]) <= 1:
-        return push(roots)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = [list(roots)[j::threads] for j in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(push, chunks))
+    return _chain_tree(config, adjacency).homs()
 
 
-def count_chains(
-    config: LayeredConfig,
-    adjacency: BipartiteAdjacency | None = None,
-    threads: int = 1,
-) -> int:
+def count_chains(config: LayeredConfig, adjacency: BipartiteAdjacency | None = None) -> int:
     """Tuples with matching consecutive distances and all points distinct.
 
-    Depth-first backtracking over the adjacency with a visited set keyed by
-    coordinates; identical results regardless of root partitioning.
+    The walk DP with a Möbius correction over coincidence patterns: blocks
+    of non-consecutive positions whose layers share coordinates.  O(E)
+    when no two such layers share a point; otherwise O(E) per pattern and
+    pinned shared point.
     """
-    classes, n_classes = _coord_classes(config)
     if config.k == 0:
-        return len(set(classes[0]))
-    adj = adjacency or build_adjacency(config)
-    neighbors = adj.neighbors
-    k = config.k
-
-    def count_from_roots(roots) -> int:
-        visited = bytearray(n_classes)
-
-        def rec(i: int, p: int) -> int:
-            if i == k:
-                return 1
-            total = 0
-            nxt_classes = classes[i + 1]
-            for q in neighbors[i][p]:
-                c = nxt_classes[q]
-                if not visited[c]:
-                    visited[c] = 1
-                    total += rec(i + 1, q)
-                    visited[c] = 0
-            return total
-
-        total = 0
-        cls0 = classes[0]
-        for p in roots:
-            c = cls0[p]
-            visited[c] = 1
-            total += rec(0, p)
-            visited[c] = 0
-        return total
-
-    roots = range(len(config.layers[0]))
-    if threads <= 1 or len(config.layers[0]) <= 1:
-        return count_from_roots(roots)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = [list(roots)[j::threads] for j in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(count_from_roots, chunks))
+        return len(config.layers[0].coord_set())
+    return _chain_tree(config, adjacency).injective()
 
 
 def count_incidences(P: Layer, Q: Layer, d2, spec: DistanceSpec, strategy: str = "auto") -> int:
@@ -367,7 +570,9 @@ def count_tree_embeddings(layers, tree: LabeledTree, spec: DistanceSpec) -> int:
     """Tuples of distinct points realizing every labeled tree edge.
 
     `layers` is one Layer per tree vertex, or a single Layer replicated.
-    Backtracks in root-to-leaf order; for a path this equals count_chains.
+    Only ``spec.eps`` is read; the distances come from the tree.  A
+    bottom-up product-of-sums DP over per-edge adjacency with the Möbius
+    correction of count_chains; for a path this equals count_chains.
     """
     tree.validate()
     if isinstance(layers, Layer):
@@ -375,47 +580,14 @@ def count_tree_embeddings(layers, tree: LabeledTree, spec: DistanceSpec) -> int:
     layers = list(layers)
     if len(layers) != tree.vertex_count:
         raise ValueError("need one layer per tree vertex")
-    ids: dict[tuple, int] = {}
-    classes = []
-    for layer in layers:
-        classes.append([ids.setdefault(p.coords, len(ids)) for p in layer.points])
     order = tree.traversal()
-    visited = bytearray(len(ids))
-
-    def rec(step: int, placed: dict) -> int:
-        if step == len(order):
-            return 1
-        v, parent, d2 = order[step]
-        layer = layers[v]
-        cls = classes[v]
-        total = 0
-        pp = placed[parent]
-        for idx, p in enumerate(layer.points):
-            c = cls[idx]
-            if visited[c]:
-                continue
-            if matches_distance(p, pp, d2, spec):
-                visited[c] = 1
-                placed[v] = p
-                total += rec(step + 1, placed)
-                del placed[v]
-                visited[c] = 0
-        return total
-
-    root_layer = layers[order[0][0]]
-    root_cls = classes[order[0][0]]
-    total = 0
-    placed: dict = {}
-    for idx, p in enumerate(root_layer.points):
-        c = root_cls[idx]
-        if visited[c]:
-            continue
-        visited[c] = 1
-        placed[order[0][0]] = p
-        total += rec(1, placed)
-        placed.clear()
-        visited[c] = 0
-    return total
+    parent = [-1] * tree.vertex_count
+    lists: list = [None] * tree.vertex_count
+    for v, u, d2 in order[1:]:
+        parent[v] = u
+        lists[v] = _pair_lists(layers[v].points, layers[u].points, d2, spec)
+    counter = _CountTree(_coord_classes(layers), parent, lists, [v for v, _, _ in reversed(order)])
+    return counter.injective()
 
 
 def _pair_tables(config: LayeredConfig):

@@ -1,9 +1,11 @@
 import os
 
+import pytest
+
 from chain_census.cli import main
 from chain_census.io import write_points, write_tree
 from chain_census.constructions import gen_star, gen_unit_rich_grid
-from chain_census.layered import make_layer
+from chain_census.layered import make_layer, path_tree
 
 
 def run(capsys, *argv):
@@ -37,27 +39,9 @@ class TestGenerateCount:
         assert code == 0
         assert "chains 9" in out and "walks 9" in out
 
-    def test_threads_do_not_change_result(self, tmp_path, capsys):
-        code, out = run(
-            capsys,
-            "--out", str(tmp_path),
-            "generate", "--construction", "orthogonal", "--k", "3", "--n", "8",
-        )
-        manifest = out.strip()
-        _, out1 = run(capsys, "count", "--manifest", manifest)
-        _, out4 = run(capsys, "--threads", "4", "count", "--manifest", manifest)
-        assert out1 == out4
-
-    def test_env_threads(self, tmp_path, capsys, monkeypatch):
-        code, out = run(
-            capsys,
-            "--out", str(tmp_path),
-            "generate", "--construction", "planar-chain", "--k", "2", "--n", "4",
-        )
-        manifest = out.strip()
-        monkeypatch.setenv("CHAIN_CENSUS_THREADS", "3")
-        code, out = run(capsys, "count", "--manifest", manifest)
-        assert code == 0 and out.strip() == "16"
+    def test_threads_flag_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["--threads", "2", "count", "--manifest", str(tmp_path / "manifest.txt")])
 
 
 class TestTreeAndSetOps:
@@ -76,6 +60,19 @@ class TestTreeAndSetOps:
         code, out = run(capsys, *argv)
         assert code == 0
         assert out.strip() == "25"
+
+    def test_count_tree_tolerance_wider_than_spec_allows(self, tmp_path, capsys):
+        # eps = 0.5 with d2 = 1 breaks DistanceSpec's eps < d2/100 rule;
+        # count-tree only compares distances, so it still counts
+        corners = make_layer([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        p = tmp_path / "square.pts"
+        write_points(p, corners.points, "float")
+        tpath = tmp_path / "path.tree"
+        write_tree(tpath, path_tree((1.0, 1.0)), "float")
+        code, out = run(
+            capsys, "--mode", "tol:0.5", "count-tree", "--tree", str(tpath), "--set", str(p)
+        )
+        assert code == 0 and out.strip() == "8"
 
     def test_incidences(self, tmp_path, capsys):
         corners = make_layer([(0, 0), (1, 0), (1, 1), (0, 1)])
