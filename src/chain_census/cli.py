@@ -14,9 +14,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import constructions as cons
 from .experiment import (
-    CONSTRUCTIONS,
+    REGISTRY,
     report_csv,
     run_experiment,
     verify_closed_form,
@@ -26,7 +25,7 @@ from .experiment import (
     write_scatter_svg,
 )
 from .geometry import DistanceSpec
-from .io import read_manifest, read_points, read_tree, write_manifest, write_points
+from .io import read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
 from .layered import (
     Layer,
     build_adjacency,
@@ -62,13 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chain-census")
     ap.add_argument("--seed", type=int, default=0, help="u64 seed for randomized steps")
     ap.add_argument("--eps", type=float, default=0.25, help="diameter / decomposition step")
-    ap.add_argument("--mode", type=_parse_mode, default=None, help="exact or tol:<eps>")
+    ap.add_argument(
+        "--mode", type=_parse_mode, default=None,
+        help="exact or tol:<eps>; for count-tree, incidences, rich and verify --claim richness",
+    )
     ap.add_argument("--out", default=None, help="output path (file or directory)")
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="emit a construction as manifest + point files")
-    g.add_argument("--construction", required=True)
+    g.add_argument(
+        "--construction", required=True, choices=[n for n, c in REGISTRY.items() if c.files]
+    )
     g.add_argument("--k", type=int, default=2)
     g.add_argument("--n", type=int, default=10)
     g.add_argument("--l", type=int, default=1)
@@ -100,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--manifest", required=True)
 
     e = sub.add_parser("experiment", help="scaling sweep with exponent fit")
-    e.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
+    e.add_argument(
+        "--construction", required=True, choices=[n for n, c in REGISTRY.items() if c.files == "manifest"]
+    )
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--n-list", required=True, help="comma list of sizes")
     e.add_argument("--slope-tol", type=float, default=0.2)
@@ -109,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a certified check")
     v.add_argument("--claim", required=True, choices=["closed-form", "floor", "covering", "richness"])
-    v.add_argument("--construction", default=None)
+    v.add_argument("--construction", default=None, choices=list(REGISTRY))
     v.add_argument("--k", type=int, default=2)
     v.add_argument("--n", type=int, default=10)
     v.add_argument("--manifest", default=None)
@@ -120,60 +126,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    name = args.construction
-    k, n, seed, eps = args.k, args.n, args.seed, args.eps
-    delta2 = [_parse_d2(t) for t in args.delta2.split(",")] if args.delta2 else None
+    entry = REGISTRY[args.construction]
+    args.delta2 = [_parse_d2(t) for t in args.delta2.split(",")] if args.delta2 else None
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    tree = None
-    extras = []
-    if name == "planar-chain":
-        cfg = cons.gen_planar_chain(k, delta2 or cons.default_delta2(k), n, eps, seed=seed)
-    elif name == "planar-k1":
-        res = cons.gen_planar_k1mod3(k, n, eps, seed=seed)
-        cfg = res.config
-        extras.append(f"preserved_incidences {res.preserved_incidences}")
-    elif name == "3d-even":
-        cfg = cons.gen_3d_even(k, delta2 or [1.0] * k, n)
-    elif name == "3d-odd-regular":
-        res = cons.gen_3d_odd_regular(k, n)
-        cfg = res.config
-        extras.append(f"min_degree {res.min_degree} floor {res.floor}")
-    elif name == "3d-odd-sphere":
-        res = cons.gen_3d_odd_sphere(k, n)
-        cfg = res.config
-        extras.append(f"sphere_incidences {res.sphere_incidences} floor {res.floor}")
-    elif name == "orthogonal":
-        res = cons.gen_orthogonal_circles(args.d, k, n)
-        cfg = res.config
-        extras.append(f"closed_form {res.closed_form}")
-    elif name == "star":
-        res = cons.gen_star(args.l, n)
-        from .io import write_tree
-
-        mpath = os.path.join(out, "star.tree")
-        write_tree(mpath, res.tree, "exact")
-        for idx, layer in enumerate(res.layers):
-            write_points(os.path.join(out, f"star-layer{idx + 1}.pts"), layer.points, "exact")
-        print(mpath)
-        return 0
-    elif name == "star-paths":
-        res = cons.gen_star_of_paths(args.l, n, args.variant, seed=seed)
-        from .io import write_tree
-
-        mpath = os.path.join(out, "star-paths.tree")
-        write_tree(mpath, res.tree, "float")
-        for idx, layer in enumerate(res.layers):
-            write_points(os.path.join(out, f"star-paths-layer{idx + 1}.pts"), layer.points, "float")
-        log.info("measured %d floor %d", res.count, res.floor)
-        print(mpath)
-        return 0
+    res = entry.build(args)
+    if entry.files == "manifest":
+        mpath = os.path.join(out, "manifest.txt")
+        write_manifest(mpath, getattr(res, "config", res), out)
     else:
-        raise SystemExit(f"unknown construction {name!r}")
-    mpath = os.path.join(out, "manifest.txt")
-    write_manifest(mpath, cfg, out)
-    for line in extras:
-        log.info("%s", line)
+        mpath = os.path.join(out, f"{args.construction}.tree")
+        write_tree(mpath, res.tree, entry.files)
+        for idx, layer in enumerate(res.layers):
+            lpath = os.path.join(out, f"{args.construction}-layer{idx + 1}.pts")
+            write_points(lpath, layer.points, entry.files)
+    if entry.note:
+        log.info("%s", entry.note(res))
     print(mpath)
     return 0
 
@@ -275,10 +243,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.claim == "closed-form":
-        res = verify_closed_form(args.construction, args.k, args.n, args.eps, args.seed)
-    elif args.claim == "floor":
-        res = verify_floor(args.construction, args.k, args.n, args.eps, args.seed)
+    if args.claim in ("closed-form", "floor"):
+        if not args.construction:
+            raise SystemExit(f"{args.claim} verification needs --construction")
+        verify = verify_closed_form if args.claim == "closed-form" else verify_floor
+        try:
+            res = verify(args.construction, args.k, args.n, args.eps, args.seed)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     elif args.claim == "covering":
         if not args.manifest:
             raise SystemExit("covering verification needs --manifest")
@@ -295,8 +267,19 @@ def _cmd_verify(args) -> int:
     return 0 if res.passed else 1
 
 
+def _parse_args(argv):
+    # apart from main so the parser is garbage before the verb runs; kept
+    # alive across the verb, it made peak RSS creep from call to call
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    verb = args.command + (f" --claim {args.claim}" if args.command == "verify" else "")
+    if args.mode is not None and verb not in ("count-tree", "incidences", "rich", "verify --claim richness"):
+        ap.error(f"--mode has no effect on {verb}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,

@@ -1,11 +1,14 @@
 """Experiment sweeps, exponent fitting and claim verification.
 
-An experiment generates one construction at several sizes, counts chains,
-walks and adjacency incidences, fits a log-log slope and compares it to
-the construction's theoretical exponent.  CSV output is byte-deterministic
-for a given (construction, parameters, seed); wall-clock seconds live in
-the report object and are appended to the CSV only on request, since
-timings cannot be deterministic.
+``REGISTRY`` holds every construction once: how to build it, the
+certificates it supports and its theoretical exponent; the CLI, the
+sweeps and the verifiers all read it.  An experiment generates one chain
+construction at several sizes, counts chains, walks and adjacency
+incidences, fits a log-log slope and compares it to the theoretical
+exponent.  CSV output is byte-deterministic for a given (construction,
+parameters, seed); wall-clock seconds live in the report object and are
+appended to the CSV only on request, since timings cannot be
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import constructions as cons
 from .layered import (
     LayeredConfig,
     build_adjacency,
     count_chains,
+    count_tree_embeddings,
     count_walks,
     enumerate_chains,
 )
@@ -96,47 +102,105 @@ class ExperimentReport:
         ]
 
 
-def _make_config(construction: str, k: int, n: int, seed: int, eps: float) -> LayeredConfig:
-    if construction == "planar-chain":
-        return cons.gen_planar_chain(k, cons.default_delta2(k), n, eps, seed=seed)
-    if construction == "planar-k1":
-        return cons.gen_planar_k1mod3(k, n, eps, seed=seed).config
-    if construction == "3d-even":
-        return cons.gen_3d_even(k, [1.0] * k, n)
-    if construction == "3d-odd-regular":
-        return cons.gen_3d_odd_regular(k, n).config
-    if construction == "3d-odd-sphere":
-        return cons.gen_3d_odd_sphere(k, n).config
-    if construction == "orthogonal":
-        return cons.gen_orthogonal_circles(4, k, n).config
-    raise ValueError(f"unknown construction {construction!r}")
+def _chains(res) -> int:
+    return count_chains(getattr(res, "config", res))
 
 
-def theory_exponent(construction: str, k: int) -> Fraction | None:
-    if construction == "planar-chain":
-        return Fraction((k + 1) // 3 + 1)
-    if construction == "planar-k1":
-        return Fraction(k - 1, 3) + 1
-    if construction == "3d-even":
-        return Fraction(k, 2) + 1
-    if construction == "orthogonal":
-        return Fraction(k + 1)
-    return None
+class Construction(NamedTuple):
+    """One construction.  ``build`` maps parameters (k, n, l, d, delta2,
+    variant, seed, eps) to the generator's result, which ``count``
+    measures; ``files`` is "manifest" for chains, a tree's point-file mode,
+    or None when ``generate`` does not write it; ``note`` is the line
+    ``generate`` logs.  Each certificate maps (result, parameters) to
+    (expected, detail), or to None where the claim does not hold there.
+    ``exponent`` maps k to the theoretical exponent, only a lower bound
+    when ``floor_only``."""
+
+    build: Callable
+    files: str | None
+    certs: dict[str, Callable]
+    note: Callable | None = None
+    exponent: Callable | None = None
+    floor_only: bool = False
+    count: Callable = _chains
 
 
-# Constructions whose exponent is only a floor (the true count carries a
-# distance-graph excess); their verdict is one-sided.
-FLOOR_EXPONENT = frozenset({"planar-k1", "3d-odd-regular", "3d-odd-sphere"})
+REGISTRY = {
+    "planar-chain": Construction(
+        lambda p: cons.gen_planar_chain(p.k, p.delta2 or cons.default_delta2(p.k), p.n, p.eps, seed=p.seed),
+        "manifest",
+        {"closed-form": lambda r, p: (p.n * p.n, "planar k=2 count = n^2") if p.k == 2 else None,
+         "floor": lambda r, p: (p.n ** ((p.k + 1) // 3 + 1), "count >= n^(floor((k+1)/3)+1)")},
+        exponent=lambda k: Fraction((k + 1) // 3 + 1),
+    ),
+    "planar-k1": Construction(
+        lambda p: cons.gen_planar_k1mod3(p.k, p.n, p.eps, seed=p.seed),
+        "manifest",
+        {"floor": lambda r, p: (p.n ** ((p.k - 1) // 3) * r.preserved_incidences,
+                                "count >= n^((k-1)/3) * preserved incidences")},
+        note=lambda r: f"preserved_incidences {r.preserved_incidences}",
+        exponent=lambda k: Fraction(k - 1, 3) + 1,
+        floor_only=True,
+    ),
+    "3d-even": Construction(
+        lambda p: cons.gen_3d_even(p.k, p.delta2 or [1.0] * p.k, p.n),
+        "manifest",
+        {"closed-form": lambda r, p: (p.n ** (p.k // 2 + 1), "3d even count = n^(k/2+1)")},
+        exponent=lambda k: Fraction(k, 2) + 1,
+    ),
+    "3d-odd-regular": Construction(
+        lambda p: cons.gen_3d_odd_regular(p.k, p.n),
+        "manifest",
+        {"floor": lambda r, p: (r.floor, "count >= |core|*(min_degree-k)^k")},
+        note=lambda r: f"min_degree {r.min_degree} floor {r.floor}",
+    ),
+    "3d-odd-sphere": Construction(
+        lambda p: cons.gen_3d_odd_sphere(p.k, p.n),
+        "manifest",
+        {"floor": lambda r, p: (r.floor, "count >= n^((k-1)/2) * sphere incidences")},
+        note=lambda r: f"sphere_incidences {r.sphere_incidences} floor {r.floor}",
+    ),
+    "orthogonal": Construction(
+        lambda p: cons.gen_orthogonal_circles(p.d, p.k, p.n),
+        "manifest",
+        {"closed-form": lambda r, p: (r.closed_form, "alternating tuple formula")},
+        note=lambda r: f"closed_form {r.closed_form}",
+        exponent=lambda k: Fraction(k + 1),
+    ),
+    "star": Construction(
+        lambda p: cons.gen_star(p.l, p.n),
+        "exact",
+        {"closed-form": lambda r, p: (r.closed_form, "star count = (n/l)^l")},
+        count=lambda r: count_tree_embeddings(r.layers, r.tree, r.spec),
+    ),
+    "star-paths": Construction(
+        lambda p: cons.gen_star_of_paths(p.l, p.n, p.variant, seed=p.seed),
+        "float",
+        {"floor": lambda r, p: (r.floor, f"{r.variant} floor")},
+        note=lambda r: f"measured {r.count} floor {r.floor}",
+        count=lambda r: r.count,
+    ),
+    "split": Construction(
+        lambda p: cons.split_and_translate((g := cons.gen_unit_rich_grid(p.n).points), g, 1, p.eps, p.seed),
+        None,
+        {"floor": lambda r, p: (
+            r.floor, f"preserved >= E/(2*ceil(2.2*{r.spacing}/eps)^2), diameter bound verified on return"
+        )},
+        count=lambda r: r.preserved_incidences,
+    ),
+}
 
 
-CONSTRUCTIONS = (
-    "planar-chain",
-    "planar-k1",
-    "3d-even",
-    "3d-odd-regular",
-    "3d-odd-sphere",
-    "orthogonal",
-)
+def _entry(construction: str) -> Construction:
+    if construction not in REGISTRY:
+        raise ValueError(f"unknown construction {construction!r}; choose from {', '.join(REGISTRY)}")
+    return REGISTRY[construction]
+
+
+def _params(k: int, n: int, eps: float, seed: int) -> SimpleNamespace:
+    """Library defaults for the parameters only `generate` exposes; the arm
+    count l of a tree construction is k."""
+    return SimpleNamespace(k=k, n=n, l=k, d=4, delta2=None, variant="joints-fixed", seed=seed, eps=eps)
 
 
 def run_experiment(
@@ -147,17 +211,21 @@ def run_experiment(
     eps: float = 0.25,
     slope_tol: float = 0.2,
 ) -> ExperimentReport:
+    entry = _entry(construction)
+    if entry.files != "manifest":
+        raise ValueError(f"{construction!r} is not a chain construction")
     n_values = sorted(n_values)
     if len(n_values) < 3:
         report = ExperimentReport(construction, k, notice="fit skipped: fewer than 3 sizes")
     else:
         report = ExperimentReport(construction, k)
     report.slope_tol = slope_tol
-    report.theory_exponent = theory_exponent(construction, k)
+    report.theory_exponent = entry.exponent(k) if entry.exponent else None
     for n in n_values:
         t0 = time.perf_counter()
         try:
-            cfg = _make_config(construction, k, n, seed, eps)
+            res = entry.build(_params(k, n, eps, seed))
+            cfg = getattr(res, "config", res)
             adj = build_adjacency(cfg)
             chains = count_chains(cfg, adjacency=adj)
             walks = count_walks(cfg, adjacency=adj)
@@ -180,7 +248,7 @@ def run_experiment(
         report.notice = "fit skipped: fewer than 3 successful rows"
     if report.fit and report.theory_exponent is not None:
         gap = report.fit.slope - float(report.theory_exponent)
-        if construction in FLOOR_EXPONENT:
+        if entry.floor_only:
             report.verdict = "PASS" if gap >= -slope_tol else "FAIL"
         else:
             report.verdict = "PASS" if abs(gap) <= slope_tol else "FAIL"
@@ -264,64 +332,26 @@ class VerifyResult:
         return "PASS" if self.passed else "FAIL"
 
 
+def _certify(claim: str, construction: str, k: int, n: int, eps: float, seed: int) -> VerifyResult:
+    entry, params = _entry(construction), _params(k, n, eps, seed)
+    if claim not in entry.certs:
+        raise ValueError(f"no {claim} registered for {construction!r}")
+    res = entry.build(params)
+    cert = entry.certs[claim](res, params)
+    if cert is None:
+        raise ValueError(f"no {claim} registered for {construction!r} at k={k}")
+    got, (want, detail) = entry.count(res), cert
+    return VerifyResult(got == want if claim == "closed-form" else got >= want, got, want, detail)
+
+
 def verify_closed_form(construction: str, k: int, n: int, eps: float = 0.25, seed: int = 0) -> VerifyResult:
     """Exact-count certificates: the measured count must equal the formula."""
-    if construction == "planar-chain":
-        if k != 2:
-            raise ValueError("closed form only holds for the k=2 planar base")
-        cfg = cons.gen_planar_chain(2, cons.default_delta2(2), n, eps, seed=seed)
-        got, want = count_chains(cfg), n * n
-        return VerifyResult(got == want, got, want, "planar k=2 count = n^2")
-    if construction == "3d-even":
-        cfg = cons.gen_3d_even(k, [1.0] * k, n)
-        got, want = count_chains(cfg), n ** (k // 2 + 1)
-        return VerifyResult(got == want, got, want, "3d even count = n^(k/2+1)")
-    if construction == "orthogonal":
-        res = cons.gen_orthogonal_circles(4, k, n)
-        got = count_chains(res.config)
-        return VerifyResult(got == res.closed_form, got, res.closed_form, "alternating tuple formula")
-    if construction == "star":
-        res = cons.gen_star(k, n)
-        from .layered import count_tree_embeddings
-
-        got = count_tree_embeddings(res.layers, res.tree, res.spec)
-        return VerifyResult(got == res.closed_form, got, res.closed_form, "star count = (n/l)^l")
-    raise ValueError(f"no closed form registered for {construction!r}")
+    return _certify("closed-form", construction, k, n, eps, seed)
 
 
 def verify_floor(construction: str, k: int, n: int, eps: float = 0.25, seed: int = 0) -> VerifyResult:
     """Inequality certificates: the measured count must dominate the floor."""
-    if construction == "planar-chain":
-        cfg = cons.gen_planar_chain(k, cons.default_delta2(k), n, eps, seed=seed)
-        got, want = count_chains(cfg), n ** ((k + 1) // 3 + 1)
-        return VerifyResult(got >= want, got, want, "count >= n^(floor((k+1)/3)+1)")
-    if construction == "planar-k1":
-        res = cons.gen_planar_k1mod3(k, n, eps, seed=seed)
-        got = count_chains(res.config)
-        want = n ** ((k - 1) // 3) * res.preserved_incidences
-        return VerifyResult(got >= want, got, want, "count >= n^((k-1)/3) * preserved incidences")
-    if construction == "split":
-        grid = cons.gen_unit_rich_grid(n)
-        split = cons.split_and_translate(grid.points, grid.points, 1, eps, seed)
-        ok = split.preserved_incidences >= split.floor and split.preserved_incidences > 0
-        return VerifyResult(
-            ok,
-            split.preserved_incidences,
-            split.floor,
-            f"preserved >= E/(2*ceil(2.2*{split.spacing}/eps)^2), diameter bound verified on return",
-        )
-    if construction == "3d-odd-regular":
-        res = cons.gen_3d_odd_regular(k, n)
-        got = count_chains(res.config)
-        return VerifyResult(got >= res.floor, got, res.floor, "count >= |core|*(min_degree-k)^k")
-    if construction == "3d-odd-sphere":
-        res = cons.gen_3d_odd_sphere(k, n)
-        got = count_chains(res.config)
-        return VerifyResult(got >= res.floor, got, res.floor, "count >= n^((k-1)/2) * sphere incidences")
-    if construction == "star-paths":
-        res = cons.gen_star_of_paths(k, n, seed=seed)
-        return VerifyResult(res.count >= res.floor, res.count, res.floor, f"{res.variant} floor")
-    raise ValueError(f"no floor registered for {construction!r}")
+    return _certify("floor", construction, k, n, eps, seed)
 
 
 def verify_covering(config: LayeredConfig, eps) -> VerifyResult:
@@ -344,7 +374,10 @@ def verify_covering(config: LayeredConfig, eps) -> VerifyResult:
 
 
 def verify_richness(P, Q, d2, spec) -> VerifyResult:
-    report = check_richness_bound(P, Q, d2, spec)
+    try:
+        report = check_richness_bound(P, Q, d2, spec)
+    except RuntimeError as exc:
+        return VerifyResult(False, None, 1.0, str(exc))
     return VerifyResult(
         True,
         float(report.tightest),

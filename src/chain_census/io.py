@@ -21,6 +21,7 @@ Layers may alias one file (repeated-layer configurations).
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 
@@ -99,6 +100,8 @@ def read_points(path) -> tuple[list[Point], str]:
                 coords = tuple(float(t) for t in toks)
             except ValueError as exc:
                 raise FileFormatError(f"{path}: line {i + 2}: bad float") from exc
+            if not all(math.isfinite(c) for c in coords):
+                raise FileFormatError(f"{path}: line {i + 2}: non-finite coordinate")
         points.append(Point(coords, i))
     return points, mode
 

@@ -14,6 +14,7 @@ configuration.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,6 +112,8 @@ def richness_filter(
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
+    if parity == 0:
+        return richness_filter(1, config.reversed(), tuple(exponents)[::-1], eps, n).reversed()
     eps = Fraction(eps)
     k = config.k
     if len(exponents) != k + 1:
@@ -125,22 +128,13 @@ def richness_filter(
         if q.denominator != 1 or not 0 <= a <= 1:
             raise ValueError(f"exponent entry {a} is not a multiple of eps in [0,1]")
         idx.append(int(q))
-    spec = config.spec
-    layers = list(config.layers)
-    if parity == 1:
-        out = [layers[0]]
-        for i in range(1, k + 1):
-            lo, hi = cuts[idx[i]], cuts[idx[i] + 1]
-            degs = degree_vector(layers[i], out[i - 1], spec.delta2[i - 1], spec)
-            pts = tuple(p for p, d in zip(layers[i].points, degs) if lo <= d < hi)
-            out.append(Layer(pts, layers[i].label))
-    else:
-        out = [layers[k]]
-        for i in range(k - 1, -1, -1):
-            lo, hi = cuts[idx[i]], cuts[idx[i] + 1]
-            degs = degree_vector(layers[i], out[0], spec.delta2[i], spec)
-            pts = tuple(p for p, d in zip(layers[i].points, degs) if lo <= d < hi)
-            out.insert(0, Layer(pts, layers[i].label))
+    spec, layers = config.spec, config.layers
+    out = [layers[0]]
+    for i in range(1, k + 1):
+        lo, hi = cuts[idx[i]], cuts[idx[i] + 1]
+        degs = degree_vector(layers[i], out[i - 1], spec.delta2[i - 1], spec)
+        pts = tuple(p for p, d in zip(layers[i].points, degs) if lo <= d < hi)
+        out.append(Layer(pts, layers[i].label))
     return LayeredConfig(tuple(out), spec)
 
 
@@ -170,56 +164,39 @@ def _product_size(layers) -> int:
     return size
 
 
-def _nonempty_children(layers, parity, cuts, spec, k):
+def _nonempty_children(config: LayeredConfig, parity: int, cuts):
     """All (exponent indices, filtered layers) with every filtered layer nonempty.
 
     Branches by the realized richness class at each stage, so only exponent
     vectors with nonempty classes are produced; the unused slot (first layer
-    for parity 1, last for parity 0) is pinned to index 0.
+    for parity 1, last for parity 0) is pinned to index 0.  Parity 0 is the
+    parity-1 pass over the reversed configuration, read back in reverse.
     """
-    if parity == 1:
-        partials = [([0], [layers[0]])]
-        for i in range(1, k + 1):
-            nxt = []
-            for idx_prefix, filt in partials:
-                ref = filt[-1]
-                buckets: dict[int, list[Point]] = {}
-                degs = degree_vector(layers[i], ref, spec.delta2[i - 1], spec)
-                for p, d in zip(layers[i].points, degs):
-                    if d >= 1:
-                        m = _class_index(cuts, d)
-                        buckets.setdefault(m, []).append(p)
-                for m in sorted(buckets):
-                    nxt.append(
-                        (idx_prefix + [m], filt + [Layer(tuple(buckets[m]), layers[i].label)])
-                    )
-            partials = nxt
-        return [(tuple(idx), tuple(filt)) for idx, filt in partials]
-    partials = [([0], [layers[k]])]
-    for i in range(k - 1, -1, -1):
+    if parity == 0:
+        return [
+            (idx[::-1], filt[::-1]) for idx, filt in _nonempty_children(config.reversed(), 1, cuts)
+        ]
+    layers, spec = config.layers, config.spec
+    partials = [([0], [layers[0]])]
+    for i in range(1, config.k + 1):
         nxt = []
-        for idx_suffix, filt in partials:
-            ref = filt[0]
-            buckets = {}
-            degs = degree_vector(layers[i], ref, spec.delta2[i], spec)
+        for idx_prefix, filt in partials:
+            buckets: dict[int, list[Point]] = {}
+            degs = degree_vector(layers[i], filt[-1], spec.delta2[i - 1], spec)
             for p, d in zip(layers[i].points, degs):
                 if d >= 1:
-                    m = _class_index(cuts, d)
-                    buckets.setdefault(m, []).append(p)
+                    buckets.setdefault(_class_index(cuts, d), []).append(p)
             for m in sorted(buckets):
-                nxt.append(
-                    ([m] + idx_suffix, [Layer(tuple(buckets[m]), layers[i].label)] + filt)
-                )
+                nxt.append((idx_prefix + [m], filt + [Layer(tuple(buckets[m]), layers[i].label)]))
         partials = nxt
     return [(tuple(idx), tuple(filt)) for idx, filt in partials]
 
 
 def _class_index(cuts, degree: int) -> int:
-    # cuts tile [1, top); binary search is overkill at these sizes
-    for m in range(len(cuts) - 1):
-        if cuts[m] <= degree < cuts[m + 1]:
-            return m
-    raise AssertionError(f"degree {degree} outside threshold range {cuts}")
+    m = bisect_right(cuts, degree) - 1
+    if not 0 <= m < len(cuts) - 1:
+        raise AssertionError(f"degree {degree} outside threshold range {cuts}")
+    return m
 
 
 def stable_covering(config: LayeredConfig, eps) -> list[CoveringClass]:
@@ -253,7 +230,7 @@ def stable_covering(config: LayeredConfig, eps) -> list[CoveringClass]:
         prefix, layers, size, sizes = queue.popleft()
         step = len(prefix) + 1
         parity = step % 2
-        for idx_vec, filt in _nonempty_children(layers, parity, cuts, config.spec, k):
+        for idx_vec, filt in _nonempty_children(LayeredConfig(layers, config.spec), parity, cuts):
             new_size = _product_size(filt)
             exp_vec = tuple(m * eps for m in idx_vec)
             child = prefix + (exp_vec,)

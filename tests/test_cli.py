@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import chain_census
+from chain_census import experiment
 from chain_census.cli import main
 from chain_census.io import write_points, write_tree
 from chain_census.constructions import gen_star, gen_unit_rich_grid
@@ -38,6 +42,19 @@ class TestGenerateCount:
         code, out = run(capsys, "count", "--manifest", manifest, "--walks")
         assert code == 0
         assert "chains 9" in out and "walks 9" in out
+
+    def test_tree_construction_round_trip(self, tmp_path, capsys):
+        code, out = run(
+            capsys,
+            "--out", str(tmp_path),
+            "generate", "--construction", "star-paths", "--l", "2", "--n", "6",
+        )
+        assert code == 0 and out == f"{tmp_path / 'star-paths.tree'}\n"
+        argv = ["count-tree", "--tree", out.strip()]
+        for i in range(1, 8):
+            argv += ["--layer", str(tmp_path / f"star-paths-layer{i}.pts")]
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == "216\n"
 
     def test_threads_flag_refused(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -158,3 +175,118 @@ class TestDecomposeExperimentVerify:
             "--a", str(p), "--b", str(p), "--d2", str(grid.popular_d2),
         )
         assert code == 0 and out.startswith("PASS")
+
+    def test_verify_richness_violation_fails(self, tmp_path, capsys, monkeypatch):
+        def violated(*args):
+            raise RuntimeError("richness bound violated at r=2: 2*3 vs 5 vs 9")
+
+        monkeypatch.setattr(experiment, "check_richness_bound", violated)
+        p = tmp_path / "sq.pts"
+        write_points(p, make_layer([(0, 0), (1, 0), (1, 1), (0, 1)]).points, "exact")
+        code, out = run(
+            capsys, "verify", "--claim", "richness", "--a", str(p), "--b", str(p), "--d2", "1"
+        )
+        assert code == 1
+        assert out == "FAIL computed=None expected=1.0 (richness bound violated at r=2: 2*3 vs 5 vs 9)\n"
+
+
+VERIFY_LINES = {
+    "closed-form planar-chain 2 12": "PASS computed=144 expected=144 (planar k=2 count = n^2)",
+    "closed-form 3d-even 4 5": "PASS computed=125 expected=125 (3d even count = n^(k/2+1))",
+    "closed-form orthogonal 3 12": "PASS computed=1800 expected=1800 (alternating tuple formula)",
+    "closed-form star 3 12": "PASS computed=64 expected=64 (star count = (n/l)^l)",
+    "floor planar-chain 3 6": "PASS computed=36 expected=36 (count >= n^(floor((k+1)/3)+1))",
+    "floor planar-k1 4 16":
+        "PASS computed=768 expected=768 (count >= n^((k-1)/3) * preserved incidences)",
+    "floor split 0 100": "PASS computed=4 expected=45/121 "
+        "(preserved >= E/(2*ceil(2.2*10/eps)^2), diameter bound verified on return)",
+    "floor 3d-odd-regular 3 64":
+        "PASS computed=39744 expected=1728 (count >= |core|*(min_degree-k)^k)",
+    "floor 3d-odd-sphere 3 16":
+        "PASS computed=256 expected=256 (count >= n^((k-1)/2) * sphere incidences)",
+    "floor star-paths 2 6": "PASS computed=216 expected=216 (joints-fixed floor)",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_LINES))
+def test_verify_lines(capsys, argv):
+    claim, construction, k, n = argv.split()
+    eps = "1.0" if construction == "split" else "0.25"
+    code, out = run(
+        capsys, "--seed", "0", "--eps", eps, "verify", "--claim", claim,
+        "--construction", construction, "--k", k, "--n", n,
+    )
+    assert code == 0
+    assert out == VERIFY_LINES[argv] + "\n"
+
+
+def run_process(*argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chain_census.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "chain_census.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            "verify --claim floor --construction bogus",
+            2,
+            "chain-census verify: error: argument --construction: invalid choice: 'bogus'",
+        ),
+        (
+            "generate --construction bogus",
+            2,
+            "chain-census generate: error: argument --construction: invalid choice: 'bogus'",
+        ),
+        ("verify --claim floor", 1, "floor verification needs --construction"),
+        (
+            "verify --claim closed-form --construction planar-chain --k 3",
+            1,
+            "no closed-form registered for 'planar-chain' at k=3",
+        ),
+        (
+            "verify --claim closed-form --construction 3d-odd-regular --k 3 --n 64",
+            1,
+            "no closed-form registered for '3d-odd-regular'",
+        ),
+    ],
+    ids=["unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate"],
+)
+def test_bad_construction_is_one_error_line(argv, code, message):
+    proc = run_process(*argv.split())
+    assert proc.returncode == code and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if not ln.startswith(("usage:", " "))]
+    assert len(errors) == 1 and errors[0].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "generate --construction planar-chain",
+        "count --manifest m.txt",
+        "decompose --manifest m.txt",
+        "experiment --construction 3d-even --k 2 --n-list 4,8,16",
+        "verify --claim closed-form --construction planar-chain",
+        "verify --claim floor --construction planar-chain",
+        "verify --claim covering --manifest m.txt",
+    ],
+)
+def test_mode_refused_where_it_has_no_effect(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--mode", "tol:0.001", *argv.split()])
+    assert exc.value.code == 2
+    verb = " ".join(argv.split()[: 3 if argv.startswith("verify") else 1])
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: --mode has no effect on {verb}")
+
+
+def test_mode_honoured_by_verify_richness(tmp_path, capsys):
+    p = tmp_path / "sq.pts"
+    write_points(p, make_layer([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]).points, "float")
+    code, out = run(
+        capsys, "--mode", "tol:0.001", "verify", "--claim", "richness",
+        "--a", str(p), "--b", str(p), "--d2", "1",
+    )
+    assert code == 0 and out.startswith("PASS")

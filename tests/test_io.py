@@ -71,6 +71,13 @@ class TestPointFiles:
             read_points(path)
 
 
+    @pytest.mark.parametrize("line", ["nan 0", "1 inf"])
+    def test_non_finite_float_rejected(self, tmp_path, line):
+        path = tmp_path / "p.pts"
+        path.write_text(f"dim 2 count 2 mode float\n0 0\n{line}\n")
+        with pytest.raises(FileFormatError, match="line 3: non-finite coordinate"):
+            read_points(path)
+
 class TestManifests:
     def test_round_trip_exact(self, tmp_path):
         cfg = gen_planar_chain(2, None, 5, 0.25)

@@ -15,7 +15,12 @@ from chain_census.richness import (
     richness_thresholds,
     stable_covering,
 )
-from chain_census.constructions import gen_orthogonal_circles, gen_star, gen_unit_rich_grid
+from chain_census.constructions import (
+    gen_3d_odd_regular,
+    gen_orthogonal_circles,
+    gen_star,
+    gen_unit_rich_grid,
+)
 
 F = Fraction
 
@@ -231,6 +236,27 @@ class TestStableCovering:
                 got *= len(layer)
             assert cc.sequence.class_sizes[-1] == got
 
+
+    def test_3d_odd_regular_classes(self):
+        # pins both filter directions: odd steps run left to right, even
+        # steps right to left
+        classes = stable_covering(gen_3d_odd_regular(3, 64).config, F(1, 4))
+        lines = [f"classes {len(classes)}"]
+        for cc in classes:
+            steps = ";".join(",".join(str(a) for a in vec) for vec in cc.sequence.vectors)
+            sizes = ",".join(str(s) for s in cc.sequence.class_sizes)
+            lines.append(f"sequence {steps} sizes {sizes}")
+        assert "\n".join(lines) + "\n" == (
+            "classes 8\n"
+            "sequence 0,1/4,0,0;0,1/4,0,0 sizes 294912,110592\n"
+            "sequence 0,1/4,0,1/4;0,1/4,1/2,0 sizes 491520,184320\n"
+            "sequence 0,1/2,1/4,0;0,0,1/4,0;0,0,1/4,0 sizes 688128,110592,110592\n"
+            "sequence 0,1/2,1/4,0;1/4,0,1/4,0;0,1/2,1/4,0 sizes 688128,184320,184320\n"
+            "sequence 0,1/2,1/2,1/4;0,0,0,0;0,0,0,1/4 sizes 1605632,110592,110592\n"
+            "sequence 0,1/2,1/2,1/4;1/4,0,0,0;0,1/4,0,1/4 sizes 1605632,147456,147456\n"
+            "sequence 0,1/2,1/2,1/4;1/4,1/4,0,0;0,1/2,1/4,1/4 sizes 1605632,393216,393216\n"
+            "sequence 0,1/2,1/2,1/2 sizes 11239424\n"
+        )
 
 class TestRichnessBound:
     def test_complete_bipartite_equality(self):
