@@ -14,7 +14,6 @@ from .geometry import (
     matches_distance,
     rational_circle_points,
     sample_circle_3d,
-    separation_certificate,
     sphere_sphere_intersection_circle,
     squared_distance,
     tolerant_spec,

@@ -24,7 +24,7 @@ from .experiment import (
     verify_richness,
     write_scatter_svg,
 )
-from .geometry import DistanceSpec
+from .geometry import DistanceSpec, exact_point
 from .io import read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
 from .layered import (
     Layer,
@@ -39,10 +39,21 @@ from .richness import rich_points, stable_covering
 
 log = logging.getLogger("chain_census")
 
+# generate flags that only some constructions read (Construction.reads),
+# with the values used when they are not given
+GENERATE_OPTIONAL = {"l": 1, "d": 4, "delta2": None, "variant": "joints-fixed"}
+# the flags each verify claim reads, with their defaults
+VERIFY_READS = {
+    "closed-form": {"construction": None, "k": 2, "n": 10},
+    "floor": {"construction": None, "k": 2, "n": 10},
+    "covering": {"manifest": None},
+    "richness": {"a": None, "b": None, "d2": None},
+}
 
-def _parse_mode(text: str) -> float | None:
+
+def _parse_mode(text: str) -> str | float:
     if text == "exact":
-        return None
+        return text
     if text.startswith("tol:"):
         return float(text[4:])
     raise argparse.ArgumentTypeError("mode must be 'exact' or 'tol:<eps>'")
@@ -75,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("--k", type=int, default=2)
     g.add_argument("--n", type=int, default=10)
-    g.add_argument("--l", type=int, default=1)
-    g.add_argument("--d", type=int, default=4)
-    g.add_argument("--variant", default="joints-fixed")
-    g.add_argument("--delta2", default=None, help="comma list of squared distances")
+    g.add_argument("--l", type=int, help="arm count of a tree construction (default 1)")
+    g.add_argument("--d", type=int, help="dimension of orthogonal (default 4)")
+    g.add_argument("--variant", help="star-paths variant (default joints-fixed)")
+    g.add_argument("--delta2", help="comma list of squared distances")
 
     c = sub.add_parser("count", help="count chains (and walks) of a manifest config")
     c.add_argument("--manifest", required=True)
@@ -115,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a certified check")
     v.add_argument("--claim", required=True, choices=["closed-form", "floor", "covering", "richness"])
-    v.add_argument("--construction", default=None, choices=list(REGISTRY))
-    v.add_argument("--k", type=int, default=2)
-    v.add_argument("--n", type=int, default=10)
-    v.add_argument("--manifest", default=None)
-    v.add_argument("--a", default=None)
-    v.add_argument("--b", default=None)
-    v.add_argument("--d2", default=None)
+    v.add_argument("--construction", choices=list(REGISTRY), help="closed-form and floor")
+    v.add_argument("--k", type=int, help="closed-form and floor (default 2)")
+    v.add_argument("--n", type=int, help="closed-form and floor (default 10)")
+    v.add_argument("--manifest", help="covering")
+    v.add_argument("--a", help="richness")
+    v.add_argument("--b", help="richness")
+    v.add_argument("--d2", help="richness")
     return ap
 
 
@@ -146,9 +157,22 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _layer_from_file(path) -> tuple[Layer, str]:
-    pts, mode = read_points(path)
-    return make_layer(pts), mode
+def _read_layers(args, *paths) -> tuple[list[Layer], DistanceSpec, str]:
+    """Layers from point files, the spec (eps only) to compare them under,
+    and the first file's mode.  The spec follows --mode when given, else
+    the first file: exact, or tolerance 1e-9 for a float file.  Under
+    --mode exact float coordinates become Fractions, losslessly, so no
+    float decides a count."""
+    loaded = [read_points(path) for path in paths]
+    mode = loaded[0][1]
+    if args.mode == "exact":
+        eps = None
+        loaded = [([exact_point(p.coords, p.id) for p in pts], m) for pts, m in loaded]
+    elif args.mode is None:
+        eps = None if mode == "exact" else 1e-9
+    else:
+        eps = args.mode
+    return [make_layer(pts) for pts, _ in loaded], DistanceSpec((), eps), mode
 
 
 def _cmd_count(args) -> int:
@@ -166,35 +190,21 @@ def _cmd_count(args) -> int:
 def _cmd_count_tree(args) -> int:
     if bool(args.layer) == bool(args.single_set):
         raise SystemExit("give either --set or one --layer per tree vertex")
-    if args.single_set:
-        layer, mode = _layer_from_file(args.single_set)
-        layers: object = layer
-    else:
-        loaded = [_layer_from_file(p) for p in args.layer]
-        layers = [l for l, _ in loaded]
-        mode = loaded[0][1]
+    layers, spec, mode = _read_layers(args, *([args.single_set] if args.single_set else args.layer))
     tree = read_tree(args.tree, exact=(mode == "exact"))
-    eps = args.mode if args.mode is not None else (None if mode == "exact" else 1e-9)
-    spec = DistanceSpec((), eps)
-    print(count_tree_embeddings(layers, tree, spec))
+    print(count_tree_embeddings(layers[0] if args.single_set else layers, tree, spec))
     return 0
 
 
 def _cmd_incidences(args) -> int:
-    la, mode_a = _layer_from_file(args.a)
-    lb, mode_b = _layer_from_file(args.b)
-    d2 = _parse_d2(args.d2)
-    eps = args.mode if args.mode is not None else (None if mode_a == "exact" else 1e-9)
-    print(count_incidences(la, lb, d2, DistanceSpec((), eps)))
+    (la, lb), spec, _ = _read_layers(args, args.a, args.b)
+    print(count_incidences(la, lb, _parse_d2(args.d2), spec))
     return 0
 
 
 def _cmd_rich(args) -> int:
-    lt, mode_t = _layer_from_file(args.target)
-    lr, _ = _layer_from_file(args.ref)
-    d2 = _parse_d2(args.d2)
-    eps = args.mode if args.mode is not None else (None if mode_t == "exact" else 1e-9)
-    sub = rich_points(lt, lr, d2, args.r, DistanceSpec((), eps))
+    (lt, lr), spec, _ = _read_layers(args, args.target, args.ref)
+    sub = rich_points(lt, lr, _parse_d2(args.d2), args.r, spec)
     print(len(sub.points))
     for p in sub.points:
         print(" ".join(str(c) for c in p.coords))
@@ -259,10 +269,8 @@ def _cmd_verify(args) -> int:
     else:
         if not (args.a and args.b and args.d2):
             raise SystemExit("richness verification needs --a, --b and --d2")
-        la, mode_a = _layer_from_file(args.a)
-        lb, _ = _layer_from_file(args.b)
-        eps = args.mode if args.mode is not None else (None if mode_a == "exact" else 1e-9)
-        res = verify_richness(lb, la, _parse_d2(args.d2), DistanceSpec((), eps))
+        (la, lb), spec, _ = _read_layers(args, args.a, args.b)
+        res = verify_richness(lb, la, _parse_d2(args.d2), spec)
     print(f"{res.verdict} computed={res.computed} expected={res.expected} ({res.detail})")
     return 0 if res.passed else 1
 
@@ -275,6 +283,22 @@ def _parse_args(argv):
     verb = args.command + (f" --claim {args.claim}" if args.command == "verify" else "")
     if args.mode is not None and verb not in ("count-tree", "incidences", "rich", "verify --claim richness"):
         ap.error(f"--mode has no effect on {verb}")
+    # a flag either takes effect or is refused; the flags read get defaults
+    if args.command == "generate":
+        verb += f" --construction {args.construction}"
+        known = GENERATE_OPTIONAL
+        read = {f: v for f, v in known.items() if f in REGISTRY[args.construction].reads}
+    elif args.command == "verify":
+        known = {f: None for flags in VERIFY_READS.values() for f in flags}
+        read = VERIFY_READS[args.claim]
+    else:
+        return args
+    unread = [f"--{f}" for f in known if f not in read and getattr(args, f) is not None]
+    if unread:
+        ap.error(f"{', '.join(unread)} {'has' if len(unread) == 1 else 'have'} no effect on {verb}")
+    for flag, default in read.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     return args
 
 

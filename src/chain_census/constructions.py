@@ -30,7 +30,6 @@ from .geometry import (
     float_point,
     rational_circle_points,
     sample_circle_3d,
-    separation_certificate,
     sphere_sphere_intersection_circle,
     squared_distance,
 )
@@ -38,6 +37,7 @@ from .layered import (
     LabeledTree,
     Layer,
     LayeredConfig,
+    _pair_lists,
     build_adjacency,
     certify_config,
     count_incidences,
@@ -76,6 +76,23 @@ def _max_sq_diameter(points) -> Fraction | float:
             if d > worst:
                 worst = d
     return worst
+
+
+def _popular_sq_distance(coords) -> tuple[int, int]:
+    """The most frequent squared distance between distinct integer points
+    (ties toward the smallest) and its number of unordered pairs.
+
+    Counted row by row: the n x n arrays of a one-shot computation set the
+    peak resident set of a run and fragmented the heap from run to run.
+    """
+    arr = np.array(coords, dtype=np.int64)
+    top = int(((arr.max(axis=0) - arr.min(axis=0)) ** 2).sum())
+    counts = np.zeros(top + 1, dtype=np.int64)
+    for i in range(len(arr) - 1):
+        rest = arr[i + 1 :] - arr[i]
+        counts += np.bincount((rest * rest).sum(axis=1), minlength=top + 1)
+    best = int(np.argmax(counts))
+    return best, int(counts[best])
 
 
 def _to_float_layers(layers) -> list[Layer]:
@@ -206,11 +223,9 @@ def _extend_three(
         if arc_coords & (existing | seen | {x}):
             continue
         matched_pts = [Point(w, i) for i, w in enumerate(matched)]
-        band = (
-            separation_certificate(last, matched_pts, d2_a, TOLERANCE)
-            or separation_certificate(matched_pts, [xp], d2_b, TOLERANCE)
-            or separation_certificate([xp], arc, d2_c, TOLERANCE)
-        )
+        band: list = []
+        for side_a, side_b, d2 in ((last, matched_pts, d2_a), (matched_pts, [xp], d2_b), ([xp], arc, d2_c)):
+            _pair_lists(side_a, side_b, d2, DistanceSpec((), TOLERANCE), offenders=band)
         if band:
             continue
         candidate = list(layers) + [
@@ -289,14 +304,9 @@ def gen_unit_rich_grid(m: int) -> GridRichSet:
     if side * side < m:
         side += 1
     coords = [(i % side, i // side) for i in range(m)]
-    arr = np.array(coords, dtype=np.int64)
-    diff = arr[:, None, :] - arr[None, :, :]
-    sq = (diff * diff).sum(-1)
-    iu = np.triu_indices(m, k=1)
-    vals, counts = np.unique(sq[iu], return_counts=True)
-    best = int(np.argmax(counts))
+    best, pairs = _popular_sq_distance(coords)
     pts = tuple(Point((int(x), int(y)), i) for i, (x, y) in enumerate(coords))
-    return GridRichSet(pts, Fraction(int(vals[best])), int(counts[best]))
+    return GridRichSet(pts, Fraction(best), pairs)
 
 
 @dataclass(frozen=True)
@@ -329,12 +339,8 @@ def split_and_translate(x1_points, x2_points, d2, eps: float, seed: int = 0) -> 
         raise ValueError("eps must be positive")
     x1 = [p if isinstance(p, Point) else exact_point(p) for p in x1_points]
     x2 = [p if isinstance(p, Point) else exact_point(p) for p in x2_points]
-    edges = [
-        (i, j)
-        for i, p in enumerate(x1)
-        for j, q in enumerate(x2)
-        if squared_distance(p, q) == d2
-    ]
+    lists = _pair_lists(x1, x2, d2, DistanceSpec((), None))
+    edges = [(i, j) for i, nb in enumerate(lists) for j in nb]
     if not edges:
         raise ValueError("no pairs at the prescribed distance between the sets")
     e_total = len(edges)
@@ -621,12 +627,7 @@ def gen_3d_odd_regular(k: int, n: int) -> Odd3dRegularResult:
     coords = []
     for i in range(n):
         coords.append((i % side, (i // side) % side, i // (side * side)))
-    arr = np.array(coords, dtype=np.int64)
-    diff = arr[:, None, :] - arr[None, :, :]
-    sq = (diff * diff).sum(-1)
-    iu = np.triu_indices(n, k=1)
-    vals, counts = np.unique(sq[iu], return_counts=True)
-    popular = Fraction(int(vals[int(np.argmax(counts))]))
+    popular = Fraction(_popular_sq_distance(coords)[0])
     pts = make_layer([Point(tuple(int(v) for v in c), i) for i, c in enumerate(coords)], 1)
     spec = DistanceSpec((popular,), None)
     peel = peel_min_degree(pts, popular, spec)

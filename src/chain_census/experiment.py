@@ -114,7 +114,9 @@ class Construction(NamedTuple):
     ``generate`` logs.  Each certificate maps (result, parameters) to
     (expected, detail), or to None where the claim does not hold there.
     ``exponent`` maps k to the theoretical exponent, only a lower bound
-    when ``floor_only``."""
+    when ``floor_only``.  ``reads`` names the parameters among l, d,
+    delta2 and variant that ``build`` uses; ``generate`` refuses the
+    others."""
 
     build: Callable
     files: str | None
@@ -123,6 +125,7 @@ class Construction(NamedTuple):
     exponent: Callable | None = None
     floor_only: bool = False
     count: Callable = _chains
+    reads: tuple[str, ...] = ()
 
 
 REGISTRY = {
@@ -132,6 +135,7 @@ REGISTRY = {
         {"closed-form": lambda r, p: (p.n * p.n, "planar k=2 count = n^2") if p.k == 2 else None,
          "floor": lambda r, p: (p.n ** ((p.k + 1) // 3 + 1), "count >= n^(floor((k+1)/3)+1)")},
         exponent=lambda k: Fraction((k + 1) // 3 + 1),
+        reads=("delta2",),
     ),
     "planar-k1": Construction(
         lambda p: cons.gen_planar_k1mod3(p.k, p.n, p.eps, seed=p.seed),
@@ -147,6 +151,7 @@ REGISTRY = {
         "manifest",
         {"closed-form": lambda r, p: (p.n ** (p.k // 2 + 1), "3d even count = n^(k/2+1)")},
         exponent=lambda k: Fraction(k, 2) + 1,
+        reads=("delta2",),
     ),
     "3d-odd-regular": Construction(
         lambda p: cons.gen_3d_odd_regular(p.k, p.n),
@@ -166,12 +171,14 @@ REGISTRY = {
         {"closed-form": lambda r, p: (r.closed_form, "alternating tuple formula")},
         note=lambda r: f"closed_form {r.closed_form}",
         exponent=lambda k: Fraction(k + 1),
+        reads=("d",),
     ),
     "star": Construction(
         lambda p: cons.gen_star(p.l, p.n),
         "exact",
         {"closed-form": lambda r, p: (r.closed_form, "star count = (n/l)^l")},
         count=lambda r: count_tree_embeddings(r.layers, r.tree, r.spec),
+        reads=("l",),
     ),
     "star-paths": Construction(
         lambda p: cons.gen_star_of_paths(p.l, p.n, p.variant, seed=p.seed),
@@ -179,6 +186,7 @@ REGISTRY = {
         {"floor": lambda r, p: (r.floor, f"{r.variant} floor")},
         note=lambda r: f"measured {r.count} floor {r.floor}",
         count=lambda r: r.count,
+        reads=("l", "variant"),
     ),
     "split": Construction(
         lambda p: cons.split_and_translate((g := cons.gen_unit_rich_grid(p.n).points), g, 1, p.eps, p.seed),

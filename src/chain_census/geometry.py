@@ -9,9 +9,11 @@ tolerance.
 
 Tolerant mode compares squared distances within an absolute ``eps`` band.
 Because float counting is only reproducible when no pair sits just outside
-that band, :func:`separation_certificate` flags pairs in the guard band
-``(eps, 100*eps]``; generated tolerant configurations are expected to pass
-it.
+that band, the pair kernel that builds adjacency (``layered._pair_lists``)
+also collects the pairs in the guard band ``(eps, 100*eps]``, the
+separation certificate; ``build_adjacency`` raises
+:class:`CertificationError` for them, and generated tolerant
+configurations are expected to pass it.
 """
 
 from __future__ import annotations
@@ -303,23 +305,3 @@ def sample_circle_3d(circle: Circle3D, m: int, phase: float = 0.0, id_base: int 
             )
         )
     return pts
-
-
-def separation_certificate(points_a, points_b, d2, eps: float) -> list[tuple[Point, Point, float]]:
-    """Pairs whose squared distance sits in the guard band (eps, 100*eps] of d2.
-
-    An empty return certifies that tolerant counting at tolerance eps is
-    stable: no pair can flip in or out of the distance relation under
-    re-evaluation noise far smaller than eps.
-    """
-    target = float(d2)
-    offenders = []
-    for p in points_a:
-        pc = tuple(float(c) for c in p.coords)
-        for q in points_b:
-            gap = abs(
-                sum((a - float(b)) * (a - float(b)) for a, b in zip(pc, q.coords)) - target
-            )
-            if eps < gap <= 100.0 * eps:
-                offenders.append((p, q, gap))
-    return offenders

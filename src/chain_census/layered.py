@@ -17,15 +17,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
-from .geometry import (
-    CertificationError,
-    DistanceSpec,
-    Point,
-    matches_distance,
-    squared_distance,
-)
+from .geometry import CertificationError, DistanceSpec, Point, matches_distance
 
 
 @dataclass(frozen=True)
@@ -124,80 +119,166 @@ class BipartiteAdjacency:
         return sum(self.edge_count(i) for i in range(len(self.neighbors)))
 
 
-def _exact_cell(r2) -> tuple[int, int]:
-    """Integers (w, den) with w/den >= sqrt(r2), within 2**-20 of it."""
-    num, den = r2.as_integer_ratio()
-    scale = 1 << 20
-    return math.isqrt(num * den * scale * scale) + 1, den * scale
+# Pairs tested per numpy block: enough to amortize numpy's per-call cost.
+# Larger blocks are no faster, and their temporaries (a few arrays of
+# _BLOCK numbers, Python ints on the wide path) raise a run's peak RSS.
+_BLOCK = 1 << 12
 
 
-def _grid_candidates(points_a, points_b, reach2, exact: bool):
-    """Candidate index pairs within squared distance `reach2` via uniform
-    grid hashing.
+class _PairView:
+    """Both sides of a layer pair as coordinate arrays, one row per axis,
+    and the one distance predicate on them.
 
-    Yields (i, j) supersets of all pairs at squared distance <= reach2;
-    exactness is left to the caller's distance predicate.  Exact rational
-    coordinates get their cell keys by exact floor division, so no float
-    rounding can put two neighbours two cells apart.
+    Tolerant mode on float coordinates uses float64 and sums the squared
+    differences axis by axis in the order of ``geometry.squared_distance``,
+    so every value equals that function's bit for bit.  Otherwise every
+    coordinate is read as the rational it is (a float too, losslessly);
+    shifted by the per-axis minimum and scaled by L, the lcm of all
+    denominators, the coordinates become integers, s = L^2 * |p - q|^2 is
+    an integer, and p, q match exactly when s * den(d2) == num(d2) * L^2.
+    That arithmetic runs in int64 when a checked bound shows nothing can
+    overflow, in Python ints otherwise.  Tolerant mode on rational
+    coordinates rounds s / L^2 to a float once, as ``matches_distance``
+    does.
     """
-    if not points_a or not points_b:
-        return
-    if exact:
-        width, den = _exact_cell(reach2)
 
-        def key(p):
-            return tuple((c * den) // width for c in p.coords)
+    def __init__(self, pa, pb, d2, eps):
+        import numpy as np  # at call time: a module-level import raised peak RSS
 
-    else:
-        cell = math.sqrt(max(reach2, 0.0)) * (1.0 + 1e-9)
-        if cell <= 0.0:
-            cell = 1.0
+        points = (*pa, *pb)
+        self.dim = dim = len(points[0].coords)
+        if any(len(p.coords) != dim for p in points):
+            raise ValueError("dimension mismatch between the two point sets")
+        self.eps = eps
+        flat = [c for p in points for c in p.coords]
+        self.floats = eps is not None and any(isinstance(c, float) for c in flat)
+        if self.floats:
+            axes = np.array(flat, dtype=np.float64).reshape(-1, dim).T.copy()
+            self.target = float(d2)
+        else:
+            ratios = [c.as_integer_ratio() for c in flat]
+            self.scale = math.lcm(*{den for _, den in ratios})
+            ints = [num * (self.scale // den) for num, den in ratios]
+            cols = [ints[c::dim] for c in range(dim)]
+            cols = [[x - lo for x in col] for col, lo in zip(cols, map(min, cols))]
+            span = max(map(max, cols))
+            num, self.den = d2.as_integer_ratio()
+            self.goal = num * self.scale**2
+            small = eps is None and max(dim * span * span * self.den, self.goal) < 1 << 63
+            axes = np.array(cols, dtype=np.int64 if small else object)
+            self.target = None if eps is None else float(d2)
+        self.a, self.b = axes[:, : len(pa)], axes[:, len(pa) :]
 
-        def key(p):
-            return tuple(math.floor(float(c) / cell) for c in p.coords)
+    def test(self, ia, ib):
+        """(matches, gaps) for the index pairs (ia[t], ib[t]); gaps are the
+        float |d2(p, q) - d2| in tolerant mode, None in exact mode."""
+        import numpy as np
 
-    buckets: dict[tuple, list[int]] = defaultdict(list)
-    for j, q in enumerate(points_b):
-        buckets[key(q)].append(j)
-    offsets = list(product((-1, 0, 1), repeat=points_a[0].dim))
-    for i, p in enumerate(points_a):
-        base = key(p)
-        for off in offsets:
-            bucket = buckets.get(tuple(b + o for b, o in zip(base, off)))
-            if bucket:
-                for j in bucket:
-                    yield i, j
+        s = 0
+        for c in range(self.dim):
+            diff = self.a[c].take(ia) - self.b[c].take(ib)
+            s = s + diff * diff
+        if self.eps is None:
+            return s * self.den == self.goal, None
+        if not self.floats:
+            s = (s / self.scale**2).astype(np.float64)
+        gap = np.abs(s - self.target)
+        return gap <= self.eps, gap
+
+    def cell_codes(self, reach2):
+        """(code_a, code_b, offsets): an int64 cell code per point of each
+        side, for cells of side at least sqrt(reach2), and the code offsets
+        of a cell's 3^dim neighbours; None when there are too many cells for
+        int64 codes.  Coordinates are shifted to start at 0 first, and
+        integer coordinates are divided exactly, so no rounding can put two
+        neighbours two cells apart."""
+        import numpy as np
+
+        slack = 1 + 2**-20  # above the rounding of float distances and keys
+        if self.floats:
+            low = np.minimum(self.a.min(axis=1), self.b.min(axis=1))[:, None]
+            width = math.sqrt(reach2) * slack
+            keys = [np.floor((side - low) / width) for side in (self.a, self.b)]
+        else:
+            if self.eps is not None:
+                reach2 *= slack
+            width = math.isqrt(math.floor(Fraction(reach2) * self.scale**2)) + 1
+            keys = [side // width for side in (self.a, self.b)]
+        # digits 1..max+1 per axis, so neighbours' digits stay in 0..max+2
+        sizes = [int(top) + 3 for top in np.maximum(keys[0].max(axis=1), keys[1].max(axis=1))]
+        if math.prod(sizes) >= 1 << 62:
+            return None
+        stride = np.cumprod([1, *sizes[:-1]])
+        offsets = np.array(list(product((-1, 0, 1), repeat=self.dim))) @ stride
+        code_a, code_b = ((k.astype(np.int64) + 1).T @ stride for k in keys)
+        return code_a, code_b, offsets
+
+
+def _cell_blocks(code_a, code_b, offsets):
+    """The index pairs (a, b) whose cell codes differ by one of `offsets`,
+    ordered by a, in blocks of about _BLOCK pairs.  With every code 0 and
+    the one offset 0 these are all pairs in row-major order."""
+    import numpy as np
+
+    order = np.argsort(code_b, kind="stable")
+    sorted_b = code_b[order]
+    near = (code_a[:, None] + offsets).ravel()
+    first = np.searchsorted(sorted_b, near)
+    sizes = np.searchsorted(sorted_b, near, "right") - first
+    hit = np.flatnonzero(sizes)
+    qa, first, sizes = hit // len(offsets), first[hit], sizes[hit]
+    # a block starts at each query whose first pair opens a new _BLOCK
+    starts = np.cumsum(sizes) - sizes
+    cuts = np.flatnonzero(np.diff(starts // _BLOCK, prepend=-1)).tolist()
+    for lo, hi in zip(cuts, [*cuts[1:], len(hit)]):
+        n = sizes[lo:hi]
+        start = np.repeat(first[lo:hi] - (np.cumsum(n) - n), n)
+        yield np.repeat(qa[lo:hi], n), order[start + np.arange(len(start))]
 
 
 def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offenders=None):
     """lists[a]: sorted indices b with pa[a], pb[b] at squared distance d2.
 
-    The one pairwise kernel: only ``spec.eps`` is read, so the spec may
-    carry other distances.  "brute" tests every pair, "grid" only the
-    pairs a uniform grid puts in neighbouring cells, "auto" picks grid for
-    more than 4096 pairs.  With an `offenders` list, tolerant pairs in the
-    guard band (eps, 100*eps] are appended to it.
+    The one kernel that decides point pairs (see _PairView): only
+    ``spec.eps`` is read, so the spec may carry other distances.  "brute"
+    tests every pair, "grid" only the pairs a uniform grid puts in
+    neighbouring cells ("brute" when there are too many cells to code in
+    int64), "auto" picks grid for more than 4096 pairs.  Both test pairs in
+    numpy blocks of _BLOCK, so a call costs a few array operations per
+    block plus Python work per coordinate and per edge.  With an
+    `offenders` list, tolerant pairs in the guard band (eps, 100*eps] are
+    appended to it as (p, q, gap) in (a, b) order: the separation
+    certificate that tolerant counting is stable.
     """
+    if not pa or not pb:
+        return tuple(() for _ in pa)
+    import numpy as np
+
     eps = spec.eps
     certify = offenders is not None and bool(eps)
+    view = _PairView(pa, pb, d2, eps)
+    cells = None
     if strategy == "grid" or (strategy == "auto" and len(pa) * len(pb) > 4096):
-        if eps is None:
-            reach2 = d2
-        else:
-            reach2 = float(d2) + (100.0 * eps if certify else eps)
-        pairs = _grid_candidates(pa, pb, reach2, exact=eps is None)
-    else:
-        pairs = product(range(len(pa)), range(len(pb)))
-    lists: list[list[int]] = [[] for _ in pa]
-    for a, b in pairs:
-        p, q = pa[a], pb[b]
-        if matches_distance(p, q, d2, spec):
-            lists[a].append(b)
-        elif certify:
-            gap = abs(float(squared_distance(p.as_float(), q.as_float())) - float(d2))
-            if eps < gap <= 100.0 * eps:
-                offenders.append((p, q, gap))
-    return tuple(tuple(sorted(nb)) for nb in lists)
+        cells = view.cell_codes(d2 if eps is None else float(d2) + (100.0 * eps if certify else eps))
+    if cells is None:  # brute force: every point in one cell
+        cells = np.zeros(len(pa), np.int64), np.zeros(len(pb), np.int64), np.zeros(1, np.int64)
+    none = np.zeros(0, dtype=np.intp)
+    hits, band = [(none, none)], [(none, none, np.zeros(0))]
+    for ia, ib in _cell_blocks(*cells):
+        match, gap = view.test(ia, ib)
+        hits.append((ia[match], ib[match]))
+        if certify:
+            near = ~match & (gap > eps) & (gap <= 100.0 * eps)
+            band.append((ia[near], ib[near], gap[near]))
+    a, b = (np.concatenate(side) for side in zip(*hits))
+    order = np.lexsort((b, a))
+    cuts = np.searchsorted(a[order], np.arange(len(pa) + 1)).tolist()
+    flat = b[order].tolist()
+    if certify:
+        a, b, gap = (np.concatenate(side) for side in zip(*band))
+        for t in np.lexsort((b, a)).tolist():
+            offenders.append((pa[a[t]], pb[b[t]], float(gap[t])))
+    return tuple(tuple(flat[cuts[i] : cuts[i + 1]]) for i in range(len(pa)))
 
 
 def build_adjacency(

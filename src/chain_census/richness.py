@@ -19,16 +19,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import DistanceSpec, Point, matches_distance
-from .layered import Layer, LayeredConfig
+from .geometry import DistanceSpec, Point
+from .layered import Layer, LayeredConfig, _pair_lists
 
 
 def degree_vector(target: Layer, reference: Layer, d2, spec: DistanceSpec) -> list[int]:
     """Number of reference points at the given distance from each target point."""
-    degs = []
-    for p in target.points:
-        degs.append(sum(1 for q in reference.points if matches_distance(p, q, d2, spec)))
-    return degs
+    return [len(nb) for nb in _pair_lists(target.points, reference.points, d2, spec)]
 
 
 def rich_points(target: Layer, reference: Layer, d2, r: int, spec: DistanceSpec) -> Layer:

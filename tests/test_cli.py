@@ -251,8 +251,31 @@ def run_process(*argv):
             1,
             "no closed-form registered for '3d-odd-regular'",
         ),
+        (
+            "generate --construction 3d-odd-regular --k 3 --n 8 --d 9 --l 5 --delta2 7",
+            2,
+            "chain-census: error: --l, --d, --delta2 have no effect on generate --construction 3d-odd-regular",
+        ),
+        (
+            "generate --construction orthogonal --k 1 --n 4 --variant center-fixed",
+            2,
+            "chain-census: error: --variant has no effect on generate --construction orthogonal",
+        ),
+        (
+            "verify --claim covering --manifest m.txt --construction star --k 3 --n 8",
+            2,
+            "chain-census: error: --construction, --k, --n have no effect on verify --claim covering",
+        ),
+        (
+            "verify --claim richness --a a.pts --b b.pts --d2 1 --k 3",
+            2,
+            "chain-census: error: --k has no effect on verify --claim richness",
+        ),
     ],
-    ids=["unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate"],
+    ids=[
+        "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
+        "generate-unread", "generate-variant", "covering-unread", "richness-unread",
+    ],
 )
 def test_bad_construction_is_one_error_line(argv, code, message):
     proc = run_process(*argv.split())
@@ -280,6 +303,18 @@ def test_mode_refused_where_it_has_no_effect(capsys, argv):
     assert exc.value.code == 2
     verb = " ".join(argv.split()[: 3 if argv.startswith("verify") else 1])
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: --mode has no effect on {verb}")
+
+
+def test_mode_exact_compares_floats_exactly(tmp_path, capsys):
+    # one corner of the unit square is off by 1e-12: within the default
+    # tolerance of float files, but not at distance 1 exactly
+    p = tmp_path / "sq.pts"
+    p.write_text("dim 2 count 4 mode float\n0 0\n1 0\n0 1\n1.000000000001 1\n")
+    argv = ["incidences", "--a", str(p), "--b", str(p), "--d2", "1"]
+    assert run(capsys, *argv) == (0, "8\n")
+    assert run(capsys, "--mode", "exact", *argv) == (0, "4\n")
+    code, out = run(capsys, "--mode", "exact", "rich", "--target", str(p), "--ref", str(p), "--d2", "1", "--r", "2")
+    assert code == 0 and out == "1\n0 0\n"
 
 
 def test_mode_honoured_by_verify_richness(tmp_path, capsys):

@@ -17,7 +17,6 @@ from chain_census.geometry import (
     rational_circle_points,
     rational_point_on_circle,
     sample_circle_3d,
-    separation_certificate,
     sphere_sphere_intersection_circle,
     squared_distance,
     tolerant_spec,
@@ -187,21 +186,3 @@ class TestSphereSphere:
         for p in pts:
             assert abs(float(squared_distance(p, c1)) - 1.0) <= 1e-9
             assert abs(float(squared_distance(p, c2)) - 1.0) <= 1e-9
-
-
-class TestSeparationCertificate:
-    def test_clean_set_passes(self):
-        a = [float_point((0, 0))]
-        b = [float_point((1, 0)), float_point((5, 5))]
-        assert separation_certificate(a, b, 1.0, 1e-9) == []
-
-    def test_guard_band_flagged(self):
-        a = [float_point((0, 0))]
-        b = [float_point((1.0 + 2e-8, 0.0))]  # squared gap ~4e-8: inside (eps, 100*eps]
-        offenders = separation_certificate(a, b, 1.0, 1e-9)
-        assert len(offenders) == 1
-
-    def test_far_pairs_ignored(self):
-        a = [float_point((0, 0))]
-        b = [float_point((2, 0))]
-        assert separation_certificate(a, b, 1.0, 1e-9) == []

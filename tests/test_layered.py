@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chain_census.geometry import CertificationError, exact_spec, float_point
+from chain_census.geometry import CertificationError, DistanceSpec, exact_spec, float_point
 from chain_census.layered import (
     LabeledTree,
     build_adjacency,
@@ -138,6 +138,13 @@ class TestIncidences:
         layer = make_layer(corners)
         assert count_incidences(layer, layer, 1, exact_spec(1)) == 8
 
+    def test_dimension_mismatch_rejected(self):
+        # a point of R^2 and one of R^4 hold 6 coordinates, as 3 points of R^2 do
+        a, b = make_layer([(0, 0)]), make_layer([(1, 0, 0, 0)])
+        for spec in (exact_spec(1), DistanceSpec((), 1e-9)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                count_incidences(a, b, 1, spec)
+
     def test_orthogonal_pair(self):
         cfg = gen_orthogonal_circles(4, 1, 20).config
         a = make_layer(cfg.layers[0].points[:10])
@@ -158,6 +165,28 @@ class TestIncidences:
         )
         got = count_incidences(layer, layer, grid.popular_d2, exact_spec(grid.popular_d2))
         assert got == want == 2 * grid.pair_count
+
+
+class TestSeparationCertificate:
+    """The guard-band certificate that build_adjacency runs in tolerant mode."""
+
+    @staticmethod
+    def certify(a, b):
+        cfg = make_config([a, b], (1.0,), eps=1e-9)
+        return build_adjacency(cfg, certify=True)
+
+    def test_clean_set_passes(self):
+        adj = self.certify([(0.0, 0.0)], [(1.0, 0.0), (5.0, 5.0)])
+        assert adj.neighbors == (((0,),),)
+
+    def test_guard_band_flagged(self):
+        # squared gap ~4e-8: inside (eps, 100*eps]
+        with pytest.raises(CertificationError) as err:
+            self.certify([(0.0, 0.0)], [(1.0 + 2e-8, 0.0)])
+        assert len(err.value.offenders) == 1
+
+    def test_far_pairs_ignored(self):
+        assert self.certify([(0.0, 0.0)], [(2.0, 0.0)]).total_edges() == 0
 
 
 class TestLargeOffsetGrid:
@@ -186,6 +215,8 @@ class TestLargeOffsetGrid:
         spec = exact_spec(self.D2)
         brute = count_incidences(row, layer, self.D2, spec, strategy="brute")
         assert count_incidences(row, layer, self.D2, spec) == brute == 118
+        # all 810,000 pairs
+        assert count_incidences(layer, layer, self.D2, spec, strategy="brute") == 3480
 
     def test_single_edge_tree(self):
         tree = LabeledTree(2, ((0, 1, self.D2),))

@@ -1,17 +1,23 @@
-"""Property tests: the counting engine against independent oracles.
+"""Property tests: the counting engine and the pair kernel against
+independent oracles.
 
 Configurations are small and exact, drawn so that layers overlap, repeat
 or are empty, which is where the Möbius correction for shared points has
-work to do.
+work to do.  The pair kernel is checked against the pair-by-pair
+predicate ``matches_distance``, on both sides of its int64 bound, and its
+grid strategy against its brute strategy far from the origin and at tiny
+radii.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from chain_census.geometry import DistanceSpec, exact_spec
+from chain_census.geometry import DistanceSpec, Point, exact_spec, matches_distance
 from chain_census.layered import (
     LabeledTree,
+    _pair_lists,
+    _PairView,
     count_chains,
     count_tree_embeddings,
     count_walks,
@@ -21,6 +27,7 @@ from chain_census.layered import (
     make_layer,
     path_tree,
 )
+from chain_census.richness import degree_vector
 from oracles import backtrack_chains, backtrack_tree_embeddings, product_tree_embeddings
 
 CHECKS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -126,3 +133,101 @@ def test_fractional_coordinates():
     pts = [(0, 0), (third, 0), (2 * third, 0), (third, third)]
     cfg = make_config([pts] * 4, (third**2,) * 3)
     assert count_chains(cfg) == len(enumerate_chains(cfg)) == backtrack_chains(cfg)
+
+
+@CHECKS
+@given(configs(), st.integers(1, 12), st.integers(1, 5))
+def test_scaling_invariance(cfg, num, den):
+    s = Fraction(num, den)
+    scaled = make_config(
+        [[tuple(c * s for c in p.coords) for p in ly.points] for ly in cfg.layers],
+        [d * s * s for d in cfg.spec.delta2],
+    )
+    assert count_chains(scaled) == count_chains(cfg)
+
+
+@CHECKS
+@given(configs())
+def test_pythagorean_rotation_invariance(cfg):
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    turned = make_config(
+        [[(c * x - s * y, s * x + c * y) for x, y in (p.coords for p in ly.points)] for ly in cfg.layers],
+        cfg.spec.delta2,
+    )
+    assert count_chains(turned) == count_chains(cfg)
+
+
+# -- the pair kernel ---------------------------------------------------------
+
+LATTICE = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=25, unique=True)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two point sets on a lattice of spacing h (down to 1/700000), offset
+    by up to 10^6, and a squared distance the lattice realizes."""
+    h = draw(st.sampled_from([Fraction(1), Fraction(1, 1000), Fraction(1, 700_000)]))
+    offset = draw(st.sampled_from([0, 10**6, -(10**6) + Fraction(1, 3)]))
+    m = draw(st.sampled_from([1, 2, 4, 5, 8, 25]))
+
+    def place(pts):
+        return [Point((offset + h * x, offset + h * y), i) for i, (x, y) in enumerate(pts)]
+
+    return place(draw(LATTICE)), place(draw(LATTICE)), m * h * h, h
+
+
+def oracle_lists(pa, pb, d2, spec):
+    return tuple(tuple(j for j, q in enumerate(pb) if matches_distance(p, q, d2, spec)) for p in pa)
+
+
+@CHECKS
+@given(lattice_pairs())
+def test_kernel_grid_equals_brute_exact(case):
+    pa, pb, d2, _ = case
+    brute = _pair_lists(pa, pb, d2, exact_spec(), "brute")
+    assert _pair_lists(pa, pb, d2, exact_spec(), "grid") == brute == oracle_lists(pa, pb, d2, exact_spec())
+
+
+@settings(CHECKS, max_examples=300)
+@given(lattice_pairs(), st.sampled_from([200, 10**4]), st.lists(st.sampled_from([0, 3, 10, 30]), max_size=25))
+def test_kernel_grid_equals_brute_tolerant(case, ratio, jitter):
+    # jitter moves points of pa by a few eps / h, which puts lattice
+    # neighbours into the guard band
+    pa, pb, d2, h = case
+    d2 = float(d2)
+    eps = d2 / ratio
+    shift = jitter + [0] * len(pa)
+    pa = [Point((float(p.coords[0]) + shift[i] * eps / float(h), float(p.coords[1])), i) for i, p in enumerate(pa)]
+    pb = [q.as_float() for q in pb]
+    spec = DistanceSpec((), eps)
+    found = {}
+    for strategy in ("brute", "grid"):
+        offenders = []
+        lists = _pair_lists(pa, pb, d2, spec, strategy, offenders)
+        found[strategy] = lists, [(p.id, q.id, gap) for p, q, gap in offenders]
+    assert found["grid"] == found["brute"]
+    assert found["brute"][0] == oracle_lists(pa, pb, d2, spec)
+
+
+RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+BIG_DENOMINATORS = st.sampled_from([1, 2**40 * 3**25, 10**30 + 7])
+
+
+@CHECKS
+@given(
+    st.lists(st.tuples(RATIONAL, RATIONAL), min_size=1, max_size=12),
+    st.lists(st.tuples(RATIONAL, RATIONAL), min_size=1, max_size=12),
+    BIG_DENOMINATORS,
+    st.sampled_from([None, 1e-3]),
+)
+def test_kernel_matches_predicate_either_side_of_int64(xs, ys, den, eps):
+    # a large common denominator pushes L^2 past int64: Python ints decide
+    pa = [Point((x / den, y / den), i) for i, (x, y) in enumerate(xs)]
+    pb = [Point((x / den, y / den), i) for i, (x, y) in enumerate(ys)]
+    d2 = (pa[0].coords[0] - pb[0].coords[0]) ** 2 + (pa[0].coords[1] - pb[0].coords[1]) ** 2 or Fraction(1)
+    spec = DistanceSpec((), eps)
+    wide = _PairView(pa, pb, d2, eps).a.dtype == object
+    assert wide == (den > 1 or eps is not None)
+    assert _pair_lists(pa, pb, d2, spec) == oracle_lists(pa, pb, d2, spec)
+    degrees = degree_vector(make_layer(pa), make_layer(pb), d2, spec)
+    assert degrees == [sum(matches_distance(p, q, d2, spec) for q in pb) for p in pa]
