@@ -18,7 +18,7 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .geometry import CertificationError, DistanceSpec, Point, matches_distance
 
@@ -328,228 +328,222 @@ def _coord_classes(layers) -> list[list[int]]:
 # the coordinate class of point i of v's layer, shared across layers, and
 # lists[v][i] holds the indices of the parent-layer points adjacent to it.
 #
-# Homomorphisms (walks, for a path) come from one bottom-up product-of-sums
-# pass over the adjacency lists, O(E).  Injective counts (chains,
-# embeddings) follow by Möbius inversion on the lattice of set partitions:
+# Homomorphisms (walks, for a path) come from one bottom-up pass of segment
+# sums over the edges sorted by parent point, O(E).  Injective counts
+# (chains, embeddings) follow by Möbius inversion on the partition lattice:
 #
 #     injective = sum over coincidence patterns pi of mu(pi) * homs(pi),
 #     mu(pi) = product over blocks B of (-1)^(|B|-1) (|B|-1)!,
 #
 # where homs(pi) counts homomorphisms that give all vertices of each block
-# one coordinate class.  A pattern can count anything only if each block's
-# layers share a class and no block holds two tree neighbours, unless some
-# point is adjacent to a point of its own class along their edge (possible
-# only in tolerant mode with eps >= d2).  With pairwise-disjoint layers the
-# trivial pattern is the only one and a count is a single O(E) pass; in
-# general it costs O(E) per pattern and pinned class, and the number of
-# patterns grows like a Bell number when every vertex draws from one set.
+# one coordinate class.  A vertex's state is an array over its points and
+# the shared classes of each block open there (members inside and outside
+# its subtree) that its own point does not fix: one axis per block, not one
+# pass per class, so a pattern costs O(E x its widest pushed row).
+# Patterns grow vertex by vertex, and a prefix with no homomorphism ends
+# its branch, as merging blocks only adds constraints (Curticapean, Dell
+# and Marx, STOC 2017); so two vertices no homomorphism puts on one class,
+# such as tree neighbours in exact mode, never share a block.  Every state
+# entry counts assignments of a subtree: int64 holds them while the product
+# of the layer sizes is below 2^63, Python ints in object arrays otherwise.
 
-
-def _merge(a: tuple, b: tuple):
-    """Union of two block-class assignments, or None if they disagree."""
-    if a == b:
-        return a
-    out = []
-    for x, y in zip(a, b):
-        if x is None:
-            out.append(y)
-        elif y is None or x == y:
-            out.append(x)
-        else:
-            return None
-    return tuple(out)
-
-
-def _add(into: dict, counts: dict) -> None:
-    for a, x in counts.items():
-        into[a] = into.get(a, 0) + x
+# Entries gathered per chunk of edges: a push's transient arrays stay near
+# this size however wide the state rows are.
+_CHUNK = 1 << 15
 
 
 class _CountTree:
     """A rooted tree of layers joined by adjacency lists, and its counts."""
 
     def __init__(self, classes, parent, lists, order):
-        self.classes = classes
+        import numpy as np
+
         self.parent = parent
-        self.lists = lists
         self.order = list(order)  # every child before its parent, root last
         self.kids: list[list[int]] = [[] for _ in classes]
-        self.below: list[set] = [set() for _ in classes]
+        self.below = [1 << v for v in range(len(classes))]  # bit masks of subtrees
         for v in self.order:
             if parent[v] >= 0:
                 self.kids[parent[v]].append(v)
-            self.below[v] = {v}.union(*(self.below[u] for u in self.kids[v]))
-        self._reverse: dict[int, list[list[int]]] = {}
-        self._where: dict[int, dict[int, list[int]]] = {}
-        self._self_adjacent: dict[int, bool] = {}
+                self.below[parent[v]] |= self.below[v]
+        self.sets = [frozenset(c) for c in classes]
+        self.classes = [np.array(c, dtype=np.intp) for c in classes]
+        self.class_count = 1 + max((max(c) for c in classes if c), default=-1)
+        self.dtype = np.int64 if math.prod(map(len, classes)) < 1 << 63 else object
+        # per child u: its edges (q, p) to the parent, p ascending and then
+        # the class of q ascending
+        self.edges: list = [None] * len(classes)
+        for u, v in enumerate(parent):
+            if v >= 0:
+                q = np.repeat(np.arange(len(lists[u])), [len(ps) for ps in lists[u]])
+                p = np.fromiter(chain.from_iterable(lists[u]), np.intp, len(q))
+                by = np.lexsort((self.classes[u][q], p))
+                self.edges[u] = q[by], p[by]
+        self._memo: dict = {}  # pushes reused across patterns, oldest first
+        self._stored = 0
+        self._luts: dict = {}  # shared classes -> class -> axis index
+        self._pairs: dict = {}
 
-    # -- coincidence patterns ----------------------------------------------
+    def _pair(self, u: int, v: int) -> int:
+        """Homomorphisms that give vertices u < v one class: when there are
+        none, no pattern may put them in one block."""
+        if (u, v) not in self._pairs:
+            self._pairs[u, v] = self.homs([((u, v), self.sets[u] & self.sets[v])])
+        return self._pairs[u, v]
 
-    def _may_share(self, u: int, v: int) -> bool:
-        """Whether vertices u and v can take points of one class."""
-        if self.parent[v] == u:
-            u, v = v, u
-        elif self.parent[u] != v:
-            return True
-        if u not in self._self_adjacent:
-            own, up = self.classes[u], self.classes[v]
-            self._self_adjacent[u] = any(
-                up[p] == own[q] for q, ps in enumerate(self.lists[u]) for p in ps
-            )
-        return self._self_adjacent[u]
+    def injective(self) -> int:
+        """Homomorphisms that give distinct vertices distinct classes.
 
-    def patterns(self):
-        """(mu, blocks) for each coincidence pattern whose count may be
-        nonzero; blocks are its non-singleton (members, shared classes)."""
-        sets = [set(c) for c in self.classes]
-        blocks: list[list] = []
+        Vertex v joins each block it may share a class with, or opens its
+        own; a join whose pattern (later vertices alone) has no
+        homomorphism ends that branch, as every completion only adds
+        constraints.
+        """
+        blocks: list[list] = []  # [members, shared classes]
+        total = self.homs()
 
-        def place(v: int):
-            if v == len(sets):
-                big = [(tuple(m), s) for m, s in blocks if len(m) > 1]
-                mu = math.prod((-1) ** (len(m) - 1) * math.factorial(len(m) - 1) for m, _ in big)
-                yield mu, big
+        def place(v: int) -> None:
+            nonlocal total
+            if v == len(self.sets):
                 return
             for block in blocks:
                 members, shared = block
-                common = shared & sets[v]
-                if common and all(self._may_share(u, v) for u in members):
+                common = shared & self.sets[v]
+                if common and all(self._pair(u, v) for u in members):
                     members.append(v)
                     block[1] = common
-                    yield from place(v + 1)
+                    big = [(tuple(m), s) for m, s in blocks if len(m) > 1]
+                    h = self._pair(*big[0][0]) if len(big) == 1 and len(members) == 2 else self.homs(big)
+                    if h:
+                        mu = math.prod((-1) ** (len(m) - 1) * math.factorial(len(m) - 1) for m, _ in big)
+                        total += mu * h
+                        place(v + 1)
                     members.pop()
                     block[1] = shared
-            blocks.append([[v], sets[v]])
-            yield from place(v + 1)
+            blocks.append([[v], self.sets[v]])
+            place(v + 1)
             blocks.pop()
 
-        return place(0)
-
-    # -- homomorphism counts -----------------------------------------------
+        if total:
+            place(0)
+        return total
 
     def homs(self, blocks=()) -> int:
-        """Homomorphisms that give all members of each block one class.
+        """Homomorphisms that give all members of each block one class."""
+        import numpy as np
 
-        The first block is pinned to each of its shared classes in turn;
-        the state of a vertex maps each of its points to counts per
-        assignment of classes to the other blocks still open there.
-        """
-        pinned, shared = blocks[0] if blocks else ((), (None,))
-        carried = [m for m, _ in blocks[1:]]
-        slot = [-1] * len(self.classes)
-        closing: dict[int, list[int]] = {}
-        for j, members in enumerate(carried):
+        own = [-1] * len(self.sets)
+        masks, top, pos = [], [], []  # members; their lowest common vertex; class -> axis index
+        for j, (members, shared) in enumerate(blocks):
             for v in members:
-                slot[v] = j
-            top = next(v for v in self.order if self.below[v].issuperset(members))
-            closing.setdefault(top, []).append(j)
-        unset = (None,) * len(carried)
-        return sum(self._pass(slot, closing, unset, pinned, c) for c in sorted(shared))
+                own[v] = j
+            masks.append(sum(1 << v for v in members))
+            top.append(next(v for v in self.order if masks[j] & ~self.below[v] == 0))
+            if shared not in self._luts:
+                lut = self._luts[shared] = np.full(self.class_count, -1, np.intp)
+                lut[sorted(shared)] = np.arange(len(shared))
+            pos.append(self._luts[shared])
+        width = [len(shared) for _, shared in blocks]
 
-    def _pass(self, slot, closing, unset, pinned, pin_class) -> int:
-        classes = self.classes
-        states: dict[int, dict] = {}
-        for v in self.order:
-            allowed = self._points_of(v, pin_class) if v in pinned else None
-            state = None
-            for u in self.kids[v]:
-                if allowed is None:
-                    part = self._push(u, states.pop(u))
-                else:
-                    part = self._pull(u, states.pop(u), allowed)
-                state = part if state is None else self._join(state, part)
-            if state is None:
-                unit = {unset: 1}
-                state = {p: unit for p in (range(len(classes[v])) if allowed is None else allowed)}
-            if slot[v] >= 0 or v in closing:
-                state = self._settle(state, slot[v], classes[v], closing.get(v, ()))
-            if not state:
-                return 0
-            states[v] = state
-        return sum(x for counts in states[v].values() for x in counts.values())
+        def widen(counts, axes, joined):  # broadcastable against the axes `joined`
+            return counts.reshape(len(counts), *(width[j] if j in axes else 1 for j in joined))
 
-    def _points_of(self, v: int, c: int) -> list[int]:
-        if v not in self._where:
-            where: dict[int, list[int]] = {}
-            for p, cp in enumerate(self.classes[v]):
-                where.setdefault(cp, []).append(p)
-            self._where[v] = where
-        return self._where[v].get(c, [])
-
-    def _push(self, u: int, state: dict) -> dict:
-        """Carry the child's counts to every adjacent parent point."""
-        lists = self.lists[u]
-        out: dict[int, dict] = {}
-        for q, counts in state.items():
-            for p in lists[q]:
-                if p in out:
-                    _add(out[p], counts)
-                else:
-                    out[p] = dict(counts)
-        return out
-
-    def _pull(self, u: int, state: dict, allowed) -> dict:
-        """Gather the child's counts into the few allowed parent points."""
-        if u not in self._reverse:
-            rev: list[list[int]] = [[] for _ in self.classes[self.parent[u]]]
-            for q, ps in enumerate(self.lists[u]):
-                for p in ps:
-                    rev[p].append(q)
-            self._reverse[u] = rev
-        rev = self._reverse[u]
-        out: dict[int, dict] = {}
-        for p in allowed:
-            counts: dict = {}
-            for q in rev[p]:
-                if q in state:
-                    _add(counts, state[q])
-            if counts:
-                out[p] = counts
-        return out
-
-    @staticmethod
-    def _join(left: dict, right: dict) -> dict:
-        """Pointwise product of two children's contributions."""
-        out = {}
-        for p, a_counts in left.items():
-            b_counts = right.get(p)
-            if b_counts is None:
+        # top down: the pushes to compute, those of children whose push no
+        # earlier pattern left in the memo; it depends only on the blocks
+        # inside the child's subtree: their members there, their classes,
+        # whether they close there, and which one the parent's point reads
+        parts, todo, keys = {}, {self.order[-1]}, {}
+        for v in reversed(self.order):
+            if v not in todo:
                 continue
-            counts: dict = {}
-            for a, x in a_counts.items():
-                for b, y in b_counts.items():
-                    ab = _merge(a, b)
-                    if ab is not None:
-                        counts[ab] = counts.get(ab, 0) + x * y
-            if counts:
-                out[p] = counts
-        return out
+            for u in self.kids[v]:
+                below = self.below[u]
+                inside = [j for j, m in enumerate(masks) if m & below]
+                key = (u, *(
+                    (masks[j] & below, blocks[j][1], masks[j] & ~below == 0, j == own[v]) for j in inside
+                ))
+                hit = self._memo.get(key)
+                if hit is None:
+                    todo.add(u)
+                    keys[u] = key, inside
+                else:
+                    parts[u] = tuple(inside[r] for r in hit[0]), hit[1]
+        # bottom up: each vertex joins its children's pushes and pushes on
+        for v in self.order:
+            if v not in todo:
+                continue
+            axes, counts = (), None
+            for u in self.kids[v]:
+                part_axes, part = parts.pop(u)
+                if counts is None:
+                    axes, counts = part_axes, part
+                    continue
+                joined = tuple(sorted({*axes, *part_axes}))
+                counts = widen(counts, axes, joined) * widen(part, part_axes, joined)
+                axes = joined
+            if counts is None:
+                counts = np.ones(len(self.classes[v]), self.dtype)
+            done = tuple(i + 1 for i, j in enumerate(axes) if top[j] == v)
+            if done:
+                counts = counts.sum(axis=done)
+                axes = tuple(j for j in axes if top[j] != v)
+            if self.parent[v] < 0:
+                return int(counts.sum())
+            part_axes, part = parts[v] = self._push(v, axes, counts, own, top, pos, width)
+            key, inside = keys[v]
+            if part.size <= _CHUNK:  # kept for later patterns, within _CHUNK entries in all
+                self._memo[key] = tuple(map(inside.index, part_axes)), part
+                self._stored += part.size
+                while self._stored > _CHUNK:
+                    self._stored -= self._memo.pop(next(iter(self._memo)))[1].size
 
-    @staticmethod
-    def _settle(state: dict, j: int, cls, done) -> dict:
-        """Give block j (if any) the class of the vertex's own point, and
-        forget the classes of the blocks in `done`, whose members all lie
-        in this vertex's subtree."""
-        out = {}
-        for p, counts in state.items():
-            c = cls[p]
-            settled: dict = {}
-            for a, x in counts.items():
-                if j >= 0:
-                    if a[j] is None:
-                        a = a[:j] + (c,) + a[j + 1 :]
-                    elif a[j] != c:
-                        continue
-                if done:
-                    a = tuple(None if i in done else ci for i, ci in enumerate(a))
-                settled[a] = settled.get(a, 0) + x
-            if settled:
-                out[p] = settled
-        return out
+    def _push(self, u, axes, state, own, top, pos, width):
+        """(axes, counts): the child's counts summed over its edges into each
+        parent point.  The parent's own block is read at the class of the
+        parent's point; the child's own block, when open above the child,
+        becomes an axis indexed by the class of the child's point."""
+        import numpy as np
 
-    def injective(self) -> int:
-        """Homomorphisms that give distinct vertices distinct classes."""
-        return sum(mu * self.homs(blocks) for mu, blocks in self.patterns())
+        v = self.parent[u]
+        q, p = self.edges[u]
+        ju, jv = own[u], own[v]
+        grow = ju >= 0 and ju != jv and top[ju] != u
+        key, at, span = p, None, width[ju] if grow else 1
+        if grow or jv in axes or (jv >= 0 and jv == ju):
+            keep = np.ones(len(q), bool)
+            if jv in axes:
+                i = axes.index(jv)
+                state = np.moveaxis(state, i + 1, 1)
+                axes = axes[:i] + axes[i + 1 :]
+                at = pos[jv][self.classes[v][p]]
+                keep &= at >= 0
+            elif jv >= 0 and jv == ju:  # neighbours in one block: equal classes
+                cq = self.classes[u][q]
+                keep &= (cq == self.classes[v][p]) & (pos[jv][cq] >= 0)
+            if grow:
+                c = pos[ju][self.classes[u][q]]
+                keep &= c >= 0
+                key = p * span + c
+            # edges of one key stay together: they are sorted by p, then by
+            # the class of q
+            q, key = q[keep], key[keep]
+            at = None if at is None else at[keep]
+        cols = math.prod(width[j] for j in axes)
+        rows = state.reshape(len(state), *([] if at is None else [width[jv]]), cols)
+        n = len(self.classes[v])
+        out = np.zeros((n * span, cols), self.dtype)
+        step = max(1, _CHUNK // cols)
+        for lo in range(0, len(q), step):
+            k = key[lo : lo + step]
+            starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+            rows_of = q[lo : lo + step] if at is None else (q[lo : lo + step], at[lo : lo + step])
+            out[k[starts]] += np.add.reduceat(rows[rows_of], starts)
+        if not grow:
+            return axes, out.reshape(n, *(width[j] for j in axes))
+        # the new axis moves to its sorted place among the others
+        i = sum(j < ju for j in axes)
+        out = out.reshape(n, span, *(width[j] for j in axes))
+        return axes[:i] + (ju,) + axes[i:], np.moveaxis(out, 1, i + 1)
 
 
 def _chain_tree(config: LayeredConfig, adjacency: BipartiteAdjacency | None) -> _CountTree:
@@ -579,8 +573,9 @@ def count_chains(config: LayeredConfig, adjacency: BipartiteAdjacency | None = N
 
     The walk DP with a Möbius correction over coincidence patterns: blocks
     of non-consecutive positions whose layers share coordinates.  O(E)
-    when no two such layers share a point; otherwise O(E) per pattern and
-    pinned shared point.
+    when no two such layers share a point; otherwise O(E x W) per pattern
+    with a homomorphism, W the number of shared points a block carries
+    (one axis per block open at a position, never a pass per point).
     """
     if config.k == 0:
         return len(config.layers[0].coord_set())
@@ -653,8 +648,13 @@ def count_tree_embeddings(layers, tree: LabeledTree, spec: DistanceSpec) -> int:
     `layers` is one Layer per tree vertex, or a single Layer replicated.
     Only ``spec.eps`` is read; the distances come from the tree.  A
     bottom-up product-of-sums DP over per-edge adjacency with the Möbius
-    correction of count_chains; for a path this equals count_chains.
+    correction of count_chains, at its cost per pattern; for a path this
+    equals count_chains.
     """
+    return _tree_counter(layers, tree, spec).injective()
+
+
+def _tree_counter(layers, tree: LabeledTree, spec: DistanceSpec) -> _CountTree:
     tree.validate()
     if isinstance(layers, Layer):
         layers = [layers] * tree.vertex_count
@@ -667,8 +667,7 @@ def count_tree_embeddings(layers, tree: LabeledTree, spec: DistanceSpec) -> int:
     for v, u, d2 in order[1:]:
         parent[v] = u
         lists[v] = _pair_lists(layers[v].points, layers[u].points, d2, spec)
-    counter = _CountTree(_coord_classes(layers), parent, lists, [v for v, _, _ in reversed(order)])
-    return counter.injective()
+    return _CountTree(_coord_classes(layers), parent, lists, [v for v, _, _ in reversed(order)])
 
 
 def _pair_tables(config: LayeredConfig):

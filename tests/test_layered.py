@@ -1,11 +1,21 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from chain_census.geometry import CertificationError, DistanceSpec, exact_spec, float_point
+from chain_census.geometry import (
+    CertificationError,
+    DistanceSpec,
+    exact_point,
+    exact_spec,
+    float_point,
+    rational_circle_points,
+)
 from chain_census.layered import (
     LabeledTree,
+    _chain_tree,
+    _tree_counter,
     build_adjacency,
     certify_config,
     count_chains,
@@ -19,6 +29,7 @@ from chain_census.layered import (
     path_tree,
 )
 from chain_census.constructions import gen_orthogonal_circles, gen_planar_chain, gen_star
+from oracles import backtrack_tree_embeddings
 
 F = Fraction
 
@@ -261,6 +272,60 @@ class TestTreeEmbeddings:
             LabeledTree(4, ((0, 1, 1), (2, 3, 1), (0, 1, 2))).validate()  # disconnected
         with pytest.raises(ValueError):
             LabeledTree(3, ((0, 1, 1), (1, 2, 0),)).validate()  # nonpositive label
+
+
+class TestCountingEngine:
+    """Cases the engine once handled badly, and both number paths."""
+
+    def test_orthogonal_above_benchmark_size(self):
+        # a block spans positions 0 and 3 of four repeated layers
+        res = gen_orthogonal_circles(4, 3, 100)
+        assert res.closed_form == 2 * (50 * 49) ** 2
+        assert count_chains(res.config) == res.closed_form
+
+    GRID = [(x, y) for x in range(4) for y in range(2)]
+
+    def test_one_shared_set_path(self):
+        layer, tree, spec = make_layer(self.GRID), path_tree((1,) * 7), exact_spec()
+        assert count_tree_embeddings(layer, tree, spec) == 28 == backtrack_tree_embeddings(layer, tree, spec)
+
+    def test_one_shared_set_star_of_three_paths(self):
+        # 10 vertices on 8 points: nothing embeds, but 3045 patterns have
+        # homomorphisms; pruning keeps the rest unvisited
+        edges = tuple((0 if j == 0 else 3 * arm + j, 3 * arm + j + 1, 1) for arm in range(3) for j in range(3))
+        layer, tree, spec = make_layer(self.GRID), LabeledTree(10, edges), exact_spec()
+        assert count_tree_embeddings(layer, tree, spec) == 0 == backtrack_tree_embeddings(layer, tree, spec)
+
+    @staticmethod
+    def unit_star(sizes):
+        """A centre at the origin and one layer of rational unit-circle points
+        per arm, on disjoint arcs, so every tuple embeds."""
+        origin = exact_point((0, 0))
+        arcs = [
+            make_layer(rational_circle_points(origin, 1, m, (F(i, len(sizes)), F(i + 1, len(sizes)))))
+            for i, m in enumerate(sizes)
+        ]
+        tree = LabeledTree(len(sizes) + 1, tuple((0, i + 1, 1) for i in range(len(sizes))))
+        return [make_layer([origin]), *arcs], tree
+
+    @pytest.mark.parametrize(
+        "sizes, wide",
+        [([100] * 12, True), ([100] * 9 + [10], True), ([100] * 9 + [9], False), ([100] * 9, False)],
+    )
+    def test_counts_either_side_of_int64(self, sizes, wide):
+        # int64 while the product of the layer sizes stays below 2^63,
+        # Python ints past it; 9 * 10^18 is within 3% of the bound
+        layers, tree = self.unit_star(sizes)
+        counter = _tree_counter(layers, tree, exact_spec())
+        assert (counter.dtype == object) == wide
+        assert counter.injective() == math.prod(sizes)
+
+    def test_wide_chains_equal_int64_chains(self):
+        cfg = gen_orthogonal_circles(4, 3, 12).config
+        wide = _chain_tree(cfg, None)
+        wide.dtype = object
+        assert wide.injective() == count_chains(cfg) == 1800
+        assert wide.homs() == count_walks(cfg) == 2592
 
 
 class TestValidation:

@@ -18,6 +18,7 @@ from chain_census.layered import (
     LabeledTree,
     _pair_lists,
     _PairView,
+    _tree_counter,
     count_chains,
     count_tree_embeddings,
     count_walks,
@@ -126,6 +127,35 @@ def test_tree_single_set_tolerant(tree, points, eps):
     tree = LabeledTree(tree.vertex_count, tuple((a, b, float(d)) for a, b, d in tree.edges))
     spec = DistanceSpec((), eps)
     assert count_tree_embeddings(layer, tree, spec) == product_tree_embeddings(layer, tree, spec)
+
+
+@st.composite
+def odd_trees(draw):
+    """A path 0-1-2-3 with up to three more vertices hung anywhere, every
+    edge at squared distance 1 or 5.  Both are odd, so on integer points
+    every edge joins the two colours of x + y: vertices at odd distance,
+    such as 0 and 3, never share a point, and each such pair is a pattern
+    prefix with no homomorphism."""
+    m = draw(st.integers(4, 7))
+    edges = [(v - 1, v) for v in range(1, 4)] + [(draw(st.integers(0, v - 1)), v) for v in range(4, m)]
+    return LabeledTree(m, tuple((a, b, draw(st.sampled_from([1, 5]))) for a, b in edges))
+
+
+@CHECKS
+@given(odd_trees(), st.lists(POINT, max_size=3, unique=True))
+def test_tree_single_set_pruned(tree, extra):
+    # each corner of the 1 x 2 rectangle has another at squared distance 1
+    # and one at 5, so every such tree has homomorphisms, the engine
+    # evaluates patterns, and it must prune the empty ones
+    base = [(0, 0), (1, 0), (0, 2), (1, 2)]
+    points = base + [p for p in extra if p not in base]
+    layer, spec = make_layer(points), exact_spec()
+    counter = _tree_counter(layer, tree, spec)
+    got = counter.injective()
+    assert counter._pairs[0, 3] == 0
+    assert got == backtrack_tree_embeddings(layer, tree, spec)
+    if len(points) ** tree.vertex_count <= 5000:
+        assert got == product_tree_embeddings(layer, tree, spec)
 
 
 def test_fractional_coordinates():
