@@ -28,11 +28,10 @@ from .geometry import DistanceSpec, exact_point
 from .io import read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
 from .layered import (
     Layer,
-    build_adjacency,
     count_chains,
+    count_chains_and_walks,
     count_incidences,
     count_tree_embeddings,
-    count_walks,
     make_layer,
 )
 from .richness import rich_points, stable_covering
@@ -177,13 +176,12 @@ def _read_layers(args, *paths) -> tuple[list[Layer], DistanceSpec, str]:
 
 def _cmd_count(args) -> int:
     cfg = read_manifest(args.manifest)
-    adj = build_adjacency(cfg)
-    chains = count_chains(cfg, adjacency=adj)
     if args.walks:
+        chains, walks = count_chains_and_walks(cfg)
         print(f"chains {chains}")
-        print(f"walks {count_walks(cfg, adjacency=adj)}")
+        print(f"walks {walks}")
     else:
-        print(chains)
+        print(count_chains(cfg))
     return 0
 
 

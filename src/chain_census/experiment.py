@@ -17,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -27,7 +28,6 @@ from .layered import (
     count_chains,
     count_tree_embeddings,
     count_walks,
-    enumerate_chains,
 )
 from .richness import check_richness_bound, stable_covering
 
@@ -364,19 +364,37 @@ def verify_floor(construction: str, k: int, n: int, eps: float = 0.25, seed: int
 
 def verify_covering(config: LayeredConfig, eps) -> VerifyResult:
     """The union of the covering classes' chains must equal the chain set,
-    and no sequence may exceed the guaranteed length."""
-    classes = stable_covering(config, eps)
-    want = enumerate_chains(config)
-    got = set()
-    for cc in classes:
-        got |= enumerate_chains(cc.config)
+    and no sequence may exceed the guaranteed length.
+
+    Certified by counting, not enumeration: each class layer is a set of
+    points of the input layer at its position, so a class's chains are the
+    input's; every two classes hold disjoint point sets at some position,
+    so no chain lies in two; and the class chain counts, taken on the
+    input's adjacency restricted to each class, sum to the input's count.
+    """
+    adj = build_adjacency(config, certify=False)
+    classes = stable_covering(config, eps, adjacency=adj)
+    where = [{p.coords: j for j, p in enumerate(layer.points)} for layer in config.layers]
+    picks = [
+        [[w[p.coords] for p in ly.points if p.coords in w] for w, ly in zip(where, cc.config.layers)] for cc in classes
+    ]
+    sets = [list(map(set, pk)) for pk in picks]
+    inside = all(
+        cc.config.k == config.k and list(map(len, st)) == list(map(len, cc.config.layers))
+        for cc, st in zip(classes, sets)
+    )
+    disjoint = all(any(s.isdisjoint(t) for s, t in zip(x, y)) for x, y in combinations(sets, 2))
+    want = count_chains(config, adjacency=adj)
+    got = sum(
+        count_chains(cc.config, adj.restrict(pk) if inside else build_adjacency(cc.config, certify=False))
+        for cc, pk in zip(classes, picks)
+    )
     max_len = math.floor((config.k + 1) / Fraction(eps)) + 1
-    lengths_ok = all(len(cc.sequence) <= max_len for cc in classes)
-    passed = got == want and lengths_ok
+    longest = max((len(cc.sequence) for cc in classes), default=0)
     return VerifyResult(
-        passed,
-        (len(got), max((len(cc.sequence) for cc in classes), default=0)),
-        (len(want), max_len),
+        inside and disjoint and got == want and longest <= max_len,
+        (got, longest),
+        (want, max_len),
         f"{len(classes)} covering classes",
     )
 

@@ -8,8 +8,7 @@ distance-labeled tree.  All counts are exact Python integers.
 All three are counted by one engine (see "the counting engine" below): a
 dynamic program over adjacency lists counts homomorphisms, and a Möbius
 correction over coincidence patterns removes tuples that reuse a point.
-Enumeration of single tuples survives only in the exhaustive oracles at
-the end of this module.
+No tuple is ever enumerated; the exhaustive oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
-from .geometry import CertificationError, DistanceSpec, Point, matches_distance
+from .geometry import CertificationError, DistanceSpec, Point
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,24 @@ class BipartiteAdjacency:
 
     def total_edges(self) -> int:
         return sum(self.edge_count(i) for i in range(len(self.neighbors)))
+
+    def restrict(self, picks) -> "BipartiteAdjacency":
+        """The adjacency among the points picks[i] (distinct indices) of
+        each layer i, which become points 0, 1, ... of the new layers."""
+        out = []
+        for nbs, rows, cols in zip(self.neighbors, picks, picks[1:]):
+            rank = {q: j for j, q in enumerate(cols)}
+            out.append(tuple(tuple(sorted(rank[q] for q in nbs[p] if q in rank)) for p in rows))
+        return BipartiteAdjacency(tuple(out))
+
+
+def _edge_arrays(lists):
+    """Adjacency lists as index arrays (a, b), one entry per edge b in
+    lists[a], in list order."""
+    import numpy as np
+
+    a = np.repeat(np.arange(len(lists)), [len(nb) for nb in lists])
+    return a, np.fromiter(chain.from_iterable(lists), np.intp, len(a))
 
 
 # Pairs tested per numpy block: enough to amortize numpy's per-call cost.
@@ -375,8 +392,7 @@ class _CountTree:
         self.edges: list = [None] * len(classes)
         for u, v in enumerate(parent):
             if v >= 0:
-                q = np.repeat(np.arange(len(lists[u])), [len(ps) for ps in lists[u]])
-                p = np.fromiter(chain.from_iterable(lists[u]), np.intp, len(q))
+                q, p = _edge_arrays(lists[u])
                 by = np.lexsort((self.classes[u][q], p))
                 self.edges[u] = q[by], p[by]
         self._memo: dict = {}  # pushes reused across patterns, oldest first
@@ -391,8 +407,9 @@ class _CountTree:
             self._pairs[u, v] = self.homs([((u, v), self.sets[u] & self.sets[v])])
         return self._pairs[u, v]
 
-    def injective(self) -> int:
-        """Homomorphisms that give distinct vertices distinct classes.
+    def injective(self, homs: int | None = None) -> int:
+        """Homomorphisms that give distinct vertices distinct classes;
+        `homs`, when given, is self.homs(), the sum's first term.
 
         Vertex v joins each block it may share a class with, or opens its
         own; a join whose pattern (later vertices alone) has no
@@ -400,7 +417,7 @@ class _CountTree:
         constraints.
         """
         blocks: list[list] = []  # [members, shared classes]
-        total = self.homs()
+        total = self.homs() if homs is None else homs
 
         def place(v: int) -> None:
             nonlocal total
@@ -577,9 +594,17 @@ def count_chains(config: LayeredConfig, adjacency: BipartiteAdjacency | None = N
     with a homomorphism, W the number of shared points a block carries
     (one axis per block open at a position, never a pass per point).
     """
+    return count_chains_and_walks(config, adjacency)[0]
+
+
+def count_chains_and_walks(config: LayeredConfig, adjacency: BipartiteAdjacency | None = None) -> tuple[int, int]:
+    """(count_chains, count_walks) from one counting engine: the walk count
+    is the first term of the chain count's Möbius sum."""
     if config.k == 0:
-        return len(config.layers[0].coord_set())
-    return _chain_tree(config, adjacency).injective()
+        return len(config.layers[0].coord_set()), len(config.layers[0])
+    tree = _chain_tree(config, adjacency)
+    walks = tree.homs()
+    return tree.injective(walks), walks
 
 
 def count_incidences(P: Layer, Q: Layer, d2, spec: DistanceSpec, strategy: str = "auto") -> int:
@@ -668,50 +693,3 @@ def _tree_counter(layers, tree: LabeledTree, spec: DistanceSpec) -> _CountTree:
         parent[v] = u
         lists[v] = _pair_lists(layers[v].points, layers[u].points, d2, spec)
     return _CountTree(_coord_classes(layers), parent, lists, [v for v, _, _ in reversed(order)])
-
-
-def _pair_tables(config: LayeredConfig):
-    """Per consecutive layer pair: a boolean matrix of the distance predicate.
-
-    Memoizes the (at most) |P_i|*|P_{i+1}| evaluations so the exhaustive
-    oracles below stay usable at 10^5-tuple scale.
-    """
-    spec = config.spec
-    tables = []
-    for i in range(config.k):
-        pa = config.layers[i].points
-        pb = config.layers[i + 1].points
-        d2 = spec.delta2[i]
-        tables.append(
-            [[matches_distance(p, q, d2, spec) for q in pb] for p in pa]
-        )
-    return tables
-
-
-def enumerate_chains(config: LayeredConfig) -> set[tuple]:
-    """Brute-force set of chain tuples (as coordinate tuples).
-
-    Exhaustive product enumeration over all index tuples; the independent
-    oracle for the counters at desk scale.
-    """
-    tables = _pair_tables(config)
-    ranges = [range(len(layer.points)) for layer in config.layers]
-    layers = [layer.points for layer in config.layers]
-    out = set()
-    for tup in product(*ranges):
-        if all(tables[i][tup[i]][tup[i + 1]] for i in range(config.k)):
-            coords = tuple(layers[i][j].coords for i, j in enumerate(tup))
-            if len(set(coords)) == len(coords):
-                out.add(coords)
-    return out
-
-
-def enumerate_walks_count(config: LayeredConfig) -> int:
-    """Brute-force walk count by full product enumeration."""
-    tables = _pair_tables(config)
-    ranges = [range(len(layer.points)) for layer in config.layers]
-    total = 0
-    for tup in product(*ranges):
-        if all(tables[i][tup[i]][tup[i + 1]] for i in range(config.k)):
-            total += 1
-    return total

@@ -14,13 +14,12 @@ configuration.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import DistanceSpec, Point
-from .layered import Layer, LayeredConfig, _pair_lists
+from .layered import BipartiteAdjacency, Layer, LayeredConfig, _edge_arrays, _pair_lists, build_adjacency
 
 
 def degree_vector(target: Layer, reference: Layer, d2, spec: DistanceSpec) -> list[int]:
@@ -92,6 +91,61 @@ def exponent_grid(eps: Fraction) -> list[Fraction]:
     return [i * eps for i in range(math.floor(1 / eps) + 1)]
 
 
+class _Filtering:
+    """The layers of a configuration as index arrays over one adjacency.
+
+    A sub-layer is the ascending indices of its points in the original
+    layer.  The degree of every point of layer i into a sub-layer of a
+    neighbouring layer is one bincount over the edges of that layer pair
+    whose reference end the sub-layer holds; no point pair is tested again.
+    """
+
+    def __init__(self, config: LayeredConfig, cuts, adjacency=None):
+        import numpy as np
+
+        self.config = config
+        self.edges = [_edge_arrays(nb) for nb in (adjacency or build_adjacency(config, certify=False)).neighbors]
+        self.whole = tuple(np.arange(len(layer)) for layer in config.layers)
+        self.cuts = np.array(cuts)
+
+    def children(self, subs, parity: int, want=None):
+        """(class indices, sub-layers) for every pass that leaves every
+        layer nonempty, or with `want` (one class index per position) the
+        one pass that keeps those classes, empty layers and all.
+
+        parity=1 keeps the first layer whole and filters left to right:
+        layer i keeps its points whose degree into the filtered layer i-1
+        (at the (i-1)-th distance) lies in the chosen class.  parity=0 is
+        the mirror, right to left.  The whole layer's class index is 0.
+        """
+        import numpy as np
+
+        cuts, step = self.cuts, 1 if parity else -1
+        order = list(range(len(subs)))[::step]
+        partials = [((0,), (subs[order[0]],))]
+        for ref, i in zip(order, order[1:]):
+            a, b = self.edges[min(i, ref)]
+            tgt, src = (b, a) if parity else (a, b)
+            mask = np.zeros(len(self.whole[ref]), bool)
+            nxt = []
+            for ms, filt in partials:
+                mask[:] = False
+                mask[filt[-1]] = True
+                deg = np.bincount(tgt[mask[src]], minlength=len(self.whole[i]))[subs[i]]
+                cls = np.searchsorted(cuts, deg, "right") - 1  # -1 for degree 0
+                counts = np.bincount(cls + 1)[1:]  # points per class
+                if want is None and len(counts) >= len(cuts):
+                    raise AssertionError(f"degree {deg.max()} outside threshold range {cuts.tolist()}")
+                found = np.flatnonzero(counts).tolist() if want is None else [want[i]]
+                nxt += [(ms + (m,), filt + (subs[i][cls == m],)) for m in found]
+            partials = nxt
+        return [(ms[::step], filt[::step]) for ms, filt in partials]
+
+    def config_of(self, subs) -> LayeredConfig:
+        pick = [Layer(tuple(map(ly.points.__getitem__, s.tolist())), ly.label) for ly, s in zip(self.config.layers, subs)]
+        return LayeredConfig(tuple(pick), self.config.spec)
+
+
 def richness_filter(
     parity: int,
     config: LayeredConfig,
@@ -109,12 +163,9 @@ def richness_filter(
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    if parity == 0:
-        return richness_filter(1, config.reversed(), tuple(exponents)[::-1], eps, n).reversed()
     eps = Fraction(eps)
-    k = config.k
-    if len(exponents) != k + 1:
-        raise ValueError(f"exponents must have {k + 1} entries")
+    if len(exponents) != config.k + 1:
+        raise ValueError(f"exponents must have {config.k + 1} entries")
     if n is None:
         n = max((len(layer) for layer in config.layers), default=0)
     cuts = richness_thresholds(n, eps)
@@ -125,14 +176,9 @@ def richness_filter(
         if q.denominator != 1 or not 0 <= a <= 1:
             raise ValueError(f"exponent entry {a} is not a multiple of eps in [0,1]")
         idx.append(int(q))
-    spec, layers = config.spec, config.layers
-    out = [layers[0]]
-    for i in range(1, k + 1):
-        lo, hi = cuts[idx[i]], cuts[idx[i] + 1]
-        degs = degree_vector(layers[i], out[i - 1], spec.delta2[i - 1], spec)
-        pts = tuple(p for p, d in zip(layers[i].points, degs) if lo <= d < hi)
-        out.append(Layer(pts, layers[i].label))
-    return LayeredConfig(tuple(out), spec)
+    filtering = _Filtering(config, cuts)
+    ((_, subs),) = filtering.children(filtering.whole, parity, idx)
+    return filtering.config_of(subs)
 
 
 @dataclass(frozen=True)
@@ -154,56 +200,15 @@ class CoveringClass:
     config: LayeredConfig
 
 
-def _product_size(layers) -> int:
-    size = 1
-    for layer in layers:
-        size *= len(layer)
-    return size
-
-
-def _nonempty_children(config: LayeredConfig, parity: int, cuts):
-    """All (exponent indices, filtered layers) with every filtered layer nonempty.
-
-    Branches by the realized richness class at each stage, so only exponent
-    vectors with nonempty classes are produced; the unused slot (first layer
-    for parity 1, last for parity 0) is pinned to index 0.  Parity 0 is the
-    parity-1 pass over the reversed configuration, read back in reverse.
-    """
-    if parity == 0:
-        return [
-            (idx[::-1], filt[::-1]) for idx, filt in _nonempty_children(config.reversed(), 1, cuts)
-        ]
-    layers, spec = config.layers, config.spec
-    partials = [([0], [layers[0]])]
-    for i in range(1, config.k + 1):
-        nxt = []
-        for idx_prefix, filt in partials:
-            buckets: dict[int, list[Point]] = {}
-            degs = degree_vector(layers[i], filt[-1], spec.delta2[i - 1], spec)
-            for p, d in zip(layers[i].points, degs):
-                if d >= 1:
-                    buckets.setdefault(_class_index(cuts, d), []).append(p)
-            for m in sorted(buckets):
-                nxt.append((idx_prefix + [m], filt + [Layer(tuple(buckets[m]), layers[i].label)]))
-        partials = nxt
-    return [(tuple(idx), tuple(filt)) for idx, filt in partials]
-
-
-def _class_index(cuts, degree: int) -> int:
-    m = bisect_right(cuts, degree) - 1
-    if not 0 <= m < len(cuts) - 1:
-        raise AssertionError(f"degree {degree} outside threshold range {cuts}")
-    return m
-
-
-def stable_covering(config: LayeredConfig, eps) -> list[CoveringClass]:
+def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | None = None) -> list[CoveringClass]:
     """The set of maximal unstable-then-stable filtering sequences.
 
     Starting from the full configuration, repeatedly apply the richness
     filter with alternating parity.  A step is stable when the product-set
     size drops by a factor smaller than n^eps.  Sequences stop at their
-    first stable step; every chain of the input lies in at least one
-    returned class, and no sequence is longer than (k+1)/eps + 1.
+    first stable step; every chain of the input lies in exactly one
+    returned class, and no sequence is longer than (k+1)/eps + 1.  The
+    search runs on one adjacency, built here when not given.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -211,38 +216,36 @@ def stable_covering(config: LayeredConfig, eps) -> list[CoveringClass]:
     n = max((len(layer) for layer in config.layers), default=0)
     if n == 0:
         return []
-    cuts = richness_thresholds(n, eps)
-    k = config.k
+    filtering = _Filtering(config, richness_thresholds(n, eps), adjacency)
     p_num, p_den = eps.numerator, eps.denominator
-    max_len = math.floor((k + 1) / eps) + 1
+    max_len = math.floor((config.k + 1) / eps) + 1
 
     def is_stable(old_size: int, new_size: int) -> bool:
         # new >= old * n^(-eps)  <=>  new^den * n^num >= old^den
         return new_size**p_den * n**p_num >= old_size**p_den
 
-    results: list[CoveringClass] = []
-    queue = deque()
-    queue.append(((), tuple(config.layers), _product_size(config.layers), ()))
+    found = []
+    queue = deque([((), filtering.whole, math.prod(map(len, config.layers)), ())])
     while queue:
-        prefix, layers, size, sizes = queue.popleft()
-        step = len(prefix) + 1
-        parity = step % 2
-        for idx_vec, filt in _nonempty_children(LayeredConfig(layers, config.spec), parity, cuts):
-            new_size = _product_size(filt)
-            exp_vec = tuple(m * eps for m in idx_vec)
-            child = prefix + (exp_vec,)
+        prefix, subs, size, sizes = queue.popleft()
+        parity = (len(prefix) + 1) % 2
+        for idx_vec, filt in filtering.children(subs, parity):
+            new_size = math.prod(map(len, filt))
+            child = prefix + (tuple(m * eps for m in idx_vec),)
             child_sizes = sizes + (new_size,)
             if is_stable(size, new_size):
-                seq = DecompositionSequence(child, True, child_sizes)
-                results.append(CoveringClass(seq, LayeredConfig(filt, config.spec)))
+                found.append((child, child_sizes, filt))
             else:
                 if len(child) > max_len:
                     raise AssertionError(
                         "unstable sequence exceeded the guaranteed length bound"
                     )
                 queue.append((child, filt, new_size, child_sizes))
-    results.sort(key=lambda cc: cc.sequence.vectors)
-    return results
+    found.sort(key=lambda item: item[0])
+    return [
+        CoveringClass(DecompositionSequence(child, True, child_sizes), filtering.config_of(filt))
+        for child, child_sizes, filt in found
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,25 @@
-"""Independent counting oracles for the tests.
+"""Independent oracles for the tests.
 
 The library counts chains and tree embeddings by dynamic programming with
 a Möbius correction; these oracles count them one at a time instead, by
 depth-first backtracking with a visited set (the library's former
-counters) and by full product enumeration.
+counters) and by full product enumeration.  The library runs the covering
+search on index arrays over one adjacency; `covering_oracle` is its former
+search, which builds every filtered sub-layer and asks the pair kernel for
+its degrees afresh.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from collections import deque
+from fractions import Fraction
 from itertools import product
 
-from chain_census.geometry import matches_distance
+from chain_census.geometry import Point, matches_distance
 from chain_census.layered import Layer, LayeredConfig, build_adjacency
+from chain_census.richness import CoveringClass, DecompositionSequence, degree_vector, richness_thresholds
 
 
 def _classes(layers):
@@ -92,3 +100,105 @@ def product_tree_embeddings(layers, tree, spec) -> int:
         if all(matches_distance(pts[a], pts[b], d2, spec) for a, b, d2 in tree.edges):
             total += 1
     return total
+
+
+def _pair_tables(config: LayeredConfig):
+    """Per consecutive layer pair: a boolean matrix of the distance predicate.
+
+    Memoizes the (at most) |P_i|*|P_{i+1}| evaluations so the exhaustive
+    oracles below stay usable at 10^5-tuple scale.
+    """
+    spec = config.spec
+    tables = []
+    for i in range(config.k):
+        pa = config.layers[i].points
+        pb = config.layers[i + 1].points
+        d2 = spec.delta2[i]
+        tables.append(
+            [[matches_distance(p, q, d2, spec) for q in pb] for p in pa]
+        )
+    return tables
+
+
+def enumerate_chains(config: LayeredConfig) -> set[tuple]:
+    """Brute-force set of chain tuples (as coordinate tuples).
+
+    Exhaustive product enumeration over all index tuples; the independent
+    oracle for the counters at desk scale.
+    """
+    tables = _pair_tables(config)
+    ranges = [range(len(layer.points)) for layer in config.layers]
+    layers = [layer.points for layer in config.layers]
+    out = set()
+    for tup in product(*ranges):
+        if all(tables[i][tup[i]][tup[i + 1]] for i in range(config.k)):
+            coords = tuple(layers[i][j].coords for i, j in enumerate(tup))
+            if len(set(coords)) == len(coords):
+                out.add(coords)
+    return out
+
+
+def enumerate_walks_count(config: LayeredConfig) -> int:
+    """Brute-force walk count by full product enumeration."""
+    tables = _pair_tables(config)
+    ranges = [range(len(layer.points)) for layer in config.layers]
+    total = 0
+    for tup in product(*ranges):
+        if all(tables[i][tup[i]][tup[i + 1]] for i in range(config.k)):
+            total += 1
+    return total
+
+
+def _class_index(cuts, degree: int) -> int:
+    m = bisect_right(cuts, degree) - 1
+    if not 0 <= m < len(cuts) - 1:
+        raise AssertionError(f"degree {degree} outside threshold range {cuts}")
+    return m
+
+
+def _nonempty_children(config: LayeredConfig, parity: int, cuts):
+    """All (exponent indices, filtered layers) with every filtered layer
+    nonempty; parity 0 is the parity-1 pass over the reversed
+    configuration, read back in reverse."""
+    if parity == 0:
+        return [
+            (idx[::-1], filt[::-1]) for idx, filt in _nonempty_children(config.reversed(), 1, cuts)
+        ]
+    layers, spec = config.layers, config.spec
+    partials = [([0], [layers[0]])]
+    for i in range(1, config.k + 1):
+        nxt = []
+        for idx_prefix, filt in partials:
+            buckets: dict[int, list[Point]] = {}
+            degs = degree_vector(layers[i], filt[-1], spec.delta2[i - 1], spec)
+            for p, d in zip(layers[i].points, degs):
+                if d >= 1:
+                    buckets.setdefault(_class_index(cuts, d), []).append(p)
+            for m in sorted(buckets):
+                nxt.append((idx_prefix + [m], filt + [Layer(tuple(buckets[m]), layers[i].label)]))
+        partials = nxt
+    return [(tuple(idx), tuple(filt)) for idx, filt in partials]
+
+
+def covering_oracle(config: LayeredConfig, eps) -> list[CoveringClass]:
+    """stable_covering by building every filtered sub-layer as points."""
+    eps = Fraction(eps)
+    n = max((len(layer) for layer in config.layers), default=0)
+    if n == 0:
+        return []
+    cuts = richness_thresholds(n, eps)
+    results = []
+    queue = deque([((), tuple(config.layers), math.prod(map(len, config.layers)), ())])
+    while queue:
+        prefix, layers, size, sizes = queue.popleft()
+        parity = (len(prefix) + 1) % 2
+        for idx_vec, filt in _nonempty_children(LayeredConfig(layers, config.spec), parity, cuts):
+            new_size = math.prod(map(len, filt))
+            child = prefix + (tuple(m * eps for m in idx_vec),)
+            if new_size**eps.denominator * n**eps.numerator >= size**eps.denominator:
+                seq = DecompositionSequence(child, True, sizes + (new_size,))
+                results.append(CoveringClass(seq, LayeredConfig(filt, config.spec)))
+            else:
+                queue.append((child, filt, new_size, sizes + (new_size,)))
+    results.sort(key=lambda cc: cc.sequence.vectors)
+    return results

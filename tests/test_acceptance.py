@@ -17,18 +17,17 @@ from chain_census.constructions import (
     peel_min_degree,
     split_and_translate,
 )
-from chain_census.experiment import report_csv, run_experiment
+from chain_census.experiment import report_csv, run_experiment, verify_covering
 from chain_census.geometry import exact_spec, squared_distance
 from chain_census.layered import (
     certify_config,
     count_chains,
     count_walks,
-    enumerate_chains,
-    enumerate_walks_count,
     make_config,
     make_layer,
 )
 from chain_census.richness import check_richness_bound, stable_covering
+from oracles import enumerate_chains, enumerate_walks_count
 
 F = Fraction
 
@@ -144,6 +143,7 @@ def test_c08_covering_equals_chain_set():
         for cc in classes:
             union |= enumerate_chains(cc.config)
         assert union == enumerate_chains(cfg), f"covering mismatch on trial {trial}"
+        assert verify_covering(cfg, eps).passed, f"certificate failed on trial {trial}"
         bound = (k + 1) / eps + 1
         assert all(len(cc.sequence) <= bound for cc in classes)
     report(8, "10 configs: chain set = union of covering classes, lengths bounded", t0, 30.0)

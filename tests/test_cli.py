@@ -166,6 +166,18 @@ class TestDecomposeExperimentVerify:
         )
         assert code == 0 and out.startswith("PASS")
 
+    def test_verify_covering_line(self, tmp_path, capsys):
+        code, out = run(
+            capsys,
+            "--out", str(tmp_path),
+            "generate", "--construction", "3d-odd-regular", "--k", "3", "--n", "64",
+        )
+        code, out = run(
+            capsys, "--eps", "0.25", "verify", "--claim", "covering", "--manifest", out.strip()
+        )
+        assert code == 0
+        assert out == "PASS computed=(39744, 3) expected=(39744, 17) (8 covering classes)\n"
+
     def test_verify_richness_files(self, tmp_path, capsys):
         grid = gen_unit_rich_grid(25)
         p = tmp_path / "g.pts"

@@ -16,7 +16,6 @@ from chain_census.layered import (
     count_chains,
     count_incidences,
     count_tree_embeddings,
-    enumerate_chains,
     make_config,
     make_layer,
 )
@@ -35,6 +34,7 @@ from chain_census.constructions import (
     stereographic_to_plane,
     stereographic_to_sphere,
 )
+from oracles import enumerate_chains
 
 F = Fraction
 

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from chain_census import experiment
 from chain_census.experiment import (
     fit_exponent,
     report_csv,
@@ -12,9 +15,9 @@ from chain_census.experiment import (
     verify_richness,
     write_scatter_svg,
 )
-from chain_census.constructions import gen_unit_rich_grid
-from chain_census.geometry import exact_spec
-from chain_census.layered import make_config, make_layer
+from chain_census.constructions import gen_3d_odd_regular, gen_unit_rich_grid
+from chain_census.geometry import Point, exact_spec
+from chain_census.layered import Layer, make_config, make_layer
 
 
 class TestFitExponent:
@@ -114,3 +117,48 @@ class TestVerify:
         layer = make_layer(grid.points)
         res = verify_richness(layer, layer, grid.popular_d2, exact_spec(grid.popular_d2))
         assert res.passed
+
+
+class TestCoveringCertificate:
+    """verify_covering must refuse a covering whose classes do not
+    partition the chain set, whichever of its checks catches it."""
+
+    def verify_edited(self, monkeypatch, edit):
+        real = experiment.stable_covering
+        monkeypatch.setattr(experiment, "stable_covering", lambda *a, **kw: edit(real(*a, **kw)))
+        return verify_covering(gen_3d_odd_regular(3, 64).config, Fraction(1, 4))
+
+    def test_unedited_passes(self, monkeypatch):
+        res = self.verify_edited(monkeypatch, lambda classes: classes)
+        assert res.passed and res.computed == (39744, 3)
+
+    def test_dropped_class_fails(self, monkeypatch):
+        res = self.verify_edited(monkeypatch, lambda classes: classes[1:])
+        assert res.passed is False
+
+    def test_duplicated_class_fails(self, monkeypatch):
+        res = self.verify_edited(monkeypatch, lambda classes: classes + classes[:1])
+        assert res.passed is False
+
+    def test_point_outside_input_fails(self, monkeypatch):
+        # far from every point, so it adds no chain: only the subset check sees it
+        def add_point(classes):
+            first = classes[0]
+            layers = list(first.config.layers)
+            layers[0] = Layer(layers[0].points + (Point((10**6,) * 3, -1),), layers[0].label)
+            return [replace(first, config=replace(first.config, layers=tuple(layers))), *classes[1:]]
+
+        res = self.verify_edited(monkeypatch, add_point)
+        assert res.passed is False
+        assert res.computed == (39744, 3)
+
+    def test_overlapping_classes_fail(self, monkeypatch):
+        # two copies of a class holding one of two chains: the counts sum to
+        # the chain count, so only the disjointness check sees the overlap
+        cfg = make_config([[(0, 0)], [(1, 0), (0, 1)]], (1,))
+        first = experiment.stable_covering(cfg, Fraction(1, 2))[0]
+        half = replace(first, config=make_config([[(0, 0)], [(1, 0)]], (1,)))
+        monkeypatch.setattr(experiment, "stable_covering", lambda *a, **kw: [half, half])
+        res = verify_covering(cfg, Fraction(1, 2))
+        assert res.passed is False
+        assert res.computed[0] == res.expected[0] == 2

@@ -22,14 +22,12 @@ from chain_census.layered import (
     count_incidences,
     count_tree_embeddings,
     count_walks,
-    enumerate_chains,
-    enumerate_walks_count,
     make_config,
     make_layer,
     path_tree,
 )
 from chain_census.constructions import gen_orthogonal_circles, gen_planar_chain, gen_star
-from oracles import backtrack_tree_embeddings
+from oracles import backtrack_tree_embeddings, enumerate_chains, enumerate_walks_count
 
 F = Fraction
 

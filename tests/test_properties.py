@@ -1,5 +1,5 @@
-"""Property tests: the counting engine and the pair kernel against
-independent oracles.
+"""Property tests: the counting engine, the pair kernel and the covering
+search against independent oracles.
 
 Configurations are small and exact, drawn so that layers overlap, repeat
 or are empty, which is where the Möbius correction for shared points has
@@ -16,20 +16,26 @@ from hypothesis import given, settings, strategies as st
 from chain_census.geometry import DistanceSpec, Point, exact_spec, matches_distance
 from chain_census.layered import (
     LabeledTree,
+    Layer,
     _pair_lists,
     _PairView,
     _tree_counter,
     count_chains,
     count_tree_embeddings,
     count_walks,
-    enumerate_chains,
-    enumerate_walks_count,
     make_config,
     make_layer,
     path_tree,
 )
-from chain_census.richness import degree_vector
-from oracles import backtrack_chains, backtrack_tree_embeddings, product_tree_embeddings
+from chain_census.richness import degree_vector, richness_filter, richness_thresholds, stable_covering
+from oracles import (
+    backtrack_chains,
+    backtrack_tree_embeddings,
+    covering_oracle,
+    enumerate_chains,
+    enumerate_walks_count,
+    product_tree_embeddings,
+)
 
 CHECKS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -261,3 +267,38 @@ def test_kernel_matches_predicate_either_side_of_int64(xs, ys, den, eps):
     assert _pair_lists(pa, pb, d2, spec) == oracle_lists(pa, pb, d2, spec)
     degrees = degree_vector(make_layer(pa), make_layer(pb), d2, spec)
     assert degrees == [sum(matches_distance(p, q, d2, spec) for q in pb) for p in pa]
+
+
+@st.composite
+def exact_or_tolerant_configs(draw):
+    """configs(), or the same layers scaled by 1/10 as floats with
+    tolerance 1e-9, so rounded squared distances must still match."""
+    cfg = draw(configs())
+    if not draw(st.booleans()):
+        return cfg
+    layers = [[tuple(0.1 * c for c in p.coords) for p in layer.points] for layer in cfg.layers]
+    return make_config(layers, [d2 / 100 for d2 in cfg.spec.delta2], 1e-9)
+
+
+EPS = st.sampled_from([Fraction(1, 2), Fraction(1, 3)])
+
+
+@CHECKS
+@given(exact_or_tolerant_configs(), EPS)
+def test_covering_matches_oracle(cfg, eps):
+    assert stable_covering(cfg, eps) == covering_oracle(cfg, eps)
+
+
+@CHECKS
+@given(exact_or_tolerant_configs(), EPS, st.sampled_from([0, 1]), st.data())
+def test_richness_filter_matches_degree_filter(cfg, eps, parity, data):
+    # the former filter: degrees from the pair kernel, one layer at a time
+    exponents = tuple(data.draw(st.integers(0, int(1 / eps))) * eps for _ in cfg.layers)
+    order = list(range(cfg.k + 1))[:: 1 if parity else -1]
+    cuts = richness_thresholds(max(map(len, cfg.layers)), eps)
+    out = {order[0]: cfg.layers[order[0]]}
+    for ref, i in zip(order, order[1:]):
+        lo, hi = cuts[int(exponents[i] / eps)], cuts[int(exponents[i] / eps) + 1]
+        degrees = degree_vector(cfg.layers[i], out[ref], cfg.spec.delta2[min(i, ref)], cfg.spec)
+        out[i] = Layer(tuple(p for p, d in zip(cfg.layers[i].points, degrees) if lo <= d < hi), cfg.layers[i].label)
+    assert richness_filter(parity, cfg, exponents, eps).layers == tuple(out[i] for i in range(cfg.k + 1))

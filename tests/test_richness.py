@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chain_census.geometry import exact_spec
-from chain_census.layered import enumerate_chains, make_config, make_layer
+from chain_census.layered import make_config, make_layer
 from chain_census.richness import (
     check_richness_bound,
     degree_vector,
@@ -21,6 +21,7 @@ from chain_census.constructions import (
     gen_star,
     gen_unit_rich_grid,
 )
+from oracles import enumerate_chains
 
 F = Fraction
 
