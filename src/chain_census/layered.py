@@ -13,11 +13,13 @@ No tuple is ever enumerated; the exhaustive oracles live with the tests.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
 
 from .geometry import CertificationError, DistanceSpec, Point
 
@@ -137,26 +139,42 @@ def _edge_arrays(lists):
 
 
 # Pairs tested per numpy block: enough to amortize numpy's per-call cost.
-# Larger blocks are no faster, and their temporaries (a few arrays of
-# _BLOCK numbers, Python ints on the wide path) raise a run's peak RSS.
+# Larger blocks are no faster, and their temporaries (a few int64 or
+# float64 arrays of _BLOCK numbers per axis) raise a run's peak RSS.
 _BLOCK = 1 << 12
 
 
-class _PairView:
-    """Both sides of a layer pair as coordinate arrays, one row per axis,
-    and the one distance predicate on them.
+@functools.cache
+def _primes(count: int) -> tuple[int, ...]:
+    """The `count` largest primes below 2^31, by Miller-Rabin with the bases
+    2, 3, 5 and 7, which decides every n below 3.2e9 (Jaeschke 1993)."""
+    out, n = [], (1 << 31) + 1
+    while len(out) < count:
+        n -= 2
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+        runs = ([pow(a, (n - 1) >> s << i, n) for i in range(s)] for a in (2, 3, 5, 7))
+        if all(run[0] == 1 or n - 1 in run for run in runs):
+            out.append(n)
+    return tuple(out)
 
-    Tolerant mode on float coordinates uses float64 and sums the squared
-    differences axis by axis in the order of ``geometry.squared_distance``,
-    so every value equals that function's bit for bit.  Otherwise every
-    coordinate is read as the rational it is (a float too, losslessly);
-    shifted by the per-axis minimum and scaled by L, the lcm of all
-    denominators, the coordinates become integers, s = L^2 * |p - q|^2 is
-    an integer, and p, q match exactly when s * den(d2) == num(d2) * L^2.
-    That arithmetic runs in int64 when a checked bound shows nothing can
-    overflow, in Python ints otherwise.  Tolerant mode on rational
-    coordinates rounds s / L^2 to a float once, as ``matches_distance``
-    does.
+
+class _PairView:
+    """Both sides of a layer pair as arrays, one row per axis, and the one
+    distance predicate on them.
+
+    Tolerant mode reads coordinates as float64 (``float`` of a Fraction is
+    correctly rounded) and sums squared differences axis by axis in the
+    order of ``geometry.squared_distance``, bit for bit on float points.
+
+    Exact mode reads each coordinate as the rational it is (a float too)
+    and shifts each axis by the floor of its minimum, which keeps every
+    denominator.  Point p gets its own denominator D_p and integers
+    N_p = D_p * p >= 0; with d2 = num/den, p and q match iff
+    den * |D_q N_p - D_p N_q|^2 == num * D_p^2 * D_q^2.  Both sides lie in
+    [0, B], B from the largest D_p and N_p: below 2^63 they are compared
+    in int64, otherwise modulo the fewest primes below 2^31 whose product
+    exceeds 2B, and equal residues mean equal sides by the Chinese
+    remainder theorem (Brönnimann, Emiris, Pan and Pion, SoCG 1997).
     """
 
     def __init__(self, pa, pb, d2, eps):
@@ -166,69 +184,104 @@ class _PairView:
         self.dim = dim = len(points[0].coords)
         if any(len(p.coords) != dim for p in points):
             raise ValueError("dimension mismatch between the two point sets")
-        self.eps = eps
-        flat = [c for p in points for c in p.coords]
-        self.floats = eps is not None and any(isinstance(c, float) for c in flat)
-        if self.floats:
-            axes = np.array(flat, dtype=np.float64).reshape(-1, dim).T.copy()
+        self.eps, self.split = eps, len(pa)
+        if eps is not None:
+            axes = np.array([float(c) for p in points for c in p.coords]).reshape(-1, dim).T.copy()
+            self.a, self.b = axes[:, : len(pa)], axes[:, len(pa) :]
             self.target = float(d2)
-        else:
-            ratios = [c.as_integer_ratio() for c in flat]
-            self.scale = math.lcm(*{den for _, den in ratios})
-            ints = [num * (self.scale // den) for num, den in ratios]
-            cols = [ints[c::dim] for c in range(dim)]
-            cols = [[x - lo for x in col] for col, lo in zip(cols, map(min, cols))]
-            span = max(map(max, cols))
-            num, self.den = d2.as_integer_ratio()
-            self.goal = num * self.scale**2
-            small = eps is None and max(dim * span * span * self.den, self.goal) < 1 << 63
-            axes = np.array(cols, dtype=np.int64 if small else object)
-            self.target = None if eps is None else float(d2)
-        self.a, self.b = axes[:, : len(pa)], axes[:, len(pa) :]
+            return
+        ratios = [c.as_integer_ratio() for p in points for c in p.coords]
+        axes = [tuple(zip(*ratios[c::dim])) for c in range(dim)]  # (numerators, denominators)
+        dens = list(map(math.lcm, *(ds for _, ds in axes)))
+        cols = []
+        for ns, ds in axes:
+            low = min(map(operator.floordiv, ns, ds))
+            cols.append([D // d * (n - low * d) for n, d, D in zip(ns, ds, dens)])
+        self.ints = cols, dens
+        num, den = d2.as_integer_ratio()
+        # one denominator D for all points: D_p = 1, and D^2 moves into d2
+        self.unit = len(set(dens)) == 1
+        if self.unit:
+            num, dens = num * dens[0] ** 2, [1]
+        dmax, nmax = max(dens), max(1, *map(max, cols))
+        bound = max(den * dim * (dmax * nmax) ** 2, num * dmax**4)
+        self.primes = ()
+        if bound >> 63:
+            primes = _primes(-(-(2 * bound).bit_length() // 30))  # enough: each exceeds 2^30
+            products = accumulate(primes, operator.mul)
+            self.primes = primes[: next(m for m, prod in enumerate(products, 1) if prod > 2 * bound)]
+        rows = cols if self.unit else [*cols, dens]  # N_p per axis, then D_p
+        self.sides = []  # (modulus, or 0 for plain int64; side a; side b; num; den)
+        for mod in self.primes or (0,):
+            values = np.array([[v % mod for v in row] for row in rows] if mod else rows, np.int64)
+            ratio = (num % mod, den % mod) if mod else (num, den)
+            self.sides.append((mod, values[:, : len(pa)], values[:, len(pa) :], *ratio))
 
     def test(self, ia, ib):
         """(matches, gaps) for the index pairs (ia[t], ib[t]); gaps are the
         float |d2(p, q) - d2| in tolerant mode, None in exact mode."""
         import numpy as np
 
+        if self.eps is not None:
+            s = 0
+            for c in range(self.dim):
+                diff = self.a[c].take(ia) - self.b[c].take(ib)
+                s = s + diff * diff
+            gap = np.abs(s - self.target)
+            return gap <= self.eps, gap
+        match = self._agree(self.sides[0], ia, ib)
+        if len(self.sides) > 1:  # each further prime tests the pairs all earlier ones kept
+            hit = np.flatnonzero(match)
+            for side in self.sides[1:]:
+                hit = hit[self._agree(side, ia[hit], ib[hit])]
+            match = np.zeros(len(ia), bool)
+            match[hit] = True
+        return match, None
+
+    def _agree(self, side, ia, ib):
+        """Whether the two sides of the exact predicate are equal for each
+        pair (ia[t], ib[t]), modulo `mod` (in int64 when mod is 0)."""
+        mod, a, b, num, den = side
+        x, y = a.take(ia, axis=1), b.take(ib, axis=1)
         s = 0
         for c in range(self.dim):
-            diff = self.a[c].take(ia) - self.b[c].take(ib)
-            s = s + diff * diff
-        if self.eps is None:
-            return s * self.den == self.goal, None
-        if not self.floats:
-            s = (s / self.scale**2).astype(np.float64)
-        gap = np.abs(s - self.target)
-        return gap <= self.eps, gap
+            diff = x[c] - y[c] if self.unit else y[-1] * x[c] - x[-1] * y[c]
+            s = s + (diff % mod) ** 2 % mod if mod else s + diff * diff
+        dd = 1 if self.unit else x[-1] * y[-1]
+        if mod:
+            return s % mod * den % mod == (dd % mod) ** 2 % mod * num % mod
+        return s * den == dd * dd * num
 
     def cell_codes(self, reach2):
         """(code_a, code_b, offsets): an int64 cell code per point of each
         side, for cells of side at least sqrt(reach2), and the code offsets
         of a cell's 3^dim neighbours; None when there are too many cells for
-        int64 codes.  Coordinates are shifted to start at 0 first, and
-        integer coordinates are divided exactly, so no rounding can put two
-        neighbours two cells apart."""
+        int64 codes.  Coordinates are shifted to be nonnegative first, and
+        exact ones are divided as integers, point by point, so no rounding
+        can put two neighbours two cells apart."""
         import numpy as np
 
-        slack = 1 + 2**-20  # above the rounding of float distances and keys
-        if self.floats:
-            low = np.minimum(self.a.min(axis=1), self.b.min(axis=1))[:, None]
-            width = math.sqrt(reach2) * slack
-            keys = [np.floor((side - low) / width) for side in (self.a, self.b)]
+        if self.eps is not None:
+            both = np.hstack((self.a, self.b))
+            width = math.sqrt(reach2) * (1 + 2**-20)  # above the rounding of float distances and keys
+            keys = np.floor((both - both.min(axis=1)[:, None]) / width)
+            tops = keys.max(axis=1).tolist()
         else:
-            if self.eps is not None:
-                reach2 *= slack
-            width = math.isqrt(math.floor(Fraction(reach2) * self.scale**2)) + 1
-            keys = [side // width for side in (self.a, self.b)]
+            # cells of side width / scale >= sqrt(reach2), within 2^-20 of it
+            cols, dens = self.ints
+            num, den = Fraction(reach2).as_integer_ratio()
+            scale = 1 << max(0, (42 + den.bit_length() - num.bit_length()) // 2)
+            width = math.isqrt(num * scale * scale // den) + 1
+            keys = [[n * scale // (d * width) for n, d in zip(col, dens)] for col in cols]
+            tops = list(map(max, keys))
         # digits 1..max+1 per axis, so neighbours' digits stay in 0..max+2
-        sizes = [int(top) + 3 for top in np.maximum(keys[0].max(axis=1), keys[1].max(axis=1))]
+        sizes = [int(top) + 3 for top in tops]
         if math.prod(sizes) >= 1 << 62:
             return None
         stride = np.cumprod([1, *sizes[:-1]])
         offsets = np.array(list(product((-1, 0, 1), repeat=self.dim))) @ stride
-        code_a, code_b = ((k.astype(np.int64) + 1).T @ stride for k in keys)
-        return code_a, code_b, offsets
+        codes = (np.array(keys, np.int64) + 1).T @ stride
+        return codes[: self.split], codes[self.split :], offsets
 
 
 def _cell_blocks(code_a, code_b, offsets):

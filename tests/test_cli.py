@@ -91,6 +91,19 @@ class TestTreeAndSetOps:
         )
         assert code == 0 and out.strip() == "8"
 
+    @pytest.mark.parametrize("mode, want", [("tol:1.5", "104"), ("tol:0.5", "32")])
+    def test_count_tree_tolerance_on_rational_coordinates(self, tmp_path, capsys, mode, want):
+        # an exact file under a tolerance is compared in float64; at 1.5
+        # the edge at squared distance 1 also takes 0 (a point and itself)
+        # and 2, the edge at 2 also takes 1
+        grid = make_layer([(x, y) for y in range(2) for x in range(4)])
+        p = tmp_path / "grid.pts"
+        write_points(p, grid.points, "exact")
+        tpath = tmp_path / "path.tree"
+        write_tree(tpath, path_tree((1, 2)), "exact")
+        code, out = run(capsys, "--mode", mode, "count-tree", "--tree", str(tpath), "--set", str(p))
+        assert code == 0 and out.strip() == want
+
     def test_incidences(self, tmp_path, capsys):
         corners = make_layer([(0, 0), (1, 0), (1, 1), (0, 1)])
         p = tmp_path / "sq.pts"

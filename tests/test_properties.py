@@ -9,8 +9,10 @@ grid strategy against its brute strategy far from the origin and at tiny
 radii.
 """
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chain_census.geometry import DistanceSpec, Point, exact_spec, matches_distance
@@ -19,6 +21,7 @@ from chain_census.layered import (
     Layer,
     _pair_lists,
     _PairView,
+    _primes,
     _tree_counter,
     count_chains,
     count_tree_embeddings,
@@ -200,9 +203,11 @@ LATTICE = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=25,
 
 @st.composite
 def lattice_pairs(draw):
-    """Two point sets on a lattice of spacing h (down to 1/700000), offset
-    by up to 10^6, and a squared distance the lattice realizes."""
-    h = draw(st.sampled_from([Fraction(1), Fraction(1, 1000), Fraction(1, 700_000)]))
+    """Two point sets on a lattice of spacing h, offset by up to 10^6, and a
+    squared distance the lattice realizes.  At h = 1/(2^20 3^12 5^8), about
+    2^-60, the points' own denominators differ (D0 / gcd(x, D0)), and
+    their fourth powers pass int64."""
+    h = draw(st.sampled_from([Fraction(1), Fraction(1, 1000), Fraction(1, 700_000), Fraction(1, 2**20 * 3**12 * 5**8)]))
     offset = draw(st.sampled_from([0, 10**6, -(10**6) + Fraction(1, 3)]))
     m = draw(st.sampled_from([1, 2, 4, 5, 8, 25]))
 
@@ -257,16 +262,87 @@ BIG_DENOMINATORS = st.sampled_from([1, 2**40 * 3**25, 10**30 + 7])
     st.sampled_from([None, 1e-3]),
 )
 def test_kernel_matches_predicate_either_side_of_int64(xs, ys, den, eps):
-    # a large common denominator pushes L^2 past int64: Python ints decide
+    # large denominators push the exact predicate's bound past int64:
+    # it then runs modulo primes
     pa = [Point((x / den, y / den), i) for i, (x, y) in enumerate(xs)]
     pb = [Point((x / den, y / den), i) for i, (x, y) in enumerate(ys)]
     d2 = (pa[0].coords[0] - pb[0].coords[0]) ** 2 + (pa[0].coords[1] - pb[0].coords[1]) ** 2 or Fraction(1)
     spec = DistanceSpec((), eps)
-    wide = _PairView(pa, pb, d2, eps).a.dtype == object
-    assert wide == (den > 1 or eps is not None)
+    if eps is None:
+        wide = den > 1 and any(c for p in (*pa, *pb) for c in p.coords)
+        assert bool(_PairView(pa, pb, d2, eps).primes) == wide
     assert _pair_lists(pa, pb, d2, spec) == oracle_lists(pa, pb, d2, spec)
     degrees = degree_vector(make_layer(pa), make_layer(pb), d2, spec)
     assert degrees == [sum(matches_distance(p, q, d2, spec) for q in pb) for p in pa]
+
+
+@pytest.mark.parametrize("x, q_den", [(2**40, 1), (2**40 + 1, 3), (2**100 + 1, 7)])
+def test_kernel_rejects_what_one_prime_fewer_accepts(x, q_den):
+    # p = 0 and q = (x / q_den, 0), so with d2 = num the two sides are
+    # x^2 and num * q_den^2; num is picked so that they differ by M * t,
+    # M the largest product of the first primes below 2^31 that allows
+    # it.  A kernel that stops at those primes accepts the pair.
+    p, q = Point((0, 0), 0), Point((Fraction(x, q_den), 0), 0)
+    r = q_den * q_den
+    j = max(j for j in range(1, 20) if math.prod(_primes(j)) * r < x * x)
+    M = math.prod(_primes(j))
+    t = x * x * pow(M, -1, r) % r or r
+    num, rest = divmod(x * x - M * t, r)
+    assert rest == 0 and num > 0
+    for d2, match in ((Fraction(num), False), (Fraction(x * x, r), True)):
+        assert len(_PairView([p], [q], d2, None).primes) > j
+        assert matches_distance(p, q, d2, exact_spec()) is match
+        for strategy in ("brute", "grid"):
+            assert _pair_lists([p], [q], d2, exact_spec(), strategy) == (((0,) if match else ()),)
+
+
+def test_kernel_grid_cells_are_wider_than_the_reach():
+    # at d2 = 1/9 exact cells are 1398102 / 2^22 wide, just above 1/3, so
+    # a point just below a cell boundary has its partner at +1/3 in the
+    # next cell; with cells of 1398101 / 2^22 it would be two cells on
+    d2 = Fraction(1, 9)
+    for offset in (0, 10**6):
+        pa = [Point((offset + Fraction(j, 3 * 2**22), 0), i) for i, j in enumerate(range(4194290, 4194310))]
+        pb = [Point((x + Fraction(1, 3), y), i) for i, (x, y) in enumerate(p.coords for p in pa)]
+        want = tuple((i,) for i in range(len(pa)))
+        assert _pair_lists(pa, pb, d2, exact_spec(), "grid") == want == oracle_lists(pa, pb, d2, exact_spec())
+
+
+DENOMINATOR = st.integers(2**30, 2**60)
+
+
+@CHECKS
+@given(
+    st.lists(st.tuples(DENOMINATOR, st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=40),
+    st.lists(st.tuples(DENOMINATOR, st.integers(-9, 9), st.integers(-9, 9)), max_size=10),
+    st.sampled_from([(Fraction(3, 5), Fraction(4, 5)), (Fraction(1), Fraction(0))]),
+)
+def test_kernel_on_large_per_point_denominators(near, far, step):
+    # each point has its own denominator of 30 to 60 bits, so the lcm of
+    # all of them has hundreds to thousands of bits; pb holds pa moved by
+    # a step of squared length 1, and points of its own
+    pa = [Point((Fraction(x, D), Fraction(y, D)), i) for i, (D, x, y) in enumerate(near)]
+    pb = [Point((p.coords[0] + step[0], p.coords[1] + step[1]), i) for i, p in enumerate(pa)]
+    pb += [Point((Fraction(x, D), Fraction(y, D)), len(pb) + i) for i, (D, x, y) in enumerate(far)]
+    spec = exact_spec()
+    want = oracle_lists(pa, pb, Fraction(1), spec)
+    assert all(i in nb for i, nb in enumerate(want))
+    for strategy in ("auto", "brute", "grid"):
+        assert _pair_lists(pa, pb, Fraction(1), spec, strategy) == want
+
+
+@CHECKS
+@given(LATTICE, LATTICE, st.sampled_from([2.0**-1074, 2.0**-1000, 1e-300, 0.1]))
+def test_kernel_exact_on_tiny_floats(xs, ys, unit):
+    # exact mode reads each float as the rational it is; the oracle gets
+    # those rationals, since float arithmetic would underflow
+    pa = [Point((x * unit, y * unit), i) for i, (x, y) in enumerate(xs or [(0, 0)])]
+    pb = [Point((x * unit, -y * unit), i) for i, (x, y) in enumerate(ys or [(1, 1)])]
+    exact = [[Point(tuple(map(Fraction, p.coords)), p.id) for p in side] for side in (pa, pb)]
+    d2 = sum((a - b) ** 2 for a, b in zip(exact[0][0].coords, exact[1][0].coords)) or Fraction(unit) ** 2
+    want = oracle_lists(*exact, d2, exact_spec())
+    for strategy in ("brute", "grid"):
+        assert _pair_lists(pa, pb, d2, exact_spec(), strategy) == want
 
 
 @st.composite
