@@ -171,6 +171,19 @@ def _planar_base_float(k: int, delta2, n: int, eps: float) -> LayeredConfig:
     return make_config([arc1, [float_point(origin)], arc3], d2, eps=TOLERANCE)
 
 
+def _matched(points, d2, joint: Point, joint_d2) -> dict | None:
+    """The first intersection of the circle of squared radius d2 around
+    each point with the one of squared radius joint_d2 around joint, as
+    dict keys in first-seen order; None when some pair of circles misses."""
+    matched: dict = {}
+    for z in points:
+        hits = circle_circle_intersection(z, d2, joint, joint_d2)
+        if not hits:
+            return None
+        matched.setdefault(hits[0].coords)
+    return matched
+
+
 def _extend_three(
     layers: list[Layer],
     d2_a: float,
@@ -201,26 +214,15 @@ def _extend_three(
         if x in existing:
             continue
         xp = Point(x)
-        matched = []
-        seen = set()
-        feasible = True
-        for z in last:
-            hits = circle_circle_intersection(z, d2_a, xp, d2_b)
-            if not hits:
-                feasible = False
-                break
-            w = hits[0].coords
-            if w not in seen:
-                seen.add(w)
-                matched.append(w)
-        if not feasible or seen & existing or x in seen:
+        matched = _matched(last, d2_a, xp, d2_b)
+        if matched is None or matched.keys() & existing or x in matched:
             continue
         phase = rng.uniform(0.0, 2.0 * math.pi)
         arc = _float_arc(x, d_c, n, arc_eps, phase)
         arc_coords = {p.coords for p in arc}
         if len(arc_coords) != n:
             continue
-        if arc_coords & (existing | seen | {x}):
+        if arc_coords & (existing | matched.keys() | {x}):
             continue
         matched_pts = [Point(w, i) for i, w in enumerate(matched)]
         band: list = []
@@ -704,13 +706,6 @@ def gen_3d_odd_sphere(k: int, n: int, supplier=None) -> Odd3dSphereResult:
 # dimension four and trees
 
 
-def _falling(a: int, b: int) -> int:
-    out = 1
-    for i in range(b):
-        out *= a - i
-    return out
-
-
 @dataclass(frozen=True)
 class OrthogonalResult:
     config: LayeredConfig
@@ -735,21 +730,14 @@ def gen_orthogonal_circles(d: int, k: int, n: int) -> OrthogonalResult:
     half = Fraction(1, 2)
     seed = (half, half)
     origin = exact_point((0, 0))
-    pad = (Fraction(0),) * (d - 4)
-    pts = []
-    for j in range(1, m + 1):
-        p2 = circle_point_at(origin, seed, Fraction(j, 4 * m))
-        a, b = p2.coords
-        pts.append(Point((a, b, Fraction(0), Fraction(0)) + pad, j - 1))
-    for j in range(1, m + 1):
-        p2 = circle_point_at(origin, seed, Fraction(j, 4 * m))
-        a, b = p2.coords
-        pts.append(Point((Fraction(0), Fraction(0), a, b) + pad, m + j - 1))
-    layer = make_layer(pts, 1)
+    pad, zero = (Fraction(0),) * (d - 4), (Fraction(0), Fraction(0))
+    arc = [circle_point_at(origin, seed, Fraction(j, 4 * m)).coords for j in range(1, m + 1)]
+    coords = [c + zero + pad for c in arc] + [zero + c + pad for c in arc]
+    layer = make_layer([Point(c, i) for i, c in enumerate(coords)], 1)
     layers = [Layer(layer.points, i + 1) for i in range(k + 1)]
     cfg = LayeredConfig(tuple(layers), DistanceSpec((Fraction(1),) * k, None))
     cfg.validate()
-    closed = 2 * _falling(m, (k + 2) // 2) * _falling(m, (k + 1) // 2)
+    closed = 2 * math.perm(m, (k + 2) // 2) * math.perm(m, (k + 1) // 2)
     return OrthogonalResult(cfg, closed)
 
 
@@ -846,16 +834,10 @@ def _star_of_paths_joints_fixed(l: int, n: int):
     for j in range(l):
         phi = 2.0 * math.pi * j / l + 0.35
         b = Point((1.5 * math.cos(phi), 1.5 * math.sin(phi)))
-        matched = []
-        seen = set()
-        for z in cluster:
-            hits = circle_circle_intersection(z, 1.0, b, 1.0)
-            if not hits:
-                raise ConstructionError("arm joint out of reach of the cluster")
-            w = hits[0].coords
-            if w not in seen:
-                seen.add(w)
-                matched.append(w)
+        matched = _matched(cluster, 1.0, b, 1.0)
+        if matched is None:
+            raise ConstructionError("arm joint out of reach of the cluster")
+        seen = matched.keys()
         if seen & existing or b.coords in existing:
             raise ConstructionError("arm points collide with the cluster")
         leaves = _float_arc(b.coords, 1.0, n, 0.01, phi + 0.9)

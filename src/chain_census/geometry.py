@@ -129,10 +129,13 @@ def squared_distance(p: Point, q: Point):
 
 
 def matches_distance(p: Point, q: Point, d2, spec: DistanceSpec) -> bool:
-    """Whether p and q realize squared distance d2 under the spec's mode."""
+    """Whether p and q realize squared distance d2 under the spec's mode.
+
+    Tolerant mode reads every coordinate as a float first, as the pair
+    kernel does, so on rational points both decide margin pairs alike."""
     if spec.eps is None:
         return squared_distance(p, q) == d2
-    return abs(float(squared_distance(p, q)) - float(d2)) <= spec.eps
+    return abs(squared_distance(p.as_float(), q.as_float()) - float(d2)) <= spec.eps
 
 
 def two_integer_squares(n: int) -> tuple[int, int] | None:

@@ -19,7 +19,7 @@ import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import chain, product
 
 from .geometry import CertificationError, DistanceSpec, Point
 
@@ -172,7 +172,7 @@ class _PairView:
     N_p = D_p * p >= 0; with d2 = num/den, p and q match iff
     den * |D_q N_p - D_p N_q|^2 == num * D_p^2 * D_q^2.  Both sides lie in
     [0, B], B from the largest D_p and N_p: below 2^63 they are compared
-    in int64, otherwise modulo the fewest primes below 2^31 whose product
+    in int64, otherwise modulo primes below 2^31, enough that their product
     exceeds 2B, and equal residues mean equal sides by the Chinese
     remainder theorem (Brönnimann, Emiris, Pan and Pion, SoCG 1997).
     """
@@ -199,18 +199,17 @@ class _PairView:
             cols.append([D // d * (n - low * d) for n, d, D in zip(ns, ds, dens)])
         self.ints = cols, dens
         num, den = d2.as_integer_ratio()
-        # one denominator D for all points: D_p = 1, and D^2 moves into d2
-        self.unit = len(set(dens)) == 1
-        if self.unit:
+        # one denominator D for all points, as on integer layers: D^2 moves
+        # into d2 and the row of D_p = 1 is left out, whose products would
+        # add about a third to those layers' adjacency time
+        shared = len(set(dens)) == 1
+        if shared:
             num, dens = num * dens[0] ** 2, [1]
         dmax, nmax = max(dens), max(1, *map(max, cols))
         bound = max(den * dim * (dmax * nmax) ** 2, num * dmax**4)
-        self.primes = ()
-        if bound >> 63:
-            primes = _primes(-(-(2 * bound).bit_length() // 30))  # enough: each exceeds 2^30
-            products = accumulate(primes, operator.mul)
-            self.primes = primes[: next(m for m, prod in enumerate(products, 1) if prod > 2 * bound)]
-        rows = cols if self.unit else [*cols, dens]  # N_p per axis, then D_p
+        # each prime exceeds 2^30, so their product exceeds 2 * bound
+        self.primes = _primes(-(-(2 * bound).bit_length() // 30)) if bound >> 63 else ()
+        rows = cols if shared else [*cols, dens]  # N_p per axis, then D_p
         self.sides = []  # (modulus, or 0 for plain int64; side a; side b; num; den)
         for mod in self.primes or (0,):
             values = np.array([[v % mod for v in row] for row in rows] if mod else rows, np.int64)
@@ -243,11 +242,13 @@ class _PairView:
         pair (ia[t], ib[t]), modulo `mod` (in int64 when mod is 0)."""
         mod, a, b, num, den = side
         x, y = a.take(ia, axis=1), b.take(ib, axis=1)
+        dd = 1
+        if len(x) > self.dim:  # D_p in the last row: compare D_q N_p with D_p N_q
+            dd, x, y = x[-1] * y[-1], x[:-1] * y[-1], y[:-1] * x[-1]
         s = 0
         for c in range(self.dim):
-            diff = x[c] - y[c] if self.unit else y[-1] * x[c] - x[-1] * y[c]
+            diff = x[c] - y[c]
             s = s + (diff % mod) ** 2 % mod if mod else s + diff * diff
-        dd = 1 if self.unit else x[-1] * y[-1]
         if mod:
             return s % mod * den % mod == (dd % mod) ** 2 % mod * num % mod
         return s * den == dd * dd * num
@@ -677,23 +678,12 @@ class LabeledTree:
     def validate(self) -> None:
         if len(self.edges) != self.vertex_count - 1:
             raise ValueError("edge list is not a tree (wrong edge count)")
-        seen = {0}
-        adj = defaultdict(list)
         for a, b, d2 in self.edges:
             if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
                 raise ValueError(f"edge ({a},{b}) out of vertex range")
             if not d2 > 0:
                 raise ValueError("edge squared distances must be positive")
-            adj[a].append(b)
-            adj[b].append(a)
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != self.vertex_count:
+        if len(self.traversal()) != self.vertex_count:
             raise ValueError("edge list is disconnected or cyclic")
 
     def traversal(self):

@@ -276,7 +276,18 @@ def test_kernel_matches_predicate_either_side_of_int64(xs, ys, den, eps):
     assert degrees == [sum(matches_distance(p, q, d2, spec) for q in pb) for p in pa]
 
 
-@pytest.mark.parametrize("x, q_den", [(2**40, 1), (2**40 + 1, 3), (2**100 + 1, 7)])
+@pytest.mark.parametrize("d2, match", [(0.2 * 0.2, True), (0.04, False)])
+def test_tolerant_rational_pairs_read_float_coordinates(d2, match):
+    # float(1/5) ** 2 is 0.04000000000000001 but float(1/25) is 0.04: the
+    # kernel and the oracle both square the rounded coordinates
+    p, q = Point((0, 0), 0), Point((Fraction(1, 5), 0), 0)
+    spec = DistanceSpec((), 1e-300)
+    assert matches_distance(p, q, d2, spec) is match
+    for strategy in ("brute", "grid"):
+        assert _pair_lists([p], [q], d2, spec, strategy) == (((0,) if match else ()),)
+
+
+@pytest.mark.parametrize("x, q_den",[(2**40, 1), (2**40 + 1, 3), (2**100 + 1, 7)])
 def test_kernel_rejects_what_one_prime_fewer_accepts(x, q_den):
     # p = 0 and q = (x / q_den, 0), so with d2 = num the two sides are
     # x^2 and num * q_den^2; num is picked so that they differ by M * t,
