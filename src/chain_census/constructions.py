@@ -24,8 +24,8 @@ from .geometry import (
     DistanceSpec,
     NoRationalPointError,
     Point,
+    _rotated_coords,
     circle_circle_intersection,
-    circle_point_at,
     exact_point,
     float_point,
     rational_circle_points,
@@ -53,18 +53,9 @@ class ConstructionError(RuntimeError):
     """A generator could not realize its postconditions."""
 
 
-def _coord_set(layers) -> set:
-    out = set()
-    for layer in layers:
-        for p in layer.points:
-            out.add(p.coords)
-    return out
-
-
 def _dyadic_below(x: float, bits: int = 40) -> Fraction:
     """Largest dyadic rational with the given precision that is <= x."""
-    f = Fraction(math.floor(x * (1 << bits)), 1 << bits)
-    return f
+    return Fraction(math.floor(x * (1 << bits)), 1 << bits)
 
 
 def _max_sq_diameter(points) -> Fraction | float:
@@ -204,7 +195,7 @@ def _extend_three(
     d_a, d_b, d_c = math.sqrt(d2_a), math.sqrt(d2_b), math.sqrt(d2_c)
     if last_diam > min(d_a, d_b) / 3 + 1e-12:
         raise ConstructionError("last-layer diameter too large for the extension step")
-    existing = _coord_set(layers)
+    existing = set().union(*(layer.coord_set() for layer in layers))
     last = layers[-1].points
     y = last[0].coords
     reach = d_a + d_b - 2.0 * last_diam
@@ -690,7 +681,7 @@ def gen_3d_odd_sphere(k: int, n: int, supplier=None) -> Odd3dSphereResult:
     for p in xs:
         if abs(float(squared_distance(p, center)) - 1.0) > TOLERANCE:
             raise ValueError("supplier returned a point off the unit sphere")
-    existing = _coord_set(keep)
+    existing = set().union(*(layer.coord_set() for layer in keep))
     if {p.coords for p in xs} & existing or {p.coords for p in ys} & (existing | {p.coords for p in xs}):
         raise ConstructionError("supplier points collide with the chain scaffold")
     layers = keep + [make_layer(xs, k), make_layer(ys, k + 1)]
@@ -731,7 +722,7 @@ def gen_orthogonal_circles(d: int, k: int, n: int) -> OrthogonalResult:
     seed = (half, half)
     origin = exact_point((0, 0))
     pad, zero = (Fraction(0),) * (d - 4), (Fraction(0), Fraction(0))
-    arc = [circle_point_at(origin, seed, Fraction(j, 4 * m)).coords for j in range(1, m + 1)]
+    arc = list(_rotated_coords(origin, seed, ((j, 4 * m) for j in range(1, m + 1))))
     coords = [c + zero + pad for c in arc] + [zero + c + pad for c in arc]
     layer = make_layer([Point(c, i) for i, c in enumerate(coords)], 1)
     layers = [Layer(layer.points, i + 1) for i in range(k + 1)]

@@ -26,8 +26,8 @@ from .layered import (
     LayeredConfig,
     build_adjacency,
     count_chains,
+    count_chains_and_walks,
     count_tree_embeddings,
-    count_walks,
 )
 from .richness import check_richness_bound, stable_covering
 
@@ -235,8 +235,7 @@ def run_experiment(
             res = entry.build(_params(k, n, eps, seed))
             cfg = getattr(res, "config", res)
             adj = build_adjacency(cfg)
-            chains = count_chains(cfg, adjacency=adj)
-            walks = count_walks(cfg, adjacency=adj)
+            chains, walks = count_chains_and_walks(cfg, adjacency=adj)
             inc = adj.total_edges()
             row = ExperimentRow(
                 construction, k, n, chains, walks, inc, time.perf_counter() - t0

@@ -42,6 +42,11 @@ class CertificationError(RuntimeError):
         )
 
 
+def _rational(t: type) -> bool:
+    """Whether coordinates of type t are exact: ints and Fractions, not bools."""
+    return issubclass(t, (int, Fraction)) and t is not bool
+
+
 @dataclass(frozen=True)
 class Point:
     """A point of fixed dimension; equality and hashing use coordinates only.
@@ -59,7 +64,7 @@ class Point:
         return len(self.coords)
 
     def is_exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in self.coords)
+        return all(_rational(type(c)) for c in self.coords)
 
     def as_float(self, new_id: int | None = None) -> "Point":
         return Point(tuple(float(c) for c in self.coords), self.id if new_id is None else new_id)
@@ -70,13 +75,7 @@ class Point:
 
 def exact_point(coords: Iterable, pid: int = -1) -> Point:
     """Build a Point with rational coordinates (ints stay ints)."""
-    out = []
-    for c in coords:
-        if isinstance(c, (int, Fraction)):
-            out.append(c)
-        else:
-            out.append(Fraction(c))
-    return Point(tuple(out), pid)
+    return Point(tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords), pid)
 
 
 def float_point(coords: Iterable, pid: int = -1) -> Point:
@@ -163,18 +162,29 @@ def rational_point_on_circle(r2: Fraction) -> tuple[Fraction, Fraction] | None:
     return (Fraction(a, r2.denominator), Fraction(b, r2.denominator))
 
 
+def _rotated_coords(center: Point, seed: tuple, ts):
+    """Yield the seed rotated by the tangent half-angle map at each t = a/b
+    of the integer pairs ts, translated to center.  Over one denominator L,
+    with seed (X, Y)/L, center (CX, CY)/L, q = a^2+b^2 and c = b^2-a^2, it
+    is (CX q + X c - 2abY, CY q + 2abX + Y c) / (L q): homogeneous in (a, b),
+    computed in integers with one Fraction per coordinate."""
+    fr = [Fraction(v) for v in (*center.coords, *seed)]
+    L = math.lcm(*(v.denominator for v in fr))
+    CX, CY, X, Y = (v.numerator * (L // v.denominator) for v in fr)
+    for a, b in ts:
+        q, c, s = a * a + b * b, b * b - a * a, 2 * a * b
+        yield Fraction(CX * q + X * c - Y * s, L * q), Fraction(CY * q + X * s + Y * c, L * q)
+
+
 def circle_point_at(center: Point, seed: tuple, t) -> Point:
     """Rational circle parametrization: rotate the seed by the tangent
-    half-angle map at parameter t and translate to the center.
+    half-angle map at the rational parameter t and translate to the center,
+    computed exactly from integers (see `_rotated_coords`).
 
     t=0 returns the seed itself; t=1/2 rotates (1,0) to (3/5,4/5).
     """
     t = Fraction(t)
-    den = 1 + t * t
-    c = (1 - t * t) / den
-    s = 2 * t / den
-    x0, y0 = seed
-    return Point((center.coords[0] + x0 * c - y0 * s, center.coords[1] + x0 * s + y0 * c))
+    return Point(next(_rotated_coords(center, seed, [(t.numerator, t.denominator)])))
 
 
 def rational_circle_points(
@@ -185,12 +195,14 @@ def rational_circle_points(
     seed: tuple | None = None,
     id_base: int = 0,
 ) -> list[Point]:
-    """m distinct rational points at exact squared distance r2 from center.
+    """m distinct rational points at exact squared distance r2 from center,
+    with ids id_base, id_base+1, ...
 
     Points are the seed rotated by tangent half-angle parameters, so every
-    output satisfies the circle equation with exact rational arithmetic.
-    t values are m distinct rationals strictly inside t_range; a narrow
-    range yields a short arc (chord diameter at most 2*r*(hi-lo)).
+    output satisfies the circle equation exactly.  The parameters are
+    t_j = lo + (hi-lo) j/(m+1), j = 1..m, each one integer pair a_j/b for
+    `_rotated_coords`; a narrow t_range = (lo, hi) yields a short arc
+    (chord diameter at most 2*r*(hi-lo)).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -207,13 +219,11 @@ def rational_circle_points(
     lo, hi = Fraction(t_range[0]), Fraction(t_range[1])
     if not lo < hi:
         raise ValueError("empty parameter range")
-    width = hi - lo
-    pts = []
-    for j in range(m):
-        t = lo + width * Fraction(j + 1, m + 1)
-        p = circle_point_at(center, (x0, y0), t)
-        pts.append(Point(p.coords, id_base + j))
-    return pts
+    w = hi - lo
+    a0, b = lo.numerator * w.denominator * (m + 1), lo.denominator * w.denominator * (m + 1)
+    step = w.numerator * lo.denominator
+    coords = _rotated_coords(center, (x0, y0), ((a0 + step * j, b) for j in range(1, m + 1)))
+    return [Point(c, id_base + j) for j, c in enumerate(coords)]
 
 
 def circle_circle_intersection(c1: Point, r1sq, c2: Point, r2sq) -> list[Point]:

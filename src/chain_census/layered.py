@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 
-from .geometry import CertificationError, DistanceSpec, Point
+from .geometry import CertificationError, DistanceSpec, Point, _rational
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,20 @@ class Layer:
     def coord_set(self) -> set:
         return {p.coords for p in self.points}
 
-    def validate(self) -> None:
+    def validate(self) -> set:
+        """Check ids and coordinates are unique; the set of coordinate types."""
         ids = [p.id for p in self.points]
         if len(set(ids)) != len(ids):
             raise ValueError(f"layer {self.label}: point ids are not unique")
         coords = [p.coords for p in self.points]
+        types = {type(c) for cs in coords for c in cs}
+        if all(map(_rational, types)):
+            # normalised Fractions and ints are equal iff their (numerator,
+            # denominator) pairs are, and the pairs hash far faster
+            coords = [tuple([(c.numerator, c.denominator) for c in cs]) for cs in coords]
         if len(set(coords)) != len(coords):
             raise ValueError(f"layer {self.label}: duplicate point coordinates")
+        return types
 
 
 def make_layer(points, label: int = 0) -> Layer:
@@ -75,19 +82,18 @@ class LayeredConfig:
             raise ValueError(
                 f"{len(self.layers)} layers but {self.spec.k} squared distances"
             )
-        dim = None
+        dims = set()
         for layer in self.layers:
-            layer.validate()
-            for p in layer.points:
-                if dim is None:
-                    dim = p.dim
-                elif p.dim != dim:
-                    raise ValueError("layers mix dimensions")
-                exact = p.is_exact()
-                if self.spec.exact and not exact:
+            types = layer.validate()
+            dims.update(len(p.coords) for p in layer.points)
+            if len(dims) > 1:
+                raise ValueError("layers mix dimensions")
+            if self.spec.exact:
+                if not all(map(_rational, types)):
                     raise ValueError("exact spec requires rational coordinates")
-                if not self.spec.exact and exact:
-                    raise ValueError("tolerant spec requires float coordinates")
+            # a point is exact iff all its coordinates (perhaps none) are rational
+            elif (0 in dims or any(map(_rational, types))) and any(p.is_exact() for p in layer.points):
+                raise ValueError("tolerant spec requires float coordinates")
 
     def reversed(self) -> "LayeredConfig":
         return LayeredConfig(

@@ -6,7 +6,9 @@ depth-first backtracking with a visited set (the library's former
 counters) and by full product enumeration.  The library runs the covering
 search on index arrays over one adjacency; `covering_oracle` is its former
 search, which builds every filtered sub-layer and asks the pair kernel for
-its degrees afresh.
+its degrees afresh.  The library builds rational circle points from
+integers; `circle_point_oracle` and `circle_points_oracle` are its former
+generators, one `Fraction` operation at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,27 @@ from itertools import product
 from chain_census.geometry import Point, matches_distance
 from chain_census.layered import Layer, LayeredConfig, build_adjacency
 from chain_census.richness import CoveringClass, DecompositionSequence, degree_vector, richness_thresholds
+
+
+def circle_point_oracle(center: Point, seed: tuple, t) -> Point:
+    """The seed rotated by the tangent half-angle map at t, then translated
+    to the center, in Fraction arithmetic."""
+    t = Fraction(t)
+    den = 1 + t * t
+    c = (1 - t * t) / den
+    s = 2 * t / den
+    x0, y0 = seed
+    return Point((center.coords[0] + x0 * c - y0 * s, center.coords[1] + x0 * s + y0 * c))
+
+
+def circle_points_oracle(center: Point, seed: tuple, m: int, t_range, id_base: int = 0) -> list[Point]:
+    """The m points at t = lo + (hi-lo)*j/(m+1), j = 1..m, ids from id_base."""
+    lo, hi = Fraction(t_range[0]), Fraction(t_range[1])
+    seed = (Fraction(seed[0]), Fraction(seed[1]))
+    return [
+        Point(circle_point_oracle(center, seed, lo + (hi - lo) * Fraction(j + 1, m + 1)).coords, id_base + j)
+        for j in range(m)
+    ]
 
 
 def _classes(layers):

@@ -105,6 +105,20 @@ class TestRationalCircle:
         with pytest.raises(ValueError):
             rational_circle_points(exact_point((0, 0)), F(1), 2, t_range=(F(1), F(1)))
 
+    @pytest.mark.parametrize(
+        "r2, m, t_range, seed, message",
+        [
+            (F(1), 0, (F(0), F(1)), None, "m must be >= 1"),
+            (F(0), 2, (F(0), F(1)), None, "r2 must be positive"),
+            (F(-1), 2, (F(0), F(1)), None, "r2 must be positive"),
+            (F(1), 2, (F(0), F(1)), (F(1), F(1)), "seed point does not lie on the circle"),
+            (F(1), 2, (F(1, 2), F(-1, 2)), None, "empty parameter range"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, r2, m, t_range, seed, message):
+        with pytest.raises(ValueError, match=message):
+            rational_circle_points(exact_point((0, 0)), r2, m, t_range=t_range, seed=seed)
+
     def test_round_trip_property(self):
         rng = random.Random(11)
         spec_cache = {}

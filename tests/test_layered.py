@@ -7,6 +7,7 @@ import pytest
 from chain_census.geometry import (
     CertificationError,
     DistanceSpec,
+    Point,
     exact_point,
     exact_spec,
     float_point,
@@ -14,6 +15,7 @@ from chain_census.geometry import (
 )
 from chain_census.layered import (
     LabeledTree,
+    Layer,
     _chain_tree,
     _tree_counter,
     build_adjacency,
@@ -41,6 +43,45 @@ def random_int_config(rng, k, max_pts, box=4, d2=1):
             pts.add((rng.randint(0, box), rng.randint(0, box)))
         layers.append(sorted(pts))
     return make_config(layers, (d2,) * k)
+
+
+@pytest.mark.parametrize(
+    "layers, delta2, eps, error",
+    [
+        pytest.param([[(True, 0)], [(1, 0)]], [1], None, "exact spec requires rational coordinates", id="bool"),
+        pytest.param([[(0.5, 0)], [(1, 0)]], [1], None, "exact spec requires rational coordinates", id="float-exact"),
+        pytest.param(
+            [[(0.5, 0.0), (F(1, 2), 1)], [(1.0, 0.0)]], [1.0], 1e-9,
+            "tolerant spec requires float coordinates", id="rational-tolerant",
+        ),
+        pytest.param([[()], [()]], [1.0], 1e-9, "tolerant spec requires float coordinates", id="no-coordinates"),
+        pytest.param([[(0, 0)], [(1, 0, 0)]], [1], None, "layers mix dimensions", id="dimensions-across"),
+        pytest.param([[(0, 0), (1, 0, 0)]], [], None, "layers mix dimensions", id="dimensions-within"),
+        pytest.param(
+            [[(2, 0), (F(2), F(0))]], [], None, "layer 1: duplicate point coordinates", id="duplicate-int-fraction",
+        ),
+        pytest.param(
+            [[(0.5, 0.0)], [(1.0, 0.0), (1.0, 0.0)]], [1.0], 1e-9,
+            "layer 2: duplicate point coordinates", id="duplicate-float",
+        ),
+        pytest.param(
+            [Layer((Point((0, 0), 0), Point((1, 0), 0)), 1)], [], None,
+            "layer 1: point ids are not unique", id="duplicate-ids",
+        ),
+        pytest.param([[(0, 0)]], [1], None, "1 layers but 1 squared distances", id="layer-count"),
+        pytest.param([[(0.5, F(1, 2))], [(1.5, 0.5)]], [1.0], 1e-9, None, id="mixed-tolerant-accepted"),
+        pytest.param([[(True, False)], [(1.5, 0.5)]], [1.0], 1e-9, None, id="bool-tolerant-accepted"),
+    ],
+)
+def test_validate_errors(layers, delta2, eps, error):
+    """One fault per case, each with its exact error message; a layer given
+    as a Layer keeps its ids, so duplicate ids reach the check."""
+    if error is None:
+        make_config(layers, delta2, eps)
+        return
+    with pytest.raises(ValueError) as info:
+        make_config(layers, delta2, eps)
+    assert type(info.value) is ValueError and str(info.value) == error
 
 
 class TestAdjacency:

@@ -1,5 +1,5 @@
-"""Property tests: the counting engine, the pair kernel and the covering
-search against independent oracles.
+"""Property tests: the counting engine, the pair kernel, the covering
+search and the rational circle points against independent oracles.
 
 Configurations are small and exact, drawn so that layers overlap, repeat
 or are empty, which is where the Möbius correction for shared points has
@@ -15,7 +15,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chain_census.geometry import DistanceSpec, Point, exact_spec, matches_distance
+from chain_census.constructions import _dyadic_below, gen_orthogonal_circles, gen_star
+from chain_census.geometry import (
+    DistanceSpec,
+    Point,
+    circle_point_at,
+    exact_point,
+    exact_spec,
+    matches_distance,
+    rational_circle_points,
+    rational_point_on_circle,
+    squared_distance,
+)
 from chain_census.layered import (
     LabeledTree,
     Layer,
@@ -34,6 +45,8 @@ from chain_census.richness import degree_vector, richness_filter, richness_thres
 from oracles import (
     backtrack_chains,
     backtrack_tree_embeddings,
+    circle_point_oracle,
+    circle_points_oracle,
     covering_oracle,
     enumerate_chains,
     enumerate_walks_count,
@@ -389,3 +402,80 @@ def test_richness_filter_matches_degree_filter(cfg, eps, parity, data):
         degrees = degree_vector(cfg.layers[i], out[ref], cfg.spec.delta2[min(i, ref)], cfg.spec)
         out[i] = Layer(tuple(p for p, d in zip(cfg.layers[i].points, degrees) if lo <= d < hi), cfg.layers[i].label)
     assert richness_filter(parity, cfg, exponents, eps).layers == tuple(out[i] for i in range(cfg.k + 1))
+
+
+# ---------------------------------------------------------------------------
+# rational circle points, built from integers, against Fraction arithmetic
+
+BIG = 10**12
+RATIONAL = st.one_of(
+    st.integers(-BIG, BIG),
+    st.builds(lambda o, n, d: o + Fraction(n, d), st.integers(-BIG, BIG), st.integers(0, 10**6), st.integers(1, 10**6)),
+)
+WIDTH = st.one_of(
+    st.sampled_from([_dyadic_below(1e-6), _dyadic_below(1e-3), _dyadic_below(0.25), Fraction(1)]),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def circles(draw):
+    """A rational center and seed on a circle of squared radius
+    (a^2+b^2)/c^2; the seed is left to the library on small circles."""
+    a, b = draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))
+    if a == b == 0:
+        a = 1
+    c = draw(st.integers(1, 1000))
+    r2 = Fraction(a * a + b * b, c * c)
+    seed = (Fraction(a, c), Fraction(b, c))
+    if max(abs(a), abs(b), c) <= 30 and draw(st.booleans()):
+        seed = None
+    return Point((draw(RATIONAL), draw(RATIONAL))), r2, seed
+
+
+@CHECKS
+@given(circles(), st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)), WIDTH,
+       st.integers(1, 20), st.integers())
+def test_circle_points_match_fraction_oracle(circle, lo, width, m, id_base):
+    center, r2, seed = circle
+    pts = rational_circle_points(center, r2, m, (lo, lo + width), seed, id_base)
+    want = circle_points_oracle(center, seed or rational_point_on_circle(r2), m, (lo, lo + width), id_base)
+    assert [p.coords for p in pts] == [p.coords for p in want]
+    assert all(type(c) is Fraction for p in pts for c in p.coords)
+    assert [p.id for p in pts] == list(range(id_base, id_base + m))
+    assert all(squared_distance(p, center) == r2 for p in pts)
+
+
+@CHECKS
+@given(circles(), st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))))
+def test_circle_point_at_matches_fraction_oracle(circle, t):
+    center, r2, seed = circle
+    seed = seed or rational_point_on_circle(r2)
+    got, want = circle_point_at(center, seed, t), circle_point_oracle(center, seed, t)
+    assert got.coords == want.coords and got.id == want.id == -1
+    assert all(type(c) is Fraction for c in got.coords)
+    assert squared_distance(got, center) == r2
+
+
+def test_orthogonal_layers_equal_the_oracle_built_ones():
+    """gen_orthogonal_circles d=4 k=3 n=60, point for point and id for id."""
+    m, zero = 30, (Fraction(0), Fraction(0))
+    origin, seed = exact_point((0, 0)), (Fraction(1, 2), Fraction(1, 2))
+    arc = [circle_point_oracle(origin, seed, Fraction(j, 4 * m)).coords for j in range(1, m + 1)]
+    want = [(i, c) for i, c in enumerate([c + zero for c in arc] + [zero + c for c in arc])]
+    cfg = gen_orthogonal_circles(4, 3, 2 * m).config
+    assert len(cfg.layers) == 4
+    for layer in cfg.layers:
+        assert [(p.id, p.coords) for p in layer.points] == want
+        assert all(type(c) is Fraction for p in layer.points for c in p.coords)
+
+
+def test_star_layers_equal_the_oracle_built_ones():
+    """gen_star l=3 n=150: the center, then 50 points per circle of squared
+    radius 1, 4 and 9, point for point and id for id."""
+    origin = exact_point((0, 0))
+    layers = gen_star(3, 150).layers
+    assert [(p.id, p.coords) for p in layers[0].points] == [(origin.id, origin.coords)]
+    for r2, layer in zip((1, 4, 9), layers[1:]):
+        want = circle_points_oracle(origin, rational_point_on_circle(Fraction(r2)), 50, (0, 1))
+        assert [(p.id, p.coords) for p in layer.points] == [(p.id, p.coords) for p in want]
