@@ -36,9 +36,7 @@ from .layered import (
 from .richness import (
     CoveringClass,
     DecompositionSequence,
-    RichnessClass,
     check_richness_bound,
-    dyadic_partition,
     rich_points,
     richness_filter,
     stable_covering,
@@ -56,8 +54,6 @@ from .constructions import (
     gen_unit_rich_grid,
     peel_min_degree,
     split_and_translate,
-    stereographic_to_plane,
-    stereographic_to_sphere,
 )
 from .experiment import (
     ExperimentReport,

@@ -137,10 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     entry = REGISTRY[args.construction]
-    args.delta2 = [_parse_d2(t) for t in args.delta2.split(",")] if args.delta2 else None
+    try:
+        args.delta2 = [_parse_d2(t) for t in args.delta2.split(",")] if args.delta2 else None
+        res = entry.build(args)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    res = entry.build(args)
     if entry.files == "manifest":
         mpath = os.path.join(out, "manifest.txt")
         write_manifest(mpath, getattr(res, "config", res), out)
@@ -221,7 +224,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    ns = [int(t) for t in args.n_list.split(",")]
+    try:
+        ns = [int(t) for t in args.n_list.split(",")]
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     report = run_experiment(
         args.construction,
         args.k,

@@ -11,6 +11,7 @@ separation certificate enforced.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -59,14 +60,7 @@ def _dyadic_below(x: float, bits: int = 40) -> Fraction:
 
 
 def _max_sq_diameter(points) -> Fraction | float:
-    worst = 0
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = squared_distance(pts[i], pts[j])
-            if d > worst:
-                worst = d
-    return worst
+    return max((squared_distance(p, q) for p, q in itertools.combinations(points, 2)), default=0)
 
 
 def _popular_sq_distance(coords) -> tuple[int, int]:
@@ -118,48 +112,28 @@ def _float_arc(center, r: float, n: int, eps: float, phase: float, id_base: int 
     return pts
 
 
-def _planar_base(k: int, delta2, n: int, eps: float, mode: str) -> LayeredConfig:
-    exact_ok = mode in ("auto", "exact")
-    if exact_ok:
-        try:
-            return _planar_base_exact(k, delta2, n, eps)
-        except NoRationalPointError:
-            if mode == "exact":
-                raise
-    return _planar_base_float(k, delta2, n, eps)
-
-
-def _planar_base_exact(k: int, delta2, n: int, eps: float) -> LayeredConfig:
-    d2 = [Fraction(d) for d in delta2]
+def _planar_base(k: int, delta2, n: int, eps: float) -> LayeredConfig:
+    """The base cases: k=0 an exact dyadic segment, k=1 the origin and an
+    arc, k=2 two arcs around the origin.  The arcs are exact when every
+    radius admits rational points, else floats for every radius; a second
+    arc of the first radius takes a disjoint window (exact) or phase
+    (float)."""
     if k == 0:
-        h = Fraction(_dyadic_below(eps)) / (2 * n)
-        pts = [Point((j * h, Fraction(0)), j) for j in range(n)]
-        return make_config([pts], ())
-    origin = exact_point((0, 0))
-    if k == 1:
-        arc = _exact_arc(origin, d2[0], n, eps)
-        return make_config([[origin], arc], d2)
-    # k == 2: one fixed middle point, two short arcs around it
-    arc1 = _exact_arc(origin, d2[0], n, eps, window=0)
-    arc3 = _exact_arc(origin, d2[1], n, eps, window=2 if d2[0] == d2[1] else 0)
-    return make_config([arc1, [origin], arc3], d2)
-
-
-def _planar_base_float(k: int, delta2, n: int, eps: float) -> LayeredConfig:
-    d2 = [float(d) for d in delta2]
-    if k == 0:
-        h = eps / (2.0 * n)
-        pts = [Point((j * h, 0.0), j) for j in range(n)]
-        return make_config([pts], (), eps=TOLERANCE)
-    origin = (0.0, 0.0)
-    if k == 1:
-        arc = _float_arc(origin, math.sqrt(d2[0]), n, eps, 0.0)
-        return make_config([[float_point(origin)], arc], d2, eps=TOLERANCE)
-    r1, r3 = math.sqrt(d2[0]), math.sqrt(d2[1])
-    arc1 = _float_arc(origin, r1, n, eps, 0.0)
-    phase3 = (eps / r3) if d2[0] == d2[1] else 0.0
-    arc3 = _float_arc(origin, r3, n, eps, phase3)
-    return make_config([arc1, [float_point(origin)], arc3], d2, eps=TOLERANCE)
+        h = _dyadic_below(eps) / (2 * n)
+        return make_config([[Point((j * h, Fraction(0)), j) for j in range(n)]], ())
+    try:
+        d2 = [Fraction(d) for d in delta2]
+        origin, tol = exact_point((0, 0)), None
+        arcs = [_exact_arc(origin, r2, n, eps, 2 if i and r2 == d2[0] else 0) for i, r2 in enumerate(d2)]
+    except NoRationalPointError:
+        d2 = [float(d) for d in delta2]
+        origin, tol = float_point((0, 0)), TOLERANCE
+        arcs = [
+            _float_arc(origin.coords, math.sqrt(r2), n, eps, eps / math.sqrt(r2) if i and r2 == d2[0] else 0.0)
+            for i, r2 in enumerate(d2)
+        ]
+    layers = [[origin], arcs[0]] if k == 1 else [arcs[0], [origin], arcs[1]]
+    return make_config(layers, d2, eps=tol)
 
 
 def _matched(points, d2, joint: Point, joint_d2) -> dict | None:
@@ -230,9 +204,7 @@ def _extend_three(
     raise ConstructionError("could not place the extension joint after 64 attempts")
 
 
-def gen_planar_chain(
-    k: int, delta2=None, n: int = 1, eps: float = 0.25, mode: str = "auto", seed: int = 0
-) -> LayeredConfig:
+def gen_planar_chain(k: int, delta2=None, n: int = 1, eps: float = 0.25, seed: int = 0) -> LayeredConfig:
     """Planar chain construction with count at least n^(floor((k+1)/3)+1).
 
     Base cases: k=0 is a short segment of n points, k=1 a fixed point with
@@ -253,14 +225,10 @@ def gen_planar_chain(
         if not d > 0:
             raise ValueError("squared distances must be positive")
     if k <= 2:
-        return _planar_base(k, delta2, n, eps, mode)
-    if mode == "exact":
-        raise NoRationalPointError(
-            "the inductive step introduces circle intersections without rational points"
-        )
+        return _planar_base(k, delta2, n, eps)
     d2f = [float(d) for d in delta2]
     inner_eps = min(math.sqrt(d2f[k - 3]), math.sqrt(d2f[k - 2])) / 3.0
-    inner = gen_planar_chain(k - 3, delta2[: k - 3], n, inner_eps, mode="auto", seed=seed)
+    inner = gen_planar_chain(k - 3, delta2[: k - 3], n, inner_eps, seed=seed)
     layers = _to_float_layers(inner.layers)
     rng = random.Random(f"planar:{seed}:{k}")
     layers = _extend_three(
@@ -885,34 +853,3 @@ def _star_of_paths_center_fixed(l: int, n: int, seed: int, grid_m: int | None):
         floor *= split.preserved_incidences
     tree = star_of_paths_tree(l, edge_d2s)
     return layers, tree, floor
-
-
-# ---------------------------------------------------------------------------
-# stereographic projection
-
-
-def stereographic_to_sphere(points) -> list[Point]:
-    """Project plane points onto the unit sphere from the north pole; the
-    origin lands on the south pole.  Exact for rational inputs."""
-    out = []
-    for i, p in enumerate(points):
-        x, y = p.coords
-        if p.is_exact():
-            x, y = Fraction(x), Fraction(y)
-        s = x * x + y * y
-        den = s + 1
-        out.append(Point((2 * x / den, 2 * y / den, (s - 1) / den), p.id if p.id >= 0 else i))
-    return out
-
-
-def stereographic_to_plane(points) -> list[Point]:
-    """Inverse projection; the north pole itself is excluded."""
-    out = []
-    for i, p in enumerate(points):
-        x, y, z = p.coords
-        if z == 1:
-            raise ValueError("the projection pole has no planar image")
-        if p.is_exact():
-            x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        out.append(Point((x / (1 - z), y / (1 - z)), p.id if p.id >= 0 else i))
-    return out

@@ -91,16 +91,6 @@ class ExperimentReport:
     verdict: str = "SKIPPED"
     notice: str = ""
 
-    def residuals(self) -> list[float]:
-        """ln(chains) minus the fitted line, for the successful rows."""
-        if self.fit is None:
-            return []
-        return [
-            math.log(r.chains) - (self.fit.intercept + self.fit.slope * math.log(r.n))
-            for r in self.rows
-            if r.status == "ok" and r.chains
-        ]
-
 
 def _chains(res) -> int:
     return count_chains(getattr(res, "config", res))

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class NoRationalPointError(ValueError):
@@ -68,9 +68,6 @@ class Point:
 
     def as_float(self, new_id: int | None = None) -> "Point":
         return Point(tuple(float(c) for c in self.coords), self.id if new_id is None else new_id)
-
-    def translate(self, offset: Sequence) -> "Point":
-        return Point(tuple(c + o for c, o in zip(self.coords, offset)), self.id)
 
 
 def exact_point(coords: Iterable, pid: int = -1) -> Point:
@@ -174,17 +171,6 @@ def _rotated_coords(center: Point, seed: tuple, ts):
     for a, b in ts:
         q, c, s = a * a + b * b, b * b - a * a, 2 * a * b
         yield Fraction(CX * q + X * c - Y * s, L * q), Fraction(CY * q + X * s + Y * c, L * q)
-
-
-def circle_point_at(center: Point, seed: tuple, t) -> Point:
-    """Rational circle parametrization: rotate the seed by the tangent
-    half-angle map at the rational parameter t and translate to the center,
-    computed exactly from integers (see `_rotated_coords`).
-
-    t=0 returns the seed itself; t=1/2 rotates (1,0) to (3/5,4/5).
-    """
-    t = Fraction(t)
-    return Point(next(_rotated_coords(center, seed, [(t.numerator, t.denominator)])))
 
 
 def rational_circle_points(

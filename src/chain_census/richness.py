@@ -2,9 +2,9 @@
 
 A point is r-rich with respect to a reference layer and a distance when its
 sphere of that radius contains at least r reference points.  This module
-provides the rich-point selectors, dyadic richness classes, the two-sided
-richness filter over a layered configuration, and the recursive covering by
-stable filtering sequences whose classes jointly contain every chain.
+provides the rich-point selectors, the two-sided richness filter over a
+layered configuration, and the recursive covering by stable filtering
+sequences whose classes jointly contain every chain.
 
 Richness thresholds are absolute integers internally; the exponent form
 n^a is presentation only, with n the maximum layer size of the original
@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import DistanceSpec, Point
+from .geometry import DistanceSpec
 from .layered import BipartiteAdjacency, Layer, LayeredConfig, _edge_arrays, _pair_lists, build_adjacency
 
 
@@ -34,34 +34,6 @@ def rich_points(target: Layer, reference: Layer, d2, r: int, spec: DistanceSpec)
     degs = degree_vector(target, reference, d2, spec)
     pts = tuple(p for p, d in zip(target.points, degs) if d >= r)
     return Layer(pts, target.label)
-
-
-@dataclass(frozen=True)
-class RichnessClass:
-    """Points whose richness lies in [lo, hi); exponent labels the class
-    when it comes from an exponent grid, else None."""
-
-    lo: int
-    hi: int
-    points: tuple[Point, ...]
-    exponent: Fraction | None = None
-
-
-def dyadic_partition(target: Layer, reference: Layer, d2, spec: DistanceSpec) -> list[RichnessClass]:
-    """Disjoint classes with richness in [2^i, 2^(i+1)).
-
-    Together the classes cover exactly the target points with at least one
-    reference neighbor.
-    """
-    degs = degree_vector(target, reference, d2, spec)
-    buckets: dict[int, list[Point]] = {}
-    for p, d in zip(target.points, degs):
-        if d >= 1:
-            buckets.setdefault(d.bit_length() - 1, []).append(p)
-    return [
-        RichnessClass(1 << i, 1 << (i + 1), tuple(buckets[i]))
-        for i in sorted(buckets)
-    ]
 
 
 def richness_thresholds(n: int, eps: Fraction) -> list[int]:
@@ -84,11 +56,6 @@ def richness_thresholds(n: int, eps: Fraction) -> list[int]:
         if cuts[i] < cuts[i - 1]:
             cuts[i] = cuts[i - 1]
     return cuts
-
-
-def exponent_grid(eps: Fraction) -> list[Fraction]:
-    eps = Fraction(eps)
-    return [i * eps for i in range(math.floor(1 / eps) + 1)]
 
 
 class _Filtering:

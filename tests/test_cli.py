@@ -296,10 +296,21 @@ def run_process(*argv):
             2,
             "chain-census: error: --k has no effect on verify --claim richness",
         ),
+        ("generate --construction orthogonal --n 3", 1, "n must be even and >= 2"),
+        ("generate --construction planar-chain --k 2 --delta2 1,0", 1, "squared distances must be positive"),
+        ("generate --construction planar-chain --k 2 --delta2 abc,1", 1, "could not convert string to float: 'abc'"),
+        ("generate --construction star --l 3 --n 10", 1, "n must be divisible by l"),
+        (
+            "experiment --construction planar-chain --k 2 --n-list 4,x",
+            1,
+            "invalid literal for int() with base 10: 'x'",
+        ),
     ],
     ids=[
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
         "generate-unread", "generate-variant", "covering-unread", "richness-unread",
+        "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-star-n",
+        "experiment-bad-n-list",
     ],
 )
 def test_bad_construction_is_one_error_line(argv, code, message):

@@ -1,11 +1,10 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from chain_census.geometry import (
-    NoRationalPointError,
+    CertificationError,
     exact_point,
     exact_spec,
     float_point,
@@ -31,8 +30,6 @@ from chain_census.constructions import (
     gen_unit_rich_grid,
     peel_min_degree,
     split_and_translate,
-    stereographic_to_plane,
-    stereographic_to_sphere,
 )
 from oracles import enumerate_chains
 
@@ -82,9 +79,24 @@ class TestPlanarChain:
         with pytest.raises(ValueError):
             gen_planar_chain(2, [1, 0], 5)
 
-    def test_exact_mode_impossible_for_steps(self):
-        with pytest.raises(NoRationalPointError):
-            gen_planar_chain(3, None, 4, mode="exact")
+    @pytest.mark.parametrize(
+        "k, delta2, chains",
+        [(2, [3, 3], 81), (1, [3], 9), (5, [3, 3, 1, 4, 9], 729), (2, [1, 3], 81)],
+    )
+    def test_float_base(self, k, delta2, chains):
+        # no rational point has squared norm 3, so every base arc is float
+        cfg = gen_planar_chain(k, delta2, 9)
+        assert not cfg.spec.exact
+        assert all(type(c) is float for layer in cfg.layers for p in layer.points for c in p.coords)
+        assert count_chains(cfg) == chains
+        if k == 2:
+            assert not cfg.layers[0].coord_set() & cfg.layers[2].coord_set()
+
+    def test_float_converted_base_is_certified(self):
+        # the exact base turned to floats puts pairs in the guard band, and
+        # only the certificate of the whole configuration tests base pairs
+        with pytest.raises(CertificationError):
+            gen_planar_chain(5, [10**8, 10**8, 1, 4, 9], 9)
 
     def test_determinism(self):
         a = gen_planar_chain(5, None, 6, 0.25, seed=9)
@@ -395,32 +407,3 @@ class TestStarOfPaths:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             gen_star_of_paths(1, 4, variant="sideways")
-
-
-class TestStereographic:
-    def test_origin_to_south_pole(self):
-        out = stereographic_to_sphere([exact_point((0, 0))])
-        assert out[0].coords == (0, 0, -1)
-
-    def test_round_trip_floats(self):
-        rng = random.Random(97)
-        pts = [float_point((rng.uniform(-5, 5), rng.uniform(-5, 5))) for _ in range(50)]
-        back = stereographic_to_plane(stereographic_to_sphere(pts))
-        for p, q in zip(pts, back):
-            for a, b in zip(p.coords, q.coords):
-                assert abs(a - b) <= 1e-12
-
-    def test_images_on_sphere(self):
-        rng = random.Random(101)
-        pts = [float_point((rng.uniform(-5, 5), rng.uniform(-5, 5))) for _ in range(50)]
-        for q in stereographic_to_sphere(pts):
-            assert abs(sum(c * c for c in q.coords) - 1.0) <= 1e-12
-
-    def test_exact_round_trip(self):
-        pts = [exact_point((F(1, 2), F(1, 3))), exact_point((3, 4))]
-        back = stereographic_to_plane(stereographic_to_sphere(pts))
-        assert [p.coords for p in back] == [p.coords for p in pts]
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            stereographic_to_plane([exact_point((0, 0, 1))])

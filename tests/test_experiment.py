@@ -81,10 +81,6 @@ class TestRunExperiment:
         text = out.read_text()
         assert text.startswith("<svg") and "circle" in text
 
-    def test_residuals_near_zero_for_exact_powers(self):
-        rep = run_experiment("3d-even", 2, [4, 8, 16], seed=0)
-        assert all(abs(r) <= 1e-9 for r in rep.residuals())
-
 
 class TestVerify:
     def test_closed_form_planar(self):

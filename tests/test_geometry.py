@@ -9,7 +9,6 @@ from chain_census.geometry import (
     NoRationalPointError,
     Point,
     circle_circle_intersection,
-    circle_point_at,
     exact_point,
     exact_spec,
     float_point,
@@ -77,13 +76,14 @@ class TestMatchesDistance:
 
 
 class TestRationalCircle:
+    # one point sits at the middle t of its range
     def test_seed_at_t0(self):
-        p = circle_point_at(exact_point((0, 0)), (F(1), F(0)), 0)
-        assert p.coords == (F(1), F(0))
+        pts = rational_circle_points(exact_point((0, 0)), F(1), 1, (F(-1, 2), F(1, 2)), (F(1), F(0)))
+        assert [p.coords for p in pts] == [(F(1), F(0))]
 
     def test_half_angle_identity(self):
-        p = circle_point_at(exact_point((0, 0)), (F(1), F(0)), F(1, 2))
-        assert p.coords == (F(3, 5), F(4, 5))
+        pts = rational_circle_points(exact_point((0, 0)), F(1), 1, (F(0), F(1)), (F(1), F(0)))
+        assert [p.coords for p in pts] == [(F(3, 5), F(4, 5))]
 
     def test_half_radius_circle(self):
         center = exact_point((0, 0))

@@ -19,7 +19,6 @@ from chain_census.constructions import _dyadic_below, gen_orthogonal_circles, ge
 from chain_census.geometry import (
     DistanceSpec,
     Point,
-    circle_point_at,
     exact_point,
     exact_spec,
     matches_distance,
@@ -444,17 +443,6 @@ def test_circle_points_match_fraction_oracle(circle, lo, width, m, id_base):
     assert all(type(c) is Fraction for p in pts for c in p.coords)
     assert [p.id for p in pts] == list(range(id_base, id_base + m))
     assert all(squared_distance(p, center) == r2 for p in pts)
-
-
-@CHECKS
-@given(circles(), st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))))
-def test_circle_point_at_matches_fraction_oracle(circle, t):
-    center, r2, seed = circle
-    seed = seed or rational_point_on_circle(r2)
-    got, want = circle_point_at(center, seed, t), circle_point_oracle(center, seed, t)
-    assert got.coords == want.coords and got.id == want.id == -1
-    assert all(type(c) is Fraction for c in got.coords)
-    assert squared_distance(got, center) == r2
 
 
 def test_orthogonal_layers_equal_the_oracle_built_ones():

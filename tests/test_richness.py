@@ -8,8 +8,6 @@ from chain_census.layered import make_config, make_layer
 from chain_census.richness import (
     check_richness_bound,
     degree_vector,
-    dyadic_partition,
-    exponent_grid,
     rich_points,
     richness_filter,
     richness_thresholds,
@@ -77,36 +75,6 @@ class TestRichPoints:
             assert got == want
 
 
-class TestDyadicPartition:
-    def test_all_degree_one(self):
-        tgt, ref = config_with_degrees([1, 1, 1])
-        classes = dyadic_partition(tgt, ref, F(1), exact_spec(1))
-        assert len(classes) == 1
-        assert (classes[0].lo, classes[0].hi) == (1, 2)
-        assert len(classes[0].points) == 3
-
-    def test_dyadic_intervals(self):
-        tgt, ref = config_with_degrees([1, 2, 3, 4])
-        classes = dyadic_partition(tgt, ref, F(1), exact_spec(1))
-        by_interval = {(c.lo, c.hi): {p.coords[0] for p in c.points} for c in classes}
-        assert by_interval == {(1, 2): {0}, (2, 4): {100, 200}, (4, 8): {300}}
-
-    def test_partition_covers_positive_degrees(self):
-        rng = random.Random(67)
-        for _ in range(10):
-            pts_a = list({(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(25)})
-            pts_b = list({(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(25)})
-            tgt, ref = make_layer(pts_a), make_layer(pts_b)
-            spec = exact_spec(1)
-            classes = dyadic_partition(tgt, ref, F(1), spec)
-            degs = degree_vector(tgt, ref, F(1), spec)
-            covered = [c for cl in classes for c in cl.points]
-            assert len(covered) == len({p.coords for p in covered})
-            assert {p.coords for p in covered} == {
-                p.coords for p, d in zip(tgt.points, degs) if d >= 1
-            }
-
-
 class TestThresholds:
     def test_tiling(self):
         cuts = richness_thresholds(16, F(1, 2))
@@ -117,9 +85,6 @@ class TestThresholds:
     def test_eps_one(self):
         cuts = richness_thresholds(10, F(1))
         assert cuts[0] == 1 and cuts[1] == 10 and cuts[2] >= 11
-
-    def test_exponent_grid(self):
-        assert exponent_grid(F(1, 2)) == [F(0), F(1, 2), F(1)]
 
 
 class TestRichnessFilter:
@@ -174,7 +139,7 @@ class TestRichnessFilter:
             ]
             cfg = make_config(layers, (1, 1))
             chains = enumerate_chains(cfg)
-            grid = exponent_grid(F(1, 2))
+            grid = [F(0), F(1, 2), F(1)]
             covered = set()
             for alpha in product(grid, repeat=3):
                 covered |= enumerate_chains(richness_filter(1, cfg, alpha, F(1, 2)))
