@@ -25,7 +25,7 @@ from .experiment import (
     write_scatter_svg,
 )
 from .geometry import DistanceSpec, exact_point
-from .io import read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
+from .io import _parse_exact, read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
 from .layered import (
     Layer,
     count_chains,
@@ -59,12 +59,17 @@ def _parse_mode(text: str) -> str | float:
 
 
 def _parse_d2(text: str):
-    if "/" in text:
-        return Fraction(text)
+    """A squared distance: p/q or an integer as in exact point files, else
+    a float.  Text that is none of them exits with one error line."""
     try:
-        return int(text)
-    except ValueError:
-        return float(text)
+        if "/" in text:
+            return _parse_exact(text)
+        try:
+            return int(text)
+        except ValueError:
+            return float(text)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .geometry import (
     DistanceSpec,
     NoRationalPointError,
     Point,
+    _circle_coords,
     _rotated_coords,
     circle_circle_intersection,
     exact_point,
@@ -35,6 +38,7 @@ from .geometry import (
     squared_distance,
 )
 from .layered import (
+    BipartiteAdjacency,
     LabeledTree,
     Layer,
     LayeredConfig,
@@ -80,25 +84,20 @@ def _popular_sq_distance(coords) -> tuple[int, int]:
     return best, int(counts[best])
 
 
-def _to_float_layers(layers) -> list[Layer]:
-    return [
-        Layer(tuple(p.as_float() for p in layer.points), layer.label) for layer in layers
-    ]
-
-
 # ---------------------------------------------------------------------------
 # planar chains
 
 
-def _exact_arc(center: Point, r2: Fraction, n: int, eps: float, window: int = 0) -> list[Point]:
-    """n exact points on an arc of chord diameter <= eps around the circle
-    of squared radius r2; `window` selects disjoint parameter ranges."""
+def _exact_arc(center: Point, r2: Fraction, n: int, eps: float, window: int, div) -> list[Point]:
+    """n rational points on an arc of chord diameter <= eps around the
+    circle of squared radius r2, each coordinate div(numerator,
+    denominator); `window` selects disjoint parameter ranges."""
     r = math.sqrt(float(r2))
     t_hi = _dyadic_below(min(1.0, eps / (4.0 * r)))
     if t_hi <= 0:
         raise ConstructionError(f"eps={eps} too small for a dyadic arc window")
     lo = t_hi * 2 * window
-    return rational_circle_points(center, r2, n, t_range=(lo, lo + t_hi))
+    return [Point(c, j) for j, c in enumerate(_circle_coords(center, r2, n, (lo, lo + t_hi), div=div))]
 
 
 def _float_arc(center, r: float, n: int, eps: float, phase: float, id_base: int = 0) -> list[Point]:
@@ -112,19 +111,20 @@ def _float_arc(center, r: float, n: int, eps: float, phase: float, id_base: int 
     return pts
 
 
-def _planar_base(k: int, delta2, n: int, eps: float) -> LayeredConfig:
-    """The base cases: k=0 an exact dyadic segment, k=1 the origin and an
-    arc, k=2 two arcs around the origin.  The arcs are exact when every
-    radius admits rational points, else floats for every radius; a second
-    arc of the first radius takes a disjoint window (exact) or phase
-    (float)."""
+def _planar_base(k: int, delta2, n: int, eps: float, div=Fraction) -> tuple[list, list, float | None]:
+    """(layers, squared distances, tolerance) of the base cases: k=0 a
+    dyadic segment, k=1 the origin and an arc, k=2 two arcs around the
+    origin.  The arcs are rational (each coordinate div(numerator,
+    denominator): Fraction, or true division for floats) when every radius
+    admits rational points, else floats for every radius; a second arc of
+    the first radius takes a disjoint window or phase."""
     if k == 0:
         h = _dyadic_below(eps) / (2 * n)
-        return make_config([[Point((j * h, Fraction(0)), j) for j in range(n)]], ())
+        return [[Point((div(j * h.numerator, h.denominator), div(0, 1)), j) for j in range(n)]], [], None
     try:
         d2 = [Fraction(d) for d in delta2]
-        origin, tol = exact_point((0, 0)), None
-        arcs = [_exact_arc(origin, r2, n, eps, 2 if i and r2 == d2[0] else 0) for i, r2 in enumerate(d2)]
+        origin, tol = Point((div(0, 1), div(0, 1))), None
+        arcs = [_exact_arc(origin, r2, n, eps, 2 if i and r2 == d2[0] else 0, div) for i, r2 in enumerate(d2)]
     except NoRationalPointError:
         d2 = [float(d) for d in delta2]
         origin, tol = float_point((0, 0)), TOLERANCE
@@ -132,8 +132,7 @@ def _planar_base(k: int, delta2, n: int, eps: float) -> LayeredConfig:
             _float_arc(origin.coords, math.sqrt(r2), n, eps, eps / math.sqrt(r2) if i and r2 == d2[0] else 0.0)
             for i, r2 in enumerate(d2)
         ]
-    layers = [[origin], arcs[0]] if k == 1 else [arcs[0], [origin], arcs[1]]
-    return make_config(layers, d2, eps=tol)
+    return ([[origin], arcs[0]] if k == 1 else [arcs[0], [origin], arcs[1]]), d2, tol
 
 
 def _matched(points, d2, joint: Point, joint_d2) -> dict | None:
@@ -204,6 +203,13 @@ def _extend_three(
     raise ConstructionError("could not place the extension joint after 64 attempts")
 
 
+class _Certified(NamedTuple):
+    """A configuration and the adjacency its certificate built (None if none ran)."""
+
+    config: LayeredConfig
+    adjacency: BipartiteAdjacency | None
+
+
 def gen_planar_chain(k: int, delta2=None, n: int = 1, eps: float = 0.25, seed: int = 0) -> LayeredConfig:
     """Planar chain construction with count at least n^(floor((k+1)/3)+1).
 
@@ -214,6 +220,13 @@ def gen_planar_chain(k: int, delta2=None, n: int = 1, eps: float = 0.25, seed: i
     placed so every previous point sees the joint's circle, and a fresh arc
     of n points whose diameter is at most eps.
     """
+    return _planar_chain(k, delta2, n, eps, seed).config
+
+
+def _planar_chain(k: int, delta2, n: int, eps: float, seed: int) -> _Certified:
+    """gen_planar_chain with the adjacency of its certificate: for k >= 3
+    one `certify_config` over every layer pair, the base's and the inner
+    steps' included."""
     if k < 0 or n < 1 or not eps > 0:
         raise ValueError("need k >= 0, n >= 1, eps > 0")
     if delta2 is None:
@@ -225,18 +238,22 @@ def gen_planar_chain(k: int, delta2=None, n: int = 1, eps: float = 0.25, seed: i
         if not d > 0:
             raise ValueError("squared distances must be positive")
     if k <= 2:
-        return _planar_base(k, delta2, n, eps)
+        return _Certified(make_config(*_planar_base(k, delta2, n, eps)), None)
+    cfg = make_config(_planar_layers(k, delta2, n, eps, seed), [float(d) for d in delta2], eps=TOLERANCE)
+    return _Certified(cfg, certify_config(cfg))
+
+
+def _planar_layers(k: int, delta2, n: int, eps: float, seed: int) -> list[Layer]:
+    """The construction's layers in floats, not yet certified: the base
+    from the circle kernel's integers, then one extension step per three
+    distances."""
+    if k <= 2:
+        return [make_layer(pts) for pts in _planar_base(k, delta2, n, eps, operator.truediv)[0]]
     d2f = [float(d) for d in delta2]
     inner_eps = min(math.sqrt(d2f[k - 3]), math.sqrt(d2f[k - 2])) / 3.0
-    inner = gen_planar_chain(k - 3, delta2[: k - 3], n, inner_eps, seed=seed)
-    layers = _to_float_layers(inner.layers)
+    layers = _planar_layers(k - 3, delta2[: k - 3], n, inner_eps, seed)
     rng = random.Random(f"planar:{seed}:{k}")
-    layers = _extend_three(
-        layers, d2f[k - 3], d2f[k - 2], d2f[k - 1], n, eps, inner_eps, rng
-    )
-    cfg = make_config(layers, d2f, eps=TOLERANCE)
-    certify_config(cfg)
-    return cfg
+    return _extend_three(layers, d2f[k - 3], d2f[k - 2], d2f[k - 1], n, eps, inner_eps, rng)
 
 
 def default_delta2(k: int) -> list[Fraction]:
@@ -300,8 +317,8 @@ def split_and_translate(x1_points, x2_points, d2, eps: float, seed: int = 0) -> 
         raise ValueError("eps must be positive")
     x1 = [p if isinstance(p, Point) else exact_point(p) for p in x1_points]
     x2 = [p if isinstance(p, Point) else exact_point(p) for p in x2_points]
-    lists = _pair_lists(x1, x2, d2, DistanceSpec((), None))
-    edges = [(i, j) for i, nb in enumerate(lists) for j in nb]
+    offsets, nbs = _pair_lists(x1, x2, d2, DistanceSpec((), None))
+    edges = list(zip(np.repeat(np.arange(len(x1)), np.diff(offsets)).tolist(), nbs.tolist()))
     if not edges:
         raise ValueError("no pairs at the prescribed distance between the sets")
     e_total = len(edges)
@@ -434,9 +451,7 @@ def gen_planar_k1mod3(k: int, n: int, eps: float = 0.25, seed: int = 0) -> Plana
     split = split_and_translate(grid.points, grid.points, d_pop, split_eps, seed)
     d_step = (3.0 * split_eps) ** 2
     d2f = [float(d_pop)] + [d_step] * (k - 1)
-    layers = _to_float_layers(
-        [make_layer(split.x1, 1), make_layer(split.x2, 2)]
-    )
+    layers = [make_layer([p.as_float() for p in side]) for side in (split.x1, split.x2)]
     rng = random.Random(f"k1mod3:{seed}:{k}")
     steps = (k - 1) // 3
     for s in range(steps):
@@ -532,33 +547,26 @@ def peel_min_degree(P: Layer, d2, spec: DistanceSpec) -> PeelResult:
     minimum degree at least E0/(2N).
     """
     cfg = LayeredConfig((Layer(P.points, 1), Layer(P.points, 2)), DistanceSpec((d2,), spec.eps))
-    adj = build_adjacency(cfg, certify=False).neighbors[0]
-    n = len(P.points)
-    neighbor_sets = [set(nb) for nb in adj]
-    e0 = sum(len(nb) for nb in neighbor_sets) // 2
+    offsets, nbs = build_adjacency(cfg, certify=False).pairs[0]
+    n, e0 = len(P.points), len(nbs) // 2
     if e0 < 1:
         raise ValueError("the distance graph has no edges")
-    degs = [len(nb) for nb in neighbor_sets]
-    removed = [False] * n
-    # degree < E0/(2N)  <=>  2*N*degree < E0, kept in exact integers
-    pending = [v for v in range(n) if 2 * n * degs[v] < e0]
-    while pending:
-        v = pending.pop()
-        if removed[v]:
-            continue
-        removed[v] = True
-        for w in neighbor_sets[v]:
-            if not removed[w]:
-                degs[w] -= 1
-                if 2 * n * degs[w] < e0:
-                    pending.append(w)
-    survivors = [i for i in range(n) if not removed[i]]
+    rows = np.repeat(np.arange(n), np.diff(offsets))
+    # drop the survivors of degree < E0/(2N) among the survivors (2*N*degree
+    # < E0 in integers) until none is left: the fixpoint, the largest set
+    # of minimum degree >= E0/(2N), does not depend on the order of drops
+    keep = np.ones(n, bool)
+    while True:
+        degs = np.bincount(rows[keep[rows] & keep[nbs]], minlength=n)
+        drop = keep & (2 * n * degs < e0)
+        if not drop.any():
+            break
+        keep &= ~drop
+    survivors = np.flatnonzero(keep).tolist()
     if not survivors:
         raise ConstructionError("peeling emptied the set despite positive edge count")
-    keep = set(survivors)
-    min_deg = min(len(neighbor_sets[v] & keep) for v in survivors)
     pts = tuple(Point(P.points[v].coords, i) for i, v in enumerate(survivors))
-    return PeelResult(Layer(pts, P.label), e0, n, min_deg)
+    return PeelResult(Layer(pts, P.label), e0, n, int(degs[keep].min()))
 
 
 @dataclass(frozen=True)

@@ -159,18 +159,20 @@ def rational_point_on_circle(r2: Fraction) -> tuple[Fraction, Fraction] | None:
     return (Fraction(a, r2.denominator), Fraction(b, r2.denominator))
 
 
-def _rotated_coords(center: Point, seed: tuple, ts):
+def _rotated_coords(center: Point, seed: tuple, ts, div=Fraction):
     """Yield the seed rotated by the tangent half-angle map at each t = a/b
     of the integer pairs ts, translated to center.  Over one denominator L,
     with seed (X, Y)/L, center (CX, CY)/L, q = a^2+b^2 and c = b^2-a^2, it
     is (CX q + X c - 2abY, CY q + 2abX + Y c) / (L q): homogeneous in (a, b),
-    computed in integers with one Fraction per coordinate."""
+    computed in integers, each coordinate div(numerator, denominator):
+    Fraction for the exact point, int/int true division for its correctly
+    rounded float."""
     fr = [Fraction(v) for v in (*center.coords, *seed)]
     L = math.lcm(*(v.denominator for v in fr))
     CX, CY, X, Y = (v.numerator * (L // v.denominator) for v in fr)
     for a, b in ts:
         q, c, s = a * a + b * b, b * b - a * a, 2 * a * b
-        yield Fraction(CX * q + X * c - Y * s, L * q), Fraction(CY * q + X * s + Y * c, L * q)
+        yield div(CX * q + X * c - Y * s, L * q), div(CY * q + X * s + Y * c, L * q)
 
 
 def rational_circle_points(
@@ -190,6 +192,12 @@ def rational_circle_points(
     `_rotated_coords`; a narrow t_range = (lo, hi) yields a short arc
     (chord diameter at most 2*r*(hi-lo)).
     """
+    return [Point(c, id_base + j) for j, c in enumerate(_circle_coords(center, r2, m, t_range, seed))]
+
+
+def _circle_coords(center: Point, r2, m: int, t_range, seed=None, div=Fraction):
+    """The coordinates of rational_circle_points, each div(numerator,
+    denominator) as `_rotated_coords` gives it."""
     if m < 1:
         raise ValueError("m must be >= 1")
     r2 = Fraction(r2)
@@ -208,8 +216,7 @@ def rational_circle_points(
     w = hi - lo
     a0, b = lo.numerator * w.denominator * (m + 1), lo.denominator * w.denominator * (m + 1)
     step = w.numerator * lo.denominator
-    coords = _rotated_coords(center, (x0, y0), ((a0 + step * j, b) for j in range(1, m + 1)))
-    return [Point(c, id_base + j) for j, c in enumerate(coords)]
+    return _rotated_coords(center, (x0, y0), ((a0 + step * j, b) for j in range(1, m + 1)), div)
 
 
 def circle_circle_intersection(c1: Point, r1sq, c2: Point, r2sq) -> list[Point]:

@@ -181,7 +181,7 @@ def read_manifest(path) -> LayeredConfig:
     missing = [i for i in range(1, k + 2) if i not in layer_paths]
     if missing:
         raise FileFormatError(f"{path}: missing layer(s) {missing}")
-    cache: dict[str, list[Point]] = {}
+    cache: dict[str, tuple[Point, ...]] = {}  # aliased layers share one tuple
     layers = []
     for i in range(1, k + 2):
         fname = layer_paths[i]
@@ -193,8 +193,8 @@ def read_manifest(path) -> LayeredConfig:
                 raise FileFormatError(f"{full}: mode {pmode}, manifest wants {want}")
             if pts and pts[0].dim != dim:
                 raise FileFormatError(f"{full}: dim {pts[0].dim}, manifest says {dim}")
-            cache[full] = pts
-        layers.append(Layer(tuple(cache[full]), i))
+            cache[full] = tuple(pts)
+        layers.append(Layer(cache[full], i))
     cfg = LayeredConfig(tuple(layers), DistanceSpec(delta2, eps))
     cfg.validate()
     return cfg

@@ -6,7 +6,7 @@ counted are walks (consecutive distances match, repeats allowed), chains
 distance-labeled tree.  All counts are exact Python integers.
 
 All three are counted by one engine (see "the counting engine" below): a
-dynamic program over adjacency lists counts homomorphisms, and a Möbius
+dynamic program over CSR adjacency arrays counts homomorphisms, and a Möbius
 correction over coincidence patterns removes tuples that reuse a point.
 No tuple is ever enumerated; the exhaustive oracles live with the tests.
 """
@@ -19,7 +19,7 @@ import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 from .geometry import CertificationError, DistanceSpec, Point, _rational
 
@@ -112,36 +112,50 @@ def make_config(layers, delta2, eps: float | None = None) -> LayeredConfig:
     return cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteAdjacency:
-    """Per consecutive layer pair: neighbors[i][p] lists the indices (into
-    layer i+1) of points at the i-th squared distance from point p."""
+    """The edges of every consecutive layer pair as CSR arrays: pairs[i] is
+    (offsets, indices), and indices[offsets[p]:offsets[p + 1]] are the
+    ascending indices (into layer i+1) of the points at the i-th squared
+    distance from point p of layer i.  The counting engine and the
+    covering search read the arrays; `neighbors` lists them as tuples."""
 
-    neighbors: tuple[tuple[tuple[int, ...], ...], ...]
+    pairs: tuple
+
+    @property
+    def neighbors(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """neighbors[i][p]: the indices of pair i's row p, as a tuple."""
+        out = []
+        for offsets, indices in self.pairs:
+            cuts, flat = offsets.tolist(), indices.tolist()
+            out.append(tuple(tuple(flat[lo:hi]) for lo, hi in zip(cuts, cuts[1:])))
+        return tuple(out)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BipartiteAdjacency) and self.neighbors == other.neighbors
 
     def edge_count(self, i: int) -> int:
-        return sum(len(nb) for nb in self.neighbors[i])
+        return int(self.pairs[i][0][-1])
 
     def total_edges(self) -> int:
-        return sum(self.edge_count(i) for i in range(len(self.neighbors)))
+        return sum(map(self.edge_count, range(len(self.pairs))))
 
     def restrict(self, picks) -> "BipartiteAdjacency":
         """The adjacency among the points picks[i] (distinct indices) of
         each layer i, which become points 0, 1, ... of the new layers."""
+        import numpy as np
+
         out = []
-        for nbs, rows, cols in zip(self.neighbors, picks, picks[1:]):
-            rank = {q: j for j, q in enumerate(cols)}
-            out.append(tuple(tuple(sorted(rank[q] for q in nbs[p] if q in rank)) for p in rows))
+        for (offsets, indices), rows, cols in zip(self.pairs, picks, picks[1:]):
+            rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+            sizes = offsets[rows + 1] - offsets[rows]
+            q = indices[np.repeat(offsets[rows] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
+            keep = np.isin(q, cols)  # edges of picked rows into picked columns
+            by = np.argsort(cols)
+            a, b = np.repeat(np.arange(len(rows)), sizes)[keep], by[np.searchsorted(cols[by], q[keep])]
+            order = np.lexsort((b, a))
+            out.append((np.searchsorted(a[order], np.arange(len(rows) + 1)), b[order]))
         return BipartiteAdjacency(tuple(out))
-
-
-def _edge_arrays(lists):
-    """Adjacency lists as index arrays (a, b), one entry per edge b in
-    lists[a], in list order."""
-    import numpy as np
-
-    a = np.repeat(np.arange(len(lists)), [len(nb) for nb in lists])
-    return a, np.fromiter(chain.from_iterable(lists), np.intp, len(a))
 
 
 # Pairs tested per numpy block: enough to amortize numpy's per-call cost.
@@ -164,6 +178,34 @@ def _primes(count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Side:
+    """One point sequence in the pair kernel's array form, built once per
+    layer however many pairs it belongs to: float64 axes in tolerant mode;
+    in exact mode each point's denominator D_p, its integers N_p = D_p * p
+    per axis, and each axis's floor of its minimum."""
+
+    def __init__(self, points, eps):
+        import numpy as np
+
+        self.points = points
+        self.dim = dim = len(points[0].coords) if points else 0
+        if any(len(p.coords) != dim for p in points):
+            raise ValueError("dimension mismatch between the two point sets")
+        if not points:
+            return
+        if eps is not None:
+            self.axes = np.array([float(c) for p in points for c in p.coords]).reshape(-1, dim).T.copy()
+            return
+        ratios = [c.as_integer_ratio() for p in points for c in p.coords]
+        axes = [tuple(zip(*ratios[c::dim])) for c in range(dim)]  # (numerators, denominators)
+        self.dens = list(map(math.lcm, *(ds for _, ds in axes)))
+        self.nums = [[D // d * n for n, d, D in zip(ns, ds, self.dens)] for ns, ds in axes]
+        self.lows = [min(map(operator.floordiv, ns, ds)) for ns, ds in axes]
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
 class _PairView:
     """Both sides of a layer pair as arrays, one row per axis, and the one
     distance predicate on them.
@@ -184,25 +226,23 @@ class _PairView:
     """
 
     def __init__(self, pa, pb, d2, eps):
+        """pa and pb are point sequences or their _Side forms."""
         import numpy as np  # at call time: a module-level import raised peak RSS
 
-        points = (*pa, *pb)
-        self.dim = dim = len(points[0].coords)
-        if any(len(p.coords) != dim for p in points):
+        sa, sb = (side if isinstance(side, _Side) else _Side(side, eps) for side in (pa, pb))
+        if sa.dim != sb.dim:
             raise ValueError("dimension mismatch between the two point sets")
-        self.eps, self.split = eps, len(pa)
+        self.dim = dim = sa.dim
+        self.eps, self.split = eps, len(sa)
+        self.points = sa.points, sb.points
         if eps is not None:
-            axes = np.array([float(c) for p in points for c in p.coords]).reshape(-1, dim).T.copy()
-            self.a, self.b = axes[:, : len(pa)], axes[:, len(pa) :]
-            self.target = float(d2)
+            self.a, self.b, self.target = sa.axes, sb.axes, float(d2)
             return
-        ratios = [c.as_integer_ratio() for p in points for c in p.coords]
-        axes = [tuple(zip(*ratios[c::dim])) for c in range(dim)]  # (numerators, denominators)
-        dens = list(map(math.lcm, *(ds for _, ds in axes)))
-        cols = []
-        for ns, ds in axes:
-            low = min(map(operator.floordiv, ns, ds))
-            cols.append([D // d * (n - low * d) for n, d, D in zip(ns, ds, dens)])
+        dens = sa.dens + sb.dens
+        cols = [
+            [n - low * D for n, D in zip(na + nb, dens)]
+            for na, nb, low in zip(sa.nums, sb.nums, map(min, sa.lows, sb.lows))
+        ]
         self.ints = cols, dens
         num, den = d2.as_integer_ratio()
         # one denominator D for all points, as on integer layers: D^2 moves
@@ -314,23 +354,25 @@ def _cell_blocks(code_a, code_b, offsets):
 
 
 def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offenders=None):
-    """lists[a]: sorted indices b with pa[a], pb[b] at squared distance d2.
+    """CSR arrays (offsets, indices): indices[offsets[a]:offsets[a + 1]]
+    are the ascending indices b with pa[a], pb[b] at squared distance d2.
 
-    The one kernel that decides point pairs (see _PairView): only
-    ``spec.eps`` is read, so the spec may carry other distances.  "brute"
-    tests every pair, "grid" only the pairs a uniform grid puts in
-    neighbouring cells ("brute" when there are too many cells to code in
-    int64), "auto" picks grid for more than 4096 pairs.  Both test pairs in
-    numpy blocks of _BLOCK, so a call costs a few array operations per
-    block plus Python work per coordinate and per edge.  With an
-    `offenders` list, tolerant pairs in the guard band (eps, 100*eps] are
-    appended to it as (p, q, gap) in (a, b) order: the separation
-    certificate that tolerant counting is stable.
+    The one kernel that decides point pairs (see _PairView), on point
+    sequences or their _Side forms: only ``spec.eps`` is read, so the spec
+    may carry other distances.  "brute" tests every pair, "grid" only the
+    pairs a uniform grid puts in neighbouring cells ("brute" when there
+    are too many cells to code in int64), "auto" picks grid for more than
+    4096 pairs.  Both test pairs in numpy blocks of _BLOCK, so a call costs
+    a few array operations per block plus Python work per coordinate not
+    yet converted.  With an `offenders` list, tolerant pairs in the guard
+    band (eps, 100*eps] are appended to it as (p, q, gap) in (a, b) order:
+    the separation certificate that tolerant counting is stable.
     """
-    if not pa or not pb:
-        return tuple(() for _ in pa)
     import numpy as np
 
+    none = np.zeros(0, dtype=np.intp)
+    if not len(pa) or not len(pb):
+        return np.zeros(len(pa) + 1, np.intp), none
     eps = spec.eps
     certify = offenders is not None and bool(eps)
     view = _PairView(pa, pb, d2, eps)
@@ -339,7 +381,6 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offender
         cells = view.cell_codes(d2 if eps is None else float(d2) + (100.0 * eps if certify else eps))
     if cells is None:  # brute force: every point in one cell
         cells = np.zeros(len(pa), np.int64), np.zeros(len(pb), np.int64), np.zeros(1, np.int64)
-    none = np.zeros(0, dtype=np.intp)
     hits, band = [(none, none)], [(none, none, np.zeros(0))]
     for ia, ib in _cell_blocks(*cells):
         match, gap = view.test(ia, ib)
@@ -349,19 +390,19 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offender
             band.append((ia[near], ib[near], gap[near]))
     a, b = (np.concatenate(side) for side in zip(*hits))
     order = np.lexsort((b, a))
-    cuts = np.searchsorted(a[order], np.arange(len(pa) + 1)).tolist()
-    flat = b[order].tolist()
     if certify:
-        a, b, gap = (np.concatenate(side) for side in zip(*band))
-        for t in np.lexsort((b, a)).tolist():
-            offenders.append((pa[a[t]], pb[b[t]], float(gap[t])))
-    return tuple(tuple(flat[cuts[i] : cuts[i + 1]]) for i in range(len(pa)))
+        pts_a, pts_b = view.points
+        ia, ib, gap = (np.concatenate(side) for side in zip(*band))
+        for t in np.lexsort((ib, ia)).tolist():
+            offenders.append((pts_a[ia[t]], pts_b[ib[t]], float(gap[t])))
+    return np.searchsorted(a[order], np.arange(len(pa) + 1)), b[order]
 
 
 def build_adjacency(
     config: LayeredConfig, strategy: str = "auto", certify: bool | None = None
 ) -> BipartiteAdjacency:
-    """Adjacency lists for every consecutive layer pair.
+    """The CSR adjacency of every consecutive layer pair, each layer (each
+    point tuple, when layers repeat one) converted to arrays once.
 
     Strategies "brute" and "grid" must agree exactly; "auto" picks grid for
     large pairs.  In tolerant mode the guard-band certificate runs alongside
@@ -370,10 +411,12 @@ def build_adjacency(
     if certify is None:
         certify = not config.spec.exact
     offenders: list | None = [] if certify else None
-    levels = tuple(
+    tuples = {id(ly.points): ly.points for ly in config.layers}  # repeated layers share one
+    sides = {key: _Side(points, config.spec.eps) for key, points in tuples.items()}
+    pairs = tuple(
         _pair_lists(
-            config.layers[i].points,
-            config.layers[i + 1].points,
+            sides[id(config.layers[i].points)],
+            sides[id(config.layers[i + 1].points)],
             config.spec.delta2[i],
             config.spec,
             strategy,
@@ -383,12 +426,13 @@ def build_adjacency(
     )
     if offenders:
         raise CertificationError(offenders)
-    return BipartiteAdjacency(levels)
+    return BipartiteAdjacency(pairs)
 
 
-def certify_config(config: LayeredConfig) -> None:
-    """Raise CertificationError if any consecutive pair sits in the guard band."""
-    build_adjacency(config, strategy="auto", certify=True)
+def certify_config(config: LayeredConfig) -> BipartiteAdjacency:
+    """The adjacency built with the separation certificate: raise
+    CertificationError if any consecutive pair sits in the guard band."""
+    return build_adjacency(config, strategy="auto", certify=True)
 
 
 def _coord_classes(layers) -> list[list[int]]:
@@ -403,7 +447,8 @@ def _coord_classes(layers) -> list[list[int]]:
 # Every count runs over a rooted tree whose vertex v draws its point from one
 # layer (a chain is a path rooted at its last position).  classes[v][i] is
 # the coordinate class of point i of v's layer, shared across layers, and
-# lists[v][i] holds the indices of the parent-layer points adjacent to it.
+# pairs[v] holds the CSR arrays of v's edges: offsets over v's points and
+# indices into its parent's layer.
 #
 # Homomorphisms (walks, for a path) come from one bottom-up pass of segment
 # sums over the edges sorted by parent point, O(E).  Injective counts
@@ -430,9 +475,9 @@ _CHUNK = 1 << 15
 
 
 class _CountTree:
-    """A rooted tree of layers joined by adjacency lists, and its counts."""
+    """A rooted tree of layers joined by CSR adjacency, and its counts."""
 
-    def __init__(self, classes, parent, lists, order):
+    def __init__(self, classes, parent, pairs, order):
         import numpy as np
 
         self.parent = parent
@@ -452,7 +497,8 @@ class _CountTree:
         self.edges: list = [None] * len(classes)
         for u, v in enumerate(parent):
             if v >= 0:
-                q, p = _edge_arrays(lists[u])
+                offsets, p = pairs[u]
+                q = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
                 by = np.lexsort((self.classes[u][q], p))
                 self.edges[u] = q[by], p[by]
         self._memo: dict = {}  # pushes reused across patterns, oldest first
@@ -629,7 +675,7 @@ def _chain_tree(config: LayeredConfig, adjacency: BipartiteAdjacency | None) -> 
     return _CountTree(
         _coord_classes(config.layers),
         list(range(1, k + 1)) + [-1],
-        list(adj.neighbors) + [None],
+        [*adj.pairs, None],
         range(k + 1),
     )
 
@@ -737,8 +783,8 @@ def _tree_counter(layers, tree: LabeledTree, spec: DistanceSpec) -> _CountTree:
         raise ValueError("need one layer per tree vertex")
     order = tree.traversal()
     parent = [-1] * tree.vertex_count
-    lists: list = [None] * tree.vertex_count
+    pairs: list = [None] * tree.vertex_count
     for v, u, d2 in order[1:]:
         parent[v] = u
-        lists[v] = _pair_lists(layers[v].points, layers[u].points, d2, spec)
-    return _CountTree(_coord_classes(layers), parent, lists, [v for v, _, _ in reversed(order)])
+        pairs[v] = _pair_lists(layers[v].points, layers[u].points, d2, spec)
+    return _CountTree(_coord_classes(layers), parent, pairs, [v for v, _, _ in reversed(order)])

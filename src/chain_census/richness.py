@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import DistanceSpec
-from .layered import BipartiteAdjacency, Layer, LayeredConfig, _edge_arrays, _pair_lists, build_adjacency
+from .layered import BipartiteAdjacency, Layer, LayeredConfig, _pair_lists, build_adjacency
 
 
 def degree_vector(target: Layer, reference: Layer, d2, spec: DistanceSpec) -> list[int]:
     """Number of reference points at the given distance from each target point."""
-    return [len(nb) for nb in _pair_lists(target.points, reference.points, d2, spec)]
+    import numpy as np
+
+    return np.diff(_pair_lists(target.points, reference.points, d2, spec)[0]).tolist()
 
 
 def rich_points(target: Layer, reference: Layer, d2, r: int, spec: DistanceSpec) -> Layer:
@@ -71,7 +73,10 @@ class _Filtering:
         import numpy as np
 
         self.config = config
-        self.edges = [_edge_arrays(nb) for nb in (adjacency or build_adjacency(config, certify=False)).neighbors]
+        self.edges = [
+            (np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), indices)
+            for offsets, indices in (adjacency or build_adjacency(config, certify=False)).pairs
+        ]
         self.whole = tuple(np.arange(len(layer)) for layer in config.layers)
         self.cuts = np.array(cuts)
 

@@ -8,7 +8,12 @@ search on index arrays over one adjacency; `covering_oracle` is its former
 search, which builds every filtered sub-layer and asks the pair kernel for
 its degrees afresh.  The library builds rational circle points from
 integers; `circle_point_oracle` and `circle_points_oracle` are its former
-generators, one `Fraction` operation at a time.
+generators, one `Fraction` operation at a time.  The library keeps its
+adjacency as CSR arrays; `adjacency_oracle` decides every pair with
+`matches_distance`, and `restrict_oracle` is the former restriction of
+adjacency lists.  The library builds float planar bases from the circle
+kernel's integers; `to_float_layers` is the former route, `Point.as_float`
+of every point of the exact base.
 """
 
 from __future__ import annotations
@@ -43,6 +48,29 @@ def circle_points_oracle(center: Point, seed: tuple, m: int, t_range, id_base: i
         Point(circle_point_oracle(center, seed, lo + (hi - lo) * Fraction(j + 1, m + 1)).coords, id_base + j)
         for j in range(m)
     ]
+
+
+def to_float_layers(layers) -> list[Layer]:
+    return [Layer(tuple(p.as_float() for p in layer.points), layer.label) for layer in layers]
+
+
+def adjacency_oracle(config: LayeredConfig) -> tuple:
+    """neighbors[i][p]: the indices of the points of layer i+1 at the i-th
+    squared distance from point p of layer i, pair by pair."""
+    return tuple(
+        tuple(tuple(j for j, q in enumerate(b.points) if matches_distance(p, q, d2, config.spec)) for p in a.points)
+        for a, b, d2 in zip(config.layers, config.layers[1:], config.spec.delta2)
+    )
+
+
+def restrict_oracle(neighbors, picks) -> tuple:
+    """Adjacency lists among the points picks[i] of each layer i, renumbered
+    0, 1, ... in pick order."""
+    out = []
+    for nbs, rows, cols in zip(neighbors, picks, picks[1:]):
+        rank = {q: j for j, q in enumerate(cols)}
+        out.append(tuple(tuple(sorted(rank[q] for q in nbs[p] if q in rank)) for p in rows))
+    return tuple(out)
 
 
 def _classes(layers):

@@ -299,6 +299,7 @@ def run_process(*argv):
         ("generate --construction orthogonal --n 3", 1, "n must be even and >= 2"),
         ("generate --construction planar-chain --k 2 --delta2 1,0", 1, "squared distances must be positive"),
         ("generate --construction planar-chain --k 2 --delta2 abc,1", 1, "could not convert string to float: 'abc'"),
+        ("generate --construction planar-chain --k 2 --delta2 1/0,1", 1, "zero denominator in '1/0'"),
         ("generate --construction star --l 3 --n 10", 1, "n must be divisible by l"),
         (
             "experiment --construction planar-chain --k 2 --n-list 4,x",
@@ -309,7 +310,7 @@ def run_process(*argv):
     ids=[
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
         "generate-unread", "generate-variant", "covering-unread", "richness-unread",
-        "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-star-n",
+        "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-zero-denominator", "generate-star-n",
         "experiment-bad-n-list",
     ],
 )
@@ -319,6 +320,24 @@ def test_bad_construction_is_one_error_line(argv, code, message):
     assert "Traceback" not in proc.stderr
     errors = [ln for ln in proc.stderr.splitlines() if not ln.startswith(("usage:", " "))]
     assert len(errors) == 1 and errors[0].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "verb",
+    ["incidences --a {p} --b {p}", "rich --target {p} --ref {p} --r 1", "verify --claim richness --a {p} --b {p}"],
+    ids=["incidences", "rich", "verify-richness"],
+)
+@pytest.mark.parametrize(
+    "d2, message",
+    [("1/0", "zero denominator in '1/0'"), ("1/x", "bad rational '1/x'")],
+    ids=["zero-denominator", "bad-rational"],
+)
+def test_bad_d2_is_one_error_line(tmp_path, verb, d2, message):
+    p = tmp_path / "sq.pts"
+    write_points(p, make_layer([(0, 0), (1, 0)]).points, "exact")
+    proc = run_process(*verb.format(p=p).split(), "--d2", d2)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,9 @@ from chain_census.constructions import (
     peel_min_degree,
     split_and_translate,
 )
-from oracles import enumerate_chains
+from chain_census import constructions, layered
+from chain_census.experiment import run_experiment
+from oracles import enumerate_chains, to_float_layers
 
 F = Fraction
 
@@ -104,6 +106,61 @@ class TestPlanarChain:
         assert [tuple(p.coords for p in la.points) for la in a.layers] == [
             tuple(p.coords for p in lb.points) for lb in b.layers
         ]
+
+
+def count_pair_calls(monkeypatch) -> list:
+    """Record (d2, spec.k) of every call of the pair kernel: spec.k is 0
+    for an extension step's band check and k for a configuration's."""
+    calls, kernel = [], layered._pair_lists
+
+    def counted(pa, pb, d2, spec, *args, **kwargs):
+        calls.append((d2, spec.k))
+        return kernel(pa, pb, d2, spec, *args, **kwargs)
+
+    monkeypatch.setattr(layered, "_pair_lists", counted)
+    monkeypatch.setattr(constructions, "_pair_lists", counted)
+    return calls
+
+
+class TestPlanarFloatBase:
+    """Float planar bases come from the circle kernel's integers by true
+    division; they equal the exact base turned to floats point by point."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("delta2", [None, [F(1, 4), F(25, 9), 1, 4, 9]], ids=["default", "rational"])
+    def test_planar_chain_k5(self, n, delta2):
+        delta2 = delta2 or [1, 4, 9, 16, 25]
+        cfg = gen_planar_chain(5, delta2, n)
+        base = gen_planar_chain(2, delta2[:2], n, min(math.sqrt(delta2[2]), math.sqrt(delta2[3])) / 3)
+        assert base.spec.exact
+        want = to_float_layers(base.layers)
+        assert [[(p.coords, p.id) for p in ly.points] for ly in cfg.layers[:3]] == [
+            [(p.coords, p.id) for p in ly.points] for ly in want
+        ]
+
+    @pytest.mark.parametrize("n", [9, 16, 30])
+    def test_planar_k1_k4(self, n):
+        res = gen_planar_k1mod3(4, n)
+        want = to_float_layers([make_layer(res.split.x1), make_layer(res.split.x2)])
+        assert [[(p.coords, p.id) for p in ly.points] for ly in res.config.layers[:2]] == [
+            [(p.coords, p.id) for p in ly.points] for ly in want
+        ]
+
+
+class TestCertifiedOnce:
+    def test_experiment_size_builds_eight_pairs(self, monkeypatch):
+        # three band checks of the extension step and one certificate of
+        # the five pairs, whose adjacency the count reuses
+        calls = count_pair_calls(monkeypatch)
+        report = run_experiment("planar-chain", 5, [16])
+        assert report.rows[0].status == "ok" and report.rows[0].chains == 16**3
+        assert len(calls) == 8
+
+    def test_k8_certifies_each_pair_once(self, monkeypatch):
+        calls = count_pair_calls(monkeypatch)
+        gen_planar_chain(8, None, 4)
+        assert [d2 for d2, k in calls if k] == [float((i + 1) ** 2) for i in range(8)]
+        assert [k for _, k in calls].count(0) == 6
 
 
 class TestUnitRichGrid:

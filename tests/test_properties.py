@@ -27,12 +27,14 @@ from chain_census.geometry import (
     squared_distance,
 )
 from chain_census.layered import (
+    BipartiteAdjacency,
     LabeledTree,
     Layer,
     _pair_lists,
     _PairView,
     _primes,
     _tree_counter,
+    build_adjacency,
     count_chains,
     count_tree_embeddings,
     count_walks,
@@ -42,6 +44,7 @@ from chain_census.layered import (
 )
 from chain_census.richness import degree_vector, richness_filter, richness_thresholds, stable_covering
 from oracles import (
+    adjacency_oracle,
     backtrack_chains,
     backtrack_tree_embeddings,
     circle_point_oracle,
@@ -50,6 +53,7 @@ from oracles import (
     enumerate_chains,
     enumerate_walks_count,
     product_tree_embeddings,
+    restrict_oracle,
 )
 
 CHECKS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -233,12 +237,17 @@ def oracle_lists(pa, pb, d2, spec):
     return tuple(tuple(j for j, q in enumerate(pb) if matches_distance(p, q, d2, spec)) for p in pa)
 
 
+def kernel_lists(*args):
+    """The pair kernel's CSR arrays as adjacency lists, as oracle_lists gives them."""
+    return BipartiteAdjacency((_pair_lists(*args),)).neighbors[0]
+
+
 @CHECKS
 @given(lattice_pairs())
 def test_kernel_grid_equals_brute_exact(case):
     pa, pb, d2, _ = case
-    brute = _pair_lists(pa, pb, d2, exact_spec(), "brute")
-    assert _pair_lists(pa, pb, d2, exact_spec(), "grid") == brute == oracle_lists(pa, pb, d2, exact_spec())
+    brute = kernel_lists(pa, pb, d2, exact_spec(), "brute")
+    assert kernel_lists(pa, pb, d2, exact_spec(), "grid") == brute == oracle_lists(pa, pb, d2, exact_spec())
 
 
 @settings(CHECKS, max_examples=300)
@@ -256,7 +265,7 @@ def test_kernel_grid_equals_brute_tolerant(case, ratio, jitter):
     found = {}
     for strategy in ("brute", "grid"):
         offenders = []
-        lists = _pair_lists(pa, pb, d2, spec, strategy, offenders)
+        lists = kernel_lists(pa, pb, d2, spec, strategy, offenders)
         found[strategy] = lists, [(p.id, q.id, gap) for p, q, gap in offenders]
     assert found["grid"] == found["brute"]
     assert found["brute"][0] == oracle_lists(pa, pb, d2, spec)
@@ -283,7 +292,7 @@ def test_kernel_matches_predicate_either_side_of_int64(xs, ys, den, eps):
     if eps is None:
         wide = den > 1 and any(c for p in (*pa, *pb) for c in p.coords)
         assert bool(_PairView(pa, pb, d2, eps).primes) == wide
-    assert _pair_lists(pa, pb, d2, spec) == oracle_lists(pa, pb, d2, spec)
+    assert kernel_lists(pa, pb, d2, spec) == oracle_lists(pa, pb, d2, spec)
     degrees = degree_vector(make_layer(pa), make_layer(pb), d2, spec)
     assert degrees == [sum(matches_distance(p, q, d2, spec) for q in pb) for p in pa]
 
@@ -296,7 +305,7 @@ def test_tolerant_rational_pairs_read_float_coordinates(d2, match):
     spec = DistanceSpec((), 1e-300)
     assert matches_distance(p, q, d2, spec) is match
     for strategy in ("brute", "grid"):
-        assert _pair_lists([p], [q], d2, spec, strategy) == (((0,) if match else ()),)
+        assert kernel_lists([p], [q], d2, spec, strategy) == (((0,) if match else ()),)
 
 
 @pytest.mark.parametrize("x, q_den",[(2**40, 1), (2**40 + 1, 3), (2**100 + 1, 7)])
@@ -316,7 +325,7 @@ def test_kernel_rejects_what_one_prime_fewer_accepts(x, q_den):
         assert len(_PairView([p], [q], d2, None).primes) > j
         assert matches_distance(p, q, d2, exact_spec()) is match
         for strategy in ("brute", "grid"):
-            assert _pair_lists([p], [q], d2, exact_spec(), strategy) == (((0,) if match else ()),)
+            assert kernel_lists([p], [q], d2, exact_spec(), strategy) == (((0,) if match else ()),)
 
 
 def test_kernel_grid_cells_are_wider_than_the_reach():
@@ -328,7 +337,7 @@ def test_kernel_grid_cells_are_wider_than_the_reach():
         pa = [Point((offset + Fraction(j, 3 * 2**22), 0), i) for i, j in enumerate(range(4194290, 4194310))]
         pb = [Point((x + Fraction(1, 3), y), i) for i, (x, y) in enumerate(p.coords for p in pa)]
         want = tuple((i,) for i in range(len(pa)))
-        assert _pair_lists(pa, pb, d2, exact_spec(), "grid") == want == oracle_lists(pa, pb, d2, exact_spec())
+        assert kernel_lists(pa, pb, d2, exact_spec(), "grid") == want == oracle_lists(pa, pb, d2, exact_spec())
 
 
 DENOMINATOR = st.integers(2**30, 2**60)
@@ -351,7 +360,7 @@ def test_kernel_on_large_per_point_denominators(near, far, step):
     want = oracle_lists(pa, pb, Fraction(1), spec)
     assert all(i in nb for i, nb in enumerate(want))
     for strategy in ("auto", "brute", "grid"):
-        assert _pair_lists(pa, pb, Fraction(1), spec, strategy) == want
+        assert kernel_lists(pa, pb, Fraction(1), spec, strategy) == want
 
 
 @CHECKS
@@ -365,7 +374,7 @@ def test_kernel_exact_on_tiny_floats(xs, ys, unit):
     d2 = sum((a - b) ** 2 for a, b in zip(exact[0][0].coords, exact[1][0].coords)) or Fraction(unit) ** 2
     want = oracle_lists(*exact, d2, exact_spec())
     for strategy in ("brute", "grid"):
-        assert _pair_lists(pa, pb, d2, exact_spec(), strategy) == want
+        assert kernel_lists(pa, pb, d2, exact_spec(), strategy) == want
 
 
 @st.composite
@@ -467,3 +476,25 @@ def test_star_layers_equal_the_oracle_built_ones():
     for r2, layer in zip((1, 4, 9), layers[1:]):
         want = circle_points_oracle(origin, rational_point_on_circle(Fraction(r2)), 50, (0, 1))
         assert [(p.id, p.coords) for p in layer.points] == [(p.id, p.coords) for p in want]
+
+
+@CHECKS
+@given(configs(), st.sampled_from(["integer", "rational", "tolerant"]), st.sampled_from(["brute", "grid"]))
+def test_adjacency_matches_pair_oracle(cfg, kind, strategy):
+    # the CSR arrays, read back as lists, against every pair decided alone
+    if kind != "integer":
+        scale = Fraction(1, 3) if kind == "rational" else 0.1
+        layers = [[tuple(scale * c for c in p.coords) for p in ly.points] for ly in cfg.layers]
+        cfg = make_config(layers, [d2 * scale * scale for d2 in cfg.spec.delta2], None if kind == "rational" else 1e-9)
+    adj = build_adjacency(cfg, strategy, certify=False)
+    assert adj.neighbors == adjacency_oracle(cfg)
+    assert [adj.edge_count(i) for i in range(cfg.k)] == [sum(map(len, nbs)) for nbs in adj.neighbors]
+
+
+@CHECKS
+@given(configs(), st.data())
+def test_restrict_matches_list_oracle(cfg, data):
+    # picks in any order, empty ones included
+    picks = [data.draw(st.lists(st.sampled_from(range(len(ly))), unique=True)) if len(ly) else [] for ly in cfg.layers]
+    adj = build_adjacency(cfg)
+    assert adj.restrict(picks).neighbors == restrict_oracle(adj.neighbors, picks)
