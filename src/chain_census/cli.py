@@ -25,7 +25,7 @@ from .experiment import (
     write_scatter_svg,
 )
 from .geometry import DistanceSpec, exact_point
-from .io import _parse_exact, read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
+from .io import FileFormatError, _parse_exact, read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
 from .layered import (
     Layer,
     count_chains,
@@ -328,7 +328,10 @@ def main(argv=None) -> int:
         "experiment": _cmd_experiment,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, FileFormatError) as exc:  # a missing or malformed input file
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

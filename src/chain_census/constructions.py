@@ -396,9 +396,7 @@ def split_and_translate(x1_points, x2_points, d2, eps: float, seed: int = 0) -> 
     diam2 = _max_sq_diameter(new_x2)
     if diam2 > eps_fr * eps_fr:
         raise ConstructionError("compressed side exceeds the diameter bound")
-    preserved = count_incidences(
-        Layer(new_x1, 1), Layer(new_x2, 2), d2, DistanceSpec((d2,), None)
-    )
+    preserved = count_incidences(Layer(new_x1), Layer(new_x2), d2, DistanceSpec((), None))
     floor = Fraction(e_total, 2 * cells * cells)
     if preserved < floor:
         raise ConstructionError("preserved incidences fell below the guaranteed floor")
@@ -422,6 +420,7 @@ class PlanarK1Result:
     preserved_incidences: int
     popular_d2: Fraction
     split: SplitResult
+    adjacency: BipartiteAdjacency | None = None  # the certificate's, for k >= 4
 
 
 def gen_planar_k1mod3(k: int, n: int, eps: float = 0.25, seed: int = 0) -> PlanarK1Result:
@@ -467,8 +466,7 @@ def gen_planar_k1mod3(k: int, n: int, eps: float = 0.25, seed: int = 0) -> Plana
             rng,
         )
     cfg = make_config(layers, d2f, eps=TOLERANCE)
-    certify_config(cfg)
-    return PlanarK1Result(cfg, split.preserved_incidences, d_pop, split)
+    return PlanarK1Result(cfg, split.preserved_incidences, d_pop, split, certify_config(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +482,11 @@ def gen_3d_even(k: int, delta2=None, n: int = 1) -> LayeredConfig:
     circles.  All layers are pairwise disjoint, so the chain count is the
     full product.
     """
+    return _3d_even(k, delta2, n).config
+
+
+def _3d_even(k: int, delta2, n: int) -> _Certified:
+    """gen_3d_even with the adjacency of its certificate."""
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be even and >= 2")
     if n < 1:
@@ -523,8 +526,7 @@ def gen_3d_even(k: int, delta2=None, n: int = 1) -> LayeredConfig:
             raise ConstructionError("layers are not pairwise disjoint")
         seen |= cs
     cfg = make_config(ordered, delta2, eps=TOLERANCE)
-    certify_config(cfg)
-    return cfg
+    return _Certified(cfg, certify_config(cfg))
 
 
 @dataclass(frozen=True)
@@ -601,9 +603,7 @@ def gen_3d_odd_regular(k: int, n: int) -> Odd3dRegularResult:
     spec = DistanceSpec((popular,), None)
     peel = peel_min_degree(pts, popular, spec)
     core = peel.layer
-    layers = [Layer(core.points, i + 1) for i in range(k + 1)]
-    cfg = LayeredConfig(tuple(layers), DistanceSpec((popular,) * k, None))
-    cfg.validate()
+    cfg = make_config([core] * (k + 1), (popular,) * k)
     floor = len(core.points) * max(peel.min_degree - k, 0) ** k
     return Odd3dRegularResult(cfg, popular, core, peel.initial_edges, peel.min_degree, floor)
 
@@ -635,6 +635,7 @@ class Odd3dSphereResult:
     config: LayeredConfig
     sphere_incidences: int
     floor: int
+    adjacency: BipartiteAdjacency  # the certificate's
 
 
 def gen_3d_odd_sphere(k: int, n: int, supplier=None) -> Odd3dSphereResult:
@@ -662,11 +663,9 @@ def gen_3d_odd_sphere(k: int, n: int, supplier=None) -> Odd3dSphereResult:
         raise ConstructionError("supplier points collide with the chain scaffold")
     layers = keep + [make_layer(xs, k), make_layer(ys, k + 1)]
     cfg = make_config(layers, [1.0] * k, eps=TOLERANCE)
-    certify_config(cfg)
-    spec = DistanceSpec((1.0,), TOLERANCE)
-    inc = count_incidences(cfg.layers[k - 1], cfg.layers[k], 1.0, spec)
-    floor = n ** ((k - 1) // 2) * inc
-    return Odd3dSphereResult(cfg, inc, floor)
+    adj = certify_config(cfg)
+    inc = adj.edge_count(k - 1)
+    return Odd3dSphereResult(cfg, inc, n ** ((k - 1) // 2) * inc, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +700,7 @@ def gen_orthogonal_circles(d: int, k: int, n: int) -> OrthogonalResult:
     arc = list(_rotated_coords(origin, seed, ((j, 4 * m) for j in range(1, m + 1))))
     coords = [c + zero + pad for c in arc] + [zero + c + pad for c in arc]
     layer = make_layer([Point(c, i) for i, c in enumerate(coords)], 1)
-    layers = [Layer(layer.points, i + 1) for i in range(k + 1)]
-    cfg = LayeredConfig(tuple(layers), DistanceSpec((Fraction(1),) * k, None))
-    cfg.validate()
+    cfg = make_config([layer] * (k + 1), (Fraction(1),) * k)
     closed = 2 * math.perm(m, (k + 2) // 2) * math.perm(m, (k + 1) // 2)
     return OrthogonalResult(cfg, closed)
 

@@ -137,7 +137,7 @@ REGISTRY = {
         floor_only=True,
     ),
     "3d-even": Construction(
-        lambda p: cons.gen_3d_even(p.k, p.delta2 or [1.0] * p.k, p.n),
+        lambda p: cons._3d_even(p.k, p.delta2 or [1.0] * p.k, p.n),
         "manifest",
         {"closed-form": lambda r, p: (p.n ** (p.k // 2 + 1), "3d even count = n^(k/2+1)")},
         exponent=lambda k: Fraction(k, 2) + 1,
@@ -211,9 +211,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Generate the chain construction at each size and count its chains,
     walks and adjacency edges on one adjacency: the one its generator's
-    separation certificate built (planar-chain for k >= 3), else one built
-    here.  A size that fails becomes an error row; the fit and verdict
-    come from the rows that succeed."""
+    separation certificate built, if any (the result's `adjacency`), else
+    one built here.  A size that fails becomes an error row; the fit and
+    verdict come from the rows that succeed."""
     entry = _entry(construction)
     if entry.files != "manifest":
         raise ValueError(f"{construction!r} is not a chain construction")

@@ -25,8 +25,8 @@ import math
 import os
 from fractions import Fraction
 
-from .geometry import DistanceSpec, Point
-from .layered import LabeledTree, Layer, LayeredConfig
+from .geometry import Point
+from .layered import LabeledTree, Layer, LayeredConfig, make_config
 
 
 class FileFormatError(ValueError):
@@ -195,9 +195,7 @@ def read_manifest(path) -> LayeredConfig:
                 raise FileFormatError(f"{full}: dim {pts[0].dim}, manifest says {dim}")
             cache[full] = tuple(pts)
         layers.append(Layer(cache[full], i))
-    cfg = LayeredConfig(tuple(layers), DistanceSpec(delta2, eps))
-    cfg.validate()
-    return cfg
+    return make_config(layers, delta2, eps)
 
 
 def write_tree(path, tree: LabeledTree, mode: str = "exact") -> None:

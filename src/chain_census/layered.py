@@ -82,9 +82,11 @@ class LayeredConfig:
             raise ValueError(
                 f"{len(self.layers)} layers but {self.spec.k} squared distances"
             )
-        dims = set()
+        dims, types_of = set(), {}  # Layer.validate once per point tuple
         for layer in self.layers:
-            types = layer.validate()
+            if id(layer.points) not in types_of:
+                types_of[id(layer.points)] = layer.validate()
+            types = types_of[id(layer.points)]
             dims.update(len(p.coords) for p in layer.points)
             if len(dims) > 1:
                 raise ValueError("layers mix dimensions")
@@ -398,11 +400,36 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offender
     return np.searchsorted(a[order], np.arange(len(pa) + 1)), b[order]
 
 
+def _pair_runs(spec: DistanceSpec, strategy: str = "auto", offenders=None):
+    """_pair_lists as a function (pa, pb, d2) of point tuples, run once per
+    distinct (pa, pb, d2) with tuples told apart by identity: calls with
+    one key share one _Side per tuple and one pair of read-only CSR arrays,
+    and each call appends the pair's guard-band offenders, as a run would."""
+    sides, runs = {}, {}
+
+    def run(pa, pb, d2):
+        key = id(pa), id(pb), d2
+        if key not in runs:
+            for pts in (pa, pb):
+                if id(pts) not in sides:
+                    sides[id(pts)] = _Side(pts, spec.eps)
+            band = None if offenders is None else []
+            runs[key] = _pair_lists(sides[id(pa)], sides[id(pb)], d2, spec, strategy, band), band
+            for arr in runs[key][0]:
+                arr.flags.writeable = False
+        csr, band = runs[key]
+        if band:
+            offenders.extend(band)
+        return csr
+
+    return run
+
+
 def build_adjacency(
     config: LayeredConfig, strategy: str = "auto", certify: bool | None = None
 ) -> BipartiteAdjacency:
-    """The CSR adjacency of every consecutive layer pair, each layer (each
-    point tuple, when layers repeat one) converted to arrays once.
+    """The CSR adjacency of every consecutive layer pair, each distinct
+    pair of point tuples and distance decided once (see _pair_runs).
 
     Strategies "brute" and "grid" must agree exactly; "auto" picks grid for
     large pairs.  In tolerant mode the guard-band certificate runs alongside
@@ -411,19 +438,9 @@ def build_adjacency(
     if certify is None:
         certify = not config.spec.exact
     offenders: list | None = [] if certify else None
-    tuples = {id(ly.points): ly.points for ly in config.layers}  # repeated layers share one
-    sides = {key: _Side(points, config.spec.eps) for key, points in tuples.items()}
-    pairs = tuple(
-        _pair_lists(
-            sides[id(config.layers[i].points)],
-            sides[id(config.layers[i + 1].points)],
-            config.spec.delta2[i],
-            config.spec,
-            strategy,
-            offenders,
-        )
-        for i in range(config.k)
-    )
+    run = _pair_runs(config.spec, strategy, offenders)
+    points = [ly.points for ly in config.layers]
+    pairs = tuple(map(run, points, points[1:], config.spec.delta2))
     if offenders:
         raise CertificationError(offenders)
     return BipartiteAdjacency(pairs)
@@ -715,9 +732,7 @@ def count_chains_and_walks(config: LayeredConfig, adjacency: BipartiteAdjacency 
 
 def count_incidences(P: Layer, Q: Layer, d2, spec: DistanceSpec, strategy: str = "auto") -> int:
     """Ordered pairs (p, q) in P x Q realizing squared distance d2."""
-    cfg = LayeredConfig((Layer(P.points, 1), Layer(Q.points, 2)), DistanceSpec((d2,), spec.eps))
-    adj = build_adjacency(cfg, strategy=strategy, certify=False)
-    return adj.edge_count(0)
+    return len(_pair_runs(spec, strategy)(P.points, Q.points, d2)[1])
 
 
 @dataclass(frozen=True)
@@ -784,7 +799,8 @@ def _tree_counter(layers, tree: LabeledTree, spec: DistanceSpec) -> _CountTree:
     order = tree.traversal()
     parent = [-1] * tree.vertex_count
     pairs: list = [None] * tree.vertex_count
+    run = _pair_runs(spec)  # one run per distinct (vertex set, parent set, d2)
     for v, u, d2 in order[1:]:
         parent[v] = u
-        pairs[v] = _pair_lists(layers[v].points, layers[u].points, d2, spec)
+        pairs[v] = run(layers[v].points, layers[u].points, d2)
     return _CountTree(_coord_classes(layers), parent, pairs, [v for v, _, _ in reversed(order)])

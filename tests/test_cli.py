@@ -5,11 +5,11 @@ import sys
 import pytest
 
 import chain_census
-from chain_census import experiment
+from chain_census import experiment, layered
 from chain_census.cli import main
 from chain_census.io import write_points, write_tree
 from chain_census.constructions import gen_star, gen_unit_rich_grid
-from chain_census.layered import make_layer, path_tree
+from chain_census.layered import LabeledTree, make_layer, path_tree
 
 
 def run(capsys, *argv):
@@ -104,6 +104,15 @@ class TestTreeAndSetOps:
         code, out = run(capsys, "--mode", mode, "count-tree", "--tree", str(tpath), "--set", str(p))
         assert code == 0 and out.strip() == want
 
+    def test_count_tree_set_with_repeated_distances(self, tmp_path, capsys):
+        # one layer on all six vertices and four edges at squared distance 1:
+        # the count recorded when every edge ran the pair kernel itself
+        p = tmp_path / "grid.pts"
+        write_points(p, make_layer([(x, y) for y in range(3) for x in range(4)]).points, "exact")
+        tpath = tmp_path / "tree.tree"
+        write_tree(tpath, LabeledTree(6, ((0, 1, 1), (1, 2, 1), (1, 3, 2), (3, 4, 1), (0, 5, 1))), "exact")
+        assert run(capsys, "count-tree", "--tree", str(tpath), "--set", str(p)) == (0, "464\n")
+
     def test_incidences(self, tmp_path, capsys):
         corners = make_layer([(0, 0), (1, 0), (1, 1), (0, 1)])
         p = tmp_path / "sq.pts"
@@ -190,6 +199,17 @@ class TestDecomposeExperimentVerify:
         )
         assert code == 0
         assert out == "PASS computed=(39744, 3) expected=(39744, 17) (8 covering classes)\n"
+
+    @pytest.mark.parametrize("verb", ["count --walks", "decompose"])
+    def test_repeated_layers_run_the_kernel_once(self, tmp_path, capsys, monkeypatch, verb):
+        # four layers of one file at one distance: three positions, one pair
+        run(capsys, "--out", str(tmp_path), "generate", "--construction", "3d-odd-regular", "--k", "3", "--n", "64")
+        calls, kernel = [], layered._pair_lists
+        monkeypatch.setattr(layered, "_pair_lists", lambda *a, **kw: calls.append(a[2]) or kernel(*a, **kw))
+        command, *flags = verb.split()
+        code, out = run(capsys, "--eps", "0.25", command, "--manifest", str(tmp_path / "manifest.txt"), *flags)
+        assert code == 0 and out.startswith(("chains 39744", "classes 8"))
+        assert len(calls) == 1
 
     def test_verify_richness_files(self, tmp_path, capsys):
         grid = gen_unit_rich_grid(25)
@@ -338,6 +358,52 @@ def test_bad_d2_is_one_error_line(tmp_path, verb, d2, message):
     proc = run_process(*verb.format(p=p).split(), "--d2", d2)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        "count --manifest {missing}",
+        "decompose --manifest {missing}",
+        "verify --claim covering --manifest {missing}",
+        "count-tree --tree {tree} --set {missing}",
+        "count-tree --tree {missing} --set {pts}",
+        "incidences --a {pts} --b {missing} --d2 1",
+        "rich --target {missing} --ref {pts} --d2 1 --r 1",
+        "verify --claim richness --a {missing} --b {pts} --d2 1",
+    ],
+    ids=["count", "decompose", "verify-covering", "count-tree-set", "count-tree-tree", "incidences", "rich",
+         "verify-richness"],
+)
+def test_missing_file_is_one_error_line(tmp_path, verb):
+    pts, tree, missing = tmp_path / "sq.pts", tmp_path / "path.tree", tmp_path / "nope"
+    write_points(pts, make_layer([(0, 0), (1, 0)]).points, "exact")
+    write_tree(tree, path_tree((1,)), "exact")
+    proc = run_process(*verb.format(pts=pts, tree=tree, missing=missing).split())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"[Errno 2] No such file or directory: '{missing}'"]
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ("k 2\ndim 2\nmode exact\ndelta2 1 1\nlayer 1 sq.pts\nlayer 2 sq.pts\n", "{m}: missing layer(s) [3]"),
+        ("k 1\ndim 2\nmode exact\ndelta2 1\nlayer 1 sq.pts\nlayer 2 gone.pts\n",
+         "[Errno 2] No such file or directory: '{d}/gone.pts'"),
+        ("k 1\ndim 2\nmode exact\ndelta2 1\nlayer 1 sq.pts\nlayer 2 bad.pts\n",
+         "{d}/bad.pts: malformed header 'dim 2 count'"),
+    ],
+    ids=["missing-layer", "missing-layer-file", "malformed-layer-file"],
+)
+@pytest.mark.parametrize("verb", ["count", "decompose"])
+def test_bad_manifest_is_one_error_line(tmp_path, verb, manifest, message):
+    write_points(tmp_path / "sq.pts", make_layer([(0, 0), (1, 0)]).points, "exact")
+    (tmp_path / "bad.pts").write_text("dim 2 count\n")
+    m = tmp_path / "manifest.txt"
+    m.write_text(manifest)
+    proc = run_process(verb, "--manifest", str(m))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [message.format(m=m, d=tmp_path)]
 
 
 @pytest.mark.parametrize(

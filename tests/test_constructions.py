@@ -31,7 +31,7 @@ from chain_census.constructions import (
     peel_min_degree,
     split_and_translate,
 )
-from chain_census import constructions, layered
+from chain_census import constructions, experiment, layered
 from chain_census.experiment import run_experiment
 from oracles import enumerate_chains, to_float_layers
 
@@ -155,6 +155,25 @@ class TestCertifiedOnce:
         report = run_experiment("planar-chain", 5, [16])
         assert report.rows[0].status == "ok" and report.rows[0].chains == 16**3
         assert len(calls) == 8
+
+    @pytest.mark.parametrize(
+        "construction, k, builds",
+        # the count reuses the certificate's adjacency; 3d-odd-sphere also
+        # certifies its inner 3d-even configuration
+        [("3d-even", 2, 1), ("3d-even", 4, 1), ("3d-odd-sphere", 3, 2), ("planar-k1", 4, 1)],
+    )
+    def test_experiment_size_builds_certified_adjacency(self, monkeypatch, construction, k, builds):
+        calls, build = [], layered.build_adjacency
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].k)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(layered, "build_adjacency", counted)
+        monkeypatch.setattr(experiment, "build_adjacency", counted)
+        row = run_experiment(construction, k, [16]).rows[0]
+        assert row.status == "ok" and row.chains > 0
+        assert len(calls) == builds
 
     def test_k8_certifies_each_pair_once(self, monkeypatch):
         calls = count_pair_calls(monkeypatch)

@@ -28,6 +28,7 @@ from chain_census.layered import (
     make_layer,
     path_tree,
 )
+from chain_census import layered
 from chain_census.constructions import gen_orthogonal_circles, gen_planar_chain, gen_star
 from oracles import backtrack_tree_embeddings, enumerate_chains, enumerate_walks_count
 
@@ -127,6 +128,44 @@ class TestAdjacency:
             build_adjacency(cfg)
         with pytest.raises(CertificationError):
             certify_config(cfg)
+
+
+class TestRepeatedPairs:
+    """Positions that hold one (point tuple, point tuple, d2) share one
+    kernel run and its arrays."""
+
+    def test_shared_arrays_are_read_only(self):
+        res = gen_orthogonal_circles(4, 3, 12)
+        adj = build_adjacency(res.config)
+        assert adj.pairs[0] is adj.pairs[1] is adj.pairs[2]
+        for arr in adj.pairs[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert count_chains(res.config, adj) == res.closed_form == 1800
+
+    def test_guard_band_offenders_once_per_position(self):
+        # positions 0 and 1 repeat (a, a, 1.0), position 2 does not; the
+        # text and offenders are those the kernel gave with one run per
+        # position
+        a = make_layer([(0.0, 0.0), (1.0 + 2e-8, 0.0), (5.0, 5.0)])
+        b = make_layer([(0.0, 1.0 + 3e-8), (2.0, 2.0)])
+        cfg = make_config([a, a, a, b], (1.0, 1.0, 1.0), eps=1e-9)
+        with pytest.raises(CertificationError) as err:
+            build_adjacency(cfg)
+        assert str(err.value) == (
+            "5 pair(s) inside the separation guard band: |d2(0,1)-target|=4.000e-08, "
+            "|d2(1,0)-target|=4.000e-08, |d2(0,1)-target|=4.000e-08"
+        )
+        assert [(p.id, q.id) for p, q, _ in err.value.offenders] == [(0, 1), (1, 0), (0, 1), (1, 0), (0, 0)]
+
+    def test_replicated_tree_layer_runs_each_distance_once(self, monkeypatch):
+        calls, kernel = [], layered._pair_lists
+        monkeypatch.setattr(layered, "_pair_lists", lambda *a, **kw: calls.append(a[2]) or kernel(*a, **kw))
+        grid = make_layer([(x, y) for y in range(3) for x in range(4)])
+        tree = LabeledTree(6, ((0, 1, 1), (1, 2, 1), (1, 3, 2), (3, 4, 1), (0, 5, 1)))
+        got = count_tree_embeddings(grid, tree, exact_spec())
+        assert got == 464 == backtrack_tree_embeddings(grid, tree, exact_spec())
+        assert sorted(calls) == [1, 2]
 
 
 class TestWalks:

@@ -9,6 +9,7 @@ grid strategy against its brute strategy far from the origin and at tiny
 radii.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from chain_census.constructions import _dyadic_below, gen_orthogonal_circles, gen_star
 from chain_census.geometry import (
+    CertificationError,
     DistanceSpec,
     Point,
     exact_point,
@@ -269,6 +271,50 @@ def test_kernel_grid_equals_brute_tolerant(case, ratio, jitter):
         found[strategy] = lists, [(p.id, q.id, gap) for p, q, gap in offenders]
     assert found["grid"] == found["brute"]
     assert found["brute"][0] == oracle_lists(pa, pb, d2, spec)
+
+
+@st.composite
+def aliased_configs(draw):
+    """k+1 layers drawn from two point tuples, each shared by identity by
+    every layer that holds it, at distances drawn from two values: some
+    layer pairs repeat (same tuples, same distance) and some do not.
+    Tolerant points are integer points, some moved by 1e-8 on one axis,
+    which puts pairs into the guard band (1e-9, 1e-7]."""
+    eps = draw(st.sampled_from([None, 1e-9]))
+    pool = []
+    for _ in range(2):
+        points = draw(POINT_SET)
+        if eps is not None:
+            points = [(x + draw(st.sampled_from([0, 1e-8])), float(y)) for x, y in points]
+        pool.append(make_layer(points))
+    k = draw(st.integers(2, 5))
+    two = draw(st.sampled_from([(1, 2), (1, 5), (4, 5)]))
+    delta2 = [draw(st.sampled_from(two)) for _ in range(k)]
+    layers = [draw(st.sampled_from(pool)) for _ in range(k + 1)]
+    return make_config(layers, delta2 if eps is None else map(float, delta2), eps=eps)
+
+
+@CHECKS
+@given(aliased_configs(), st.sampled_from(["brute", "grid"]))
+def test_repeated_pairs_decided_once(cfg, strategy):
+    # each position against a kernel run of its own, offenders and all
+    points = [ly.points for ly in cfg.layers]
+    triples = list(zip(points, points[1:], cfg.spec.delta2))
+    offenders = []
+    want = tuple(kernel_lists(a, b, d2, cfg.spec, strategy, offenders) for a, b, d2 in triples)
+    try:
+        adj = build_adjacency(cfg, strategy)
+    except CertificationError as err:
+        assert str(err) == str(CertificationError(offenders))
+        assert [(p.id, q.id, g) for p, q, g in err.offenders] == [(p.id, q.id, g) for p, q, g in offenders]
+        adj = build_adjacency(cfg, strategy, certify=False)
+    else:
+        assert not offenders
+    assert adj.neighbors == want == adjacency_oracle(cfg)
+    # positions holding one (tuple, tuple, d2) share its arrays; others do not
+    for (i, ti), (j, tj) in itertools.combinations(enumerate(triples), 2):
+        same = (id(ti[0]), id(ti[1]), ti[2]) == (id(tj[0]), id(tj[1]), tj[2])
+        assert (adj.pairs[i] is adj.pairs[j]) == same
 
 
 RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=9)
