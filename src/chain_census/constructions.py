@@ -487,6 +487,12 @@ def gen_3d_even(k: int, delta2=None, n: int = 1) -> LayeredConfig:
 
 def _3d_even(k: int, delta2, n: int) -> _Certified:
     """gen_3d_even with the adjacency of its certificate."""
+    cfg = _3d_even_config(k, delta2, n)
+    return _Certified(cfg, certify_config(cfg))
+
+
+def _3d_even_config(k: int, delta2, n: int) -> LayeredConfig:
+    """gen_3d_even without its certificate."""
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be even and >= 2")
     if n < 1:
@@ -525,8 +531,7 @@ def _3d_even(k: int, delta2, n: int) -> _Certified:
         if cs & seen:
             raise ConstructionError("layers are not pairwise disjoint")
         seen |= cs
-    cfg = make_config(ordered, delta2, eps=TOLERANCE)
-    return _Certified(cfg, certify_config(cfg))
+    return make_config(ordered, delta2, eps=TOLERANCE)
 
 
 @dataclass(frozen=True)
@@ -644,10 +649,11 @@ def gen_3d_odd_sphere(k: int, n: int, supplier=None) -> Odd3dSphereResult:
     Layers 1..k-1 come from the even construction with unit distances; the
     supplier provides n-scale sets X on the unit sphere around the last
     joint and free points Y.  Count is at least n^((k-1)/2) * incidences(X, Y).
+    The one certificate covers the pairs kept from the even construction.
     """
     if k < 3 or k % 2 != 1:
         raise ValueError("k must be odd and >= 3")
-    inner = gen_3d_even(k - 1, [1.0] * (k - 1), n)
+    inner = _3d_even_config(k - 1, [1.0] * (k - 1), n)
     keep = list(inner.layers[: k - 1])
     center_layer = inner.layers[k - 2]
     if len(center_layer.points) != 1:

@@ -21,6 +21,7 @@ Layers may alias one file (repeated-layer configurations).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from fractions import Fraction
@@ -31,6 +32,23 @@ from .layered import LabeledTree, Layer, LayeredConfig, make_config
 
 class FileFormatError(ValueError):
     pass
+
+
+def _names_file(read):
+    """`read(path, ...)` with the ValueErrors of a bad file (a token that
+    is no number, a duplicate point, a tree that is no tree) raised as
+    FileFormatErrors that name the file."""
+
+    @functools.wraps(read)
+    def wrapped(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except FileFormatError:
+            raise
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+
+    return wrapped
 
 
 def _format_exact(c) -> str:
@@ -138,6 +156,7 @@ def write_manifest(path, config: LayeredConfig, directory=None, basename: str = 
     return path
 
 
+@_names_file
 def read_manifest(path) -> LayeredConfig:
     base = os.path.dirname(os.path.abspath(path))
     fields: dict[str, str] = {}
@@ -150,10 +169,7 @@ def read_manifest(path) -> LayeredConfig:
             key, _, rest = ln.partition(" ")
             if key == "layer":
                 idx_s, _, fname = rest.partition(" ")
-                try:
-                    idx = int(idx_s)
-                except ValueError as exc:
-                    raise FileFormatError(f"bad layer index {idx_s!r}") from exc
+                idx = int(idx_s)
                 if not fname:
                     raise FileFormatError(f"layer {idx} is missing a file path")
                 layer_paths[idx] = fname
@@ -207,6 +223,7 @@ def write_tree(path, tree: LabeledTree, mode: str = "exact") -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+@_names_file
 def read_tree(path, exact: bool = True) -> LabeledTree:
     vertices = None
     edges = []

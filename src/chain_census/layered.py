@@ -151,7 +151,7 @@ class BipartiteAdjacency:
         for (offsets, indices), rows, cols in zip(self.pairs, picks, picks[1:]):
             rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
             sizes = offsets[rows + 1] - offsets[rows]
-            q = indices[np.repeat(offsets[rows] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
+            q = indices[_ranges(offsets[rows], sizes)]
             keep = np.isin(q, cols)  # edges of picked rows into picked columns
             by = np.argsort(cols)
             a, b = np.repeat(np.arange(len(rows)), sizes)[keep], by[np.searchsorted(cols[by], q[keep])]
@@ -301,13 +301,15 @@ class _PairView:
             return s % mod * den % mod == (dd % mod) ** 2 % mod * num % mod
         return s * den == dd * dd * num
 
-    def cell_codes(self, reach2):
+    def cell_codes(self, reach2, auto=False):
         """(code_a, code_b, offsets): an int64 cell code per point of each
         side, for cells of side at least sqrt(reach2), and the code offsets
         of a cell's 3^dim neighbours; None when there are too many cells for
-        int64 codes.  Coordinates are shifted to be nonnegative first, and
-        exact ones are divided as integers, point by point, so no rounding
-        can put two neighbours two cells apart."""
+        int64 codes, or, with `auto`, when no axis has more than two cells
+        (every cell then neighbours every other).  Coordinates are shifted
+        to be nonnegative first, and exact ones are divided as integers,
+        point by point, so no rounding can put two neighbours two cells
+        apart."""
         import numpy as np
 
         if self.eps is not None:
@@ -325,7 +327,7 @@ class _PairView:
             tops = list(map(max, keys))
         # digits 1..max+1 per axis, so neighbours' digits stay in 0..max+2
         sizes = [int(top) + 3 for top in tops]
-        if math.prod(sizes) >= 1 << 62:
+        if math.prod(sizes) >= 1 << 62 or (auto and max(sizes, default=3) <= 4):
             return None
         stride = np.cumprod([1, *sizes[:-1]])
         offsets = np.array(list(product((-1, 0, 1), repeat=self.dim))) @ stride
@@ -351,8 +353,7 @@ def _cell_blocks(code_a, code_b, offsets):
     cuts = np.flatnonzero(np.diff(starts // _BLOCK, prepend=-1)).tolist()
     for lo, hi in zip(cuts, [*cuts[1:], len(hit)]):
         n = sizes[lo:hi]
-        start = np.repeat(first[lo:hi] - (np.cumsum(n) - n), n)
-        yield np.repeat(qa[lo:hi], n), order[start + np.arange(len(start))]
+        yield np.repeat(qa[lo:hi], n), order[_ranges(first[lo:hi], n)]
 
 
 def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offenders=None):
@@ -364,9 +365,10 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offender
     may carry other distances.  "brute" tests every pair, "grid" only the
     pairs a uniform grid puts in neighbouring cells ("brute" when there
     are too many cells to code in int64), "auto" picks grid for more than
-    4096 pairs.  Both test pairs in numpy blocks of _BLOCK, so a call costs
-    a few array operations per block plus Python work per coordinate not
-    yet converted.  With an `offenders` list, tolerant pairs in the guard
+    4096 pairs when it puts more than two cells on some axis.  Both test
+    pairs in numpy blocks of _BLOCK, so a call costs a few array
+    operations per block plus Python work per coordinate not yet
+    converted.  With an `offenders` list, tolerant pairs in the guard
     band (eps, 100*eps] are appended to it as (p, q, gap) in (a, b) order:
     the separation certificate that tolerant counting is stable.
     """
@@ -380,7 +382,8 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offender
     view = _PairView(pa, pb, d2, eps)
     cells = None
     if strategy == "grid" or (strategy == "auto" and len(pa) * len(pb) > 4096):
-        cells = view.cell_codes(d2 if eps is None else float(d2) + (100.0 * eps if certify else eps))
+        reach2 = d2 if eps is None else float(d2) + (100.0 * eps if certify else eps)
+        cells = view.cell_codes(reach2, strategy == "auto")
     if cells is None:  # brute force: every point in one cell
         cells = np.zeros(len(pa), np.int64), np.zeros(len(pb), np.int64), np.zeros(1, np.int64)
     hits, band = [(none, none)], [(none, none, np.zeros(0))]
@@ -453,9 +456,14 @@ def certify_config(config: LayeredConfig) -> BipartiteAdjacency:
 
 
 def _coord_classes(layers) -> list[list[int]]:
-    """Map coordinates to dense integer classes shared across layers."""
+    """Map coordinates to dense integer classes shared across layers, one
+    list per distinct point tuple."""
     ids: dict[tuple, int] = {}
-    return [[ids.setdefault(p.coords, len(ids)) for p in layer.points] for layer in layers]
+    lists: dict[int, list[int]] = {}
+    for layer in layers:
+        if id(layer.points) not in lists:
+            lists[id(layer.points)] = [ids.setdefault(p.coords, len(ids)) for p in layer.points]
+    return [lists[id(layer.points)] for layer in layers]
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +483,15 @@ def _coord_classes(layers) -> list[list[int]]:
 #     mu(pi) = product over blocks B of (-1)^(|B|-1) (|B|-1)!,
 #
 # where homs(pi) counts homomorphisms that give all vertices of each block
-# one coordinate class.  A vertex's state is an array over its points and
-# the shared classes of each block open there (members inside and outside
-# its subtree) that its own point does not fix: one axis per block, not one
-# pass per class, so a pattern costs O(E x its widest pushed row).
+# one coordinate class.  A vertex's state counts assignments of its subtree
+# per point and per shared class of each block open there (members inside
+# and outside its subtree) that its own point does not fix: a dense array
+# over the points when no block is open, otherwise only the entries its
+# edges reach, as ascending int64 keys point * cols + flat axis index (axes
+# in block order) and their values.  A push that opens a block emits one
+# entry per edge, one that carries a block expands each entry of a row
+# along the row's edges, and one that closes a block looks up the entry at
+# the parent point's class, so a pattern costs the entries its edges reach.
 # Patterns grow vertex by vertex, and a prefix with no homomorphism ends
 # its branch, as merging blocks only adds constraints (Curticapean, Dell
 # and Marx, STOC 2017); so two vertices no homomorphism puts on one class,
@@ -487,8 +500,38 @@ def _coord_classes(layers) -> list[list[int]]:
 # of the layer sizes is below 2^63, Python ints in object arrays otherwise.
 
 # Entries gathered per chunk of edges: a push's transient arrays stay near
-# this size however wide the state rows are.
+# this size however many entries a row holds.
 _CHUNK = 1 << 15
+
+
+def _ranges(first, sizes):
+    """The indices first[t], first[t] + 1, ..., first[t] + sizes[t] - 1."""
+    import numpy as np
+
+    out = np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+    out += np.arange(len(out))
+    return out
+
+
+def _ascending(keys, vals):
+    """Distinct keys and their values, in key order."""
+    import numpy as np
+
+    by = np.argsort(keys)
+    return keys[by], vals[by]
+
+
+def _rekey(keys, axes, new, width):
+    """The keys of a state over `axes` as keys over the axes `new`: axes not
+    in `new` dropped, axes not in `axes` at index 0."""
+    import numpy as np
+
+    coords = {}
+    for j in reversed(axes):
+        keys, coords[j] = np.divmod(keys, width[j])
+    for j in new:
+        keys = keys * width[j] + coords.get(j, 0)
+    return keys
 
 
 class _CountTree:
@@ -505,19 +548,28 @@ class _CountTree:
             if parent[v] >= 0:
                 self.kids[parent[v]].append(v)
                 self.below[parent[v]] |= self.below[v]
-        self.sets = [frozenset(c) for c in classes]
-        self.classes = [np.array(c, dtype=np.intp) for c in classes]
+        arrays: dict = {}  # one array and one set per distinct class list
+        for c in classes:
+            if id(c) not in arrays:
+                arrays[id(c)] = np.array(c, dtype=np.intp), frozenset(c)
+        self.classes, self.sets = ([arrays[id(c)][i] for c in classes] for i in (0, 1))
         self.class_count = 1 + max((max(c) for c in classes if c), default=-1)
         self.dtype = np.int64 if math.prod(map(len, classes)) < 1 << 63 else object
         # per child u: its edges (q, p) to the parent, p ascending and then
-        # the class of q ascending
+        # the class of q ascending, and the order that lists them as the
+        # CSR arrays do (by q, then p); sorted once per distinct pair
         self.edges: list = [None] * len(classes)
+        runs: dict = {}
         for u, v in enumerate(parent):
-            if v >= 0:
+            key = id(pairs[u]), id(classes[u])
+            if v >= 0 and key not in runs:
                 offsets, p = pairs[u]
                 q = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
                 by = np.lexsort((self.classes[u][q], p))
-                self.edges[u] = q[by], p[by]
+                csr = np.empty_like(by)
+                csr[by] = np.arange(len(by))
+                runs[key] = q[by], p[by], csr
+            self.edges[u] = runs.get(key)
         self._memo: dict = {}  # pushes reused across patterns, oldest first
         self._stored = 0
         self._luts: dict = {}  # shared classes -> class -> axis index
@@ -525,9 +577,17 @@ class _CountTree:
 
     def _pair(self, u: int, v: int) -> int:
         """Homomorphisms that give vertices u < v one class: when there are
-        none, no pattern may put them in one block."""
+        none, no pattern may put them in one block.  Tree neighbours have
+        none unless an edge joins two points of one class."""
+        import numpy as np
+
         if (u, v) not in self._pairs:
-            self._pairs[u, v] = self.homs([((u, v), self.sets[u] & self.sets[v])])
+            child = u if self.parent[u] == v else v if self.parent[v] == u else None
+            if child is not None:
+                q, p, _ = self.edges[child]
+                loops = np.any(self.classes[child][q] == self.classes[self.parent[child]][p])
+            shared = self.sets[u] & self.sets[v]
+            self._pairs[u, v] = self.homs([((u, v), shared)]) if child is None or loops else 0
         return self._pairs[u, v]
 
     def injective(self, homs: int | None = None) -> int:
@@ -584,9 +644,8 @@ class _CountTree:
                 lut[sorted(shared)] = np.arange(len(shared))
             pos.append(self._luts[shared])
         width = [len(shared) for _, shared in blocks]
-
-        def widen(counts, axes, joined):  # broadcastable against the axes `joined`
-            return counts.reshape(len(counts), *(width[j] if j in axes else 1 for j in joined))
+        if max(map(len, self.classes)) * math.prod(width) >> 63:  # keys point * cols + flat
+            raise OverflowError("too many shared classes to index a state in int64")
 
         # top down: the pushes to compute, those of children whose push no
         # earlier pattern left in the memo; it depends only on the blocks
@@ -612,78 +671,142 @@ class _CountTree:
         for v in self.order:
             if v not in todo:
                 continue
-            axes, counts = (), None
-            for u in self.kids[v]:
-                part_axes, part = parts.pop(u)
-                if counts is None:
-                    axes, counts = part_axes, part
-                    continue
-                joined = tuple(sorted({*axes, *part_axes}))
-                counts = widen(counts, axes, joined) * widen(part, part_axes, joined)
-                axes = joined
-            if counts is None:
-                counts = np.ones(len(self.classes[v]), self.dtype)
-            done = tuple(i + 1 for i, j in enumerate(axes) if top[j] == v)
-            if done:
-                counts = counts.sum(axis=done)
-                axes = tuple(j for j in axes if top[j] != v)
-            if self.parent[v] < 0:
-                return int(counts.sum())
-            part_axes, part = parts[v] = self._push(v, axes, counts, own, top, pos, width)
+            kids = [parts.pop(u) for u in self.kids[v]]
+            axes, state = kids[0] if kids else ((), (None, np.ones(len(self.classes[v]), self.dtype)))
+            for part in kids[1:]:
+                axes, state = self._join(axes, state, *part, width)
+            if self.parent[v] < 0:  # every block closes at the root
+                return int(state[1].sum())
+            part_axes, part = parts[v] = self._push(v, axes, state, own, top, pos, width)
             key, inside = keys[v]
-            if part.size <= _CHUNK:  # kept for later patterns, within _CHUNK entries in all
+            if len(part[1]) <= _CHUNK:  # kept for later patterns, within _CHUNK entries in all
                 self._memo[key] = tuple(map(inside.index, part_axes)), part
-                self._stored += part.size
+                self._stored += len(part[1])
                 while self._stored > _CHUNK:
-                    self._stored -= self._memo.pop(next(iter(self._memo)))[1].size
+                    self._stored -= len(self._memo.pop(next(iter(self._memo)))[1][1])
+
+    def _join(self, axes, state, part_axes, part, width):
+        """The product of two states of one vertex: the entries that agree
+        on its point and on the axes both have, multiplied."""
+        import numpy as np
+
+        if not {*part_axes} <= {*axes}:  # the one with more axes first
+            axes, state, part_axes, part = part_axes, part, axes, state
+        keys, vals = state
+        if not part_axes:  # a dense part: one value per point
+            points = keys // math.prod(width[j] for j in axes) if axes else slice(None)
+            return axes, (keys, vals * part[1][points])
+        if {*part_axes} <= {*axes}:  # each entry meets at most one of part's
+            want = keys if part_axes == axes else _rekey(keys, axes, part_axes, width)
+            first = np.searchsorted(part[0], want)
+            hit = np.flatnonzero(part[0].take(first, mode="clip") == want) if len(part[0]) else first[:0]
+            return axes, (keys[hit], vals[hit] * part[1][first[hit]])
+        both = [j for j in axes if j in part_axes]
+        joined = tuple(sorted({*axes, *part_axes}))
+        other = _rekey(part[0], part_axes, both, width)
+        by = np.argsort(other)
+        other, want = other[by], _rekey(keys, axes, both, width)
+        first = np.searchsorted(other, want)
+        sizes = np.searchsorted(other, want, "right") - first
+        ia, ib = np.repeat(np.arange(len(want)), sizes), by[_ranges(first, sizes)]
+        # keys are sums over the axes: each side's, less those both have
+        mine, theirs = _rekey(keys, axes, joined, width), _rekey(part[0], part_axes, joined, width)
+        joined_keys = mine[ia] + theirs[ib] - _rekey(want, both, joined, width)[ia]
+        return joined, _ascending(joined_keys, vals[ia] * part[1][ib])
 
     def _push(self, u, axes, state, own, top, pos, width):
-        """(axes, counts): the child's counts summed over its edges into each
-        parent point.  The parent's own block is read at the class of the
-        parent's point; the child's own block, when open above the child,
-        becomes an axis indexed by the class of the child's point."""
+        """(axes, state) of the parent: the child's counts summed over its
+        edges into each parent point, and over the classes of the blocks
+        whose members all lie below the child.  The parent's own block is
+        read at the class of the parent's point; the child's own block,
+        when open above the child, becomes an axis indexed by the class of
+        the child's point."""
         import numpy as np
 
         v = self.parent[u]
-        q, p = self.edges[u]
+        q, p, csr = self.edges[u]
         ju, jv = own[u], own[v]
         grow = ju >= 0 and ju != jv and top[ju] != u
-        key, at, span = p, None, width[ju] if grow else 1
-        if grow or jv in axes or (jv >= 0 and jv == ju):
-            keep = np.ones(len(q), bool)
-            if jv in axes:
-                i = axes.index(jv)
-                state = np.moveaxis(state, i + 1, 1)
-                axes = axes[:i] + axes[i + 1 :]
-                at = pos[jv][self.classes[v][p]]
-                keep &= at >= 0
-            elif jv >= 0 and jv == ju:  # neighbours in one block: equal classes
-                cq = self.classes[u][q]
-                keep &= (cq == self.classes[v][p]) & (pos[jv][cq] >= 0)
-            if grow:
-                c = pos[ju][self.classes[u][q]]
-                keep &= c >= 0
-                key = p * span + c
-            # edges of one key stay together: they are sorted by p, then by
-            # the class of q
-            q, key = q[keep], key[keep]
-            at = None if at is None else at[keep]
-        cols = math.prod(width[j] for j in axes)
-        rows = state.reshape(len(state), *([] if at is None else [width[jv]]), cols)
+        if jv >= 0 and jv == ju:  # neighbours in one block: equal classes
+            cq = self.classes[u][q]
+            keep = (cq == self.classes[v][p]) & (pos[jv][cq] >= 0)
+            q, p = q[keep], p[keep]
+        keys, vals = state
         n = len(self.classes[v])
-        out = np.zeros((n * span, cols), self.dtype)
-        step = max(1, _CHUNK // cols)
-        for lo in range(0, len(q), step):
-            k = key[lo : lo + step]
-            starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-            rows_of = q[lo : lo + step] if at is None else (q[lo : lo + step], at[lo : lo + step])
-            out[k[starts]] += np.add.reduceat(rows[rows_of], starts)
-        if not grow:
-            return axes, out.reshape(n, *(width[j] for j in axes))
-        # the new axis moves to its sorted place among the others
-        i = sum(j < ju for j in axes)
-        out = out.reshape(n, span, *(width[j] for j in axes))
-        return axes[:i] + (ju,) + axes[i:], np.moveaxis(out, 1, i + 1)
+        rest = tuple(j for j in axes if j != jv)  # the axes of the run an edge reads
+        span = math.prod(width[j] for j in rest)
+        if jv in axes:  # with the parent's block first among the axes, an
+            # edge reads the entries of its row at its parent point's class
+            if axes[0] != jv:
+                keys, vals = _ascending(_rekey(keys, axes, (jv, *rest), width), vals)
+            at = pos[jv][self.classes[v][p]]
+            start = (q * width[jv] + at) * span
+            first, sizes = np.empty_like(start), np.empty_like(start)
+            first[csr] = np.searchsorted(keys, start[csr])  # needles mostly ascending: far faster
+            if rest:
+                sizes[csr] = np.searchsorted(keys, start[csr] + span)
+                sizes -= first
+            else:  # a run of one entry at most
+                sizes = keys.take(first, mode="clip") == start if len(keys) else np.zeros(len(q), bool)
+            sizes[at < 0] = 0
+        elif axes:  # an edge reads its whole row
+            start = q * span
+            bounds = np.searchsorted(keys, np.arange(len(self.classes[u]) + 1) * span)
+            first, sizes = bounds[q], bounds[q + 1] - bounds[q]
+        if not rest:  # each edge reads one entry: its child point's, or the
+            rows = q  # one a closing block's lookup finds
+            if axes:
+                hit = np.flatnonzero(sizes)
+                q, p, rows = q[hit], p[hit], first[hit]
+            if not grow:  # segment sums over the edges, sorted by p
+                out = np.zeros(n, self.dtype)
+                for lo in range(0, len(q), _CHUNK):
+                    k = p[lo : lo + _CHUNK]
+                    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+                    out[k[starts]] += np.add.reduceat(vals[rows[lo : lo + _CHUNK]], starts)
+                return (), (None, out)
+            # an opening block: each point of a layer has its own class, so
+            # each edge gives one entry, in key order
+            c = pos[ju][self.classes[u][q]]
+            return (ju,), (p[c >= 0] * width[ju] + c[c >= 0], vals[rows[c >= 0]])
+        # carrying open blocks: the runs are summed into windows, the rows
+        # of a few parent points, at most _CHUNK entries (a row at least)
+        # from about _CHUNK read; the windows' nonzero entries fill arrays
+        # sized for the fewer of one per entry read and one per point and
+        # axis index, whose pages beyond them stay untouched
+        out = tuple(sorted({j for j in rest if top[j] != u} | ({ju} if grow else set())))
+        cols = math.prod(width[j] for j in out)
+        if grow:  # the new axis's index, times its stride
+            c = pos[ju][self.classes[u][q]]
+            sizes[c < 0] = 0
+            c *= math.prod(width[j] for j in out if j > ju)
+        edge_at = np.searchsorted(p, np.arange(n + 1))  # each point's first edge
+        reach = np.concatenate(([0], np.cumsum(sizes)))[edge_at]
+        chunk = np.arange(n) // max(1, _CHUNK // cols) * (reach[-1] // _CHUNK + 1) + reach[:-1] // _CHUNK
+        tops = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), n]
+        bound = min(int(reach[-1]), n * cols)
+        ks, vs, used = np.empty(bound, np.int64), np.empty(bound, self.dtype), 0
+        for a, b in zip(tops, tops[1:]):
+            lo, hi = edge_at[a], edge_at[b]
+            got = sizes[lo:hi]
+            run = _ranges(first[lo:hi], got)
+            if out == rest:  # the index over `rest` is the new state's
+                at_run = keys[run]
+                at_run += np.repeat((p[lo:hi] - a) * cols - start[lo:hi], got)
+            else:  # closing blocks summed, the new one at its place
+                at_run = _rekey(keys[run] - np.repeat(start[lo:hi], got), rest, out, width)
+                at_run += np.repeat((p[lo:hi] - a) * cols + (c[lo:hi] if grow else 0), got)
+            window = np.zeros((b - a) * cols, self.dtype)
+            np.add.at(window, at_run, vals[run])
+            nonzero = np.flatnonzero(window != 0)  # far faster than on int64
+            ks[used : used + len(nonzero)] = nonzero + a * cols
+            vs[used : used + len(nonzero)] = window[nonzero]
+            used += len(nonzero)
+        if not out:  # every axis summed: a dense array
+            dense = np.zeros(n, self.dtype)
+            dense[ks[:used]] = vs[:used]
+            return (), (None, dense)
+        return out, (ks[:used], vs[:used])
 
 
 def _chain_tree(config: LayeredConfig, adjacency: BipartiteAdjacency | None) -> _CountTree:
@@ -713,9 +836,10 @@ def count_chains(config: LayeredConfig, adjacency: BipartiteAdjacency | None = N
 
     The walk DP with a Möbius correction over coincidence patterns: blocks
     of non-consecutive positions whose layers share coordinates.  O(E)
-    when no two such layers share a point; otherwise O(E x W) per pattern
-    with a homomorphism, W the number of shared points a block carries
-    (one axis per block open at a position, never a pass per point).
+    when no two such layers share a point; otherwise, per pattern with a
+    homomorphism, each push moves the (point, shared point) entries a
+    child's edges reached along those edges, not a row of every shared
+    point per edge.
     """
     return count_chains_and_walks(config, adjacency)[0]
 

@@ -407,6 +407,28 @@ def test_bad_manifest_is_one_error_line(tmp_path, verb, manifest, message):
 
 
 @pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        ("count --manifest {d}/m.txt", {"m.txt": "k x\ndim 2\nmode exact\ndelta2 1\nlayer 1 sq.pts\nlayer 2 sq.pts\n"},
+         "{d}/m.txt: invalid literal for int() with base 10: 'x'"),
+        ("count --manifest {d}/m.txt", {"m.txt": "k 1\ndim 2\nmode exact\ndelta2 1\nlayer 1 sq.pts\nlayer 2 twice.pts\n",
+                                        "twice.pts": "dim 2 count 2 mode exact\n0 0\n0 0\n"},
+         "{d}/m.txt: layer 2: duplicate point coordinates"),
+        ("count-tree --tree {d}/t.tree --set {d}/sq.pts", {"t.tree": "vertices 2\nedge 1 x 1\n"},
+         "{d}/t.tree: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["manifest-bad-k", "manifest-duplicate-point", "tree-bad-vertex"],
+)
+def test_bad_file_value_is_one_error_line(tmp_path, argv, files, message):
+    write_points(tmp_path / "sq.pts", make_layer([(0, 0), (1, 0)]).points, "exact")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    proc = run_process(*argv.format(d=tmp_path).split())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [message.format(d=tmp_path)]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "generate --construction planar-chain",

@@ -122,6 +122,27 @@ class TestAdjacency:
             grid = build_adjacency(cfg, strategy="grid", certify=False)
             assert brute == grid
 
+    @pytest.mark.parametrize("eps", [None, 1e-9])
+    def test_auto_is_brute_when_the_grid_is_two_cells_wide(self, monkeypatch, eps):
+        # the 7^3 integer points of a cube, the span of 3d-odd-regular
+        # n=343, in cells of side sqrt(14): at most two cells per axis, each
+        # neighbouring every other; the moved corner puts tolerant pairs in
+        # the guard band
+        pts = [(x, y, z) for x in range(7) for y in range(7) for z in range(7)]
+        if eps:
+            pts = [(x + (1e-8 if x == y == z == 0 else 0.0), float(y), float(z)) for x, y, z in pts]
+        layer, spec = make_layer(pts).points, DistanceSpec((), eps)
+        offsets, blocks = [], layered._cell_blocks
+        monkeypatch.setattr(layered, "_cell_blocks", lambda *cells: offsets.append(len(cells[2])) or blocks(*cells))
+        runs = {}
+        for strategy in ("auto", "grid", "brute"):
+            band: list = []
+            csr = layered._pair_lists(layer, layer, 14 if eps is None else 14.0, spec, strategy, band)
+            runs[strategy] = [arr.tolist() for arr in csr], band
+        assert offsets == [1, 27, 1]
+        assert runs["auto"] == runs["grid"] == runs["brute"]
+        assert runs["auto"][0][1] and bool(runs["auto"][1]) == bool(eps)
+
     def test_certification_failure_reported(self):
         cfg = make_config([[(0.0, 0.0)], [(1.0 + 2e-8, 0.0)]], (1.0,), eps=1e-9)
         with pytest.raises(CertificationError):
@@ -404,6 +425,19 @@ class TestCountingEngine:
         wide.dtype = object
         assert wide.injective() == count_chains(cfg) == 1800
         assert wide.homs() == count_walks(cfg) == 2592
+
+    def test_repeated_layers_share_one_sort_and_one_class_array(self):
+        tree = _chain_tree(gen_orthogonal_circles(4, 3, 12).config, None)
+        assert tree.edges[0] is tree.edges[1] is tree.edges[2]
+        assert tree.classes[0] is tree.classes[1] is tree.classes[2] is tree.classes[3]
+
+    def test_neighbours_are_kept_apart_without_a_pass(self, monkeypatch):
+        # in exact mode no edge joins two points of one class, so no block
+        # of two tree neighbours is ever counted
+        blocks, homs = [], layered._CountTree.homs
+        monkeypatch.setattr(layered._CountTree, "homs", lambda self, b=(): blocks.extend(m for m, _ in b) or homs(self, b))
+        assert count_chains(gen_orthogonal_circles(4, 3, 12).config) == 1800
+        assert sorted(set(blocks)) == [(0, 2), (0, 3), (1, 3)]
 
 
 class TestValidation:

@@ -32,12 +32,14 @@ from chain_census.layered import (
     BipartiteAdjacency,
     LabeledTree,
     Layer,
+    _chain_tree,
     _pair_lists,
     _PairView,
     _primes,
     _tree_counter,
     build_adjacency,
     count_chains,
+    count_chains_and_walks,
     count_tree_embeddings,
     count_walks,
     make_config,
@@ -154,6 +156,46 @@ def test_tree_single_set_tolerant(tree, points, eps):
     tree = LabeledTree(tree.vertex_count, tuple((a, b, float(d)) for a, b, d in tree.edges))
     spec = DistanceSpec((), eps)
     assert count_tree_embeddings(layer, tree, spec) == product_tree_embeddings(layer, tree, spec)
+
+
+def wide(counter):
+    """The counter with its state arrays forced to Python ints."""
+    counter.dtype = object
+    return counter
+
+
+@st.composite
+def aliased_configs(draw):
+    """k+1 layers, k <= 5, each one of a few point tuples reused by
+    identity, as a manifest that names one file for several layers."""
+    k = draw(st.integers(1, 5))
+    pool = [make_layer(points) for points in draw(st.lists(SMALL_SET, min_size=1, max_size=3))]
+    layers = [draw(st.sampled_from(pool)) for _ in range(k + 1)]
+    return make_config(layers, [draw(st.sampled_from([1, 2, 4, 5])) for _ in range(k)])
+
+
+@CHECKS
+@given(aliased_configs())
+def test_aliased_layers_match_enumeration(cfg):
+    want = len(enumerate_chains(cfg)), enumerate_walks_count(cfg)
+    assert count_chains_and_walks(cfg) == want
+    counter = wide(_chain_tree(cfg, None))
+    walks = counter.homs()
+    assert (counter.injective(walks), walks) == want
+
+
+@CHECKS
+@given(trees(), SMALL_SET, st.sampled_from([None, 1e-9, 1.5, 4.5]))
+def test_single_set_trees_in_both_dtypes(tree, points, eps):
+    # non-adjacent vertices share the set's classes; a tolerance above an
+    # edge's d2 lets a point match itself, so neighbours share them too
+    layer, spec = make_layer(points), exact_spec()
+    if eps is not None:
+        layer, spec = make_layer([(float(x), float(y)) for x, y in points]), DistanceSpec((), eps)
+        tree = LabeledTree(tree.vertex_count, tuple((a, b, float(d)) for a, b, d in tree.edges))
+    want = product_tree_embeddings(layer, tree, spec)
+    assert count_tree_embeddings(layer, tree, spec) == want
+    assert wide(_tree_counter(layer, tree, spec)).injective() == want
 
 
 @st.composite
