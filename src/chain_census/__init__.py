@@ -36,9 +36,7 @@ from .layered import (
 from .richness import (
     CoveringClass,
     DecompositionSequence,
-    check_richness_bound,
     rich_points,
-    richness_filter,
     stable_covering,
 )
 from .constructions import (
@@ -63,7 +61,6 @@ from .experiment import (
     verify_closed_form,
     verify_covering,
     verify_floor,
-    verify_richness,
 )
 
 __version__ = "0.1.0"

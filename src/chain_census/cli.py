@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from fractions import Fraction
@@ -21,8 +22,6 @@ from .experiment import (
     verify_closed_form,
     verify_covering,
     verify_floor,
-    verify_richness,
-    write_scatter_svg,
 )
 from .geometry import DistanceSpec, exact_point
 from .io import FileFormatError, _parse_exact, read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
@@ -46,7 +45,12 @@ VERIFY_READS = {
     "closed-form": {"construction": None, "k": 2, "n": 10},
     "floor": {"construction": None, "k": 2, "n": 10},
     "covering": {"manifest": None},
-    "richness": {"a": None, "b": None, "d2": None},
+}
+# the verbs that read each global flag, with its default; the others refuse it
+GLOBAL_READS = {
+    "mode": (("count-tree", "incidences", "rich"), None),
+    "eps": (("generate", "decompose", "experiment", "verify"), 0.25),
+    "out": (("generate", "experiment"), None),
 }
 
 
@@ -54,8 +58,10 @@ def _parse_mode(text: str) -> str | float:
     if text == "exact":
         return text
     if text.startswith("tol:"):
-        return float(text[4:])
-    raise argparse.ArgumentTypeError("mode must be 'exact' or 'tol:<eps>'")
+        eps = float(text[4:])
+        if 0 < eps < math.inf:
+            return eps
+    raise argparse.ArgumentTypeError("mode must be 'exact' or 'tol:<eps>' with a finite eps > 0")
 
 
 def _parse_d2(text: str):
@@ -75,12 +81,9 @@ def _parse_d2(text: str):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chain-census")
     ap.add_argument("--seed", type=int, default=0, help="u64 seed for randomized steps")
-    ap.add_argument("--eps", type=float, default=0.25, help="diameter / decomposition step")
-    ap.add_argument(
-        "--mode", type=_parse_mode, default=None,
-        help="exact or tol:<eps>; for count-tree, incidences, rich and verify --claim richness",
-    )
-    ap.add_argument("--out", default=None, help="output path (file or directory)")
+    ap.add_argument("--eps", type=float, help="diameter / decomposition step (default 0.25)")
+    ap.add_argument("--mode", type=_parse_mode, help="exact or tol:<eps>; for count-tree, incidences and rich")
+    ap.add_argument("--out", help="output path (file or directory)")
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -125,18 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--n-list", required=True, help="comma list of sizes")
     e.add_argument("--slope-tol", type=float, default=0.2)
-    e.add_argument("--svg", default=None, help="also write a log-log scatter SVG")
     e.add_argument("--timings", action="store_true", help="append a wall-seconds CSV column")
 
     v = sub.add_parser("verify", help="run a certified check")
-    v.add_argument("--claim", required=True, choices=["closed-form", "floor", "covering", "richness"])
+    v.add_argument("--claim", required=True, choices=list(VERIFY_READS))
     v.add_argument("--construction", choices=list(REGISTRY), help="closed-form and floor")
     v.add_argument("--k", type=int, help="closed-form and floor (default 2)")
     v.add_argument("--n", type=int, help="closed-form and floor (default 10)")
     v.add_argument("--manifest", help="covering")
-    v.add_argument("--a", help="richness")
-    v.add_argument("--b", help="richness")
-    v.add_argument("--d2", help="richness")
     return ap
 
 
@@ -247,8 +246,6 @@ def _cmd_experiment(args) -> int:
             fh.write(csv)
     else:
         sys.stdout.write(csv)
-    if args.svg:
-        write_scatter_svg(report, args.svg)
     if report.fit:
         log.info(
             "slope %.4f theory %s verdict %s",
@@ -270,16 +267,11 @@ def _cmd_verify(args) -> int:
             res = verify(args.construction, args.k, args.n, args.eps, args.seed)
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
-    elif args.claim == "covering":
+    else:
         if not args.manifest:
             raise SystemExit("covering verification needs --manifest")
         cfg = read_manifest(args.manifest)
         res = verify_covering(cfg, Fraction(args.eps))
-    else:
-        if not (args.a and args.b and args.d2):
-            raise SystemExit("richness verification needs --a, --b and --d2")
-        (la, lb), spec, _ = _read_layers(args, args.a, args.b)
-        res = verify_richness(lb, la, _parse_d2(args.d2), spec)
     print(f"{res.verdict} computed={res.computed} expected={res.expected} ({res.detail})")
     return 0 if res.passed else 1
 
@@ -290,9 +282,12 @@ def _parse_args(argv):
     ap = build_parser()
     args = ap.parse_args(argv)
     verb = args.command + (f" --claim {args.claim}" if args.command == "verify" else "")
-    if args.mode is not None and verb not in ("count-tree", "incidences", "rich", "verify --claim richness"):
-        ap.error(f"--mode has no effect on {verb}")
     # a flag either takes effect or is refused; the flags read get defaults
+    for flag, (verbs, default) in GLOBAL_READS.items():
+        if args.command not in verbs and getattr(args, flag) is not None:
+            ap.error(f"--{flag} has no effect on {verb}")
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     if args.command == "generate":
         verb += f" --construction {args.construction}"
         known = GENERATE_OPTIONAL

@@ -613,10 +613,10 @@ def gen_3d_odd_regular(k: int, n: int) -> Odd3dRegularResult:
     return Odd3dRegularResult(cfg, popular, core, peel.initial_edges, peel.min_degree, floor)
 
 
-def circle_bouquet_supplier(n: int, center: Point) -> tuple[list[Point], list[Point]]:
-    """Default sphere-incidence supplier: ~sqrt(n) unit spheres whose
-    centers sit off the sphere, each contributing ~sqrt(n) points of its
-    intersection circle, for at least ~n incidences."""
+def _circle_bouquet(n: int, center: Point) -> tuple[list[Point], list[Point]]:
+    """Sphere incidences: ~sqrt(n) unit spheres whose centers sit off the
+    sphere, each contributing ~sqrt(n) points of its intersection circle,
+    for at least ~n incidences."""
     s = max(1, isqrt(n))
     cx, cy, cz = (float(c) for c in center.coords)
     xs: list[Point] = []
@@ -643,12 +643,12 @@ class Odd3dSphereResult:
     adjacency: BipartiteAdjacency  # the certificate's
 
 
-def gen_3d_odd_sphere(k: int, n: int, supplier=None) -> Odd3dSphereResult:
+def gen_3d_odd_sphere(k: int, n: int) -> Odd3dSphereResult:
     """Odd-k chains ending in a point-on-sphere incidence pair.
 
-    Layers 1..k-1 come from the even construction with unit distances; the
-    supplier provides n-scale sets X on the unit sphere around the last
-    joint and free points Y.  Count is at least n^((k-1)/2) * incidences(X, Y).
+    Layers 1..k-1 come from the even construction with unit distances; a
+    bouquet of circles provides n-scale sets X on the unit sphere around the
+    last joint and free points Y.  Count is at least n^((k-1)/2) * incidences(X, Y).
     The one certificate covers the pairs kept from the even construction.
     """
     if k < 3 or k % 2 != 1:
@@ -659,14 +659,13 @@ def gen_3d_odd_sphere(k: int, n: int, supplier=None) -> Odd3dSphereResult:
     if len(center_layer.points) != 1:
         raise ConstructionError("expected a single joint before the sphere layer")
     center = center_layer.points[0]
-    supplier = supplier or circle_bouquet_supplier
-    xs, ys = supplier(n, center)
+    xs, ys = _circle_bouquet(n, center)
     for p in xs:
         if abs(float(squared_distance(p, center)) - 1.0) > TOLERANCE:
-            raise ValueError("supplier returned a point off the unit sphere")
+            raise ValueError("bouquet returned a point off the unit sphere")
     existing = set().union(*(layer.coord_set() for layer in keep))
     if {p.coords for p in xs} & existing or {p.coords for p in ys} & (existing | {p.coords for p in xs}):
-        raise ConstructionError("supplier points collide with the chain scaffold")
+        raise ConstructionError("bouquet points collide with the chain scaffold")
     layers = keep + [make_layer(xs, k), make_layer(ys, k + 1)]
     cfg = make_config(layers, [1.0] * k, eps=TOLERANCE)
     adj = certify_config(cfg)
@@ -719,21 +718,17 @@ class StarResult:
     closed_form: int
 
 
-def gen_star(l: int, n: int, radii2=None) -> StarResult:
+def gen_star(l: int, n: int) -> StarResult:
     """A star: one center, l concentric circles of n/l exact points each.
 
-    Distinct radii keep the circles disjoint, so the embedding count is
-    exactly (n/l)^l.
+    The squared radii 1, 4, ..., l^2 are distinct, which keeps the circles
+    disjoint, so the embedding count is exactly (n/l)^l.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if n % l != 0:
         raise ValueError("n must be divisible by l")
-    radii2 = [Fraction(r) for r in (radii2 or [(i + 1) ** 2 for i in range(l)])]
-    if len(radii2) != l:
-        raise ValueError(f"expected {l} radii")
-    if len(set(radii2)) != l:
-        raise ValueError("repeated radii would break the closed-form count")
+    radii2 = [Fraction((i + 1) ** 2) for i in range(l)]
     per = n // l
     origin = exact_point((0, 0))
     layers = [make_layer([origin], 1)]

@@ -29,7 +29,7 @@ from .layered import (
     count_chains_and_walks,
     count_tree_embeddings,
 )
-from .richness import check_richness_bound, stable_covering
+from .richness import stable_covering
 
 
 @dataclass(frozen=True)
@@ -277,51 +277,6 @@ def report_csv(report: ExperimentReport, timings: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_scatter_svg(report: ExperimentReport, path) -> None:
-    """A small self-contained log-log scatter of (n, chains) with the fit line."""
-    pts = [(math.log(r.n), math.log(r.chains)) for r in report.rows if r.status == "ok" and r.chains]
-    w, h, pad = 480, 360, 40
-    if not pts:
-        body = ['<text x="20" y="30">no data</text>']
-    else:
-        xs, ys = zip(*pts)
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
-        spanx = (x1 - x0) or 1.0
-        spany = (y1 - y0) or 1.0
-
-        def sx(x):
-            return pad + (x - x0) / spanx * (w - 2 * pad)
-
-        def sy(y):
-            return h - pad - (y - y0) / spany * (h - 2 * pad)
-
-        body = [
-            f'<line x1="{pad}" y1="{h - pad}" x2="{w - pad}" y2="{h - pad}" stroke="black"/>',
-            f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{h - pad}" stroke="black"/>',
-        ]
-        for x, y in pts:
-            body.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="steelblue"/>')
-        if report.fit:
-            ya = report.fit.intercept + report.fit.slope * x0
-            yb = report.fit.intercept + report.fit.slope * x1
-            body.append(
-                f'<line x1="{sx(x0):.1f}" y1="{sy(ya):.1f}" x2="{sx(x1):.1f}" y2="{sy(yb):.1f}" '
-                'stroke="firebrick" stroke-dasharray="4 2"/>'
-            )
-            body.append(
-                f'<text x="{pad}" y="{pad - 10}" font-size="12">slope {report.fit.slope:.3f}'
-                f" (r2 {report.fit.r2:.4f})</text>"
-            )
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">'
-        + "".join(body)
-        + "</svg>"
-    )
-    with open(path, "w") as fh:
-        fh.write(svg + "\n")
-
-
 @dataclass(frozen=True)
 class VerifyResult:
     passed: bool
@@ -390,17 +345,4 @@ def verify_covering(config: LayeredConfig, eps) -> VerifyResult:
         (got, longest),
         (want, max_len),
         f"{len(classes)} covering classes",
-    )
-
-
-def verify_richness(P, Q, d2, spec) -> VerifyResult:
-    try:
-        report = check_richness_bound(P, Q, d2, spec)
-    except RuntimeError as exc:
-        return VerifyResult(False, None, 1.0, str(exc))
-    return VerifyResult(
-        True,
-        float(report.tightest),
-        1.0,
-        f"identity holds for {len(report.entries)} realized richness values",
     )

@@ -66,8 +66,8 @@ class Point:
     def is_exact(self) -> bool:
         return all(_rational(type(c)) for c in self.coords)
 
-    def as_float(self, new_id: int | None = None) -> "Point":
-        return Point(tuple(float(c) for c in self.coords), self.id if new_id is None else new_id)
+    def as_float(self) -> "Point":
+        return Point(tuple(float(c) for c in self.coords), self.id)
 
 
 def exact_point(coords: Iterable, pid: int = -1) -> Point:

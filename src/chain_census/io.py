@@ -124,7 +124,7 @@ def read_points(path) -> tuple[list[Point], str]:
     return points, mode
 
 
-def write_manifest(path, config: LayeredConfig, directory=None, basename: str = "layer") -> str:
+def write_manifest(path, config: LayeredConfig, directory=None) -> str:
     """Write the config as a manifest plus point files next to it.
 
     Layers with identical coordinate tuples share one file.  Returns the
@@ -138,7 +138,7 @@ def write_manifest(path, config: LayeredConfig, directory=None, basename: str = 
     for i, layer in enumerate(config.layers):
         key = tuple(p.coords for p in layer.points)
         if key not in file_of:
-            fname = f"{basename}{len(file_of) + 1}.pts"
+            fname = f"layer{len(file_of) + 1}.pts"
             write_points(os.path.join(directory, fname), layer.points, mode)
             file_of[key] = fname
         layer_files.append(file_of[key])

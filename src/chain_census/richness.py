@@ -2,9 +2,8 @@
 
 A point is r-rich with respect to a reference layer and a distance when its
 sphere of that radius contains at least r reference points.  This module
-provides the rich-point selectors, the two-sided richness filter over a
-layered configuration, and the recursive covering by stable filtering
-sequences whose classes jointly contain every chain.
+provides the rich-point selectors and the recursive covering by stable
+filtering sequences whose classes jointly contain every chain.
 
 Richness thresholds are absolute integers internally; the exponent form
 n^a is presentation only, with n the maximum layer size of the original
@@ -80,10 +79,9 @@ class _Filtering:
         self.whole = tuple(np.arange(len(layer)) for layer in config.layers)
         self.cuts = np.array(cuts)
 
-    def children(self, subs, parity: int, want=None):
+    def children(self, subs, parity: int):
         """(class indices, sub-layers) for every pass that leaves every
-        layer nonempty, or with `want` (one class index per position) the
-        one pass that keeps those classes, empty layers and all.
+        layer nonempty.
 
         parity=1 keeps the first layer whole and filters left to right:
         layer i keeps its points whose degree into the filtered layer i-1
@@ -106,9 +104,9 @@ class _Filtering:
                 deg = np.bincount(tgt[mask[src]], minlength=len(self.whole[i]))[subs[i]]
                 cls = np.searchsorted(cuts, deg, "right") - 1  # -1 for degree 0
                 counts = np.bincount(cls + 1)[1:]  # points per class
-                if want is None and len(counts) >= len(cuts):
+                if len(counts) >= len(cuts):
                     raise AssertionError(f"degree {deg.max()} outside threshold range {cuts.tolist()}")
-                found = np.flatnonzero(counts).tolist() if want is None else [want[i]]
+                found = np.flatnonzero(counts).tolist()
                 nxt += [(ms + (m,), filt + (subs[i][cls == m],)) for m in found]
             partials = nxt
         return [(ms[::step], filt[::step]) for ms, filt in partials]
@@ -118,48 +116,12 @@ class _Filtering:
         return LayeredConfig(tuple(pick), self.config.spec)
 
 
-def richness_filter(
-    parity: int,
-    config: LayeredConfig,
-    exponents: tuple,
-    eps,
-    n: int | None = None,
-) -> LayeredConfig:
-    """One filtering pass over the layers by richness class.
-
-    parity=1 keeps layer 1 whole and filters left to right: layer i keeps
-    the points whose richness with respect to the already-filtered layer
-    i-1 (at the (i-1)-th distance) lies in [n^e_i, n^(e_i+eps)) for the
-    i-th exponent e_i.  parity=0 is the mirrored right-to-left pass.
-    Output layers are subsets of the input layers.
-    """
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    eps = Fraction(eps)
-    if len(exponents) != config.k + 1:
-        raise ValueError(f"exponents must have {config.k + 1} entries")
-    if n is None:
-        n = max((len(layer) for layer in config.layers), default=0)
-    cuts = richness_thresholds(n, eps)
-    idx = []
-    for a in exponents:
-        a = Fraction(a)
-        q = a / eps
-        if q.denominator != 1 or not 0 <= a <= 1:
-            raise ValueError(f"exponent entry {a} is not a multiple of eps in [0,1]")
-        idx.append(int(q))
-    filtering = _Filtering(config, cuts)
-    ((_, subs),) = filtering.children(filtering.whole, parity, idx)
-    return filtering.config_of(subs)
-
-
 @dataclass(frozen=True)
 class DecompositionSequence:
     """A filtering sequence: one exponent vector per pass, odd passes left
     to right, even passes right to left."""
 
     vectors: tuple[tuple[Fraction, ...], ...]
-    stable_at_last: bool
     class_sizes: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -215,38 +177,6 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
                 queue.append((child, filt, new_size, child_sizes))
     found.sort(key=lambda item: item[0])
     return [
-        CoveringClass(DecompositionSequence(child, True, child_sizes), filtering.config_of(filt))
+        CoveringClass(DecompositionSequence(child, child_sizes), filtering.config_of(filt))
         for child, child_sizes, filt in found
     ]
-
-
-@dataclass(frozen=True)
-class RichnessBoundReport:
-    entries: tuple[tuple[int, int, int], ...]  # (r, class size, incidences into class)
-    total_incidences: int
-    tightest: Fraction
-
-
-def check_richness_bound(P: Layer, Q: Layer, d2, spec: DistanceSpec) -> RichnessBoundReport:
-    """Verify r * |r-rich points of Q| <= incidences(P, rich subset) <= total.
-
-    This is a counting identity: each r-rich point of Q contributes at
-    least r incidences with P.  A violation indicates a bug, not data.
-    """
-    degs = degree_vector(Q, P, d2, spec)
-    total = sum(degs)
-    realized = sorted({d for d in degs if d >= 1})
-    entries = []
-    tightest = Fraction(0)
-    for r in realized:
-        members = [d for d in degs if d >= r]
-        size = len(members)
-        inc = sum(members)
-        if not (r * size <= inc <= total):
-            raise RuntimeError(
-                f"richness bound violated at r={r}: {r}*{size} vs {inc} vs {total}"
-            )
-        entries.append((r, size, inc))
-        if inc:
-            tightest = max(tightest, Fraction(r * size, inc))
-    return RichnessBoundReport(tuple(entries), total, tightest)

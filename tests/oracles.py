@@ -247,7 +247,7 @@ def covering_oracle(config: LayeredConfig, eps) -> list[CoveringClass]:
             new_size = math.prod(map(len, filt))
             child = prefix + (tuple(m * eps for m in idx_vec),)
             if new_size**eps.denominator * n**eps.numerator >= size**eps.denominator:
-                seq = DecompositionSequence(child, True, sizes + (new_size,))
+                seq = DecompositionSequence(child, sizes + (new_size,))
                 results.append(CoveringClass(seq, LayeredConfig(filt, config.spec)))
             else:
                 queue.append((child, filt, new_size, sizes + (new_size,)))

@@ -22,11 +22,12 @@ from chain_census.geometry import exact_spec, squared_distance
 from chain_census.layered import (
     certify_config,
     count_chains,
+    count_incidences,
     count_walks,
     make_config,
     make_layer,
 )
-from chain_census.richness import check_richness_bound, stable_covering
+from chain_census.richness import rich_points, stable_covering
 from oracles import enumerate_chains, enumerate_walks_count
 
 F = Fraction
@@ -118,8 +119,15 @@ def test_c07_richness_identity_on_random_pairs():
             pts_b.add((rng.randint(0, 20), rng.randint(0, 20)))
         P, Q = make_layer(sorted(pts_a)), make_layer(sorted(pts_b))
         d2 = rng.choice([1, 2, 4, 5])
-        rep = check_richness_bound(P, Q, F(d2), exact_spec(d2))
-        checked += len(rep.entries)
+        spec = exact_spec(d2)
+        # each point of Q is r-rich for r = 1..its degree, so the r-rich
+        # set sizes sum to the incidences
+        rich, r = 0, 1
+        while sub := rich_points(Q, P, F(d2), r, spec).points:
+            rich += len(sub)
+            r += 1
+        assert rich == count_incidences(P, Q, F(d2), spec)
+        checked += r - 1
     assert checked > 0
     report(7, f"richness identity held for {checked} realized r values over 20 pairs", t0, 10.0)
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import chain_census
-from chain_census import experiment, layered
+from chain_census import layered
 from chain_census.cli import main
 from chain_census.io import write_points, write_tree
 from chain_census.constructions import gen_star, gen_unit_rich_grid
@@ -207,32 +207,9 @@ class TestDecomposeExperimentVerify:
         calls, kernel = [], layered._pair_lists
         monkeypatch.setattr(layered, "_pair_lists", lambda *a, **kw: calls.append(a[2]) or kernel(*a, **kw))
         command, *flags = verb.split()
-        code, out = run(capsys, "--eps", "0.25", command, "--manifest", str(tmp_path / "manifest.txt"), *flags)
+        code, out = run(capsys, command, "--manifest", str(tmp_path / "manifest.txt"), *flags)
         assert code == 0 and out.startswith(("chains 39744", "classes 8"))
         assert len(calls) == 1
-
-    def test_verify_richness_files(self, tmp_path, capsys):
-        grid = gen_unit_rich_grid(25)
-        p = tmp_path / "g.pts"
-        write_points(p, grid.points, "exact")
-        code, out = run(
-            capsys, "verify", "--claim", "richness",
-            "--a", str(p), "--b", str(p), "--d2", str(grid.popular_d2),
-        )
-        assert code == 0 and out.startswith("PASS")
-
-    def test_verify_richness_violation_fails(self, tmp_path, capsys, monkeypatch):
-        def violated(*args):
-            raise RuntimeError("richness bound violated at r=2: 2*3 vs 5 vs 9")
-
-        monkeypatch.setattr(experiment, "check_richness_bound", violated)
-        p = tmp_path / "sq.pts"
-        write_points(p, make_layer([(0, 0), (1, 0), (1, 1), (0, 1)]).points, "exact")
-        code, out = run(
-            capsys, "verify", "--claim", "richness", "--a", str(p), "--b", str(p), "--d2", "1"
-        )
-        assert code == 1
-        assert out == "FAIL computed=None expected=1.0 (richness bound violated at r=2: 2*3 vs 5 vs 9)\n"
 
 
 VERIFY_LINES = {
@@ -311,11 +288,6 @@ def run_process(*argv):
             2,
             "chain-census: error: --construction, --k, --n have no effect on verify --claim covering",
         ),
-        (
-            "verify --claim richness --a a.pts --b b.pts --d2 1 --k 3",
-            2,
-            "chain-census: error: --k has no effect on verify --claim richness",
-        ),
         ("generate --construction orthogonal --n 3", 1, "n must be even and >= 2"),
         ("generate --construction planar-chain --k 2 --delta2 1,0", 1, "squared distances must be positive"),
         ("generate --construction planar-chain --k 2 --delta2 abc,1", 1, "could not convert string to float: 'abc'"),
@@ -329,7 +301,7 @@ def run_process(*argv):
     ],
     ids=[
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
-        "generate-unread", "generate-variant", "covering-unread", "richness-unread",
+        "generate-unread", "generate-variant", "covering-unread",
         "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-zero-denominator", "generate-star-n",
         "experiment-bad-n-list",
     ],
@@ -344,8 +316,8 @@ def test_bad_construction_is_one_error_line(argv, code, message):
 
 @pytest.mark.parametrize(
     "verb",
-    ["incidences --a {p} --b {p}", "rich --target {p} --ref {p} --r 1", "verify --claim richness --a {p} --b {p}"],
-    ids=["incidences", "rich", "verify-richness"],
+    ["incidences --a {p} --b {p}", "rich --target {p} --ref {p} --r 1"],
+    ids=["incidences", "rich"],
 )
 @pytest.mark.parametrize(
     "d2, message",
@@ -370,10 +342,8 @@ def test_bad_d2_is_one_error_line(tmp_path, verb, d2, message):
         "count-tree --tree {missing} --set {pts}",
         "incidences --a {pts} --b {missing} --d2 1",
         "rich --target {missing} --ref {pts} --d2 1 --r 1",
-        "verify --claim richness --a {missing} --b {pts} --d2 1",
     ],
-    ids=["count", "decompose", "verify-covering", "count-tree-set", "count-tree-tree", "incidences", "rich",
-         "verify-richness"],
+    ids=["count", "decompose", "verify-covering", "count-tree-set", "count-tree-tree", "incidences", "rich"],
 )
 def test_missing_file_is_one_error_line(tmp_path, verb):
     pts, tree, missing = tmp_path / "sq.pts", tmp_path / "path.tree", tmp_path / "nope"
@@ -448,6 +418,40 @@ def test_mode_refused_where_it_has_no_effect(capsys, argv):
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: --mode has no effect on {verb}")
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--eps 0.9", "count --manifest m.txt"),
+        ("--eps 0.9", "count-tree --tree t.tree --set p.pts"),
+        ("--eps 0.9", "incidences --a p.pts --b p.pts --d2 1"),
+        ("--eps 0.9", "rich --target p.pts --ref p.pts --d2 1 --r 1"),
+        ("--out x.txt", "count --manifest m.txt"),
+        ("--out x.txt", "count-tree --tree t.tree --set p.pts"),
+        ("--out x.txt", "incidences --a p.pts --b p.pts --d2 1"),
+        ("--out x.txt", "rich --target p.pts --ref p.pts --d2 1 --r 1"),
+        ("--out x.txt", "decompose --manifest m.txt"),
+        ("--out x.txt", "verify --claim covering --manifest m.txt"),
+    ],
+)
+def test_global_flag_refused_where_it_has_no_effect(capsys, flag, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*flag.split(), *argv.split()])
+    assert exc.value.code == 2
+    verb = " ".join(argv.split()[: 3 if argv.startswith("verify") else 1])
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {flag.split()[0]} has no effect on {verb}")
+
+
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+def test_mode_tolerance_must_be_finite_and_positive(tmp_path, eps):
+    p = tmp_path / "tri.pts"
+    write_points(p, make_layer([(0, 0), (1, 0), (0, 5)]).points, "exact")
+    proc = run_process("--mode", f"tol:{eps}", "incidences", "--a", str(p), "--b", str(p), "--d2", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if not ln.startswith(("usage:", " "))]
+    assert errors == ["chain-census: error: argument --mode: mode must be 'exact' or 'tol:<eps>' with a finite eps > 0"]
+
+
 def test_mode_exact_compares_floats_exactly(tmp_path, capsys):
     # one corner of the unit square is off by 1e-12: within the default
     # tolerance of float files, but not at distance 1 exactly
@@ -458,13 +462,3 @@ def test_mode_exact_compares_floats_exactly(tmp_path, capsys):
     assert run(capsys, "--mode", "exact", *argv) == (0, "4\n")
     code, out = run(capsys, "--mode", "exact", "rich", "--target", str(p), "--ref", str(p), "--d2", "1", "--r", "2")
     assert code == 0 and out == "1\n0 0\n"
-
-
-def test_mode_honoured_by_verify_richness(tmp_path, capsys):
-    p = tmp_path / "sq.pts"
-    write_points(p, make_layer([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]).points, "float")
-    code, out = run(
-        capsys, "--mode", "tol:0.001", "verify", "--claim", "richness",
-        "--a", str(p), "--b", str(p), "--d2", "1",
-    )
-    assert code == 0 and out.startswith("PASS")

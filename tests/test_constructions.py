@@ -366,21 +366,23 @@ class Test3dOddSphere:
         for p in res.config.layers[2].points:
             assert abs(float(squared_distance(p, center)) - 1.0) <= 1e-9
 
-    def test_off_sphere_supplier_rejected(self):
+    def test_off_sphere_supplier_rejected(self, monkeypatch):
         def bad(n, center):
             return [float_point((9.0, 9.0, 9.0))], [float_point((10.0, 9.0, 9.0))]
 
-        with pytest.raises(ValueError):
-            gen_3d_odd_sphere(3, 9, supplier=bad)
+        monkeypatch.setattr(constructions, "_circle_bouquet", bad)
+        with pytest.raises(ValueError, match="off the unit sphere"):
+            gen_3d_odd_sphere(3, 9)
 
-    def test_zero_incidence_supplier(self):
+    def test_zero_incidence_supplier(self, monkeypatch):
         def lonely(n, center):
             cx, cy, cz = (float(c) for c in center.coords)
             xs = [float_point((cx + 1.0, cy, cz))]
             ys = [float_point((cx + 50.0, cy, cz))]
             return xs, ys
 
-        res = gen_3d_odd_sphere(3, 4, supplier=lonely)
+        monkeypatch.setattr(constructions, "_circle_bouquet", lonely)
+        res = gen_3d_odd_sphere(3, 4)
         assert res.sphere_incidences == 0
         assert res.floor == 0
         assert count_chains(res.config) == 0
@@ -447,10 +449,6 @@ class TestStar:
         center = res.layers[0].points[0]
         for layer in res.layers[1:]:
             assert center.coords not in layer.coord_set()
-
-    def test_repeated_radii_rejected(self):
-        with pytest.raises(ValueError):
-            gen_star(2, 8, radii2=[1, 1])
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):

@@ -12,12 +12,10 @@ from chain_census.experiment import (
     verify_closed_form,
     verify_covering,
     verify_floor,
-    verify_richness,
-    write_scatter_svg,
 )
-from chain_census.constructions import gen_3d_odd_regular, gen_unit_rich_grid
-from chain_census.geometry import Point, exact_spec
-from chain_census.layered import Layer, make_config, make_layer
+from chain_census.constructions import gen_3d_odd_regular
+from chain_census.geometry import Point
+from chain_census.layered import Layer, make_config
 
 
 class TestFitExponent:
@@ -74,13 +72,6 @@ class TestRunExperiment:
         assert rep.fit.slope >= 2.0 - 0.2
         assert rep.verdict == "PASS"  # one-sided for floor-type constructions
 
-    def test_svg_written(self, tmp_path):
-        rep = run_experiment("planar-chain", 2, [8, 16, 32], seed=4)
-        out = tmp_path / "plot.svg"
-        write_scatter_svg(rep, out)
-        text = out.read_text()
-        assert text.startswith("<svg") and "circle" in text
-
 
 class TestVerify:
     def test_closed_form_planar(self):
@@ -106,12 +97,6 @@ class TestVerify:
     def test_covering(self):
         cfg = make_config([[(0, 0), (1, 1)], [(1, 0), (0, 1)], [(0, 0), (1, 1)]], (1, 1))
         res = verify_covering(cfg, "1/2")
-        assert res.passed
-
-    def test_richness(self):
-        grid = gen_unit_rich_grid(49)
-        layer = make_layer(grid.points)
-        res = verify_richness(layer, layer, grid.popular_d2, exact_spec(grid.popular_d2))
         assert res.passed
 
 

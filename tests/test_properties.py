@@ -46,7 +46,7 @@ from chain_census.layered import (
     make_layer,
     path_tree,
 )
-from chain_census.richness import degree_vector, richness_filter, richness_thresholds, stable_covering
+from chain_census.richness import _Filtering, degree_vector, richness_thresholds, stable_covering
 from oracles import (
     adjacency_oracle,
     backtrack_chains,
@@ -486,18 +486,30 @@ def test_covering_matches_oracle(cfg, eps):
 
 
 @CHECKS
-@given(exact_or_tolerant_configs(), EPS, st.sampled_from([0, 1]), st.data())
-def test_richness_filter_matches_degree_filter(cfg, eps, parity, data):
-    # the former filter: degrees from the pair kernel, one layer at a time
-    exponents = tuple(data.draw(st.integers(0, int(1 / eps))) * eps for _ in cfg.layers)
+@given(exact_or_tolerant_configs(), EPS, st.sampled_from([0, 1]))
+def test_richness_filter_matches_degree_filter(cfg, eps, parity):
+    # the former filter: degrees from the pair kernel, one layer at a time,
+    # for every class vector that leaves every layer nonempty
     order = list(range(cfg.k + 1))[:: 1 if parity else -1]
     cuts = richness_thresholds(max(map(len, cfg.layers)), eps)
-    out = {order[0]: cfg.layers[order[0]]}
-    for ref, i in zip(order, order[1:]):
-        lo, hi = cuts[int(exponents[i] / eps)], cuts[int(exponents[i] / eps) + 1]
+    want = {}
+
+    def extend(idx, out):
+        if len(out) == len(order):
+            want[tuple(idx[i] for i in range(cfg.k + 1))] = tuple(out[i] for i in range(cfg.k + 1))
+            return
+        ref, i = order[len(out) - 1], order[len(out)]
         degrees = degree_vector(cfg.layers[i], out[ref], cfg.spec.delta2[min(i, ref)], cfg.spec)
-        out[i] = Layer(tuple(p for p, d in zip(cfg.layers[i].points, degrees) if lo <= d < hi), cfg.layers[i].label)
-    assert richness_filter(parity, cfg, exponents, eps).layers == tuple(out[i] for i in range(cfg.k + 1))
+        for m in range(len(cuts) - 1):
+            kept = tuple(p for p, d in zip(cfg.layers[i].points, degrees) if cuts[m] <= d < cuts[m + 1])
+            if kept:
+                extend({**idx, i: m}, {**out, i: Layer(kept, cfg.layers[i].label)})
+
+    if cfg.layers[order[0]].points:
+        extend({order[0]: 0}, {order[0]: cfg.layers[order[0]]})
+    filtering = _Filtering(cfg, cuts)
+    got = filtering.children(filtering.whole, parity)
+    assert {idx: filtering.config_of(subs).layers for idx, subs in got} == want and len(got) == len(want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,12 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from chain_census.geometry import exact_spec
-from chain_census.layered import make_config, make_layer
+from chain_census.layered import LayeredConfig, count_incidences, make_config, make_layer
 from chain_census.richness import (
-    check_richness_bound,
+    _Filtering,
     degree_vector,
     rich_points,
-    richness_filter,
     richness_thresholds,
     stable_covering,
 )
@@ -87,25 +84,30 @@ class TestThresholds:
         assert cuts[0] == 1 and cuts[1] == 10 and cuts[2] >= 11
 
 
+def passes(cfg, eps, parity=1):
+    """{class vector: filtered layers} of every filtering pass over cfg."""
+    filtering = _Filtering(cfg, richness_thresholds(max(map(len, cfg.layers)), eps))
+    return {idx: filtering.config_of(subs).layers for idx, subs in filtering.children(filtering.whole, parity)}
+
+
 class TestRichnessFilter:
     def test_zero_alpha_keeps_low_degrees(self):
-        # all degrees are 1, hence in [1, n): the zero vector keeps full layers
+        # all degrees are 1, hence in [1, n): the one pass is the zero vector
+        # and keeps full layers
         cfg = make_config(
             [[(0, 0), (10, 0)], [(1, 0), (11, 0)], [(2, 0), (12, 0)]], (1, 1)
         )
-        out = richness_filter(1, cfg, (F(0), F(0), F(0)), F(1))
-        assert [len(l) for l in out.layers] == [2, 2, 2]
+        assert passes(cfg, F(1)) == {(0, 0, 0): cfg.layers}
 
     def test_top_class_catches_full_degree(self):
         # complete bipartite: degree equals n, the top exponent class
         cfg = make_config([[(0, 0)], [(1, 0)]], (1,))
-        out = richness_filter(1, cfg, (F(0), F(1)), F(1))
-        assert [len(l) for l in out.layers] == [1, 1]
+        assert passes(cfg, F(1)) == {(0, 1): cfg.layers}
 
     def test_empty_layer_stays_empty(self):
+        # no pass can fill the empty layer, so none leaves every layer nonempty
         cfg = make_config([[(0, 0)], [], [(5, 5)]], (1, 1))
-        out = richness_filter(1, cfg, (F(0), F(0), F(0)), F(1, 2))
-        assert [len(l) for l in out.layers] == [1, 0, 0]
+        assert passes(cfg, F(1, 2), 1) == passes(cfg, F(1, 2), 0) == {}
 
     def test_output_contained_in_input(self):
         rng = random.Random(71)
@@ -116,22 +118,12 @@ class TestRichnessFilter:
                     for _ in range(3)
                 ]
                 cfg = make_config(layers, (1, 1))
-                alphas = [F(rng.choice([0, 1, 2]), 2) for _ in range(3)]
-                out = richness_filter(parity, cfg, tuple(alphas), F(1, 2))
-                for before, after in zip(cfg.layers, out.layers):
-                    assert {p.coords for p in after.points} <= {p.coords for p in before.points}
-
-    def test_alpha_validation(self):
-        cfg = make_config([[(0, 0)], [(1, 0)]], (1,))
-        with pytest.raises(ValueError):
-            richness_filter(1, cfg, (F(1, 3), F(0)), F(1, 2))
-        with pytest.raises(ValueError):
-            richness_filter(2, cfg, (F(0), F(0)), F(1, 2))
+                for out in passes(cfg, F(1, 2), parity).values():
+                    for before, after in zip(cfg.layers, out):
+                        assert {p.coords for p in after.points} <= {p.coords for p in before.points}
 
     def test_every_chain_in_some_filter_class(self):
         rng = random.Random(73)
-        from itertools import product
-
         for _ in range(5):
             layers = [
                 list({(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(4)})
@@ -139,11 +131,11 @@ class TestRichnessFilter:
             ]
             cfg = make_config(layers, (1, 1))
             chains = enumerate_chains(cfg)
-            grid = [F(0), F(1, 2), F(1)]
-            covered = set()
-            for alpha in product(grid, repeat=3):
-                covered |= enumerate_chains(richness_filter(1, cfg, alpha, F(1, 2)))
-            assert covered == chains
+            for parity in (0, 1):
+                covered = set()
+                for out in passes(cfg, F(1, 2), parity).values():
+                    covered |= enumerate_chains(LayeredConfig(out, cfg.spec))
+                assert covered == chains
 
 
 class TestStableCovering:
@@ -152,7 +144,6 @@ class TestStableCovering:
         classes = stable_covering(cfg, F(1, 2))
         assert len(classes) == 1
         assert len(classes[0].config.layers[0]) == 2
-        assert classes[0].sequence.stable_at_last
 
     def test_covering_equals_chain_set(self):
         rng = random.Random(79)
@@ -183,7 +174,6 @@ class TestStableCovering:
             bound = (k + 1) / eps + 1
             for cc in classes:
                 assert len(cc.sequence) <= bound
-                assert cc.sequence.stable_at_last
 
     def test_covering_family_is_finite_and_bounded(self):
         cfg = make_config([[(0, 0), (1, 0)], [(1, 1), (0, 1)]], (1,))
@@ -225,39 +215,42 @@ class TestStableCovering:
         )
 
 class TestRichnessBound:
+    """r times the number of r-rich points is at most their incidences,
+    counted by the incidence counter."""
+
     def test_complete_bipartite_equality(self):
         cfg = gen_orthogonal_circles(4, 1, 20).config
         a = make_layer(cfg.layers[0].points[:10])
         b = make_layer(cfg.layers[0].points[10:])
-        report = check_richness_bound(a, b, F(1), exact_spec(1))
-        assert report.total_incidences == 100
-        assert (10, 10, 100) in report.entries
-        assert report.tightest == 1
+        spec = exact_spec(1)
+        assert count_incidences(a, b, F(1), spec) == 100
+        assert rich_points(b, a, F(1), 10, spec).points == b.points
+        assert rich_points(b, a, F(1), 11, spec).points == ()
 
     def test_single_edge(self):
-        report = check_richness_bound(
-            make_layer([(0, 0)]), make_layer([(1, 0)]), F(1), exact_spec(1)
-        )
-        assert report.entries == ((1, 1, 1),)
+        p, q, spec = make_layer([(0, 0)]), make_layer([(1, 0)]), exact_spec(1)
+        assert count_incidences(p, q, F(1), spec) == 1
+        assert len(rich_points(q, p, F(1), 1, spec).points) == 1
+        assert rich_points(q, p, F(1), 2, spec).points == ()
 
     def test_grid_all_r(self):
         grid = gen_unit_rich_grid(144)
         layer = make_layer(grid.points)
-        report = check_richness_bound(layer, layer, grid.popular_d2, exact_spec(grid.popular_d2))
-        assert report.total_incidences == 2 * grid.pair_count
-        for r, size, inc in report.entries:
-            assert r * size <= inc <= report.total_incidences
+        d2, spec = grid.popular_d2, exact_spec(grid.popular_d2)
+        total = count_incidences(layer, layer, d2, spec)
+        assert total == 2 * grid.pair_count
+        for r in range(1, max(degree_vector(layer, layer, d2, spec)) + 1):
+            sub = rich_points(layer, layer, d2, r, spec)
+            assert r * len(sub.points) <= count_incidences(layer, sub, d2, spec) <= total
 
     def test_matches_incidence_counter(self):
-        from chain_census.layered import count_incidences
-
         rng = random.Random(89)
         pts_a = list({(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(18)})
         pts_b = list({(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(18)})
         P, Q = make_layer(pts_a), make_layer(pts_b)
         spec = exact_spec(1)
-        report = check_richness_bound(P, Q, F(1), spec)
-        for r, size, inc in report.entries:
+        degs = [count_incidences(P, make_layer([q]), F(1), spec) for q in Q.points]
+        for r in range(1, max(degs) + 2):
             sub = rich_points(Q, P, F(1), r, spec)
-            assert size == len(sub.points)
-            assert inc == count_incidences(P, sub, F(1), spec)
+            assert len(sub.points) == sum(d >= r for d in degs)
+            assert count_incidences(P, sub, F(1), spec) == sum(d for d in degs if d >= r)
