@@ -9,6 +9,7 @@ on a failed verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -49,7 +50,7 @@ VERIFY_READS = {
 # the verbs that read each global flag, with its default; the others refuse it
 GLOBAL_READS = {
     "mode": (("count-tree", "incidences", "rich"), None),
-    "eps": (("generate", "decompose", "experiment", "verify"), 0.25),
+    "eps": (("generate", "decompose", "experiment", "verify"), Fraction(1, 4)),
     "out": (("generate", "experiment"), None),
 }
 
@@ -57,11 +58,18 @@ GLOBAL_READS = {
 def _parse_mode(text: str) -> str | float:
     if text == "exact":
         return text
-    if text.startswith("tol:"):
-        eps = float(text[4:])
-        if 0 < eps < math.inf:
+    with contextlib.suppress(ValueError):  # float() refusing the text is the error below
+        if text.startswith("tol:") and 0 < (eps := float(text[4:])) < math.inf:
             return eps
     raise argparse.ArgumentTypeError("mode must be 'exact' or 'tol:<eps>' with a finite eps > 0")
+
+
+def _parse_eps(text: str) -> Fraction:
+    """--eps as the number its text names: 0.1 is 1/10, not the double nearest it."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"eps must be a finite number, got {text!r}") from None
 
 
 def _parse_d2(text: str):
@@ -81,7 +89,7 @@ def _parse_d2(text: str):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chain-census")
     ap.add_argument("--seed", type=int, default=0, help="u64 seed for randomized steps")
-    ap.add_argument("--eps", type=float, help="diameter / decomposition step (default 0.25)")
+    ap.add_argument("--eps", type=_parse_eps, help="diameter / decomposition step (default 0.25)")
     ap.add_argument("--mode", type=_parse_mode, help="exact or tol:<eps>; for count-tree, incidences and rich")
     ap.add_argument("--out", help="output path (file or directory)")
     ap.add_argument("-v", "--verbose", action="store_true")
@@ -143,6 +151,7 @@ def _cmd_generate(args) -> int:
     entry = REGISTRY[args.construction]
     try:
         args.delta2 = [_parse_d2(t) for t in args.delta2.split(",")] if args.delta2 else None
+        args.eps = float(args.eps)
         res = entry.build(args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
@@ -218,7 +227,7 @@ def _cmd_rich(args) -> int:
 
 def _cmd_decompose(args) -> int:
     cfg = read_manifest(args.manifest)
-    classes = stable_covering(cfg, Fraction(args.eps))
+    classes = stable_covering(cfg, args.eps)
     print(f"classes {len(classes)}")
     for cc in classes:
         steps = ";".join(",".join(str(a) for a in vec) for vec in cc.sequence.vectors)
@@ -237,7 +246,7 @@ def _cmd_experiment(args) -> int:
         args.k,
         ns,
         seed=args.seed,
-        eps=args.eps,
+        eps=float(args.eps),
         slope_tol=args.slope_tol,
     )
     csv = report_csv(report, timings=args.timings)
@@ -264,14 +273,14 @@ def _cmd_verify(args) -> int:
             raise SystemExit(f"{args.claim} verification needs --construction")
         verify = verify_closed_form if args.claim == "closed-form" else verify_floor
         try:
-            res = verify(args.construction, args.k, args.n, args.eps, args.seed)
+            res = verify(args.construction, args.k, args.n, float(args.eps), args.seed)
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
     else:
         if not args.manifest:
             raise SystemExit("covering verification needs --manifest")
         cfg = read_manifest(args.manifest)
-        res = verify_covering(cfg, Fraction(args.eps))
+        res = verify_covering(cfg, args.eps)
     print(f"{res.verdict} computed={res.computed} expected={res.expected} ({res.detail})")
     return 0 if res.passed else 1
 

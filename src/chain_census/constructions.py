@@ -38,6 +38,7 @@ from .geometry import (
     squared_distance,
 )
 from .layered import (
+    _BLOCK,
     BipartiteAdjacency,
     LabeledTree,
     Layer,
@@ -71,15 +72,18 @@ def _popular_sq_distance(coords) -> tuple[int, int]:
     """The most frequent squared distance between distinct integer points
     (ties toward the smallest) and its number of unordered pairs.
 
-    Counted row by row: the n x n arrays of a one-shot computation set the
-    peak resident set of a run and fragmented the heap from run to run.
+    Counted in tiles of rows against the points after them, at most _BLOCK
+    pairs each: the n x n arrays of a one-shot computation set the peak
+    resident set of a run and fragmented the heap from run to run.
     """
-    arr = np.array(coords, dtype=np.int64)
-    top = int(((arr.max(axis=0) - arr.min(axis=0)) ** 2).sum())
+    arr = np.array(coords, dtype=np.int64).T.copy()  # one row per axis
+    top = int(((arr.max(axis=1) - arr.min(axis=1)) ** 2).sum())
     counts = np.zeros(top + 1, dtype=np.int64)
-    for i in range(len(arr) - 1):
-        rest = arr[i + 1 :] - arr[i]
-        counts += np.bincount((rest * rest).sum(axis=1), minlength=top + 1)
+    idx, step = np.arange(len(coords)), max(1, _BLOCK // len(coords))
+    for r in range(0, len(coords) - 1, step):
+        rest = arr[:, None, r + 1 :] - arr[:, r : r + step, None]
+        later = idx[r + 1 :] > idx[r : r + step, None]  # each unordered pair once
+        counts += np.bincount((rest * rest).sum(axis=0)[later], minlength=top + 1)
     best = int(np.argmax(counts))
     return best, int(counts[best])
 

@@ -160,9 +160,9 @@ class BipartiteAdjacency:
         return BipartiteAdjacency(tuple(out))
 
 
-# Pairs tested per numpy block: enough to amortize numpy's per-call cost.
-# Larger blocks are no faster, and their temporaries (a few int64 or
-# float64 arrays of _BLOCK numbers per axis) raise a run's peak RSS.
+# Pairs tested per row tile or block of index pairs: enough to amortize
+# numpy's per-call cost.  Larger ones are no faster, and their temporaries
+# (a few arrays of _BLOCK numbers per axis) raise a run's peak RSS.
 _BLOCK = 1 << 12
 
 
@@ -221,10 +221,14 @@ class _PairView:
     denominator.  Point p gets its own denominator D_p and integers
     N_p = D_p * p >= 0; with d2 = num/den, p and q match iff
     den * |D_q N_p - D_p N_q|^2 == num * D_p^2 * D_q^2.  Both sides lie in
-    [0, B], B from the largest D_p and N_p: below 2^63 they are compared
-    in int64, otherwise modulo primes below 2^31, enough that their product
-    exceeds 2B, and equal residues mean equal sides by the Chinese
-    remainder theorem (Brönnimann, Emiris, Pan and Pion, SoCG 1997).
+    [0, B], B from the largest D_p and N_p, and every value on the way is
+    no larger in size: products and differences at most sqrt(B), squares,
+    partial sums and (D_p D_q)^2 num (num >= 1 as d2 > 0) at most B.  So
+    they are compared in int32 when B < 2^31, in int64 when B < 2^63, and
+    otherwise modulo primes below 2^31, enough that their product exceeds
+    2B, and equal residues mean equal sides by the Chinese remainder
+    theorem (Brönnimann, Emiris, Pan and Pion, SoCG 1997).  ``a`` and
+    ``b`` hold the first prime's operands, ``more`` the further primes'.
     """
 
     def __init__(self, pa, pb, d2, eps):
@@ -235,7 +239,7 @@ class _PairView:
         if sa.dim != sb.dim:
             raise ValueError("dimension mismatch between the two point sets")
         self.dim = dim = sa.dim
-        self.eps, self.split = eps, len(sa)
+        self.eps, self.split, self.more = eps, len(sa), ()
         self.points = sa.points, sb.points
         if eps is not None:
             self.a, self.b, self.target = sa.axes, sb.axes, float(d2)
@@ -258,47 +262,39 @@ class _PairView:
         # each prime exceeds 2^30, so their product exceeds 2 * bound
         self.primes = _primes(-(-(2 * bound).bit_length() // 30)) if bound >> 63 else ()
         rows = cols if shared else [*cols, dens]  # N_p per axis, then D_p
-        self.sides = []  # (modulus, or 0 for plain int64; side a; side b; num; den)
-        for mod in self.primes or (0,):
-            values = np.array([[v % mod for v in row] for row in rows] if mod else rows, np.int64)
-            ratio = (num % mod, den % mod) if mod else (num, den)
-            self.sides.append((mod, values[:, : len(pa)], values[:, len(pa) :], *ratio))
+        ratios = [(mod, num % mod, den % mod) for mod in self.primes] or [(0, num, den)]
+        values = [[[v % mod for v in row] for row in rows] if mod else rows for mod, _, _ in ratios]
+        values = np.array(values, np.int64 if self.primes or bound >> 31 else np.int32)
+        sides = [(ratio, v[:, : len(pa)], v[:, len(pa) :]) for ratio, v in zip(ratios, values)]
+        (self.ratio, self.a, self.b), *self.more = sides
 
-    def test(self, ia, ib):
-        """(matches, gaps) for the index pairs (ia[t], ib[t]); gaps are the
-        float |d2(p, q) - d2| in tolerant mode, None in exact mode."""
+    def test(self, x, y):
+        """(matches, gaps) for operands x and y, ``a`` and ``b`` gathered at
+        index pairs or broadcast over a tile; gaps are the float
+        |d2(p, q) - d2| in tolerant mode, None in exact mode (first prime)."""
         import numpy as np
 
-        if self.eps is not None:
-            s = 0
-            for c in range(self.dim):
-                diff = self.a[c].take(ia) - self.b[c].take(ib)
-                s = s + diff * diff
-            gap = np.abs(s - self.target)
-            return gap <= self.eps, gap
-        match = self._agree(self.sides[0], ia, ib)
-        if len(self.sides) > 1:  # each further prime tests the pairs all earlier ones kept
-            hit = np.flatnonzero(match)
-            for side in self.sides[1:]:
-                hit = hit[self._agree(side, ia[hit], ib[hit])]
-            match = np.zeros(len(ia), bool)
-            match[hit] = True
-        return match, None
-
-    def _agree(self, side, ia, ib):
-        """Whether the two sides of the exact predicate are equal for each
-        pair (ia[t], ib[t]), modulo `mod` (in int64 when mod is 0)."""
-        mod, a, b, num, den = side
-        x, y = a.take(ia, axis=1), b.take(ib, axis=1)
-        dd = 1
-        if len(x) > self.dim:  # D_p in the last row: compare D_q N_p with D_p N_q
-            dd, x, y = x[-1] * y[-1], x[:-1] * y[-1], y[:-1] * x[-1]
+        if self.eps is None:
+            return self._agree(self.ratio, x, y), None
         s = 0
         for c in range(self.dim):
             diff = x[c] - y[c]
-            s = s + (diff % mod) ** 2 % mod if mod else s + diff * diff
+            s = s + diff * diff
+        gap = np.abs(s - self.target)
+        return gap <= self.eps, gap
+
+    def _agree(self, ratio, x, y):
+        """Whether the two sides of the exact predicate are equal for the
+        operands x and y of one modulus `mod` (plain integers when 0)."""
+        mod, num, den = ratio
+        dd = 1
+        if len(x) > self.dim:  # D_p in the last row: compare D_q N_p with D_p N_q
+            dd, x, y = x[-1] * y[-1], x[:-1] * y[-1], y[:-1] * x[-1]
+        diff = x - y  # all axes at once: integer sums need no order
         if mod:
+            s = ((diff % mod) ** 2 % mod).sum(axis=0)
             return s % mod * den % mod == (dd % mod) ** 2 % mod * num % mod
+        s = (diff * diff).sum(axis=0, dtype=diff.dtype)
         return s * den == dd * dd * num
 
     def cell_codes(self, reach2, auto=False):
@@ -321,6 +317,9 @@ class _PairView:
             # cells of side width / scale >= sqrt(reach2), within 2^-20 of it
             cols, dens = self.ints
             num, den = Fraction(reach2).as_integer_ratio()
+            # every N_p / D_p is at most max N / min D: below 2 sqrt(reach2), each key is 0 or 1
+            if auto and max(map(max, cols), default=0) ** 2 * den < 4 * num * min(dens) ** 2:
+                return None
             scale = 1 << max(0, (42 + den.bit_length() - num.bit_length()) // 2)
             width = math.isqrt(num * scale * scale // den) + 1
             keys = [[n * scale // (d * width) for n, d in zip(col, dens)] for col in cols]
@@ -337,8 +336,7 @@ class _PairView:
 
 def _cell_blocks(code_a, code_b, offsets):
     """The index pairs (a, b) whose cell codes differ by one of `offsets`,
-    ordered by a, in blocks of about _BLOCK pairs.  With every code 0 and
-    the one offset 0 these are all pairs in row-major order."""
+    ordered by a, in blocks of about _BLOCK pairs."""
     import numpy as np
 
     order = np.argsort(code_b, kind="stable")
@@ -362,45 +360,54 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offender
 
     The one kernel that decides point pairs (see _PairView), on point
     sequences or their _Side forms: only ``spec.eps`` is read, so the spec
-    may carry other distances.  "brute" tests every pair, "grid" only the
-    pairs a uniform grid puts in neighbouring cells ("brute" when there
-    are too many cells to code in int64), "auto" picks grid for more than
-    4096 pairs when it puts more than two cells on some axis.  Both test
-    pairs in numpy blocks of _BLOCK, so a call costs a few array
-    operations per block plus Python work per coordinate not yet
-    converted.  With an `offenders` list, tolerant pairs in the guard
-    band (eps, 100*eps] are appended to it as (p, q, gap) in (a, b) order:
-    the separation certificate that tolerant counting is stable.
+    may carry other distances.  "brute" tests every pair, rows of pa
+    against all of pb by broadcasting, "grid" only the pairs a uniform grid
+    puts in neighbouring cells ("brute" when there are too many cells to
+    code in int64), "auto" picks grid for more than 4096 pairs when it puts
+    more than two cells on some axis.  Each tile or block holds about
+    _BLOCK pairs, so a call costs a few array operations per tile plus
+    Python work per coordinate not yet converted.  With an `offenders`
+    list, tolerant pairs in the guard band (eps, 100*eps] are appended to
+    it as (p, q, gap) in (a, b) order: the separation certificate that
+    tolerant counting is stable.
     """
     import numpy as np
 
+    na, nb = len(pa), len(pb)
     none = np.zeros(0, dtype=np.intp)
-    if not len(pa) or not len(pb):
-        return np.zeros(len(pa) + 1, np.intp), none
+    if not na or not nb:
+        return np.zeros(na + 1, np.intp), none
     eps = spec.eps
     certify = offenders is not None and bool(eps)
     view = _PairView(pa, pb, d2, eps)
     cells = None
-    if strategy == "grid" or (strategy == "auto" and len(pa) * len(pb) > 4096):
+    if strategy == "grid" or (strategy == "auto" and na * nb > 4096):
         reach2 = d2 if eps is None else float(d2) + (100.0 * eps if certify else eps)
         cells = view.cell_codes(reach2, strategy == "auto")
-    if cells is None:  # brute force: every point in one cell
-        cells = np.zeros(len(pa), np.int64), np.zeros(len(pb), np.int64), np.zeros(1, np.int64)
-    hits, band = [(none, none)], [(none, none, np.zeros(0))]
-    for ia, ib in _cell_blocks(*cells):
-        match, gap = view.test(ia, ib)
-        hits.append((ia[match], ib[match]))
+    # a pair's flat index a * nb + b orders pairs by (a, b)
+    if cells is None:  # row tiles lo:hi, with their flat indices as a (rows, nb) block
+        step, all_b = max(1, _BLOCK // nb), view.b[..., None, :]
+        cuts = [(lo, min(lo + step, na)) for lo in range(0, na, step)]
+        tiles = ((np.arange(lo * nb, hi * nb).reshape(-1, nb), view.a[..., lo:hi, None], all_b) for lo, hi in cuts)
+    else:
+        tiles = ((ia * nb + ib, view.a.take(ia, -1), view.b.take(ib, -1)) for ia, ib in _cell_blocks(*cells))
+    hits, band = [none], [(none, np.zeros(0))]
+    for flat, x, y in tiles:
+        match, gap = view.test(x, y)
+        hits.append(flat[match])
         if certify:
             near = ~match & (gap > eps) & (gap <= 100.0 * eps)
-            band.append((ia[near], ib[near], gap[near]))
-    a, b = (np.concatenate(side) for side in zip(*hits))
-    order = np.lexsort((b, a))
+            band.append((flat[near], gap[near]))
+    hits, (band, gap) = np.concatenate(hits), map(np.concatenate, zip(*band))
+    if cells is not None:  # blocks hold a row's pairs in cell order
+        order = np.argsort(band)
+        hits, band, gap = np.sort(hits), band[order], gap[order]
+    for ratio, a, b in view.more:  # each further prime tests the pairs the earlier ones kept
+        hits = hits[view._agree(ratio, a.take(hits // nb, -1), b.take(hits % nb, -1))]
     if certify:
-        pts_a, pts_b = view.points
-        ia, ib, gap = (np.concatenate(side) for side in zip(*band))
-        for t in np.lexsort((ib, ia)).tolist():
-            offenders.append((pts_a[ia[t]], pts_b[ib[t]], float(gap[t])))
-    return np.searchsorted(a[order], np.arange(len(pa) + 1)), b[order]
+        (pts_a, pts_b), (rows, cols) = view.points, (side.tolist() for side in np.divmod(band, nb))
+        offenders.extend((pts_a[p], pts_b[q], g) for p, q, g in zip(rows, cols, gap.tolist()))
+    return np.searchsorted(hits, np.arange(0, (na + 1) * nb, nb)), hits % nb
 
 
 def _pair_runs(spec: DistanceSpec, strategy: str = "auto", offenders=None):

@@ -188,6 +188,20 @@ class TestDecomposeExperimentVerify:
         )
         assert code == 0 and out.startswith("PASS")
 
+    def test_decimal_eps_is_the_decimal(self, tmp_path, capsys):
+        # --eps 0.1 is 1/10: as the double nearest it, a fraction over 2^55,
+        # the covering search raised class sizes to the 2^55-th power
+        code, out = run(
+            capsys,
+            "--out", str(tmp_path),
+            "generate", "--construction", "3d-odd-regular", "--k", "3", "--n", "64",
+        )
+        manifest = out.strip()
+        proc = run_process("--eps", "0.1", "decompose", "--manifest", manifest, timeout=20)
+        assert proc.returncode == 0 and proc.stdout.startswith("classes 14\nsequence 0,2/5,1/10,1/10;")
+        proc = run_process("--eps", "1/10", "verify", "--claim", "covering", "--manifest", manifest, timeout=20)
+        assert proc.stdout == "PASS computed=(39744, 3) expected=(39744, 41) (14 covering classes)\n"
+
     def test_verify_covering_line(self, tmp_path, capsys):
         code, out = run(
             capsys,
@@ -242,10 +256,10 @@ def test_verify_lines(capsys, argv):
     assert out == VERIFY_LINES[argv] + "\n"
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=None):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chain_census.__file__)))
     return subprocess.run(
-        [sys.executable, "-m", "chain_census.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "chain_census.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -298,12 +312,14 @@ def run_process(*argv):
             1,
             "invalid literal for int() with base 10: 'x'",
         ),
+        ("--eps 1/0 decompose --manifest m.txt", 2, "chain-census: error: argument --eps: eps must be a finite number, got '1/0'"),
+        ("--eps inf decompose --manifest m.txt", 2, "chain-census: error: argument --eps: eps must be a finite number, got 'inf'"),
     ],
     ids=[
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
         "generate-unread", "generate-variant", "covering-unread",
         "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-zero-denominator", "generate-star-n",
-        "experiment-bad-n-list",
+        "experiment-bad-n-list", "eps-zero-denominator", "eps-infinite",
     ],
 )
 def test_bad_construction_is_one_error_line(argv, code, message):
@@ -441,7 +457,7 @@ def test_global_flag_refused_where_it_has_no_effect(capsys, flag, argv):
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {flag.split()[0]} has no effect on {verb}")
 
 
-@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf", "abc"])
 def test_mode_tolerance_must_be_finite_and_positive(tmp_path, eps):
     p = tmp_path / "tri.pts"
     write_points(p, make_layer([(0, 0), (1, 0), (0, 5)]).points, "exact")

@@ -139,7 +139,7 @@ class TestAdjacency:
             band: list = []
             csr = layered._pair_lists(layer, layer, 14 if eps is None else 14.0, spec, strategy, band)
             runs[strategy] = [arr.tolist() for arr in csr], band
-        assert offsets == [1, 27, 1]
+        assert offsets == [27]  # only grid gathers index pairs; auto and brute test row tiles
         assert runs["auto"] == runs["grid"] == runs["brute"]
         assert runs["auto"][0][1] and bool(runs["auto"][1]) == bool(eps)
 

@@ -4,19 +4,23 @@ search and the rational circle points against independent oracles.
 Configurations are small and exact, drawn so that layers overlap, repeat
 or are empty, which is where the Möbius correction for shared points has
 work to do.  The pair kernel is checked against the pair-by-pair
-predicate ``matches_distance``, on both sides of its int64 bound, and its
-grid strategy against its brute strategy far from the origin and at tiny
-radii.
+predicate ``matches_distance``, on both sides of its int32 and int64
+bounds, and its grid strategy against its brute strategy (row tiles of
+any height) far from the origin, at tiny radii and in the guard band.
 """
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chain_census.constructions import _dyadic_below, gen_orthogonal_circles, gen_star
+from chain_census import layered
+from chain_census.constructions import _dyadic_below, _popular_sq_distance, gen_orthogonal_circles, gen_star
 from chain_census.geometry import (
     CertificationError,
     DistanceSpec,
@@ -286,12 +290,18 @@ def kernel_lists(*args):
     return BipartiteAdjacency((_pair_lists(*args),)).neighbors[0]
 
 
+# Tile sizes for the brute path: below len(pb) a tile is one row; the grid
+# gathers its index pairs in blocks of the same size.
+BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 4096])
+
+
 @CHECKS
-@given(lattice_pairs())
-def test_kernel_grid_equals_brute_exact(case):
+@given(lattice_pairs(), BLOCKS)
+def test_kernel_grid_equals_brute_exact(case, block):
     pa, pb, d2, _ = case
-    brute = kernel_lists(pa, pb, d2, exact_spec(), "brute")
-    assert kernel_lists(pa, pb, d2, exact_spec(), "grid") == brute == oracle_lists(pa, pb, d2, exact_spec())
+    with mock.patch.object(layered, "_BLOCK", block):
+        brute = kernel_lists(pa, pb, d2, exact_spec(), "brute")
+        assert kernel_lists(pa, pb, d2, exact_spec(), "grid") == brute == oracle_lists(pa, pb, d2, exact_spec())
 
 
 @settings(CHECKS, max_examples=300)
@@ -313,6 +323,123 @@ def test_kernel_grid_equals_brute_tolerant(case, ratio, jitter):
         found[strategy] = lists, [(p.id, q.id, gap) for p, q, gap in offenders]
     assert found["grid"] == found["brute"]
     assert found["brute"][0] == oracle_lists(pa, pb, d2, spec)
+
+
+@CHECKS
+@given(st.integers(2**15 - 8, 2**15 + 8), LATTICE, LATTICE, st.integers(0, 12), st.integers(0, 12))
+def test_kernel_int32_either_side_of_its_bound(top, xs, ys, dx, dy):
+    # (0, 0) in pa and (top, top) in pb make the shifted coordinates span
+    # 0..top, so the predicate's bound is 2 top^2, which d2 does not pass:
+    # int32 exactly while top < 2^15, with sums of squares up to 2 top^2
+    pa = make_layer([(0, 0), *(p for p in xs if p != (0, 0))]).points
+    pb = make_layer([(top, top), *((top - x, top - y) for x, y in ys if (x, y) != (0, 0))]).points
+    d2 = Fraction((top - dx) ** 2 + (top - dy) ** 2)
+    view = _PairView(pa, pb, d2, None)
+    assert view.a.dtype == (np.int32 if top < 2**15 else np.int64) and not view.primes
+    want = oracle_lists(pa, pb, d2, exact_spec())
+    for strategy in ("brute", "grid"):
+        assert kernel_lists(pa, pb, d2, exact_spec(), strategy) == want
+
+
+@CHECKS
+@given(
+    LATTICE,
+    LATTICE,
+    st.sampled_from([((1, 2, 3), "int32"), ((4095, 4096), "int64"), ((2**16, 2**16 + 1), "primes")]),
+    st.sampled_from([1, 2, 4, 5, 8, 25]),
+    BLOCKS,
+    st.data(),
+)
+def test_kernel_per_point_denominators_in_each_number_type(xs, ys, dens, d2, block, data):
+    # points (x + 1/D_p, y), D_p drawn per point and both extremes present:
+    # the largest D_p puts the bound num * D^4 below 2^31, below 2^63 or
+    # past it, and points of equal D_p match as the lattice does
+    dens, kind = dens
+
+    def place(pts, ds):
+        return [Point((x + Fraction(1, D), Fraction(y)), i) for i, ((x, y), D) in enumerate(zip(pts, ds))]
+
+    ys = ys or [(1, 1)]
+    pa = place([(0, 0)] * len(dens) + xs, [*dens, *(data.draw(st.sampled_from(dens)) for _ in xs)])
+    pb = place(ys, [data.draw(st.sampled_from(dens)) for _ in ys])
+    view = _PairView(pa, pb, Fraction(d2), None)
+    assert len(view.a) == 3  # two axes and D_p
+    assert ("primes" if view.primes else view.a.dtype.name) == kind
+    want = oracle_lists(pa, pb, Fraction(d2), exact_spec())
+    with mock.patch.object(layered, "_BLOCK", block):
+        for strategy in ("brute", "grid"):
+            assert kernel_lists(pa, pb, Fraction(d2), exact_spec(), strategy) == want
+
+
+@CHECKS
+@given(LATTICE, LATTICE, st.sampled_from([1.0, 2.0, 5.0]), st.lists(st.sampled_from([0, 3, 10, 30, 200]), max_size=25), BLOCKS)
+def test_brute_tiles_certify_as_the_grid_does(xs, ys, d2, jitter, block):
+    # points of pa moved by a few eps on one axis put lattice neighbours in
+    # the guard band (eps, 100 eps] or past it; both strategies must raise
+    # the same error with the offenders in (a, b) order
+    eps = 1e-9
+    shift = jitter + [0] * len(xs)
+    cfg = make_config([[(x + shift[i] * eps, float(y)) for i, (x, y) in enumerate(xs)], [(float(x), float(y)) for x, y in ys]], [d2], eps)
+    pa, pb = (ly.points for ly in cfg.layers)
+    gaps = [(p, q, abs(squared_distance(p, q) - d2)) for p, q in itertools.product(pa, pb)]
+    want = [(p, q, gap) for p, q, gap in gaps if eps < gap <= 100 * eps]
+    found = {}
+    with mock.patch.object(layered, "_BLOCK", block):
+        for strategy in ("brute", "grid"):
+            try:
+                build_adjacency(cfg, strategy)
+                found[strategy] = None
+            except CertificationError as err:
+                found[strategy] = str(err), [(p.id, q.id, gap) for p, q, gap in err.offenders]
+    expected = (str(CertificationError(want)), [(p.id, q.id, gap) for p, q, gap in want]) if want else None
+    assert found["brute"] == found["grid"] == expected
+
+
+@pytest.mark.parametrize(
+    "na, nb, block, heights",
+    [
+        (0, 5, 8, []),
+        (5, 0, 8, []),
+        (1, 9, 8, [1]),
+        (9, 1, 8, [8, 1]),
+        (7, 3, 8, [2, 2, 2, 1]),
+        (4, 9, 8, [1, 1, 1, 1]),
+        (7, 3, 4096, [7]),
+    ],
+)
+@pytest.mark.parametrize("eps", [None, 1e-9])
+def test_brute_tile_heights(na, nb, block, heights, eps):
+    # _BLOCK // nb rows a tile, at least one, the last tile what is left
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    pa, pb = (make_layer([tuple(map(float, p)) if eps else p for p in grid[:n]]).points for n in (na, nb))
+    spec, d2 = DistanceSpec((), eps), (1.0 if eps else Fraction(1))
+    seen, test = [], layered._PairView.test
+
+    def spy(view, x, y):
+        seen.append(x.shape[-2])
+        return test(view, x, y)
+
+    with mock.patch.object(layered, "_BLOCK", block), mock.patch.object(layered._PairView, "test", spy):
+        offsets, _ = _pair_lists(pa, pb, d2, spec, "brute")
+    assert seen == heights and len(offsets) == na + 1
+    assert kernel_lists(pa, pb, d2, spec, "brute") == oracle_lists(pa, pb, d2, spec)
+
+
+INTEGER_POINTS = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=40, unique=True)
+)
+
+
+@CHECKS
+@given(INTEGER_POINTS, BLOCKS)
+def test_popular_sq_distance_counts_each_pair_once(points, block):
+    # tiles of rows against the points after them, of any height, against
+    # the count over all unordered pairs; ties go to the smallest distance
+    counts = Counter(sum((a - b) ** 2 for a, b in zip(p, q)) for p, q in itertools.combinations(points, 2))
+    top = max(counts.values(), default=0)
+    want = min((d for d, c in counts.items() if c == top), default=0), top
+    with mock.patch("chain_census.constructions._BLOCK", block):
+        assert _popular_sq_distance(points) == want
 
 
 @st.composite
