@@ -86,6 +86,24 @@ def _parse_d2(text: str):
         raise SystemExit(str(exc)) from None
 
 
+class _Verb(argparse.ArgumentParser):
+    """A verb's parser that records its arguments and adds them, after its
+    -h, when argparse dispatches to it (once per parser), so that a call
+    builds only the verb it runs."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self.todo = [(("-h", "--help"), {"action": "help", "help": "show this help message and exit"})]
+
+    def add_argument(self, *args, **kwargs):
+        self.todo.append((args, kwargs))
+
+    def parse_known_args(self, args=None, namespace=None):
+        for a, kw in self.todo:
+            super().add_argument(*a, **kw)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chain-census")
     ap.add_argument("--seed", type=int, default=0, help="u64 seed for randomized steps")
@@ -93,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--mode", type=_parse_mode, help="exact or tol:<eps>; for count-tree, incidences and rich")
     ap.add_argument("--out", help="output path (file or directory)")
     ap.add_argument("-v", "--verbose", action="store_true")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Verb)
 
     g = sub.add_parser("generate", help="emit a construction as manifest + point files")
     g.add_argument(

@@ -52,8 +52,9 @@ def _names_file(read):
 
 
 def _format_exact(c) -> str:
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if not isinstance(c, (int, Fraction)):  # ints and Fractions print from their own parts
+        c = Fraction(c)
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _parse_exact(tok: str):
@@ -134,14 +135,15 @@ def write_manifest(path, config: LayeredConfig, directory=None) -> str:
     os.makedirs(directory, exist_ok=True)
     mode = "exact" if config.spec.exact else "float"
     file_of: dict[tuple, str] = {}
-    layer_files = []
-    for i, layer in enumerate(config.layers):
-        key = tuple(p.coords for p in layer.points)
-        if key not in file_of:
-            fname = f"layer{len(file_of) + 1}.pts"
-            write_points(os.path.join(directory, fname), layer.points, mode)
-            file_of[key] = fname
-        layer_files.append(file_of[key])
+    by_id: dict[int, str] = {}  # aliased layers share a point tuple: its coordinates are hashed once
+    for layer in config.layers:
+        if id(layer.points) not in by_id:
+            known = len(file_of)
+            fname = file_of.setdefault(tuple(p.coords for p in layer.points), f"layer{known + 1}.pts")
+            if len(file_of) > known:
+                write_points(os.path.join(directory, fname), layer.points, mode)
+            by_id[id(layer.points)] = fname
+    layer_files = [by_id[id(layer.points)] for layer in config.layers]
     lines = [f"k {config.k}", f"dim {config.dim}"]
     if config.spec.exact:
         lines.append("mode exact")
@@ -167,14 +169,17 @@ def read_manifest(path) -> LayeredConfig:
             if not ln:
                 continue
             key, _, rest = ln.partition(" ")
+            seen = fields
             if key == "layer":
-                idx_s, _, fname = rest.partition(" ")
-                idx = int(idx_s)
-                if not fname:
-                    raise FileFormatError(f"layer {idx} is missing a file path")
-                layer_paths[idx] = fname
-            else:
-                fields[key] = rest
+                idx_s, _, rest = rest.partition(" ")
+                seen, key = layer_paths, int(idx_s)
+                if not rest:
+                    raise FileFormatError(f"{path}: layer {key} is missing a file path")
+            elif key not in ("k", "dim", "mode", "delta2"):
+                raise FileFormatError(f"{path}: unknown line {ln!r}")
+            if key in seen:
+                raise FileFormatError(f"{path}: repeated {ln.split()[0]} line {ln!r}")
+            seen[key] = rest
     for req in ("k", "dim", "mode", "delta2"):
         if req not in fields:
             raise FileFormatError(f"{path}: missing {req!r} line")
@@ -186,7 +191,7 @@ def read_manifest(path) -> LayeredConfig:
     elif mode_toks[0] == "tol" and len(mode_toks) == 2:
         eps = float(mode_toks[1])
     else:
-        raise FileFormatError(f"bad mode line {fields['mode']!r}")
+        raise FileFormatError(f"{path}: bad mode line {fields['mode']!r}")
     d2_toks = fields["delta2"].split()
     if len(d2_toks) != k:
         raise FileFormatError(f"{path}: {len(d2_toks)} distances for k={k}")
@@ -197,6 +202,9 @@ def read_manifest(path) -> LayeredConfig:
     missing = [i for i in range(1, k + 2) if i not in layer_paths]
     if missing:
         raise FileFormatError(f"{path}: missing layer(s) {missing}")
+    extra = sorted(set(layer_paths) - set(range(1, k + 2)))
+    if extra:
+        raise FileFormatError(f"{path}: layer(s) {extra} beyond 1..{k + 1}")
     cache: dict[str, tuple[Point, ...]] = {}  # aliased layers share one tuple
     layers = []
     for i in range(1, k + 2):

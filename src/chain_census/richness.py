@@ -13,12 +13,11 @@ configuration.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import DistanceSpec
-from .layered import BipartiteAdjacency, Layer, LayeredConfig, _pair_lists, build_adjacency
+from .layered import BipartiteAdjacency, Layer, LayeredConfig, _pair_lists, _ranges, build_adjacency
 
 
 def degree_vector(target: Layer, reference: Layer, d2, spec: DistanceSpec) -> list[int]:
@@ -59,61 +58,139 @@ def richness_thresholds(n: int, eps: Fraction) -> list[int]:
     return cuts
 
 
-class _Filtering:
-    """The layers of a configuration as index arrays over one adjacency.
+# A chunk of partial passes gathers about this many neighbours and dense
+# (partial, point) counts at once, or those of one partial if more.
+_BUDGET = 1 << 16
 
-    A sub-layer is the ascending indices of its points in the original
-    layer.  The degree of every point of layer i into a sub-layer of a
-    neighbouring layer is one bincount over the edges of that layer pair
-    whose reference end the sub-layer holds; no point pair is tested again.
+
+class _Filtering:
+    """The filtering passes of a configuration, on one adjacency.
+
+    A sub-layer is a subset of the points of its layer.  A level holds the
+    sub-layers of many configurations: per layer a matrix of bit rows, one
+    row per configuration, and the number of points of each (row, layer).
+    Degrees into a sub-layer are counted on the adjacency's CSR rows; no
+    point pair is tested again.
     """
 
     def __init__(self, config: LayeredConfig, cuts, adjacency=None):
         import numpy as np
 
         self.config = config
-        self.edges = [
-            (np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), indices)
-            for offsets, indices in (adjacency or build_adjacency(config, certify=False)).pairs
-        ]
-        self.whole = tuple(np.arange(len(layer)) for layer in config.layers)
+        self.sizes = [len(layer) for layer in config.layers]
+        pairs = (adjacency or build_adjacency(config, certify=False)).pairs
+        # (ref, i): offsets, indices and row lengths of the neighbours in layer i of layer ref's points
+        self.csr = {(i, i + 1): (offsets, indices, np.diff(offsets)) for i, (offsets, indices) in enumerate(pairs)}
+        self.flipped = {}  # transposes, by the id of the indices they transpose
+        self.whole = tuple(map(np.arange, self.sizes))
         self.cuts = np.array(cuts)
+        # object arrays of the points, so a sub-layer's points are one gather
+        self.objects = [np.fromiter(layer.points, object, len(layer)) for layer in config.layers]
+
+    def _neighbours(self, ref: int, i: int):
+        """The CSR from layer ref to layer i.  A right-to-left one is the
+        transpose, built once per distinct pair by a stable counting sort
+        of the neighbour indices (numpy's radix sort below 2^16 points)."""
+        import numpy as np
+
+        if (ref, i) not in self.csr:
+            offsets, indices, lengths = self.csr[i, ref]
+            if id(indices) not in self.flipped:
+                by = np.argsort(indices.astype(np.min_scalar_type(self.sizes[ref])), kind="stable")
+                counts = np.bincount(indices, minlength=self.sizes[ref])
+                rows = np.arange(self.sizes[i]).repeat(lengths)
+                self.flipped[id(indices)] = np.concatenate(([0], counts.cumsum())), rows[by], counts
+            self.csr[ref, i] = self.flipped[id(indices)]
+        return self.csr[ref, i]
+
+    def level(self, subs):
+        """The level of the one configuration whose sub-layers are the
+        index arrays subs."""
+        import numpy as np
+
+        bits = tuple(np.packbits(np.bincount(s, minlength=n) > 0)[None] for s, n in zip(subs, self.sizes))
+        return bits, np.array([list(map(len, subs))])
 
     def children(self, subs, parity: int):
-        """(class indices, sub-layers) for every pass that leaves every
-        layer nonempty.
+        """(class indices, configuration) of every pass over the
+        configuration subs that leaves every layer nonempty (see expand)."""
+        _, vectors, kids = self.expand(self.level(subs), parity)
+        return list(zip(map(tuple, vectors.tolist()), self.configs(kids, range(len(vectors)))))
+
+    def expand(self, level, parity: int):
+        """Every pass over every configuration of a level that leaves every
+        layer nonempty.  Each layer step runs on all partial passes at once:
+        one bincount of (partial, point) keys over the neighbours of their
+        filtered layers, masked to each configuration's own sub-layer, then
+        one grouping of the kept points by (partial, class).
 
         parity=1 keeps the first layer whole and filters left to right:
         layer i keeps its points whose degree into the filtered layer i-1
         (at the (i-1)-th distance) lies in the chosen class.  parity=0 is
         the mirror, right to left.  The whole layer's class index is 0.
+        Returns per child its configuration's index in the level and its
+        class indices (a row, in layer order), and the children as a level.
         """
         import numpy as np
 
-        cuts, step = self.cuts, 1 if parity else -1
-        order = list(range(len(subs)))[::step]
-        partials = [((0,), (subs[order[0]],))]
+        (bits, lengths), cuts, width = level, self.cuts, len(self.cuts) - 1
+        order = list(range(len(bits)))[:: 1 if parity else -1]
+        node = np.arange(len(lengths))  # the configuration of each partial
+        # the points of each partial's last filtered layer, and their partial
+        own, pts = np.unpackbits(bits[order[0]], axis=1, count=self.sizes[order[0]]).nonzero()
+        fend, steps = np.concatenate(([0], lengths[:, order[0]].cumsum())), []
         for ref, i in zip(order, order[1:]):
-            a, b = self.edges[min(i, ref)]
-            tgt, src = (b, a) if parity else (a, b)
-            mask = np.zeros(len(self.whole[ref]), bool)
-            nxt = []
-            for ms, filt in partials:
-                mask[:] = False
-                mask[filt[-1]] = True
-                deg = np.bincount(tgt[mask[src]], minlength=len(self.whole[i]))[subs[i]]
-                cls = np.searchsorted(cuts, deg, "right") - 1  # -1 for degree 0
-                counts = np.bincount(cls + 1)[1:]  # points per class
-                if len(counts) >= len(cuts):
+            n, (aoff, aidx, reach) = self.sizes[i], self._neighbours(ref, i)
+            reach, starts = reach[pts], [0]
+            if reach.sum() + n * len(node) > _BUDGET:  # chunks that fit: their neighbours and dense entries
+                cost = np.concatenate(([0], reach.cumsum()))[fend] + n * np.arange(len(fend))
+                starts = np.unique(cost.searchsorted(np.arange(0, cost[-1], _BUDGET), "right") - 1).tolist()
+            out, base = [], 0
+            for q0, q1 in zip(starts, [*starts[1:], len(node)]):
+                f = slice(fend[q0], fend[q1])
+                if q1 - q0 == 1 and f.stop - f.start == len(aoff) - 1:  # one partial, all of layer ref
+                    keys = aidx
+                else:  # in place: a few arrays of one entry per neighbour at a time
+                    keys = aidx[_ranges(aoff[pts[f]], reach[f])]
+                    keys += ((own[f] - q0) * n).repeat(reach[f])
+                count = np.bincount(keys, minlength=(q1 - q0) * n).reshape(q1 - q0, n)
+                count *= np.unpackbits(bits[i][node[q0:q1]], axis=1, count=n)  # each partial's sub-layer i
+                part, point = count.nonzero()
+                deg = count[part, point]
+                cls = cuts.searchsorted(deg, "right") - 1
+                if len(cls) and cls.max() >= width:
                     raise AssertionError(f"degree {deg.max()} outside threshold range {cuts.tolist()}")
-                found = np.flatnonzero(counts).tolist()
-                nxt += [(ms + (m,), filt + (subs[i][cls == m],)) for m in found]
-            partials = nxt
-        return [(ms[::step], filt[::step]) for ms, filt in partials]
+                # the new partials: the (partial, class) groups of the kept points
+                key = part * width + cls
+                tally = np.bincount(key, minlength=(q1 - q0) * width)  # points per group
+                group = tally.nonzero()[0]
+                kid = np.arange(len(group)).repeat(tally[group])
+                point = point[key.argsort(kind="stable")]
+                rows = np.zeros((len(group), n), bool)
+                rows[kid, point] = True
+                out.append((group + q0 * width, np.packbits(rows, axis=1), tally[group], kid + base, point))
+                base += len(group)
+            key, packed, lens, own, pts = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
+            src, m = np.divmod(key, width)
+            fend, node = np.concatenate(([0], lens.cumsum())), node[src]
+            steps.append((src, m, packed, lens))
+        vectors = np.zeros((len(node), len(bits)), np.intp)
+        kids, sizes, at = list(bits), lengths[node], np.arange(len(node))
+        for i, (src, m, packed, lens) in zip(order[:0:-1], steps[::-1]):
+            vectors[:, i], kids[i], sizes[:, i], at = m[at], packed[at], lens[at], src[at]
+        kids[order[0]] = bits[order[0]][node]
+        return node, vectors, (tuple(kids), sizes)
 
-    def config_of(self, subs) -> LayeredConfig:
-        pick = [Layer(tuple(map(ly.points.__getitem__, s.tolist())), ly.label) for ly, s in zip(self.config.layers, subs)]
-        return LayeredConfig(tuple(pick), self.config.spec)
+    def configs(self, level, picks) -> list[LayeredConfig]:
+        """The configurations picks of a level, with their points."""
+        import numpy as np
+
+        (bits, lengths), picks = level, list(picks)
+        layers = []
+        for b, obj, ly, ends in zip(bits, self.objects, self.config.layers, lengths[picks].T.cumsum(1).tolist()):
+            pts = obj[np.unpackbits(b[picks], axis=1, count=len(obj)).nonzero()[1]].tolist()
+            layers.append([Layer(tuple(pts[lo:hi]), ly.label) for lo, hi in zip([0, *ends], ends)])
+        return [LayeredConfig(pick, self.config.spec) for pick in zip(*layers)]
 
 
 @dataclass(frozen=True)
@@ -150,7 +227,9 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
     n = max((len(layer) for layer in config.layers), default=0)
     if n == 0:
         return []
-    filtering = _Filtering(config, richness_thresholds(n, eps), adjacency)
+    cuts = richness_thresholds(n, eps)
+    filtering = _Filtering(config, cuts, adjacency)
+    exponent = [m * eps for m in range(len(cuts))]  # class index -> exponent
     p_num, p_den = eps.numerator, eps.denominator
     max_len = math.floor((config.k + 1) / eps) + 1
 
@@ -158,25 +237,29 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
         # new >= old * n^(-eps)  <=>  new^den * n^num >= old^den
         return new_size**p_den * n**p_num >= old_size**p_den
 
-    found = []
-    queue = deque([((), filtering.whole, math.prod(map(len, config.layers)), ())])
-    while queue:
-        prefix, subs, size, sizes = queue.popleft()
-        parity = (len(prefix) + 1) % 2
-        for idx_vec, filt in filtering.children(subs, parity):
-            new_size = math.prod(map(len, filt))
-            child = prefix + (tuple(m * eps for m in idx_vec),)
-            child_sizes = sizes + (new_size,)
+    # one BFS depth at a time: its sequences share one parity, so one
+    # expand filters all of them
+    found, configs, nodes = [], [], [((), (), math.prod(map(len, config.layers)))]  # (prefix, sizes, size)
+    level, parity = filtering.level(filtering.whole), 1
+    while nodes:
+        node, vectors, kids = filtering.expand(level, parity)
+        stable, keep, queued = [], [], []
+        for j, (p, vec, lens) in enumerate(zip(node.tolist(), vectors.tolist(), kids[1].tolist())):
+            prefix, sizes, size = nodes[p]
+            child, new_size = prefix + (tuple(vec),), math.prod(lens)
             if is_stable(size, new_size):
-                found.append((child, child_sizes, filt))
+                stable.append(j)
+                found.append((child, sizes + (new_size,)))
+            elif len(child) > max_len:
+                raise AssertionError("unstable sequence exceeded the guaranteed length bound")
             else:
-                if len(child) > max_len:
-                    raise AssertionError(
-                        "unstable sequence exceeded the guaranteed length bound"
-                    )
-                queue.append((child, filt, new_size, child_sizes))
-    found.sort(key=lambda item: item[0])
+                keep.append(j)
+                queued.append((child, sizes + (new_size,), new_size))
+        configs += filtering.configs(kids, stable) if stable else []
+        nodes, parity = queued, 1 - parity
+        level = tuple(b[keep] for b in kids[0]), kids[1][keep]
+    found = sorted(zip(found, configs), key=lambda item: item[0][0])  # m * eps rises with m
     return [
-        CoveringClass(DecompositionSequence(child, child_sizes), filtering.config_of(filt))
-        for child, child_sizes, filt in found
+        CoveringClass(DecompositionSequence(tuple(tuple(map(exponent.__getitem__, vec)) for vec in child), sizes), sub)
+        for (child, sizes), sub in found
     ]

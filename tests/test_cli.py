@@ -393,6 +393,48 @@ def test_bad_manifest_is_one_error_line(tmp_path, verb, manifest, message):
 
 
 @pytest.mark.parametrize(
+    "line, first, message",
+    [
+        ("layer 5 nonexistent.pts", False, "{m}: layer(s) [5] beyond 1..2"),
+        ("layer 5 nonexistent.pts", True, "{m}: layer(s) [5] beyond 1..2"),
+        ("bogus line here", False, "{m}: unknown line 'bogus line here'"),
+        ("bogus line here", True, "{m}: unknown line 'bogus line here'"),
+        ("k 9", False, "{m}: repeated k line 'k 9'"),
+        ("layer 2 sq.pts", False, "{m}: repeated layer line 'layer 2 sq.pts'"),
+    ],
+    ids=["layer-past-k-appended", "layer-past-k-prepended", "unknown-key-appended", "unknown-key-prepended",
+         "repeated-key", "repeated-layer"],
+)
+def test_refused_manifest_line_is_one_error_line(tmp_path, line, first, message):
+    write_points(tmp_path / "sq.pts", make_layer([(0, 0), (1, 0)]).points, "exact")
+    lines = ["k 1", "dim 2", "mode exact", "delta2 1", "layer 1 sq.pts", "layer 2 sq.pts"]
+    m = tmp_path / "manifest.txt"
+    m.write_text("\n".join([line, *lines] if first else [*lines, line]) + "\n")
+    proc = run_process("count", "--manifest", str(m))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [message.format(m=m)]
+
+
+HELP_VERBS = ("generate", "count", "count-tree", "incidences", "rich", "decompose", "experiment", "verify")
+
+
+def test_help_texts_are_pinned(capsys, monkeypatch):
+    # the top-level and every verb's help at 80 columns, as recorded while
+    # the parser still built every verb's arguments on each call; argparse
+    # wraps long usage lines differently from Python 3.13 on
+    golden = "help-3.13.txt" if sys.version_info >= (3, 13) else "help.txt"
+    monkeypatch.setenv("COLUMNS", "80")
+    got = []
+    for argv in (["--help"], *([verb, "--help"] for verb in HELP_VERBS)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        got.append(f"$ chain-census {' '.join(argv)}\n{capsys.readouterr().out}")
+    with open(os.path.join(os.path.dirname(__file__), "golden", golden)) as fh:
+        assert "".join(got) == fh.read()
+
+
+@pytest.mark.parametrize(
     "argv, files, message",
     [
         ("count --manifest {d}/m.txt", {"m.txt": "k x\ndim 2\nmode exact\ndelta2 1\nlayer 1 sq.pts\nlayer 2 sq.pts\n"},

@@ -613,6 +613,13 @@ def test_covering_matches_oracle(cfg, eps):
 
 
 @CHECKS
+@given(exact_or_tolerant_configs(), st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 10)]))
+def test_level_search_matches_oracle(cfg, eps):
+    # the search that expands a whole BFS depth at once, at finer steps too
+    assert stable_covering(cfg, eps) == covering_oracle(cfg, eps)
+
+
+@CHECKS
 @given(exact_or_tolerant_configs(), EPS, st.sampled_from([0, 1]))
 def test_richness_filter_matches_degree_filter(cfg, eps, parity):
     # the former filter: degrees from the pair kernel, one layer at a time,
@@ -636,7 +643,7 @@ def test_richness_filter_matches_degree_filter(cfg, eps, parity):
         extend({order[0]: 0}, {order[0]: cfg.layers[order[0]]})
     filtering = _Filtering(cfg, cuts)
     got = filtering.children(filtering.whole, parity)
-    assert {idx: filtering.config_of(subs).layers for idx, subs in got} == want and len(got) == len(want)
+    assert {idx: sub.layers for idx, sub in got} == want and len(got) == len(want)
 
 
 # ---------------------------------------------------------------------------

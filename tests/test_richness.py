@@ -1,8 +1,15 @@
+import itertools
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
+from chain_census import richness
 from chain_census.geometry import exact_spec
-from chain_census.layered import LayeredConfig, count_incidences, make_config, make_layer
+from chain_census.layered import BipartiteAdjacency, LayeredConfig, count_incidences, make_config, make_layer
 from chain_census.richness import (
     _Filtering,
     degree_vector,
@@ -16,7 +23,7 @@ from chain_census.constructions import (
     gen_star,
     gen_unit_rich_grid,
 )
-from oracles import enumerate_chains
+from oracles import covering_oracle, enumerate_chains
 
 F = Fraction
 
@@ -87,7 +94,7 @@ class TestThresholds:
 def passes(cfg, eps, parity=1):
     """{class vector: filtered layers} of every filtering pass over cfg."""
     filtering = _Filtering(cfg, richness_thresholds(max(map(len, cfg.layers)), eps))
-    return {idx: filtering.config_of(subs).layers for idx, subs in filtering.children(filtering.whole, parity)}
+    return {idx: sub.layers for idx, sub in filtering.children(filtering.whole, parity)}
 
 
 class TestRichnessFilter:
@@ -213,6 +220,51 @@ class TestStableCovering:
             "sequence 0,1/2,1/2,1/4;1/4,1/4,0,0;0,1/2,1/4,1/4 sizes 1605632,393216,393216\n"
             "sequence 0,1/2,1/2,1/2 sizes 11239424\n"
         )
+
+
+class TestLevelSearch:
+    """The covering search expands a whole BFS depth at once, in chunks of
+    partial passes that fit a budget of gathered neighbours and dense
+    (partial, point) counts."""
+
+    # Layer 1 splits into degree classes 0 (b1) and 1 (b2); the pass that
+    # keeps b1 finds no point of layer 2 adjacent to it, so it ends there.
+    DEAD_END = make_config([[(0, 0), (2, 0), (10, 0)], [(1, 0), (10, 1)], [(1, 1), (20, 20)]], (1, 1))
+
+    @pytest.mark.parametrize(
+        "cfg, eps",
+        [
+            (gen_3d_odd_regular(3, 64).config, F(1, 4)),
+            (gen_3d_odd_regular(3, 64).config, F(1, 10)),
+            (gen_orthogonal_circles(4, 3, 12).config, F(1, 3)),
+            (DEAD_END, F(1, 2)),
+        ],
+        ids=["odd64-quarter", "odd64-tenth", "orthogonal12", "dead-end"],
+    )
+    def test_chunks_do_not_change_classes(self, monkeypatch, cfg, eps):
+        want = stable_covering(cfg, eps)
+        assert want == covering_oracle(cfg, eps)
+        for budget in (64, 1):  # many partials per chunk, then one
+            monkeypatch.setattr(richness, "_BUDGET", budget)
+            assert stable_covering(cfg, eps) == want
+
+    def test_degree_outside_thresholds_is_refused(self):
+        # an adjacency that lists one neighbour three times: degree 3 > n
+        cfg = make_config([[(0, 0)], [(1, 0)]], (1,))
+        adjacency = BipartiteAdjacency(((np.array([0, 3]), np.array([0, 0, 0])),))
+        with pytest.raises(AssertionError, match="degree 3 outside threshold range"):
+            stable_covering(cfg, F(1, 2), adjacency)
+
+    def test_length_bound_is_checked(self, monkeypatch):
+        # true class sizes cannot outlast the bound; sizes that shrink by
+        # more than n^eps at every step do
+        sizes = (10 ** (100 - 3 * t) for t in itertools.count())
+        shrinking = SimpleNamespace(floor=math.floor, ceil=math.ceil, prod=lambda _: next(sizes))
+        monkeypatch.setattr(richness, "math", shrinking)
+        cfg = make_config([[(0, 0)], [(1, 0)]], (1,))
+        with pytest.raises(AssertionError, match="guaranteed length bound"):
+            stable_covering(cfg, F(1, 2))
+
 
 class TestRichnessBound:
     """r times the number of r-rich points is at most their incidences,
