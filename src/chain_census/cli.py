@@ -16,14 +16,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .experiment import (
-    REGISTRY,
-    report_csv,
-    run_experiment,
-    verify_closed_form,
-    verify_covering,
-    verify_floor,
-)
 from .geometry import DistanceSpec, exact_point
 from .io import FileFormatError, _parse_exact, read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
 from .layered import (
@@ -35,6 +27,18 @@ from .layered import (
     make_layer,
 )
 from .richness import rich_points, stable_covering
+
+# last, as numpy comes with it (through constructions): a module compiled
+# once numpy is resident (with no bytecode cache) leaves the compiler's
+# freed heap, up to 3.5 MB, resident in the process
+from .experiment import (
+    REGISTRY,
+    report_csv,
+    run_experiment,
+    verify_closed_form,
+    verify_covering,
+    verify_floor,
+)
 
 log = logging.getLogger("chain_census")
 
@@ -87,18 +91,19 @@ def _parse_d2(text: str):
 
 
 class _Verb(argparse.ArgumentParser):
-    """A verb's parser that records its arguments and adds them, after its
-    -h, when argparse dispatches to it (once per parser), so that a call
-    builds only the verb it runs."""
+    """A verb's parser that records its keywords and arguments and builds
+    itself, -h first, when argparse dispatches to it (once per parser), so
+    that a call builds only the verb it runs."""
 
     def __init__(self, **kwargs):
-        super().__init__(add_help=False, **kwargs)
+        self.kwargs = kwargs
         self.todo = [(("-h", "--help"), {"action": "help", "help": "show this help message and exit"})]
 
     def add_argument(self, *args, **kwargs):
         self.todo.append((args, kwargs))
 
     def parse_known_args(self, args=None, namespace=None):
+        super().__init__(add_help=False, **self.kwargs)
         for a, kw in self.todo:
             super().add_argument(*a, **kw)
         return super().parse_known_args(args, namespace)
@@ -205,7 +210,13 @@ def _read_layers(args, *paths) -> tuple[list[Layer], DistanceSpec, str]:
         eps = None if mode == "exact" else 1e-9
     else:
         eps = args.mode
-    return [make_layer(pts) for pts, _ in loaded], DistanceSpec((), eps), mode
+    layers = [make_layer(pts) for pts, _ in loaded]
+    try:  # a point file repeats no point
+        for path, layer in zip(paths, layers):
+            layer.validate(path)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
+    return layers, DistanceSpec((), eps), mode
 
 
 def _cmd_count(args) -> int:
@@ -248,8 +259,8 @@ def _cmd_decompose(args) -> int:
     classes = stable_covering(cfg, args.eps)
     print(f"classes {len(classes)}")
     for cc in classes:
-        steps = ";".join(",".join(str(a) for a in vec) for vec in cc.sequence.vectors)
-        sizes = ",".join(str(s) for s in cc.sequence.class_sizes)
+        steps = ";".join(",".join(map(str, vec)) for vec in cc.sequence.vectors)
+        sizes = ",".join(map(str, cc.sequence.class_sizes))
         print(f"sequence {steps} sizes {sizes}")
     return 0
 

@@ -315,29 +315,25 @@ def verify_covering(config: LayeredConfig, eps) -> VerifyResult:
     """The union of the covering classes' chains must equal the chain set,
     and no sequence may exceed the guaranteed length.
 
-    Certified by counting, not enumeration: each class layer is a set of
-    points of the input layer at its position, so a class's chains are the
-    input's; every two classes hold disjoint point sets at some position,
-    so no chain lies in two; and the class chain counts, taken on the
-    input's adjacency restricted to each class, sum to the input's count.
+    Certified by counting, not enumeration: each class names distinct
+    points of the input layer at each position (its picks), so a class's
+    chains are the input's; every two classes hold disjoint point sets at
+    some position, so no chain lies in two; and the class chain counts,
+    taken on the input's adjacency restricted to each class, sum to the
+    input's count.
     """
     adj = build_adjacency(config, certify=False)
     classes = stable_covering(config, eps, adjacency=adj)
-    where = [{p.coords: j for j, p in enumerate(layer.points)} for layer in config.layers]
-    picks = [
-        [[w[p.coords] for p in ly.points if p.coords in w] for w, ly in zip(where, cc.config.layers)] for cc in classes
-    ]
-    sets = [list(map(set, pk)) for pk in picks]
+    sizes = list(map(len, config.layers))
+    # each class's distinct indices into its input layer; those past it are dropped and refuse the class
+    picks = [[sorted(j for j in set(map(int, pk)) if 0 <= j < n) for pk, n in zip(cc.picks, sizes)] for cc in classes]
     inside = all(
-        cc.config.k == config.k and list(map(len, st)) == list(map(len, cc.config.layers))
-        for cc, st in zip(classes, sets)
+        len(cc.picks) == len(sizes) and list(map(len, pk)) == list(map(len, cc.picks)) for cc, pk in zip(classes, picks)
     )
+    sets = [list(map(set, pk)) for pk in picks]
     disjoint = all(any(s.isdisjoint(t) for s, t in zip(x, y)) for x, y in combinations(sets, 2))
     want = count_chains(config, adjacency=adj)
-    got = sum(
-        count_chains(cc.config, adj.restrict(pk) if inside else build_adjacency(cc.config, certify=False))
-        for cc, pk in zip(classes, picks)
-    )
+    got = sum(count_chains(config.restrict(pk), adj.restrict(pk)) for pk in picks)
     max_len = math.floor((config.k + 1) / Fraction(eps)) + 1
     longest = max((len(cc.sequence) for cc in classes), default=0)
     return VerifyResult(

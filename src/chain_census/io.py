@@ -25,6 +25,7 @@ import functools
 import math
 import os
 from fractions import Fraction
+from itertools import chain
 
 from .geometry import Point
 from .layered import LabeledTree, Layer, LayeredConfig, make_config
@@ -76,22 +77,21 @@ def _parse_exact(tok: str):
 def write_points(path, points, mode: str) -> None:
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    points = list(points)
-    dim = points[0].dim if points else 0
-    lines = [f"dim {dim} count {len(points)} mode {mode}"]
-    for p in points:
-        if mode == "exact":
-            lines.append(" ".join(_format_exact(c) for c in p.coords))
-        else:
-            lines.append(" ".join(repr(float(c)) for c in p.coords))
+    coords = [p.coords for p in points]
+    if mode == "float":
+        rows = (map(repr, map(float, cs)) for cs in coords)
+    elif set(map(type, chain.from_iterable(coords))) <= {int, Fraction}:  # str gives their exact form
+        rows = (map(str, cs) for cs in coords)
+    else:
+        rows = (map(_format_exact, cs) for cs in coords)
+    head = f"dim {len(coords[0]) if coords else 0} count {len(coords)} mode {mode}"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([head, *map(" ".join, rows)]) + "\n")
 
 
 def read_points(path) -> tuple[list[Point], str]:
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = list(filter(str.strip, fh.read().split("\n")))
     if not lines:
         raise FileFormatError(f"{path}: empty file")
     head = lines[0].split()
@@ -104,25 +104,31 @@ def read_points(path) -> tuple[list[Point], str]:
     mode = head[5]
     if mode not in ("exact", "float"):
         raise FileFormatError(f"{path}: unknown mode {mode!r}")
-    body = lines[1:]
-    if len(body) != count:
-        raise FileFormatError(f"{path}: header says {count} points, found {len(body)}")
-    points = []
-    for i, ln in enumerate(body):
-        toks = ln.split()
-        if len(toks) != dim:
-            raise FileFormatError(f"{path}: line {i + 2} has {len(toks)} coords, want {dim}")
-        if mode == "exact":
-            coords = tuple(_parse_exact(t) for t in toks)
-        else:
+    if len(lines) - 1 != count:
+        raise FileFormatError(f"{path}: header says {count} points, found {len(lines) - 1}")
+    if not count:
+        return [], mode
+    rows = list(map(str.split, lines[1:]))
+    try:  # every token a whole number: ints in one pass
+        if mode != "exact" or set(map(len, rows)) - {dim}:
+            raise ValueError
+        values = list(map(int, chain.from_iterable(rows)))
+    except ValueError:  # line by line: rationals, floats, or the first line refused
+        values = []
+        for i, toks in enumerate(rows):
+            if len(toks) != dim:
+                raise FileFormatError(f"{path}: line {i + 2} has {len(toks)} coords, want {dim}") from None
+            if mode == "exact":
+                values += map(_parse_exact, toks)
+                continue
             try:
-                coords = tuple(float(t) for t in toks)
+                coords = list(map(float, toks))
             except ValueError as exc:
                 raise FileFormatError(f"{path}: line {i + 2}: bad float") from exc
-            if not all(math.isfinite(c) for c in coords):
-                raise FileFormatError(f"{path}: line {i + 2}: non-finite coordinate")
-        points.append(Point(coords, i))
-    return points, mode
+            if not all(map(math.isfinite, coords)):
+                raise FileFormatError(f"{path}: line {i + 2}: non-finite coordinate") from None
+            values += coords
+    return list(map(Point, zip(*[iter(values)] * dim), range(count))), mode
 
 
 def write_manifest(path, config: LayeredConfig, directory=None) -> str:

@@ -19,7 +19,7 @@ import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .geometry import CertificationError, DistanceSpec, Point, _rational
 
@@ -35,19 +35,21 @@ class Layer:
     def coord_set(self) -> set:
         return {p.coords for p in self.points}
 
-    def validate(self) -> set:
-        """Check ids and coordinates are unique; the set of coordinate types."""
+    def validate(self, name: str = "") -> set:
+        """Check ids and coordinates are unique, naming the layer (or `name`)
+        in an error; the set of coordinate types."""
+        name = name or f"layer {self.label}"
         ids = [p.id for p in self.points]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"layer {self.label}: point ids are not unique")
+            raise ValueError(f"{name}: point ids are not unique")
         coords = [p.coords for p in self.points]
-        types = {type(c) for cs in coords for c in cs}
-        if all(map(_rational, types)):
+        types = set(map(type, chain.from_iterable(coords)))
+        if types - {int} and all(map(_rational, types)):
             # normalised Fractions and ints are equal iff their (numerator,
-            # denominator) pairs are, and the pairs hash far faster
+            # denominator) pairs are, which hash far faster (int tuples do too)
             coords = [tuple([(c.numerator, c.denominator) for c in cs]) for cs in coords]
         if len(set(coords)) != len(coords):
-            raise ValueError(f"layer {self.label}: duplicate point coordinates")
+            raise ValueError(f"{name}: duplicate point coordinates")
         return types
 
 
@@ -82,12 +84,12 @@ class LayeredConfig:
             raise ValueError(
                 f"{len(self.layers)} layers but {self.spec.k} squared distances"
             )
-        dims, types_of = set(), {}  # Layer.validate once per point tuple
+        dims, types_of = set(), {}  # Layer.validate and dimensions once per point tuple
         for layer in self.layers:
             if id(layer.points) not in types_of:
                 types_of[id(layer.points)] = layer.validate()
+                dims.update({len(p.coords) for p in layer.points})
             types = types_of[id(layer.points)]
-            dims.update(len(p.coords) for p in layer.points)
             if len(dims) > 1:
                 raise ValueError("layers mix dimensions")
             if self.spec.exact:
@@ -96,6 +98,11 @@ class LayeredConfig:
             # a point is exact iff all its coordinates (perhaps none) are rational
             elif (0 in dims or any(map(_rational, types))) and any(p.is_exact() for p in layer.points):
                 raise ValueError("tolerant spec requires float coordinates")
+
+    def restrict(self, picks) -> "LayeredConfig":
+        """The configuration of the points picks[i] (indices) of each layer i."""
+        layers = (Layer(tuple(map(ly.points.__getitem__, pick)), ly.label) for ly, pick in zip(self.layers, picks))
+        return LayeredConfig(tuple(layers), self.spec)
 
     def reversed(self) -> "LayeredConfig":
         return LayeredConfig(
@@ -184,21 +191,27 @@ class _Side:
     """One point sequence in the pair kernel's array form, built once per
     layer however many pairs it belongs to: float64 axes in tolerant mode;
     in exact mode each point's denominator D_p, its integers N_p = D_p * p
-    per axis, and each axis's floor of its minimum."""
+    per axis, and each axis's floor of its minimum.  Integer points are the
+    rational case with D_p = 1, their axes taken as they are."""
 
     def __init__(self, points, eps):
         import numpy as np
 
         self.points = points
-        self.dim = dim = len(points[0].coords) if points else 0
-        if any(len(p.coords) != dim for p in points):
+        coords = [p.coords for p in points]
+        self.dim = dim = len(coords[0]) if coords else 0
+        if set(map(len, coords)) - {dim}:
             raise ValueError("dimension mismatch between the two point sets")
         if not points:
             return
         if eps is not None:
-            self.axes = np.array([float(c) for p in points for c in p.coords]).reshape(-1, dim).T.copy()
+            self.axes = np.array([float(c) for cs in coords for c in cs]).reshape(-1, dim).T.copy()
             return
-        ratios = [c.as_integer_ratio() for p in points for c in p.coords]
+        axes = list(zip(*coords))
+        if set(map(type, chain.from_iterable(axes))) == {int}:
+            self.dens, self.nums, self.lows = [1] * len(points), axes, list(map(min, axes))
+            return
+        ratios = [c.as_integer_ratio() for cs in coords for c in cs]
         axes = [tuple(zip(*ratios[c::dim])) for c in range(dim)]  # (numerators, denominators)
         self.dens = list(map(math.lcm, *(ds for _, ds in axes)))
         self.nums = [[D // d * n for n, d, D in zip(ns, ds, self.dens)] for ns, ds in axes]
@@ -245,16 +258,16 @@ class _PairView:
             self.a, self.b, self.target = sa.axes, sb.axes, float(d2)
             return
         dens = sa.dens + sb.dens
-        cols = [
-            [n - low * D for n, D in zip(na + nb, dens)]
-            for na, nb, low in zip(sa.nums, sb.nums, map(min, sa.lows, sb.lows))
-        ]
+        # one denominator D for all points, as on integer layers: each axis
+        # shifts by one integer, D^2 moves into d2 and the row of D_p = 1 is
+        # left out, whose products would add about a third to those layers'
+        # adjacency time
+        shared, cols = len(set(dens)) == 1, []
+        for na, nb, low in zip(sa.nums, sb.nums, map(min, sa.lows, sb.lows)):
+            ns, shift = chain(na, nb), low * dens[0]
+            cols.append([n - shift for n in ns] if shared else [n - low * D for n, D in zip(ns, dens)])
         self.ints = cols, dens
         num, den = d2.as_integer_ratio()
-        # one denominator D for all points, as on integer layers: D^2 moves
-        # into d2 and the row of D_p = 1 is left out, whose products would
-        # add about a third to those layers' adjacency time
-        shared = len(set(dens)) == 1
         if shared:
             num, dens = num * dens[0] ** 2, [1]
         dmax, nmax = max(dens), max(1, *map(max, cols))

@@ -12,8 +12,9 @@ configuration.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import DistanceSpec
@@ -84,8 +85,6 @@ class _Filtering:
         self.flipped = {}  # transposes, by the id of the indices they transpose
         self.whole = tuple(map(np.arange, self.sizes))
         self.cuts = np.array(cuts)
-        # object arrays of the points, so a sub-layer's points are one gather
-        self.objects = [np.fromiter(layer.points, object, len(layer)) for layer in config.layers]
 
     def _neighbours(self, ref: int, i: int):
         """The CSR from layer ref to layer i.  A right-to-left one is the
@@ -115,7 +114,8 @@ class _Filtering:
         """(class indices, configuration) of every pass over the
         configuration subs that leaves every layer nonempty (see expand)."""
         _, vectors, kids = self.expand(self.level(subs), parity)
-        return list(zip(map(tuple, vectors.tolist()), self.configs(kids, range(len(vectors)))))
+        picks = self.picks([(kids, range(len(vectors)))])
+        return [(tuple(v), self.config.restrict(p)) for v, p in zip(vectors.tolist(), picks)]
 
     def expand(self, level, parity: int):
         """Every pass over every configuration of a level that leaves every
@@ -181,16 +181,20 @@ class _Filtering:
         kids[order[0]] = bits[order[0]][node]
         return node, vectors, (tuple(kids), sizes)
 
-    def configs(self, level, picks) -> list[LayeredConfig]:
-        """The configurations picks of a level, with their points."""
+    def picks(self, parts) -> list[tuple]:
+        """Per configuration `rows` of each (level, rows) in parts, in turn,
+        the ascending indices of the points of each of its sub-layers, as
+        read-only arrays."""
         import numpy as np
 
-        (bits, lengths), picks = level, list(picks)
+        lengths = np.concatenate([level[1][rows] for level, rows in parts])
         layers = []
-        for b, obj, ly, ends in zip(bits, self.objects, self.config.layers, lengths[picks].T.cumsum(1).tolist()):
-            pts = obj[np.unpackbits(b[picks], axis=1, count=len(obj)).nonzero()[1]].tolist()
-            layers.append([Layer(tuple(pts[lo:hi]), ly.label) for lo, hi in zip([0, *ends], ends)])
-        return [LayeredConfig(pick, self.config.spec) for pick in zip(*layers)]
+        for i, (n, ends) in enumerate(zip(self.sizes, lengths.T.cumsum(1).tolist())):
+            bits = np.concatenate([level[0][i][rows] for level, rows in parts])
+            idx = np.flatnonzero(np.unpackbits(bits, axis=1, count=n).view(bool)) % n
+            idx.flags.writeable = False
+            layers.append([idx[lo:hi] for lo, hi in zip([0, *ends], ends)])
+        return list(zip(*layers))
 
 
 @dataclass(frozen=True)
@@ -205,10 +209,24 @@ class DecompositionSequence:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringClass:
+    """A stable sequence and its class: picks[i] holds the ascending indices
+    (an array or a tuple) of the class's points in layer i of the
+    configuration `source`."""
+
     sequence: DecompositionSequence
-    config: LayeredConfig
+    picks: tuple
+    source: LayeredConfig = field(repr=False)
+
+    @functools.cached_property
+    def config(self) -> LayeredConfig:
+        """The class's points as a configuration, built on first use."""
+        return self.source.restrict(self.picks)
+
+    def __eq__(self, other) -> bool:  # picks compare as index lists, arrays or tuples
+        same = isinstance(other, CoveringClass) and (self.sequence, self.source) == (other.sequence, other.source)
+        return same and list(map(list, self.picks)) == list(map(list, other.picks))
 
 
 def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | None = None) -> list[CoveringClass]:
@@ -229,7 +247,7 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
         return []
     cuts = richness_thresholds(n, eps)
     filtering = _Filtering(config, cuts, adjacency)
-    exponent = [m * eps for m in range(len(cuts))]  # class index -> exponent
+    expo = [m * eps for m in range(len(cuts))]  # class index -> exponent
     p_num, p_den = eps.numerator, eps.denominator
     max_len = math.floor((config.k + 1) / eps) + 1
 
@@ -239,7 +257,7 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
 
     # one BFS depth at a time: its sequences share one parity, so one
     # expand filters all of them
-    found, configs, nodes = [], [], [((), (), math.prod(map(len, config.layers)))]  # (prefix, sizes, size)
+    found, done, nodes = [], [], [((), (), math.prod(map(len, config.layers)))]  # (prefix, sizes, size)
     level, parity = filtering.level(filtering.whole), 1
     while nodes:
         node, vectors, kids = filtering.expand(level, parity)
@@ -255,11 +273,11 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
             else:
                 keep.append(j)
                 queued.append((child, sizes + (new_size,), new_size))
-        configs += filtering.configs(kids, stable) if stable else []
+        done += [(kids, stable)] if stable else []
         nodes, parity = queued, 1 - parity
         level = tuple(b[keep] for b in kids[0]), kids[1][keep]
-    found = sorted(zip(found, configs), key=lambda item: item[0][0])  # m * eps rises with m
+    found = sorted(zip(found, filtering.picks(done) if done else []), key=lambda item: item[0][0])  # m*eps rises
     return [
-        CoveringClass(DecompositionSequence(tuple(tuple(map(exponent.__getitem__, vec)) for vec in child), sizes), sub)
-        for (child, sizes), sub in found
+        CoveringClass(DecompositionSequence(tuple(tuple(map(expo.__getitem__, v)) for v in child), sizes), p, config)
+        for (child, sizes), p in found
     ]

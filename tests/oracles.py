@@ -238,6 +238,7 @@ def covering_oracle(config: LayeredConfig, eps) -> list[CoveringClass]:
     if n == 0:
         return []
     cuts = richness_thresholds(n, eps)
+    where = [{p.coords: j for j, p in enumerate(layer.points)} for layer in config.layers]
     results = []
     queue = deque([((), tuple(config.layers), math.prod(map(len, config.layers)), ())])
     while queue:
@@ -248,7 +249,9 @@ def covering_oracle(config: LayeredConfig, eps) -> list[CoveringClass]:
             child = prefix + (tuple(m * eps for m in idx_vec),)
             if new_size**eps.denominator * n**eps.numerator >= size**eps.denominator:
                 seq = DecompositionSequence(child, sizes + (new_size,))
-                results.append(CoveringClass(seq, LayeredConfig(filt, config.spec)))
+                picks = tuple(tuple(w[p.coords] for p in layer.points) for w, layer in zip(where, filt))
+                results.append(CoveringClass(seq, picks, config))
+                assert results[-1].config == LayeredConfig(filt, config.spec)  # the picks name the filtered layers
             else:
                 queue.append((child, filt, new_size, sizes + (new_size,)))
     results.sort(key=lambda cc: cc.sequence.vectors)

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -520,3 +521,67 @@ def test_mode_exact_compares_floats_exactly(tmp_path, capsys):
     assert run(capsys, "--mode", "exact", *argv) == (0, "4\n")
     code, out = run(capsys, "--mode", "exact", "rich", "--target", str(p), "--ref", str(p), "--d2", "1", "--r", "2")
     assert code == 0 and out == "1\n0 0\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "dim 2 count 3 mode exact\n0 0\n1 0\n1 0\n",
+        "dim 2 count 3 mode exact\n0 0\n1/2 0\n2/4 0\n",
+        "dim 2 count 3 mode float\n0 0\n1 0\n1.0 0\n",
+    ],
+    ids=["exact", "exact-spelling", "float"],
+)
+@pytest.mark.parametrize(
+    "verb",
+    [
+        "count-tree --tree {tree} --set {dup}",
+        "count-tree --tree {tree} --layer {pts} --layer {dup}",
+        "incidences --a {pts} --b {dup} --d2 1",
+        "rich --target {dup} --ref {pts} --d2 1 --r 1",
+    ],
+    ids=["count-tree-set", "count-tree-layer", "incidences", "rich"],
+)
+def test_repeated_point_is_one_error_line(tmp_path, verb, body):
+    # counted, a repeated point doubled the pairs through it
+    pts, tree, dup = tmp_path / "sq.pts", tmp_path / "path.tree", tmp_path / "dup.pts"
+    write_points(pts, make_layer([(0, 0), (1, 0)]).points, "exact")
+    write_tree(tree, path_tree((1,)), "exact")
+    dup.write_text(body)
+    proc = run_process(*verb.format(pts=pts, tree=tree, dup=dup).split())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"{dup}: duplicate point coordinates"]
+
+
+# the names chain_census exported when it imported every module eagerly
+EXPORTS = {
+    "geometry": "CertificationError Circle3D DistanceSpec NoRationalPointError Point circle_circle_intersection"
+    " exact_point exact_spec float_point matches_distance rational_circle_points sample_circle_3d"
+    " sphere_sphere_intersection_circle squared_distance tolerant_spec",
+    "layered": "BipartiteAdjacency LabeledTree Layer LayeredConfig build_adjacency certify_config count_chains"
+    " count_incidences count_tree_embeddings count_walks make_config make_layer path_tree",
+    "richness": "CoveringClass DecompositionSequence rich_points stable_covering",
+    "constructions": "ConstructionError gen_3d_even gen_3d_odd_regular gen_3d_odd_sphere gen_orthogonal_circles"
+    " gen_planar_chain gen_planar_k1mod3 gen_star gen_star_of_paths gen_unit_rich_grid peel_min_degree"
+    " split_and_translate",
+    "experiment": "ExperimentReport FitResult fit_exponent run_experiment verify_closed_form verify_covering"
+    " verify_floor",
+}
+
+
+def test_package_names_resolve_to_their_modules():
+    for module, names in EXPORTS.items():
+        for name in names.split():
+            assert getattr(chain_census, name) is getattr(importlib.import_module(f"chain_census.{module}"), name)
+    assert sorted(chain_census.__all__) == sorted(name for names in EXPORTS.values() for name in names.split())
+    with pytest.raises(AttributeError):
+        chain_census.no_such_name
+
+
+def test_package_import_loads_only_the_modules_imported():
+    # the package resolves its names on first use: reading point files loads no numpy
+    code = "import sys, chain_census.io; print(sorted(m for m in sys.modules if m.startswith(('chain_census', 'numpy'))))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(chain_census.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == "['chain_census', 'chain_census.geometry', 'chain_census.io', 'chain_census.layered']\n"

@@ -14,8 +14,7 @@ from chain_census.experiment import (
     verify_floor,
 )
 from chain_census.constructions import gen_3d_odd_regular
-from chain_census.geometry import Point
-from chain_census.layered import Layer, make_config
+from chain_census.layered import make_config
 
 
 class TestFitExponent:
@@ -122,14 +121,24 @@ class TestCoveringCertificate:
         assert res.passed is False
 
     def test_point_outside_input_fails(self, monkeypatch):
-        # far from every point, so it adds no chain: only the subset check sees it
+        # an index past the input layer names no point, so it adds no chain:
+        # only the subset check sees it
         def add_point(classes):
             first = classes[0]
-            layers = list(first.config.layers)
-            layers[0] = Layer(layers[0].points + (Point((10**6,) * 3, -1),), layers[0].label)
-            return [replace(first, config=replace(first.config, layers=tuple(layers))), *classes[1:]]
+            picks = ((*first.picks[0], 10**6), *first.picks[1:])
+            return [replace(first, picks=picks), *classes[1:]]
 
         res = self.verify_edited(monkeypatch, add_point)
+        assert res.passed is False
+        assert res.computed == (39744, 3)
+
+    def test_repeated_point_fails(self, monkeypatch):
+        # a class naming one point twice counts its chains once: only the subset check sees it
+        def repeat_point(classes):
+            first = classes[0]
+            return [replace(first, picks=((*first.picks[0], first.picks[0][0]), *first.picks[1:])), *classes[1:]]
+
+        res = self.verify_edited(monkeypatch, repeat_point)
         assert res.passed is False
         assert res.computed == (39744, 3)
 
@@ -138,7 +147,7 @@ class TestCoveringCertificate:
         # the chain count, so only the disjointness check sees the overlap
         cfg = make_config([[(0, 0)], [(1, 0), (0, 1)]], (1,))
         first = experiment.stable_covering(cfg, Fraction(1, 2))[0]
-        half = replace(first, config=make_config([[(0, 0)], [(1, 0)]], (1,)))
+        half = replace(first, picks=((0,), (0,)))
         monkeypatch.setattr(experiment, "stable_covering", lambda *a, **kw: [half, half])
         res = verify_covering(cfg, Fraction(1, 2))
         assert res.passed is False

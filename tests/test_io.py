@@ -5,6 +5,7 @@ import pytest
 from chain_census.constructions import gen_3d_odd_regular, gen_planar_chain, gen_star
 from chain_census.io import (
     FileFormatError,
+    _parse_exact,
     read_manifest,
     read_points,
     read_tree,
@@ -12,7 +13,9 @@ from chain_census.io import (
     write_points,
     write_tree,
 )
-from chain_census.layered import count_chains, count_tree_embeddings, make_layer
+from chain_census.layered import count_chains, count_tree_embeddings, make_config, make_layer
+
+from oracles import enumerate_chains
 
 F = Fraction
 
@@ -77,6 +80,70 @@ class TestPointFiles:
         path.write_text(f"dim 2 count 2 mode float\n0 0\n{line}\n")
         with pytest.raises(FileFormatError, match="line 3: non-finite coordinate"):
             read_points(path)
+
+
+BIG = 2**70 + 1
+WHOLE = ["0", "-0", "+3", "007", "-12", str(BIG), str(-BIG)]
+TOKENS = WHOLE + ["2/4", "-1/2", "1/-2", "4/2", f"{BIG}/3"]
+
+
+class TestExactTokens:
+    """read_points gives each exact token the value and type _parse_exact
+    gives it, and the same error for a bad one."""
+
+    @pytest.mark.parametrize("tokens", [WHOLE, TOKENS], ids=["whole", "mixed"])
+    def test_values_and_types(self, tmp_path, tokens):
+        path = tmp_path / "t.pts"
+        path.write_text(f"dim {len(tokens)} count 2 mode exact\n{' '.join(tokens)}\n{' '.join(tokens[::-1])}\n")
+        (first, second), _ = read_points(path)
+        want = [_parse_exact(t) for t in tokens]
+        assert list(first.coords) == want and list(map(type, first.coords)) == list(map(type, want))
+        assert list(second.coords) == want[::-1] and list(map(type, second.coords)) == list(map(type, want[::-1]))
+
+    @pytest.mark.parametrize("before", ["1 0", "1/2 0"], ids=["after-whole", "after-rational"])
+    @pytest.mark.parametrize("tok", ["1/0", "1/2/3", "abc", "1.5"])
+    def test_bad_token_error(self, tmp_path, before, tok):
+        path = tmp_path / "bad.pts"
+        path.write_text(f"dim 2 count 3 mode exact\n0 0\n{before}\n{tok} 0\n")
+        with pytest.raises(FileFormatError) as want:
+            _parse_exact(tok)
+        with pytest.raises(FileFormatError) as got:
+            read_points(path)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("0 0\n1\nabc 0\n", "line 3 has 1 coords, want 2"), ("0 0\nabc 0\n1\n", "bad integer 'abc'")],
+        ids=["count-first", "token-first"],
+    )
+    def test_first_fault_is_reported(self, tmp_path, body, message):
+        path = tmp_path / "bad.pts"
+        path.write_text(f"dim 2 count 3 mode exact\n{body}")
+        with pytest.raises(FileFormatError, match=message):
+            read_points(path)
+
+
+def _shifted_grid(shift):
+    return [(shift[0] + x, shift[1] + y) for x in range(3) for y in range(3)]
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [(BIG, -BIG), (F(1, 2**32 + 15), F(1, 2**32 - 5))],  # coordinates past 2^63; a point's denominator lcm past 2^63
+    ids=["big-integers", "big-denominators"],
+)
+def test_big_exact_configuration(tmp_path, shift):
+    layer = _shifted_grid(shift)
+    cfg = make_config([layer, _shifted_grid((0, 0)) + layer, layer], (1, 2))
+    write_manifest(tmp_path / "a" / "manifest.txt", cfg, tmp_path / "a")
+    loaded = read_manifest(tmp_path / "a" / "manifest.txt")
+    coords = [[p.coords for p in ly.points] for ly in cfg.layers]
+    assert [[p.coords for p in ly.points] for ly in loaded.layers] == coords
+    assert count_chains(loaded) == len(enumerate_chains(loaded)) > 0
+    write_manifest(tmp_path / "b" / "manifest.txt", loaded, tmp_path / "b")
+    for name in ("manifest.txt", "layer1.pts", "layer2.pts"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 class TestManifests:
     def test_round_trip_exact(self, tmp_path):
