@@ -23,13 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
+    CertificationError,
     Circle3D,
     DistanceSpec,
     NoRationalPointError,
     Point,
     _circle_coords,
     _rotated_coords,
-    circle_circle_intersection,
     exact_point,
     float_point,
     rational_circle_points,
@@ -139,17 +139,49 @@ def _planar_base(k: int, delta2, n: int, eps: float, div=Fraction) -> tuple[list
     return ([[origin], arcs[0]] if k == 1 else [arcs[0], [origin], arcs[1]]), d2, tol
 
 
-def _matched(points, d2, joint: Point, joint_d2) -> dict | None:
-    """The first intersection of the circle of squared radius d2 around
-    each point with the one of squared radius joint_d2 around joint, as
-    dict keys in first-seen order; None when some pair of circles misses."""
-    matched: dict = {}
-    for z in points:
-        hits = circle_circle_intersection(z, d2, joint, joint_d2)
-        if not hits:
-            return None
-        matched.setdefault(hits[0].coords)
-    return matched
+def _xy(points) -> np.ndarray:
+    """The float coordinates of planar points, one row per axis."""
+    return np.array([p.coords for p in points], dtype=float).T
+
+
+def _matched(c1, r1sq, c2, r2sq) -> dict | None:
+    """The first intersection of each circle of squared radius r1sq around a
+    column of c1 with the one of squared radius r2sq around c2's column (_xy
+    arrays, one of one column), as dict keys in first-seen order; None if a
+    pair misses, ValueError if one is concentric.  Each step is the IEEE
+    operation `circle_circle_intersection` does, in its order, so every hit
+    is its first point bit for bit."""
+    (x1, y1), (x2, y2), r1sq, r2sq = c1, c2, float(r1sq), float(r2sq)
+    dx, dy = x2 - x1, y2 - y1
+    dd = dx * dx + dy * dy
+    if not dd.all():
+        raise ValueError("concentric circles have no well-defined intersection")
+    d = np.sqrt(dd)
+    a = (dd + r1sq - r2sq) / (2.0 * d)
+    h2 = r1sq - a * a
+    tol = 1e-12 * np.maximum(max(r1sq, r2sq), dd)
+    if (h2 < -tol).any():
+        return None
+    ux, uy = dx / d, dy / d
+    px, py = x1 + a * ux, y1 + a * uy
+    h, touch = np.sqrt(np.maximum(h2, 0.0)), h2 <= tol  # a tangency's one point is (px, py)
+    xs, ys = np.where(touch, px, px - h * uy), np.where(touch, py, py + h * ux)
+    return dict.fromkeys(zip(xs.tolist(), ys.tolist()))
+
+
+def _decide(sides, d2s) -> tuple[list, list]:
+    """The CSR arrays of the consecutive pairs of float point sequences at
+    the squared distances d2s, and their guard-band offenders."""
+    band: list = []
+    spec = DistanceSpec((), TOLERANCE)
+    return [_pair_lists(a, b, d2, spec, offenders=band) for a, b, d2 in zip(sides, sides[1:], d2s)], band
+
+
+def _certified(pairs, band) -> BipartiteAdjacency:
+    """The adjacency of the pairs _decide decided, unless one is in the guard band."""
+    if band:
+        raise CertificationError(band)
+    return BipartiteAdjacency(tuple(pairs))
 
 
 def _extend_three(
@@ -161,8 +193,9 @@ def _extend_three(
     arc_eps: float,
     last_diam: float,
     rng: random.Random,
-) -> list[Layer]:
-    """Append a matched layer, a fixed joint and a fresh arc layer.
+) -> tuple[list[Layer], list]:
+    """Append a matched layer, a fixed joint and a fresh arc layer; the
+    layers and the CSR arrays of the three new pairs, none in the guard band.
 
     Every chain into the current last layer extends in at least n ways:
     through its matched neighbor, the joint x, and any of the n arc points.
@@ -174,7 +207,7 @@ def _extend_three(
         raise ConstructionError("last-layer diameter too large for the extension step")
     existing = set().union(*(layer.coord_set() for layer in layers))
     last = layers[-1].points
-    y = last[0].coords
+    last_xy, y = _xy(last), last[0].coords
     reach = d_a + d_b - 2.0 * last_diam
     for _ in range(64):
         theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -182,28 +215,19 @@ def _extend_three(
         if x in existing:
             continue
         xp = Point(x)
-        matched = _matched(last, d2_a, xp, d2_b)
+        matched = _matched(last_xy, d2_a, _xy([xp]), d2_b)
         if matched is None or matched.keys() & existing or x in matched:
             continue
         phase = rng.uniform(0.0, 2.0 * math.pi)
         arc = _float_arc(x, d_c, n, arc_eps, phase)
         arc_coords = {p.coords for p in arc}
-        if len(arc_coords) != n:
+        if len(arc_coords) != n or arc_coords & (existing | matched.keys() | {x}):
             continue
-        if arc_coords & (existing | matched.keys() | {x}):
-            continue
-        matched_pts = [Point(w, i) for i, w in enumerate(matched)]
-        band: list = []
-        for side_a, side_b, d2 in ((last, matched_pts, d2_a), (matched_pts, [xp], d2_b), ([xp], arc, d2_c)):
-            _pair_lists(side_a, side_b, d2, DistanceSpec((), TOLERANCE), offenders=band)
+        new = [[Point(w, i) for i, w in enumerate(matched)], [xp], arc]
+        pairs, band = _decide([last, *new], (d2_a, d2_b, d2_c))
         if band:
             continue
-        candidate = list(layers) + [
-            make_layer(matched_pts, len(layers) + 1),
-            make_layer([xp], len(layers) + 2),
-            make_layer(arc, len(layers) + 3),
-        ]
-        return candidate
+        return list(layers) + [make_layer(pts, len(layers) + 1 + i) for i, pts in enumerate(new)], pairs
     raise ConstructionError("could not place the extension joint after 64 attempts")
 
 
@@ -229,8 +253,8 @@ def gen_planar_chain(k: int, delta2=None, n: int = 1, eps: float = 0.25, seed: i
 
 def _planar_chain(k: int, delta2, n: int, eps: float, seed: int) -> _Certified:
     """gen_planar_chain with the adjacency of its certificate: for k >= 3
-    one `certify_config` over every layer pair, the base's and the inner
-    steps' included."""
+    every layer pair decided once, with the guard-band check, as the
+    layers are built (see _planar_layers)."""
     if k < 0 or n < 1 or not eps > 0:
         raise ValueError("need k >= 0, n >= 1, eps > 0")
     if delta2 is None:
@@ -243,21 +267,25 @@ def _planar_chain(k: int, delta2, n: int, eps: float, seed: int) -> _Certified:
             raise ValueError("squared distances must be positive")
     if k <= 2:
         return _Certified(make_config(*_planar_base(k, delta2, n, eps)), None)
-    cfg = make_config(_planar_layers(k, delta2, n, eps, seed), [float(d) for d in delta2], eps=TOLERANCE)
-    return _Certified(cfg, certify_config(cfg))
+    layers, pairs, band = _planar_layers(k, delta2, n, eps, seed)
+    cfg = make_config(layers, [float(d) for d in delta2], eps=TOLERANCE)
+    return _Certified(cfg, _certified(pairs, band))
 
 
-def _planar_layers(k: int, delta2, n: int, eps: float, seed: int) -> list[Layer]:
-    """The construction's layers in floats, not yet certified: the base
-    from the circle kernel's integers, then one extension step per three
-    distances."""
-    if k <= 2:
-        return [make_layer(pts) for pts in _planar_base(k, delta2, n, eps, operator.truediv)[0]]
+def _planar_layers(k: int, delta2, n: int, eps: float, seed: int) -> tuple[list[Layer], list, list]:
+    """The construction's layers in floats, the CSR arrays of their pairs
+    and the base pairs' guard-band offenders: the base from the circle
+    kernel's integers, decided with the certificate, then one extension
+    step per three distances, which decides its own pairs."""
     d2f = [float(d) for d in delta2]
+    if k <= 2:
+        layers = [make_layer(pts) for pts in _planar_base(k, delta2, n, eps, operator.truediv)[0]]
+        return layers, *_decide([ly.points for ly in layers], d2f)
     inner_eps = min(math.sqrt(d2f[k - 3]), math.sqrt(d2f[k - 2])) / 3.0
-    layers = _planar_layers(k - 3, delta2[: k - 3], n, inner_eps, seed)
+    layers, pairs, band = _planar_layers(k - 3, delta2[: k - 3], n, inner_eps, seed)
     rng = random.Random(f"planar:{seed}:{k}")
-    return _extend_three(layers, d2f[k - 3], d2f[k - 2], d2f[k - 1], n, eps, inner_eps, rng)
+    layers, more = _extend_three(layers, d2f[k - 3], d2f[k - 2], d2f[k - 1], n, eps, inner_eps, rng)
+    return layers, pairs + more, band
 
 
 def default_delta2(k: int) -> list[Fraction]:
@@ -455,22 +483,15 @@ def gen_planar_k1mod3(k: int, n: int, eps: float = 0.25, seed: int = 0) -> Plana
     d_step = (3.0 * split_eps) ** 2
     d2f = [float(d_pop)] + [d_step] * (k - 1)
     layers = [make_layer([p.as_float() for p in side]) for side in (split.x1, split.x2)]
+    pairs, band = _decide([ly.points for ly in layers], d2f[:1])
     rng = random.Random(f"k1mod3:{seed}:{k}")
     steps = (k - 1) // 3
     for s in range(steps):
         arc_eps = split_eps if s < steps - 1 else eps
-        layers = _extend_three(
-            layers,
-            d_step,
-            d_step,
-            d_step,
-            n,
-            arc_eps,
-            split_eps,
-            rng,
-        )
+        layers, more = _extend_three(layers, d_step, d_step, d_step, n, arc_eps, split_eps, rng)
+        pairs += more
     cfg = make_config(layers, d2f, eps=TOLERANCE)
-    return PlanarK1Result(cfg, split.preserved_incidences, d_pop, split, certify_config(cfg))
+    return PlanarK1Result(cfg, split.preserved_incidences, d_pop, split, _certified(pairs, band))
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +824,7 @@ def _star_of_paths_joints_fixed(l: int, n: int):
     for j in range(l):
         phi = 2.0 * math.pi * j / l + 0.35
         b = Point((1.5 * math.cos(phi), 1.5 * math.sin(phi)))
-        matched = _matched(cluster, 1.0, b, 1.0)
+        matched = _matched(_xy(cluster), 1.0, _xy([b]), 1.0)
         if matched is None:
             raise ConstructionError("arm joint out of reach of the cluster")
         seen = matched.keys()
@@ -841,16 +862,10 @@ def _star_of_paths_center_fixed(l: int, n: int, seed: int, grid_m: int | None):
         dmax = max(math.hypot(*p.coords) for p in b_pts)
         radius = dmax / 2.0 + 1.0
         r2 = radius * radius
-        matched = []
-        seen = set()
-        for b in b_pts:
-            hits = circle_circle_intersection(center, r2, b, r2)
-            if not hits:
-                raise ConstructionError("arm pair out of reach of the center")
-            w = hits[0].coords
-            if w not in seen:
-                seen.add(w)
-                matched.append(w)
+        matched = _matched(_xy([center]), r2, _xy(b_pts), r2)
+        if matched is None:
+            raise ConstructionError("arm pair out of reach of the center")
+        seen = matched.keys()
         b_coords = {p.coords for p in b_pts}
         e_coords = {p.coords for p in e_pts}
         if (seen | b_coords | e_coords) & existing or seen & (b_coords | e_coords):

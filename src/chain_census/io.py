@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .geometry import Point
-from .layered import LabeledTree, Layer, LayeredConfig, make_config
+from .layered import LabeledTree, Layer, LayeredConfig, _coord_keys, make_config
 
 
 class FileFormatError(ValueError):
@@ -140,15 +140,16 @@ def write_manifest(path, config: LayeredConfig, directory=None) -> str:
     directory = directory or os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     mode = "exact" if config.spec.exact else "float"
+    # aliased layers share a point tuple: its coordinates are keyed once
+    distinct = {id(layer.points): layer.points for layer in config.layers}
+    keys, _ = _coord_keys([[p.coords for p in pts] for pts in distinct.values()])
     file_of: dict[tuple, str] = {}
-    by_id: dict[int, str] = {}  # aliased layers share a point tuple: its coordinates are hashed once
-    for layer in config.layers:
-        if id(layer.points) not in by_id:
-            known = len(file_of)
-            fname = file_of.setdefault(tuple(p.coords for p in layer.points), f"layer{known + 1}.pts")
-            if len(file_of) > known:
-                write_points(os.path.join(directory, fname), layer.points, mode)
-            by_id[id(layer.points)] = fname
+    by_id: dict[int, str] = {}
+    for (i, pts), key in zip(distinct.items(), keys):
+        known = len(file_of)
+        by_id[i] = fname = file_of.setdefault(tuple(key), f"layer{known + 1}.pts")
+        if len(file_of) > known:
+            write_points(os.path.join(directory, fname), pts, mode)
     layer_files = [by_id[id(layer.points)] for layer in config.layers]
     lines = [f"k {config.k}", f"dim {config.dim}"]
     if config.spec.exact:

@@ -42,15 +42,21 @@ class Layer:
         ids = [p.id for p in self.points]
         if len(set(ids)) != len(ids):
             raise ValueError(f"{name}: point ids are not unique")
-        coords = [p.coords for p in self.points]
-        types = set(map(type, chain.from_iterable(coords)))
-        if types - {int} and all(map(_rational, types)):
-            # normalised Fractions and ints are equal iff their (numerator,
-            # denominator) pairs are, which hash far faster (int tuples do too)
-            coords = [tuple([(c.numerator, c.denominator) for c in cs]) for cs in coords]
+        (coords,), types = _coord_keys([[p.coords for p in self.points]])
         if len(set(coords)) != len(coords):
             raise ValueError(f"{name}: duplicate point coordinates")
         return types
+
+
+def _coord_keys(groups) -> tuple[list, set]:
+    """(keys, types): groups of coordinate tuples as keys equal iff they are,
+    and the coordinate types.  Rationals that are not all ints become
+    (numerator, denominator) pairs, which hash far faster than Fractions
+    (int tuples do too, and are kept)."""
+    types = set(map(type, chain.from_iterable(chain.from_iterable(groups))))
+    if types - {int} and all(map(_rational, types)):
+        groups = [[tuple([(c.numerator, c.denominator) for c in cs]) for cs in coords] for coords in groups]
+    return groups, types
 
 
 def make_layer(points, label: int = 0) -> Layer:
@@ -205,7 +211,7 @@ class _Side:
         if not points:
             return
         if eps is not None:
-            self.axes = np.array([float(c) for cs in coords for c in cs]).reshape(-1, dim).T.copy()
+            self.axes = np.array(coords, dtype=float).T.copy()
             return
         axes = list(zip(*coords))
         if set(map(type, chain.from_iterable(axes))) == {int}:
@@ -475,14 +481,16 @@ def certify_config(config: LayeredConfig) -> BipartiteAdjacency:
     return build_adjacency(config, strategy="auto", certify=True)
 
 
-def _coord_classes(layers) -> list[list[int]]:
+def _coord_classes(layers, exact: bool) -> list[list[int]]:
     """Map coordinates to dense integer classes shared across layers, one
-    list per distinct point tuple."""
+    list per distinct point tuple; exact ones keyed by _coord_keys."""
+    distinct = {id(layer.points): layer.points for layer in layers}
     ids: dict[tuple, int] = {}
-    lists: dict[int, list[int]] = {}
-    for layer in layers:
-        if id(layer.points) not in lists:
-            lists[id(layer.points)] = [ids.setdefault(p.coords, len(ids)) for p in layer.points]
+    if exact:
+        keys, _ = _coord_keys([[p.coords for p in pts] for pts in distinct.values()])
+        lists = {i: [ids.setdefault(c, len(ids)) for c in ks] for i, ks in zip(distinct, keys)}
+    else:
+        lists = {i: [ids.setdefault(p.coords, len(ids)) for p in pts] for i, pts in distinct.items()}
     return [lists[id(layer.points)] for layer in layers]
 
 
@@ -833,7 +841,7 @@ def _chain_tree(config: LayeredConfig, adjacency: BipartiteAdjacency | None) -> 
     adj = adjacency or build_adjacency(config)
     k = config.k
     return _CountTree(
-        _coord_classes(config.layers),
+        _coord_classes(config.layers, config.spec.exact),
         list(range(1, k + 1)) + [-1],
         [*adj.pairs, None],
         range(k + 1),
@@ -947,4 +955,4 @@ def _tree_counter(layers, tree: LabeledTree, spec: DistanceSpec) -> _CountTree:
     for v, u, d2 in order[1:]:
         parent[v] = u
         pairs[v] = run(layers[v].points, layers[u].points, d2)
-    return _CountTree(_coord_classes(layers), parent, pairs, [v for v, _, _ in reversed(order)])
+    return _CountTree(_coord_classes(layers, spec.exact), parent, pairs, [v for v, _, _ in reversed(order)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from chain_census.geometry import (
     CertificationError,
+    Point,
     exact_point,
     exact_spec,
     float_point,
@@ -109,12 +111,15 @@ class TestPlanarChain:
 
 
 def count_pair_calls(monkeypatch) -> list:
-    """Record (d2, spec.k) of every call of the pair kernel: spec.k is 0
-    for an extension step's band check and k for a configuration's."""
+    """Record (d2, spec.k) of every tolerant call of the pair kernel (the
+    exact calls of `split_and_translate` decide no layer pair): spec.k is
+    0 for a pair the planar generators decide as they build it and k for
+    a configuration's `build_adjacency`."""
     calls, kernel = [], layered._pair_lists
 
     def counted(pa, pb, d2, spec, *args, **kwargs):
-        calls.append((d2, spec.k))
+        if spec.eps:
+            calls.append((d2, spec.k))
         return kernel(pa, pb, d2, spec, *args, **kwargs)
 
     monkeypatch.setattr(layered, "_pair_lists", counted)
@@ -148,19 +153,20 @@ class TestPlanarFloatBase:
 
 
 class TestCertifiedOnce:
-    def test_experiment_size_builds_eight_pairs(self, monkeypatch):
-        # three band checks of the extension step and one certificate of
-        # the five pairs, whose adjacency the count reuses
+    def test_experiment_size_runs_five_pairs(self, monkeypatch):
+        # the two base pairs and the extension step's three, each decided
+        # once with the guard-band check; the count reuses their arrays
         calls = count_pair_calls(monkeypatch)
         report = run_experiment("planar-chain", 5, [16])
         assert report.rows[0].status == "ok" and report.rows[0].chains == 16**3
-        assert len(calls) == 8
+        assert calls == [(float((i + 1) ** 2), 0) for i in range(5)]
 
     @pytest.mark.parametrize(
         "construction, k, builds",
         # the count reuses the certificate's adjacency, and 3d-odd-sphere's
-        # one certificate covers the pairs kept from its inner 3d-even layers
-        [("3d-even", 2, 1), ("3d-even", 4, 1), ("3d-odd-sphere", 3, 1), ("planar-k1", 4, 1)],
+        # one certificate covers the pairs kept from its inner 3d-even
+        # layers; planar-k1 decides its pairs as it builds them
+        [("3d-even", 2, 1), ("3d-even", 4, 1), ("3d-odd-sphere", 3, 1), ("planar-k1", 4, 0)],
     )
     def test_experiment_size_builds_certified_adjacency(self, monkeypatch, construction, k, builds):
         calls, build = [], layered.build_adjacency
@@ -178,8 +184,82 @@ class TestCertifiedOnce:
     def test_k8_certifies_each_pair_once(self, monkeypatch):
         calls = count_pair_calls(monkeypatch)
         gen_planar_chain(8, None, 4)
-        assert [d2 for d2, k in calls if k] == [float((i + 1) ** 2) for i in range(8)]
-        assert [k for _, k in calls].count(0) == 6
+        assert calls == [(float((i + 1) ** 2), 0) for i in range(8)]
+
+    @pytest.mark.parametrize("k", [4, 7])
+    def test_planar_k1_decides_each_pair_once(self, monkeypatch, k):
+        calls = count_pair_calls(monkeypatch)
+        res = gen_planar_k1mod3(k, 9)
+        assert calls == [(d2, 0) for d2 in res.config.spec.delta2]
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("k, delta2", [(3, None), (5, None), (6, None), (8, None), (5, [3, 3, 1, 4, 9])])
+    def test_planar_chain_adjacency_is_the_certificate(self, k, delta2, n):
+        res = constructions._planar_chain(k, delta2, n, 0.25, 0)
+        assert res.adjacency == certify_config(res.config)
+
+    @pytest.mark.parametrize("k, n", [(4, 9), (4, 30), (7, 9)])
+    def test_planar_k1_adjacency_is_the_certificate(self, k, n):
+        res = gen_planar_k1mod3(k, n)
+        assert res.adjacency == certify_config(res.config)
+
+
+def nudged(points, count):
+    """The points, the first `count` moved radially by a factor 1 + 5e-9,
+    which puts them in the guard band of the unit circle's distance."""
+    s = 1 + 5e-9
+    return [Point((p.coords[0] * s, p.coords[1] * s), p.id) if i < count else p for i, p in enumerate(points)]
+
+
+class TestBaseGuardBand:
+    """A base pair in the guard band raises the certificate's error after
+    the extension steps, with the text the configuration-wide certificate
+    gave; a failed extension step raises first."""
+
+    @pytest.fixture
+    def nudged_base(self, monkeypatch):
+        base = constructions._planar_base
+
+        def patched(*args, **kwargs):
+            layers, d2, tol = base(*args, **kwargs)
+            return [nudged(layers[0], 2), *layers[1:]], d2, tol
+
+        monkeypatch.setattr(constructions, "_planar_base", patched)
+
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_planar_chain(self, nudged_base, k):
+        with pytest.raises(CertificationError) as err:
+            gen_planar_chain(k, None, 7)
+        assert str(err.value) == (
+            "2 pair(s) inside the separation guard band: |d2(0,-1)-target|=1.000e-08, |d2(1,-1)-target|=1.000e-08"
+        )
+
+    def test_float_base(self):
+        with pytest.raises(CertificationError) as err:
+            gen_planar_chain(5, [10**8, 10**8, 1, 4, 9], 9)
+        assert str(err.value) == (
+            "12 pair(s) inside the separation guard band: |d2(0,-1)-target|=1.490e-08, "
+            "|d2(2,-1)-target|=1.490e-08, |d2(4,-1)-target|=1.490e-08"
+        )
+
+    def test_failed_extension_wins(self, nudged_base, monkeypatch):
+        monkeypatch.setattr(constructions, "_matched", lambda *args: None)
+        with pytest.raises(constructions.ConstructionError, match="after 64 attempts"):
+            gen_planar_chain(5, None, 7)
+
+    @pytest.mark.parametrize("k", [4, 7])
+    def test_planar_k1(self, monkeypatch, k):
+        split = constructions.split_and_translate
+
+        def patched(*args, **kwargs):
+            res = split(*args, **kwargs)
+            (x, y), i = res.x1[0].coords, res.x1[0].id
+            return dataclasses.replace(res, x1=(Point((x + F(1, 2 * 10**8), y), i), *res.x1[1:]))
+
+        monkeypatch.setattr(constructions, "split_and_translate", patched)
+        with pytest.raises(CertificationError) as err:
+            gen_planar_k1mod3(k, 9)
+        assert str(err.value) == "1 pair(s) inside the separation guard band: |d2(0,1)-target|=1.000e-08"
 
 
 class TestUnitRichGrid:

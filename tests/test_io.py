@@ -174,6 +174,17 @@ class TestManifests:
         loaded = read_manifest(mpath)
         assert count_chains(loaded) == count_chains(res.config)
 
+    def test_equal_layers_share_a_file_whatever_their_number_types(self, tmp_path):
+        ints = make_layer([(0, 0), (1, 2)])
+        fracs = make_layer([(F(0), F(0)), (F(1), 2)])
+        halves = make_layer([(F(1, 2), 0), (1, F(5, 2))])
+        cfg = make_config([ints, fracs, halves, make_layer([(0, 0), (1, 2)])], (1, 2, 3))
+        write_manifest(tmp_path / "manifest.txt", cfg, tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("*.pts")) == ["layer1.pts", "layer2.pts"]
+        layers = [ln.split()[-1] for ln in (tmp_path / "manifest.txt").read_text().splitlines() if ln.startswith("layer")]
+        assert layers == ["layer1.pts", "layer1.pts", "layer2.pts", "layer1.pts"]
+        assert (tmp_path / "layer2.pts").read_text().splitlines()[1:] == ["1/2 0", "1 5/2"]
+
     def test_missing_layer(self, tmp_path):
         cfg = gen_planar_chain(1, None, 3, 0.25)
         mpath = tmp_path / "manifest.txt"

@@ -85,6 +85,19 @@ def test_validate_errors(layers, delta2, eps, error):
     assert type(info.value) is ValueError and str(info.value) == error
 
 
+def test_coord_classes_key_equal_numbers_alike():
+    """Classes are shared by equal coordinates whatever their number type:
+    ints, Fractions of whole values, other Fractions and floats."""
+    ints = make_layer([(0, 0), (1, 2), (3, 4)]).points
+    fracs = make_layer([(F(1), F(2)), (F(1, 2), 0), (0, F(0))]).points
+    more = make_layer([(F(3), 4), (F(1, 2), F(0))]).points
+    want = [[0, 1, 2], [1, 3, 0], [2, 3], [0, 1, 2]]
+    for exact in (True, False):
+        assert layered._coord_classes([Layer(ints), Layer(fracs), Layer(more), Layer(ints)], exact) == want
+        floats = make_layer([(0.5, 0.0), (1.0, 2.0)]).points
+        assert layered._coord_classes([Layer(fracs), Layer(floats)], exact) == [[0, 1, 2], [1, 0]]
+
+
 class TestAdjacency:
     def test_single_edge(self):
         cfg = make_config([[(0, 0)], [(1, 0)]], (1,))

@@ -1,5 +1,6 @@
 """Property tests: the counting engine, the pair kernel, the covering
-search and the rational circle points against independent oracles.
+search, the rational circle points and the array circle intersections
+against independent oracles.
 
 Configurations are small and exact, drawn so that layers overlap, repeat
 or are empty, which is where the Möbius correction for shared points has
@@ -17,14 +18,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chain_census import layered
-from chain_census.constructions import _dyadic_below, _popular_sq_distance, gen_orthogonal_circles, gen_star
+from chain_census.constructions import (
+    _dyadic_below,
+    _matched,
+    _popular_sq_distance,
+    _xy,
+    gen_orthogonal_circles,
+    gen_star,
+)
 from chain_census.geometry import (
     CertificationError,
     DistanceSpec,
     Point,
+    circle_circle_intersection,
     exact_point,
     exact_spec,
     matches_distance,
@@ -710,6 +719,80 @@ def test_star_layers_equal_the_oracle_built_ones():
     for r2, layer in zip((1, 4, 9), layers[1:]):
         want = circle_points_oracle(origin, rational_point_on_circle(Fraction(r2)), 50, (0, 1))
         assert [(p.id, p.coords) for p in layer.points] == [(p.id, p.coords) for p in want]
+
+
+def matched_both_ways(points, r2, fixed, fixed_r2):
+    """constructions._matched with the fixed circle second, then first,
+    each next to the first hits of circle_circle_intersection called point
+    by point in the same argument order (None at the first miss), as
+    float.hex pairs, so that -0.0 and 0.0 differ."""
+    def hexes(hits):
+        return None if hits is None else [tuple(map(float.hex, w)) for w in hits]
+
+    def scalar(pairs):
+        hits = {}
+        for args in pairs:
+            found = circle_circle_intersection(*args)
+            if not found:
+                return None
+            hits.setdefault(found[0].coords)
+        return hits
+
+    pts, joint = [Point(c, i) for i, c in enumerate(points)], Point(fixed)
+    second = _matched(_xy(pts), r2, _xy([joint]), fixed_r2), scalar((p, r2, joint, fixed_r2) for p in pts)
+    first = _matched(_xy([joint]), fixed_r2, _xy(pts), r2), scalar((joint, fixed_r2, p, r2) for p in pts)
+    return [tuple(map(hexes, pair)) for pair in (second, first)]
+
+
+FLOAT = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@CHECKS
+@given(
+    st.tuples(FLOAT, FLOAT),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.lists(st.tuples(st.floats(0, 2 * math.pi), st.floats(-0.02, 1.02)), min_size=1, max_size=12),
+)
+def test_circle_kernel_equals_the_scalar_intersection(fixed, r, fixed_r, polar):
+    # points at distances from |r - fixed_r| to r + fixed_r of the fixed
+    # centre, so that most circles meet, plus some misses past either end
+    lo, hi = abs(r - fixed_r), r + fixed_r
+    points = [(fixed[0] + (lo + t * (hi - lo)) * math.cos(th), fixed[1] + (lo + t * (hi - lo)) * math.sin(th))
+              for th, t in polar]
+    assume(all(p != fixed for p in points))
+    for got, want in matched_both_ways(points, r * r, fixed, fixed_r * fixed_r):
+        assert got == want
+
+
+def test_circle_kernel_fixed_cases():
+    def hits(points, r2, fixed, fixed_r2):
+        (second, want_second), (first, want_first) = matched_both_ways(points, r2, fixed, fixed_r2)
+        assert second == want_second and first == want_first
+        return second, first
+
+    # a tangency, exact and within the tolerance of h2 = 0: one point each
+    assert hits([(2.0, 0.0)], 1.0, (0.0, 0.0), 1.0) == ([("0x1.0000000000000p+0", "0x0.0p+0")],) * 2
+    second, first = hits([(2.0 + 1e-13, 0.0)], 1.0, (0.0, 0.0), 1.0)
+    assert len(second) == len(first) == 1
+    # an internal tangency with h2 about -2e-12: within the tolerance of the
+    # larger squared radius (4), not of the squared centre distance (about 1)
+    second, first = hits([(1.0 - 5e-13, 0.0)], 1.0, (0.0, 0.0), 4.0)
+    assert len(second) == len(first) == 1
+    # one miss among hits
+    assert hits([(1.0, 0.0), (3.0, 0.0)], 1.0, (0.0, 0.0), 1.0) == (None, None)
+    # a repeated point gives one hit; distinct hits keep the points' order
+    assert [len(h) for h in hits([(1.0, 0.5)] * 2, 1.0, (0.0, 0.0), 1.0)] == [1, 1]
+    points = [(1.0, 0.5), (-0.5, 1.0), (0.25, -1.0)]
+    forward = hits(points, 1.0, (0.0, 0.0), 1.0)
+    assert [list(reversed(h)) for h in forward] == list(hits(points[::-1], 1.0, (0.0, 0.0), 1.0))
+    # concentric circles are an error whichever side is fixed
+    for points in (((1.0, 2.0), (1.0, 2.0)), ((1.0, 2.0), (0.0, 0.0), (1.0, 2.0))):
+        pts = _xy([Point(c) for c in points])
+        with pytest.raises(ValueError, match="concentric"):
+            _matched(pts, 1.0, _xy([Point((1.0, 2.0))]), 2.0)
+        with pytest.raises(ValueError, match="concentric"):
+            _matched(_xy([Point((1.0, 2.0))]), 2.0, pts, 1.0)
 
 
 @CHECKS
