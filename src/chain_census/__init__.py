@@ -11,7 +11,7 @@ _EXPORTS = {
     "geometry": "CertificationError Circle3D DistanceSpec NoRationalPointError Point circle_circle_intersection"
     " exact_point exact_spec float_point matches_distance rational_circle_points sample_circle_3d"
     " sphere_sphere_intersection_circle squared_distance tolerant_spec",
-    "layered": "BipartiteAdjacency LabeledTree Layer LayeredConfig build_adjacency certify_config count_chains"
+    "layered": "BipartiteAdjacency LabeledTree Layer LayeredConfig build_adjacency count_chains"
     " count_incidences count_tree_embeddings count_walks make_config make_layer path_tree",
     "richness": "CoveringClass DecompositionSequence rich_points stable_covering",
     "constructions": "ConstructionError gen_3d_even gen_3d_odd_regular gen_3d_odd_sphere gen_orthogonal_circles"

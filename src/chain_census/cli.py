@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .geometry import DistanceSpec, exact_point
+from .geometry import CertificationError, DistanceSpec, exact_point
 from .io import FileFormatError, _parse_exact, read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
 from .layered import (
     Layer,
@@ -39,6 +39,7 @@ from .experiment import (
     verify_covering,
     verify_floor,
 )
+from .constructions import ConstructionError
 
 log = logging.getLogger("chain_census")
 
@@ -363,7 +364,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, FileFormatError) as exc:  # a missing or malformed input file
+    # a missing or malformed input file, points in the guard band, or a
+    # construction that could not be built
+    except (OSError, FileFormatError, CertificationError, ConstructionError) as exc:
         raise SystemExit(str(exc)) from None
 
 

@@ -45,7 +45,6 @@ from .layered import (
     LayeredConfig,
     _pair_lists,
     build_adjacency,
-    certify_config,
     count_incidences,
     count_tree_embeddings,
     make_config,
@@ -513,7 +512,7 @@ def gen_3d_even(k: int, delta2=None, n: int = 1) -> LayeredConfig:
 def _3d_even(k: int, delta2, n: int) -> _Certified:
     """gen_3d_even with the adjacency of its certificate."""
     cfg = _3d_even_config(k, delta2, n)
-    return _Certified(cfg, certify_config(cfg))
+    return _Certified(cfg, build_adjacency(cfg))
 
 
 def _3d_even_config(k: int, delta2, n: int) -> LayeredConfig:
@@ -578,8 +577,7 @@ def peel_min_degree(P: Layer, d2, spec: DistanceSpec) -> PeelResult:
     the threshold is frozen up front.  The survivors are nonempty with
     minimum degree at least E0/(2N).
     """
-    cfg = LayeredConfig((Layer(P.points, 1), Layer(P.points, 2)), DistanceSpec((d2,), spec.eps))
-    offsets, nbs = build_adjacency(cfg, certify=False).pairs[0]
+    offsets, nbs = _pair_lists(P.points, P.points, d2, spec)
     n, e0 = len(P.points), len(nbs) // 2
     if e0 < 1:
         raise ValueError("the distance graph has no edges")
@@ -693,7 +691,7 @@ def gen_3d_odd_sphere(k: int, n: int) -> Odd3dSphereResult:
         raise ConstructionError("bouquet points collide with the chain scaffold")
     layers = keep + [make_layer(xs, k), make_layer(ys, k + 1)]
     cfg = make_config(layers, [1.0] * k, eps=TOLERANCE)
-    adj = certify_config(cfg)
+    adj = build_adjacency(cfg)
     inc = adj.edge_count(k - 1)
     return Odd3dSphereResult(cfg, inc, n ** ((k - 1) // 2) * inc, adj)
 

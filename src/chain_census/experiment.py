@@ -322,7 +322,7 @@ def verify_covering(config: LayeredConfig, eps) -> VerifyResult:
     taken on the input's adjacency restricted to each class, sum to the
     input's count.
     """
-    adj = build_adjacency(config, certify=False)
+    adj = build_adjacency(config)
     classes = stable_covering(config, eps, adjacency=adj)
     sizes = list(map(len, config.layers))
     # each class's distinct indices into its input layer; those past it are dropped and refuse the class

@@ -18,8 +18,7 @@ import math
 import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 
 from .geometry import CertificationError, DistanceSpec, Point, _rational
 
@@ -173,9 +172,9 @@ class BipartiteAdjacency:
         return BipartiteAdjacency(tuple(out))
 
 
-# Pairs tested per row tile or block of index pairs: enough to amortize
-# numpy's per-call cost.  Larger ones are no faster, and their temporaries
-# (a few arrays of _BLOCK numbers per axis) raise a run's peak RSS.
+# Pairs tested per row tile: enough to amortize numpy's per-call cost.
+# Larger tiles are no faster, and their temporaries (a few arrays of
+# _BLOCK numbers per axis) raise a run's peak RSS.
 _BLOCK = 1 << 12
 
 
@@ -258,7 +257,7 @@ class _PairView:
         if sa.dim != sb.dim:
             raise ValueError("dimension mismatch between the two point sets")
         self.dim = dim = sa.dim
-        self.eps, self.split, self.more = eps, len(sa), ()
+        self.eps, self.more = eps, ()
         self.points = sa.points, sb.points
         if eps is not None:
             self.a, self.b, self.target = sa.axes, sb.axes, float(d2)
@@ -272,7 +271,6 @@ class _PairView:
         for na, nb, low in zip(sa.nums, sb.nums, map(min, sa.lows, sb.lows)):
             ns, shift = chain(na, nb), low * dens[0]
             cols.append([n - shift for n in ns] if shared else [n - low * D for n, D in zip(ns, dens)])
-        self.ints = cols, dens
         num, den = d2.as_integer_ratio()
         if shared:
             num, dens = num * dens[0] ** 2, [1]
@@ -288,9 +286,9 @@ class _PairView:
         (self.ratio, self.a, self.b), *self.more = sides
 
     def test(self, x, y):
-        """(matches, gaps) for operands x and y, ``a`` and ``b`` gathered at
-        index pairs or broadcast over a tile; gaps are the float
-        |d2(p, q) - d2| in tolerant mode, None in exact mode (first prime)."""
+        """(matches, gaps) for operands x and y, ``a`` and ``b`` broadcast
+        over a row tile; gaps are the float |d2(p, q) - d2| in tolerant
+        mode, None in exact mode (first prime)."""
         import numpy as np
 
         if self.eps is None:
@@ -316,79 +314,20 @@ class _PairView:
         s = (diff * diff).sum(axis=0, dtype=diff.dtype)
         return s * den == dd * dd * num
 
-    def cell_codes(self, reach2, auto=False):
-        """(code_a, code_b, offsets): an int64 cell code per point of each
-        side, for cells of side at least sqrt(reach2), and the code offsets
-        of a cell's 3^dim neighbours; None when there are too many cells for
-        int64 codes, or, with `auto`, when no axis has more than two cells
-        (every cell then neighbours every other).  Coordinates are shifted
-        to be nonnegative first, and exact ones are divided as integers,
-        point by point, so no rounding can put two neighbours two cells
-        apart."""
-        import numpy as np
 
-        if self.eps is not None:
-            both = np.hstack((self.a, self.b))
-            width = math.sqrt(reach2) * (1 + 2**-20)  # above the rounding of float distances and keys
-            keys = np.floor((both - both.min(axis=1)[:, None]) / width)
-            tops = keys.max(axis=1).tolist()
-        else:
-            # cells of side width / scale >= sqrt(reach2), within 2^-20 of it
-            cols, dens = self.ints
-            num, den = Fraction(reach2).as_integer_ratio()
-            # every N_p / D_p is at most max N / min D: below 2 sqrt(reach2), each key is 0 or 1
-            if auto and max(map(max, cols), default=0) ** 2 * den < 4 * num * min(dens) ** 2:
-                return None
-            scale = 1 << max(0, (42 + den.bit_length() - num.bit_length()) // 2)
-            width = math.isqrt(num * scale * scale // den) + 1
-            keys = [[n * scale // (d * width) for n, d in zip(col, dens)] for col in cols]
-            tops = list(map(max, keys))
-        # digits 1..max+1 per axis, so neighbours' digits stay in 0..max+2
-        sizes = [int(top) + 3 for top in tops]
-        if math.prod(sizes) >= 1 << 62 or (auto and max(sizes, default=3) <= 4):
-            return None
-        stride = np.cumprod([1, *sizes[:-1]])
-        offsets = np.array(list(product((-1, 0, 1), repeat=self.dim))) @ stride
-        codes = (np.array(keys, np.int64) + 1).T @ stride
-        return codes[: self.split], codes[self.split :], offsets
-
-
-def _cell_blocks(code_a, code_b, offsets):
-    """The index pairs (a, b) whose cell codes differ by one of `offsets`,
-    ordered by a, in blocks of about _BLOCK pairs."""
-    import numpy as np
-
-    order = np.argsort(code_b, kind="stable")
-    sorted_b = code_b[order]
-    near = (code_a[:, None] + offsets).ravel()
-    first = np.searchsorted(sorted_b, near)
-    sizes = np.searchsorted(sorted_b, near, "right") - first
-    hit = np.flatnonzero(sizes)
-    qa, first, sizes = hit // len(offsets), first[hit], sizes[hit]
-    # a block starts at each query whose first pair opens a new _BLOCK
-    starts = np.cumsum(sizes) - sizes
-    cuts = np.flatnonzero(np.diff(starts // _BLOCK, prepend=-1)).tolist()
-    for lo, hi in zip(cuts, [*cuts[1:], len(hit)]):
-        n = sizes[lo:hi]
-        yield np.repeat(qa[lo:hi], n), order[_ranges(first[lo:hi], n)]
-
-
-def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offenders=None):
+def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
     """CSR arrays (offsets, indices): indices[offsets[a]:offsets[a + 1]]
     are the ascending indices b with pa[a], pb[b] at squared distance d2.
 
     The one kernel that decides point pairs (see _PairView), on point
     sequences or their _Side forms: only ``spec.eps`` is read, so the spec
-    may carry other distances.  "brute" tests every pair, rows of pa
-    against all of pb by broadcasting, "grid" only the pairs a uniform grid
-    puts in neighbouring cells ("brute" when there are too many cells to
-    code in int64), "auto" picks grid for more than 4096 pairs when it puts
-    more than two cells on some axis.  Each tile or block holds about
-    _BLOCK pairs, so a call costs a few array operations per tile plus
-    Python work per coordinate not yet converted.  With an `offenders`
-    list, tolerant pairs in the guard band (eps, 100*eps] are appended to
-    it as (p, q, gap) in (a, b) order: the separation certificate that
-    tolerant counting is stable.
+    may carry other distances.  It tests every pair, O(|pa| |pb|), in row
+    tiles of pa against all of pb by broadcasting, each tile about _BLOCK
+    pairs, so a call costs a few array operations per tile plus Python
+    work per coordinate not yet converted.  With an `offenders` list,
+    tolerant pairs in the guard band (eps, 100*eps] are appended to it as
+    (p, q, gap) in (a, b) order: the separation certificate that tolerant
+    counting is stable.
     """
     import numpy as np
 
@@ -399,28 +338,19 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offender
     eps = spec.eps
     certify = offenders is not None and bool(eps)
     view = _PairView(pa, pb, d2, eps)
-    cells = None
-    if strategy == "grid" or (strategy == "auto" and na * nb > 4096):
-        reach2 = d2 if eps is None else float(d2) + (100.0 * eps if certify else eps)
-        cells = view.cell_codes(reach2, strategy == "auto")
-    # a pair's flat index a * nb + b orders pairs by (a, b)
-    if cells is None:  # row tiles lo:hi, with their flat indices as a (rows, nb) block
-        step, all_b = max(1, _BLOCK // nb), view.b[..., None, :]
-        cuts = [(lo, min(lo + step, na)) for lo in range(0, na, step)]
-        tiles = ((np.arange(lo * nb, hi * nb).reshape(-1, nb), view.a[..., lo:hi, None], all_b) for lo, hi in cuts)
-    else:
-        tiles = ((ia * nb + ib, view.a.take(ia, -1), view.b.take(ib, -1)) for ia, ib in _cell_blocks(*cells))
+    # rows lo:hi of pa against all of pb; a pair's flat index a * nb + b
+    # orders pairs by (a, b)
+    step, all_b = max(1, _BLOCK // nb), view.b[..., None, :]
     hits, band = [none], [(none, np.zeros(0))]
-    for flat, x, y in tiles:
-        match, gap = view.test(x, y)
+    for lo in range(0, na, step):
+        hi = min(lo + step, na)
+        flat = np.arange(lo * nb, hi * nb).reshape(-1, nb)
+        match, gap = view.test(view.a[..., lo:hi, None], all_b)
         hits.append(flat[match])
         if certify:
             near = ~match & (gap > eps) & (gap <= 100.0 * eps)
             band.append((flat[near], gap[near]))
     hits, (band, gap) = np.concatenate(hits), map(np.concatenate, zip(*band))
-    if cells is not None:  # blocks hold a row's pairs in cell order
-        order = np.argsort(band)
-        hits, band, gap = np.sort(hits), band[order], gap[order]
     for ratio, a, b in view.more:  # each further prime tests the pairs the earlier ones kept
         hits = hits[view._agree(ratio, a.take(hits // nb, -1), b.take(hits % nb, -1))]
     if certify:
@@ -429,7 +359,7 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, strategy: str = "auto", offender
     return np.searchsorted(hits, np.arange(0, (na + 1) * nb, nb)), hits % nb
 
 
-def _pair_runs(spec: DistanceSpec, strategy: str = "auto", offenders=None):
+def _pair_runs(spec: DistanceSpec, offenders=None):
     """_pair_lists as a function (pa, pb, d2) of point tuples, run once per
     distinct (pa, pb, d2) with tuples told apart by identity: calls with
     one key share one _Side per tuple and one pair of read-only CSR arrays,
@@ -443,7 +373,7 @@ def _pair_runs(spec: DistanceSpec, strategy: str = "auto", offenders=None):
                 if id(pts) not in sides:
                     sides[id(pts)] = _Side(pts, spec.eps)
             band = None if offenders is None else []
-            runs[key] = _pair_lists(sides[id(pa)], sides[id(pb)], d2, spec, strategy, band), band
+            runs[key] = _pair_lists(sides[id(pa)], sides[id(pb)], d2, spec, band), band
             for arr in runs[key][0]:
                 arr.flags.writeable = False
         csr, band = runs[key]
@@ -454,31 +384,18 @@ def _pair_runs(spec: DistanceSpec, strategy: str = "auto", offenders=None):
     return run
 
 
-def build_adjacency(
-    config: LayeredConfig, strategy: str = "auto", certify: bool | None = None
-) -> BipartiteAdjacency:
+def build_adjacency(config: LayeredConfig) -> BipartiteAdjacency:
     """The CSR adjacency of every consecutive layer pair, each distinct
-    pair of point tuples and distance decided once (see _pair_runs).
-
-    Strategies "brute" and "grid" must agree exactly; "auto" picks grid for
-    large pairs.  In tolerant mode the guard-band certificate runs alongside
-    (disable with certify=False); failures raise CertificationError.
-    """
-    if certify is None:
-        certify = not config.spec.exact
-    offenders: list | None = [] if certify else None
-    run = _pair_runs(config.spec, strategy, offenders)
+    pair of point tuples and distance decided once (see _pair_runs).  In
+    tolerant mode the guard-band certificate runs alongside: a pair in the
+    band raises CertificationError."""
+    offenders: list = []
+    run = _pair_runs(config.spec, offenders)
     points = [ly.points for ly in config.layers]
     pairs = tuple(map(run, points, points[1:], config.spec.delta2))
     if offenders:
         raise CertificationError(offenders)
     return BipartiteAdjacency(pairs)
-
-
-def certify_config(config: LayeredConfig) -> BipartiteAdjacency:
-    """The adjacency built with the separation certificate: raise
-    CertificationError if any consecutive pair sits in the guard band."""
-    return build_adjacency(config, strategy="auto", certify=True)
 
 
 def _coord_classes(layers, exact: bool) -> list[list[int]]:
@@ -882,9 +799,9 @@ def count_chains_and_walks(config: LayeredConfig, adjacency: BipartiteAdjacency 
     return tree.injective(walks), walks
 
 
-def count_incidences(P: Layer, Q: Layer, d2, spec: DistanceSpec, strategy: str = "auto") -> int:
+def count_incidences(P: Layer, Q: Layer, d2, spec: DistanceSpec) -> int:
     """Ordered pairs (p, q) in P x Q realizing squared distance d2."""
-    return len(_pair_runs(spec, strategy)(P.points, Q.points, d2)[1])
+    return len(_pair_lists(P.points, Q.points, d2, spec)[1])
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ class _Filtering:
 
         self.config = config
         self.sizes = [len(layer) for layer in config.layers]
-        pairs = (adjacency or build_adjacency(config, certify=False)).pairs
+        pairs = (adjacency or build_adjacency(config)).pairs
         # (ref, i): offsets, indices and row lengths of the neighbours in layer i of layer ref's points
         self.csr = {(i, i + 1): (offsets, indices, np.diff(offsets)) for i, (offsets, indices) in enumerate(pairs)}
         self.flipped = {}  # transposes, by the id of the indices they transpose

@@ -20,7 +20,7 @@ from chain_census.constructions import (
 from chain_census.experiment import report_csv, run_experiment, verify_covering
 from chain_census.geometry import exact_spec, squared_distance
 from chain_census.layered import (
-    certify_config,
+    build_adjacency,
     count_chains,
     count_incidences,
     count_walks,
@@ -50,7 +50,7 @@ def test_c01_planar_k2_exact_square():
 def test_c02_3d_even_exact_product():
     t0 = time.perf_counter()
     cfg = gen_3d_even(4, [1.0] * 4, 50)
-    certify_config(cfg)  # separation certificate must pass
+    build_adjacency(cfg)  # separation certificate must pass
     got = count_chains(cfg)
     assert got == 125000
     report(2, "3d even k=4 n=50 chains = 125000 exactly, certificate passed", t0, 10.0)

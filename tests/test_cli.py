@@ -309,6 +309,12 @@ def run_process(*argv, timeout=None):
         ("generate --construction planar-chain --k 2 --delta2 1/0,1", 1, "zero denominator in '1/0'"),
         ("generate --construction star --l 3 --n 10", 1, "n must be divisible by l"),
         (
+            "generate --construction planar-chain --k 5 --n 9 --delta2 100000000,100000000,1,4,9",
+            1,
+            "12 pair(s) inside the separation guard band: ",
+        ),
+        ("--eps 1e-300 generate --construction planar-chain --k 2 --n 4", 1, "eps=1e-300 too small for a dyadic arc window"),
+        (
             "experiment --construction planar-chain --k 2 --n-list 4,x",
             1,
             "invalid literal for int() with base 10: 'x'",
@@ -320,6 +326,7 @@ def run_process(*argv, timeout=None):
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
         "generate-unread", "generate-variant", "covering-unread",
         "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-zero-denominator", "generate-star-n",
+        "generate-guard-band", "generate-construction-error",
         "experiment-bad-n-list", "eps-zero-denominator", "eps-infinite",
     ],
 )
@@ -524,6 +531,21 @@ def test_mode_exact_compares_floats_exactly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "verb", ["count", "decompose", "verify --claim covering"], ids=["count", "decompose", "verify"]
+)
+def test_guard_band_manifest_is_one_error_line(tmp_path, verb):
+    # one tolerant pair 4e-8 (squared) off its target, inside the guard band
+    # (eps, 100 eps]: no verb may count, cover or pass it uncertified
+    (tmp_path / "a.pts").write_text("dim 2 count 1 mode float\n0.0 0.0\n")
+    (tmp_path / "b.pts").write_text("dim 2 count 1 mode float\n1.00000002 0.0\n")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("k 1\ndim 2\nmode tol 1e-09\ndelta2 1.0\nlayer 1 a.pts\nlayer 2 b.pts\n")
+    proc = run_process(*verb.split(), "--manifest", str(manifest))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["1 pair(s) inside the separation guard band: |d2(0,0)-target|=4.000e-08"]
+
+
+@pytest.mark.parametrize(
     "body",
     [
         "dim 2 count 3 mode exact\n0 0\n1 0\n1 0\n",
@@ -558,7 +580,7 @@ EXPORTS = {
     "geometry": "CertificationError Circle3D DistanceSpec NoRationalPointError Point circle_circle_intersection"
     " exact_point exact_spec float_point matches_distance rational_circle_points sample_circle_3d"
     " sphere_sphere_intersection_circle squared_distance tolerant_spec",
-    "layered": "BipartiteAdjacency LabeledTree Layer LayeredConfig build_adjacency certify_config count_chains"
+    "layered": "BipartiteAdjacency LabeledTree Layer LayeredConfig build_adjacency count_chains"
     " count_incidences count_tree_embeddings count_walks make_config make_layer path_tree",
     "richness": "CoveringClass DecompositionSequence rich_points stable_covering",
     "constructions": "ConstructionError gen_3d_even gen_3d_odd_regular gen_3d_odd_sphere gen_orthogonal_circles"

@@ -13,7 +13,7 @@ from chain_census.geometry import (
     squared_distance,
 )
 from chain_census.layered import (
-    certify_config,
+    build_adjacency,
     count_chains,
     count_incidences,
     count_tree_embeddings,
@@ -76,7 +76,7 @@ class TestPlanarChain:
 
     def test_tolerant_configs_certify(self):
         cfg = gen_planar_chain(6, None, 5, 0.25)
-        certify_config(cfg)  # must not raise
+        build_adjacency(cfg)  # must not raise
         cfg.validate()
 
     def test_invalid_delta_rejected(self):
@@ -175,8 +175,8 @@ class TestCertifiedOnce:
             calls.append(args[0].k)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(layered, "build_adjacency", counted)
-        monkeypatch.setattr(experiment, "build_adjacency", counted)
+        for module in (layered, constructions, experiment):
+            monkeypatch.setattr(module, "build_adjacency", counted)
         row = run_experiment(construction, k, [16]).rows[0]
         assert row.status == "ok" and row.chains > 0
         assert len(calls) == builds
@@ -196,12 +196,12 @@ class TestCertifiedOnce:
     @pytest.mark.parametrize("k, delta2", [(3, None), (5, None), (6, None), (8, None), (5, [3, 3, 1, 4, 9])])
     def test_planar_chain_adjacency_is_the_certificate(self, k, delta2, n):
         res = constructions._planar_chain(k, delta2, n, 0.25, 0)
-        assert res.adjacency == certify_config(res.config)
+        assert res.adjacency == build_adjacency(res.config)
 
     @pytest.mark.parametrize("k, n", [(4, 9), (4, 30), (7, 9)])
     def test_planar_k1_adjacency_is_the_certificate(self, k, n):
         res = gen_planar_k1mod3(k, n)
-        assert res.adjacency == certify_config(res.config)
+        assert res.adjacency == build_adjacency(res.config)
 
 
 def nudged(points, count):
@@ -377,7 +377,7 @@ class Test3dEven:
             cs = layer.coord_set()
             assert not (cs & seen)
             seen |= cs
-        certify_config(cfg)
+        build_adjacency(cfg)
 
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ against independent oracles.
 Configurations are small and exact, drawn so that layers overlap, repeat
 or are empty, which is where the Möbius correction for shared points has
 work to do.  The pair kernel is checked against the pair-by-pair
-predicate ``matches_distance``, on both sides of its int32 and int64
-bounds, and its grid strategy against its brute strategy (row tiles of
-any height) far from the origin, at tiny radii and in the guard band.
+predicate ``matches_distance``, with row tiles of any height, on both
+sides of its int32 and int64 bounds, far from the origin, at tiny radii
+and in the guard band.
 """
 
 import itertools
@@ -299,25 +299,23 @@ def kernel_lists(*args):
     return BipartiteAdjacency((_pair_lists(*args),)).neighbors[0]
 
 
-# Tile sizes for the brute path: below len(pb) a tile is one row; the grid
-# gathers its index pairs in blocks of the same size.
+# Tile sizes in pairs: below len(pb) a tile is one row.
 BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 4096])
 
 
 @CHECKS
 @given(lattice_pairs(), BLOCKS)
-def test_kernel_grid_equals_brute_exact(case, block):
+def test_kernel_equals_oracle_exact(case, block):
     pa, pb, d2, _ = case
     with mock.patch.object(layered, "_BLOCK", block):
-        brute = kernel_lists(pa, pb, d2, exact_spec(), "brute")
-        assert kernel_lists(pa, pb, d2, exact_spec(), "grid") == brute == oracle_lists(pa, pb, d2, exact_spec())
+        assert kernel_lists(pa, pb, d2, exact_spec()) == oracle_lists(pa, pb, d2, exact_spec())
 
 
 @settings(CHECKS, max_examples=300)
 @given(lattice_pairs(), st.sampled_from([200, 10**4]), st.lists(st.sampled_from([0, 3, 10, 30]), max_size=25))
-def test_kernel_grid_equals_brute_tolerant(case, ratio, jitter):
+def test_kernel_equals_oracle_tolerant(case, ratio, jitter):
     # jitter moves points of pa by a few eps / h, which puts lattice
-    # neighbours into the guard band
+    # neighbours into the guard band; offenders come in (a, b) order
     pa, pb, d2, h = case
     d2 = float(d2)
     eps = d2 / ratio
@@ -325,13 +323,10 @@ def test_kernel_grid_equals_brute_tolerant(case, ratio, jitter):
     pa = [Point((float(p.coords[0]) + shift[i] * eps / float(h), float(p.coords[1])), i) for i, p in enumerate(pa)]
     pb = [q.as_float() for q in pb]
     spec = DistanceSpec((), eps)
-    found = {}
-    for strategy in ("brute", "grid"):
-        offenders = []
-        lists = kernel_lists(pa, pb, d2, spec, strategy, offenders)
-        found[strategy] = lists, [(p.id, q.id, gap) for p, q, gap in offenders]
-    assert found["grid"] == found["brute"]
-    assert found["brute"][0] == oracle_lists(pa, pb, d2, spec)
+    offenders = []
+    assert kernel_lists(pa, pb, d2, spec, offenders) == oracle_lists(pa, pb, d2, spec)
+    gaps = [(p.id, q.id, abs(squared_distance(p, q) - d2)) for p, q in itertools.product(pa, pb)]
+    assert [(p.id, q.id, gap) for p, q, gap in offenders] == [g for g in gaps if eps < g[2] <= 100 * eps]
 
 
 @CHECKS
@@ -345,9 +340,7 @@ def test_kernel_int32_either_side_of_its_bound(top, xs, ys, dx, dy):
     d2 = Fraction((top - dx) ** 2 + (top - dy) ** 2)
     view = _PairView(pa, pb, d2, None)
     assert view.a.dtype == (np.int32 if top < 2**15 else np.int64) and not view.primes
-    want = oracle_lists(pa, pb, d2, exact_spec())
-    for strategy in ("brute", "grid"):
-        assert kernel_lists(pa, pb, d2, exact_spec(), strategy) == want
+    assert kernel_lists(pa, pb, d2, exact_spec()) == oracle_lists(pa, pb, d2, exact_spec())
 
 
 @CHECKS
@@ -374,34 +367,30 @@ def test_kernel_per_point_denominators_in_each_number_type(xs, ys, dens, d2, blo
     view = _PairView(pa, pb, Fraction(d2), None)
     assert len(view.a) == 3  # two axes and D_p
     assert ("primes" if view.primes else view.a.dtype.name) == kind
-    want = oracle_lists(pa, pb, Fraction(d2), exact_spec())
     with mock.patch.object(layered, "_BLOCK", block):
-        for strategy in ("brute", "grid"):
-            assert kernel_lists(pa, pb, Fraction(d2), exact_spec(), strategy) == want
+        assert kernel_lists(pa, pb, Fraction(d2), exact_spec()) == oracle_lists(pa, pb, Fraction(d2), exact_spec())
 
 
 @CHECKS
 @given(LATTICE, LATTICE, st.sampled_from([1.0, 2.0, 5.0]), st.lists(st.sampled_from([0, 3, 10, 30, 200]), max_size=25), BLOCKS)
-def test_brute_tiles_certify_as_the_grid_does(xs, ys, d2, jitter, block):
+def test_tiles_certify_as_the_oracle_does(xs, ys, d2, jitter, block):
     # points of pa moved by a few eps on one axis put lattice neighbours in
-    # the guard band (eps, 100 eps] or past it; both strategies must raise
-    # the same error with the offenders in (a, b) order
+    # the guard band (eps, 100 eps] or past it; tiles of any height must
+    # raise the error of every pair's gap, with the offenders in (a, b) order
     eps = 1e-9
     shift = jitter + [0] * len(xs)
     cfg = make_config([[(x + shift[i] * eps, float(y)) for i, (x, y) in enumerate(xs)], [(float(x), float(y)) for x, y in ys]], [d2], eps)
     pa, pb = (ly.points for ly in cfg.layers)
     gaps = [(p, q, abs(squared_distance(p, q) - d2)) for p, q in itertools.product(pa, pb)]
     want = [(p, q, gap) for p, q, gap in gaps if eps < gap <= 100 * eps]
-    found = {}
+    found = None
     with mock.patch.object(layered, "_BLOCK", block):
-        for strategy in ("brute", "grid"):
-            try:
-                build_adjacency(cfg, strategy)
-                found[strategy] = None
-            except CertificationError as err:
-                found[strategy] = str(err), [(p.id, q.id, gap) for p, q, gap in err.offenders]
+        try:
+            build_adjacency(cfg)
+        except CertificationError as err:
+            found = str(err), [(p.id, q.id, gap) for p, q, gap in err.offenders]
     expected = (str(CertificationError(want)), [(p.id, q.id, gap) for p, q, gap in want]) if want else None
-    assert found["brute"] == found["grid"] == expected
+    assert found == expected
 
 
 @pytest.mark.parametrize(
@@ -429,9 +418,9 @@ def test_brute_tile_heights(na, nb, block, heights, eps):
         return test(view, x, y)
 
     with mock.patch.object(layered, "_BLOCK", block), mock.patch.object(layered._PairView, "test", spy):
-        offsets, _ = _pair_lists(pa, pb, d2, spec, "brute")
+        offsets, _ = _pair_lists(pa, pb, d2, spec)
     assert seen == heights and len(offsets) == na + 1
-    assert kernel_lists(pa, pb, d2, spec, "brute") == oracle_lists(pa, pb, d2, spec)
+    assert kernel_lists(pa, pb, d2, spec) == oracle_lists(pa, pb, d2, spec)
 
 
 INTEGER_POINTS = st.integers(1, 3).flatmap(
@@ -473,19 +462,20 @@ def aliased_configs(draw):
 
 
 @CHECKS
-@given(aliased_configs(), st.sampled_from(["brute", "grid"]))
-def test_repeated_pairs_decided_once(cfg, strategy):
+@given(aliased_configs())
+def test_repeated_pairs_decided_once(cfg):
     # each position against a kernel run of its own, offenders and all
     points = [ly.points for ly in cfg.layers]
     triples = list(zip(points, points[1:], cfg.spec.delta2))
     offenders = []
-    want = tuple(kernel_lists(a, b, d2, cfg.spec, strategy, offenders) for a, b, d2 in triples)
+    want = tuple(kernel_lists(a, b, d2, cfg.spec, offenders) for a, b, d2 in triples)
     try:
-        adj = build_adjacency(cfg, strategy)
+        adj = build_adjacency(cfg)
     except CertificationError as err:
         assert str(err) == str(CertificationError(offenders))
         assert [(p.id, q.id, g) for p, q, g in err.offenders] == [(p.id, q.id, g) for p, q, g in offenders]
-        adj = build_adjacency(cfg, strategy, certify=False)
+        # the uncertified runs that build_adjacency shares
+        adj = BipartiteAdjacency(tuple(map(layered._pair_runs(cfg.spec), points, points[1:], cfg.spec.delta2)))
     else:
         assert not offenders
     assert adj.neighbors == want == adjacency_oracle(cfg)
@@ -528,8 +518,7 @@ def test_tolerant_rational_pairs_read_float_coordinates(d2, match):
     p, q = Point((0, 0), 0), Point((Fraction(1, 5), 0), 0)
     spec = DistanceSpec((), 1e-300)
     assert matches_distance(p, q, d2, spec) is match
-    for strategy in ("brute", "grid"):
-        assert kernel_lists([p], [q], d2, spec, strategy) == (((0,) if match else ()),)
+    assert kernel_lists([p], [q], d2, spec) == (((0,) if match else ()),)
 
 
 @pytest.mark.parametrize("x, q_den",[(2**40, 1), (2**40 + 1, 3), (2**100 + 1, 7)])
@@ -548,20 +537,7 @@ def test_kernel_rejects_what_one_prime_fewer_accepts(x, q_den):
     for d2, match in ((Fraction(num), False), (Fraction(x * x, r), True)):
         assert len(_PairView([p], [q], d2, None).primes) > j
         assert matches_distance(p, q, d2, exact_spec()) is match
-        for strategy in ("brute", "grid"):
-            assert kernel_lists([p], [q], d2, exact_spec(), strategy) == (((0,) if match else ()),)
-
-
-def test_kernel_grid_cells_are_wider_than_the_reach():
-    # at d2 = 1/9 exact cells are 1398102 / 2^22 wide, just above 1/3, so
-    # a point just below a cell boundary has its partner at +1/3 in the
-    # next cell; with cells of 1398101 / 2^22 it would be two cells on
-    d2 = Fraction(1, 9)
-    for offset in (0, 10**6):
-        pa = [Point((offset + Fraction(j, 3 * 2**22), 0), i) for i, j in enumerate(range(4194290, 4194310))]
-        pb = [Point((x + Fraction(1, 3), y), i) for i, (x, y) in enumerate(p.coords for p in pa)]
-        want = tuple((i,) for i in range(len(pa)))
-        assert kernel_lists(pa, pb, d2, exact_spec(), "grid") == want == oracle_lists(pa, pb, d2, exact_spec())
+        assert kernel_lists([p], [q], d2, exact_spec()) == (((0,) if match else ()),)
 
 
 DENOMINATOR = st.integers(2**30, 2**60)
@@ -583,8 +559,7 @@ def test_kernel_on_large_per_point_denominators(near, far, step):
     spec = exact_spec()
     want = oracle_lists(pa, pb, Fraction(1), spec)
     assert all(i in nb for i, nb in enumerate(want))
-    for strategy in ("auto", "brute", "grid"):
-        assert kernel_lists(pa, pb, Fraction(1), spec, strategy) == want
+    assert kernel_lists(pa, pb, Fraction(1), spec) == want
 
 
 @CHECKS
@@ -596,9 +571,7 @@ def test_kernel_exact_on_tiny_floats(xs, ys, unit):
     pb = [Point((x * unit, -y * unit), i) for i, (x, y) in enumerate(ys or [(1, 1)])]
     exact = [[Point(tuple(map(Fraction, p.coords)), p.id) for p in side] for side in (pa, pb)]
     d2 = sum((a - b) ** 2 for a, b in zip(exact[0][0].coords, exact[1][0].coords)) or Fraction(unit) ** 2
-    want = oracle_lists(*exact, d2, exact_spec())
-    for strategy in ("brute", "grid"):
-        assert kernel_lists(pa, pb, d2, exact_spec(), strategy) == want
+    assert kernel_lists(pa, pb, d2, exact_spec()) == oracle_lists(*exact, d2, exact_spec())
 
 
 @st.composite
@@ -796,14 +769,14 @@ def test_circle_kernel_fixed_cases():
 
 
 @CHECKS
-@given(configs(), st.sampled_from(["integer", "rational", "tolerant"]), st.sampled_from(["brute", "grid"]))
-def test_adjacency_matches_pair_oracle(cfg, kind, strategy):
+@given(configs(), st.sampled_from(["integer", "rational", "tolerant"]))
+def test_adjacency_matches_pair_oracle(cfg, kind):
     # the CSR arrays, read back as lists, against every pair decided alone
     if kind != "integer":
         scale = Fraction(1, 3) if kind == "rational" else 0.1
         layers = [[tuple(scale * c for c in p.coords) for p in ly.points] for ly in cfg.layers]
         cfg = make_config(layers, [d2 * scale * scale for d2 in cfg.spec.delta2], None if kind == "rational" else 1e-9)
-    adj = build_adjacency(cfg, strategy, certify=False)
+    adj = build_adjacency(cfg)
     assert adj.neighbors == adjacency_oracle(cfg)
     assert [adj.edge_count(i) for i in range(cfg.k)] == [sum(map(len, nbs)) for nbs in adj.neighbors]
 
