@@ -44,6 +44,7 @@ from .layered import (
     Layer,
     LayeredConfig,
     _pair_lists,
+    _pair_runs,
     build_adjacency,
     count_incidences,
     count_tree_embeddings,
@@ -170,10 +171,11 @@ def _matched(c1, r1sq, c2, r2sq) -> dict | None:
 
 def _decide(sides, d2s) -> tuple[list, list]:
     """The CSR arrays of the consecutive pairs of float point sequences at
-    the squared distances d2s, and their guard-band offenders."""
+    the squared distances d2s, and their guard-band offenders; a sequence
+    in two pairs is converted once (see _pair_runs)."""
     band: list = []
-    spec = DistanceSpec((), TOLERANCE)
-    return [_pair_lists(a, b, d2, spec, offenders=band) for a, b, d2 in zip(sides, sides[1:], d2s)], band
+    run = _pair_runs(DistanceSpec((), TOLERANCE), band)
+    return list(map(run, sides, sides[1:], d2s)), band
 
 
 def _certified(pairs, band) -> BipartiteAdjacency:

@@ -19,7 +19,7 @@ configurations are expected to pass it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable
@@ -47,17 +47,44 @@ def _rational(t: type) -> bool:
     return issubclass(t, (int, Fraction)) and t is not bool
 
 
-@dataclass(frozen=True)
 class Point:
     """A point of fixed dimension; equality and hashing use coordinates only.
 
     ``id`` is a stable label within a point set and deliberately excluded
     from comparison: two points are the same point iff their coordinate
     tuples are equal.
+
+    A frozen value class with the semantics of ``@dataclass(frozen=True)``
+    (its ``repr``, its hash, FrozenInstanceError on assignment), but slotted
+    and set through the slot descriptors: a point costs less to build and
+    has no ``__dict__``.
     """
 
-    coords: tuple
-    id: int = field(default=-1, compare=False)
+    __slots__ = ("coords", "id")
+
+    def __init__(self, coords: tuple, id: int = -1):
+        _set_coords(self, coords)
+        _set_id(self, id)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Point(coords={self.coords!r}, id={self.id!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
+
+    def __reduce__(self):
+        return Point, (self.coords, self.id)
 
     @property
     def dim(self) -> int:
@@ -68,6 +95,9 @@ class Point:
 
     def as_float(self) -> "Point":
         return Point(tuple(float(c) for c in self.coords), self.id)
+
+
+_set_coords, _set_id = Point.coords.__set__, Point.id.__set__
 
 
 def exact_point(coords: Iterable, pid: int = -1) -> Point:

@@ -209,8 +209,9 @@ class _Side:
             raise ValueError("dimension mismatch between the two point sets")
         if not points:
             return
-        if eps is not None:
-            self.axes = np.array(coords, dtype=float).T.copy()
+        if eps is not None:  # fromiter: far faster than np.array on a list of tuples
+            flat = np.fromiter(chain.from_iterable(coords), float, len(coords) * dim)
+            self.axes = flat.reshape(len(coords), dim).T.copy()
             return
         axes = list(zip(*coords))
         if set(map(type, chain.from_iterable(axes))) == {int}:
@@ -286,19 +287,21 @@ class _PairView:
         (self.ratio, self.a, self.b), *self.more = sides
 
     def test(self, x, y):
-        """(matches, gaps) for operands x and y, ``a`` and ``b`` broadcast
-        over a row tile; gaps are the float |d2(p, q) - d2| in tolerant
-        mode, None in exact mode (first prime)."""
+        """For operands x and y, ``a`` and ``b`` broadcast over a row tile:
+        whether each pair matches in exact mode (first prime), its float
+        gap |d2(p, q) - d2| in tolerant mode."""
         import numpy as np
 
         if self.eps is None:
-            return self._agree(self.ratio, x, y), None
-        s = 0
-        for c in range(self.dim):
+            return self._agree(self.ratio, x, y)
+        s = x[0] - y[0]
+        s *= s
+        for c in range(1, self.dim):  # in place: temporaries are most of a tile's time
             diff = x[c] - y[c]
-            s = s + diff * diff
-        gap = np.abs(s - self.target)
-        return gap <= self.eps, gap
+            diff *= diff
+            s += diff
+        s -= self.target
+        return np.abs(s, out=s)
 
     def _agree(self, ratio, x, y):
         """Whether the two sides of the exact predicate are equal for the
@@ -327,7 +330,9 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
     work per coordinate not yet converted.  With an `offenders` list,
     tolerant pairs in the guard band (eps, 100*eps] are appended to it as
     (p, q, gap) in (a, b) order: the separation certificate that tolerant
-    counting is stable.
+    counting is stable.  It runs where the band lies below d2, eps <
+    d2/100 as DistanceSpec asks of a spec's distances; a coarser
+    tolerance, which `--mode tol:<eps>` may give, decides pairs uncertified.
     """
     import numpy as np
 
@@ -336,24 +341,29 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
     if not na or not nb:
         return np.zeros(na + 1, np.intp), none
     eps = spec.eps
-    certify = offenders is not None and bool(eps)
+    certify = offenders is not None and bool(eps) and eps < float(d2) / 100
     view = _PairView(pa, pb, d2, eps)
     # rows lo:hi of pa against all of pb; a pair's flat index a * nb + b
     # orders pairs by (a, b)
     step, all_b = max(1, _BLOCK // nb), view.b[..., None, :]
     hits, band = [none], [(none, np.zeros(0))]
+    limit = 100.0 * eps if certify else eps
     for lo in range(0, na, step):
-        hi = min(lo + step, na)
-        flat = np.arange(lo * nb, hi * nb).reshape(-1, nb)
-        match, gap = view.test(view.a[..., lo:hi, None], all_b)
-        hits.append(flat[match])
+        out = view.test(view.a[..., lo : lo + step, None], all_b)
+        if eps is None:
+            hits.append(np.flatnonzero(out) + lo * nb)
+            continue
+        # the pairs within the widest gap sought, split into hits and band
+        near = np.flatnonzero(out <= limit)
+        gap = out.take(near)
+        hit = gap <= eps
+        hits.append(near[hit] + lo * nb)
         if certify:
-            near = ~match & (gap > eps) & (gap <= 100.0 * eps)
-            band.append((flat[near], gap[near]))
+            band.append((near[~hit] + lo * nb, gap[~hit]))
     hits, (band, gap) = np.concatenate(hits), map(np.concatenate, zip(*band))
     for ratio, a, b in view.more:  # each further prime tests the pairs the earlier ones kept
         hits = hits[view._agree(ratio, a.take(hits // nb, -1), b.take(hits % nb, -1))]
-    if certify:
+    if len(band):
         (pts_a, pts_b), (rows, cols) = view.points, (side.tolist() for side in np.divmod(band, nb))
         offenders.extend((pts_a[p], pts_b[q], g) for p, q, g in zip(rows, cols, gap.tolist()))
     return np.searchsorted(hits, np.arange(0, (na + 1) * nb, nb)), hits % nb
@@ -384,18 +394,24 @@ def _pair_runs(spec: DistanceSpec, offenders=None):
     return run
 
 
-def build_adjacency(config: LayeredConfig) -> BipartiteAdjacency:
-    """The CSR adjacency of every consecutive layer pair, each distinct
-    pair of point tuples and distance decided once (see _pair_runs).  In
-    tolerant mode the guard-band certificate runs alongside: a pair in the
-    band raises CertificationError."""
+def _certified_pairs(spec: DistanceSpec, triples) -> list:
+    """The CSR arrays of the pairs (pa, pb, d2) of point tuples, each
+    distinct one decided once (see _pair_runs).  In tolerant mode the
+    guard-band certificate runs alongside: a pair in the band raises
+    CertificationError."""
     offenders: list = []
-    run = _pair_runs(config.spec, offenders)
-    points = [ly.points for ly in config.layers]
-    pairs = tuple(map(run, points, points[1:], config.spec.delta2))
+    run = _pair_runs(spec, offenders)
+    pairs = [run(*triple) for triple in triples]
     if offenders:
         raise CertificationError(offenders)
-    return BipartiteAdjacency(pairs)
+    return pairs
+
+
+def build_adjacency(config: LayeredConfig) -> BipartiteAdjacency:
+    """The certified CSR adjacency of every consecutive layer pair (see
+    _certified_pairs)."""
+    points = [ly.points for ly in config.layers]
+    return BipartiteAdjacency(tuple(_certified_pairs(config.spec, zip(points, points[1:], config.spec.delta2))))
 
 
 def _coord_classes(layers, exact: bool) -> list[list[int]]:
@@ -502,7 +518,9 @@ class _CountTree:
         self.dtype = np.int64 if math.prod(map(len, classes)) < 1 << 63 else object
         # per child u: its edges (q, p) to the parent, p ascending and then
         # the class of q ascending, and the order that lists them as the
-        # CSR arrays do (by q, then p); sorted once per distinct pair
+        # CSR arrays do (by q, then p); sorted once per distinct pair.  The
+        # CSR order has q ascending, so when classes ascend with q a stable
+        # sort by p alone gives that order
         self.edges: list = [None] * len(classes)
         runs: dict = {}
         for u, v in enumerate(parent):
@@ -510,7 +528,8 @@ class _CountTree:
             if v >= 0 and key not in runs:
                 offsets, p = pairs[u]
                 q = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-                by = np.lexsort((self.classes[u][q], p))
+                cu = self.classes[u]
+                by = np.argsort(p, kind="stable") if np.all(cu[1:] >= cu[:-1]) else np.lexsort((cu[q], p))
                 csr = np.empty_like(by)
                 csr[by] = np.arange(len(by))
                 runs[key] = q[by], p[by], csr
@@ -800,8 +819,9 @@ def count_chains_and_walks(config: LayeredConfig, adjacency: BipartiteAdjacency 
 
 
 def count_incidences(P: Layer, Q: Layer, d2, spec: DistanceSpec) -> int:
-    """Ordered pairs (p, q) in P x Q realizing squared distance d2."""
-    return len(_pair_lists(P.points, Q.points, d2, spec)[1])
+    """Ordered pairs (p, q) in P x Q realizing squared distance d2; a
+    tolerant pair in the guard band raises CertificationError."""
+    return len(_certified_pairs(spec, [(P.points, Q.points, d2)])[0][1])
 
 
 @dataclass(frozen=True)
@@ -866,10 +886,9 @@ def _tree_counter(layers, tree: LabeledTree, spec: DistanceSpec) -> _CountTree:
     if len(layers) != tree.vertex_count:
         raise ValueError("need one layer per tree vertex")
     order = tree.traversal()
-    parent = [-1] * tree.vertex_count
-    pairs: list = [None] * tree.vertex_count
-    run = _pair_runs(spec)  # one run per distinct (vertex set, parent set, d2)
-    for v, u, d2 in order[1:]:
-        parent[v] = u
-        pairs[v] = run(layers[v].points, layers[u].points, d2)
+    parent, pairs = [-1] * tree.vertex_count, [None] * tree.vertex_count
+    # one run per distinct (vertex set, parent set, d2)
+    decided = _certified_pairs(spec, ((layers[v].points, layers[u].points, d2) for v, u, d2 in order[1:]))
+    for (v, u, _), csr in zip(order[1:], decided):
+        parent[v], pairs[v] = u, csr
     return _CountTree(_coord_classes(layers, spec.exact), parent, pairs, [v for v, _, _ in reversed(order)])

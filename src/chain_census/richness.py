@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import DistanceSpec
-from .layered import BipartiteAdjacency, Layer, LayeredConfig, _pair_lists, _ranges, build_adjacency
+from .layered import BipartiteAdjacency, Layer, LayeredConfig, _certified_pairs, _ranges, build_adjacency
 
 
 def degree_vector(target: Layer, reference: Layer, d2, spec: DistanceSpec) -> list[int]:
-    """Number of reference points at the given distance from each target point."""
+    """Number of reference points at the given distance from each target
+    point; a tolerant pair in the guard band raises CertificationError."""
     import numpy as np
 
-    return np.diff(_pair_lists(target.points, reference.points, d2, spec)[0]).tolist()
+    return np.diff(_certified_pairs(spec, [(target.points, reference.points, d2)])[0][0]).tolist()
 
 
 def rich_points(target: Layer, reference: Layer, d2, r: int, spec: DistanceSpec) -> Layer:

@@ -546,6 +546,27 @@ def test_guard_band_manifest_is_one_error_line(tmp_path, verb):
 
 
 @pytest.mark.parametrize(
+    "verb",
+    [
+        "incidences --a {a} --b {b} --d2 1",
+        "rich --target {a} --ref {b} --d2 1 --r 1",
+        "count-tree --tree {tree} --layer {a} --layer {b}",
+    ],
+    ids=["incidences", "rich", "count-tree"],
+)
+def test_guard_band_point_files_are_one_error_line(tmp_path, verb):
+    # the pair of the manifest test above, read from point files: the
+    # verbs that decide pairs without a manifest certify them too
+    files = {"a": tmp_path / "a.pts", "b": tmp_path / "b.pts", "tree": tmp_path / "edge.tree"}
+    files["a"].write_text("dim 2 count 1 mode float\n0.0 0.0\n")
+    files["b"].write_text("dim 2 count 1 mode float\n1.00000002 0.0\n")
+    files["tree"].write_text("vertices 2\nedge 1 2 1\n")
+    proc = run_process(*verb.format(**files).split())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["1 pair(s) inside the separation guard band: |d2(0,0)-target|=4.000e-08"]
+
+
+@pytest.mark.parametrize(
     "body",
     [
         "dim 2 count 3 mode exact\n0 0\n1 0\n1 0\n",

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,39 @@ from chain_census.geometry import (
 )
 
 F = Fraction
+
+
+class TestPoint:
+    """Point keeps the value semantics of a frozen dataclass whose ``id``
+    field is left out of comparison."""
+
+    def test_id_ignored_by_equality(self):
+        assert Point((1, 2), 0) == Point((1, 2), 7) == Point((1, 2))
+        assert Point((1, 2), 0) != Point((2, 1), 0)
+        assert Point((1, 2)) != (1, 2) and Point((1, 2)).__eq__((1, 2)) is NotImplemented
+        assert len({Point((1, 2), 0), Point((1, 2), 1), Point((F(1), F(2)), 2)}) == 1
+
+    def test_hash_is_the_coordinate_tuple_hash(self):
+        for coords in [(1, 2), (F(1, 3), 0), (0.5, -1.25, 3.0), ()]:
+            assert hash(Point(coords, 5)) == hash((coords,))
+
+    def test_repr(self):
+        assert repr(Point((1, F(1, 2)), 3)) == "Point(coords=(1, Fraction(1, 2)), id=3)"
+        assert repr(Point((0.5,))) == "Point(coords=(0.5,), id=-1)"
+
+    def test_fields_cannot_be_assigned(self):
+        p = Point((1, 2), 3)
+        for name, value in [("coords", (0, 0)), ("id", 4), ("other", 1)]:
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(p, name, value)
+        with pytest.raises(AttributeError):
+            del p.id
+        assert p.coords == (1, 2) and p.id == 3 and not hasattr(p, "__dict__")
+
+    def test_copies_keep_both_fields(self):
+        p = Point((F(1, 3), 2), 9)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert (q.coords, q.id) == (p.coords, p.id)
 
 
 class TestSquaredDistance:

@@ -197,6 +197,36 @@ def test_aliased_layers_match_enumeration(cfg):
     assert (counter.injective(walks), walks) == want
 
 
+@st.composite
+def reordered_configs(draw):
+    """Layers from a small pool of point sets and one layer that repeats
+    an earlier layer's points in another order, so its coordinate classes
+    do not ascend with its point indices."""
+    k = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(POINT, min_size=2, max_size=6, unique=True), min_size=1, max_size=3))
+    layers = [draw(st.sampled_from(pool)) for _ in range(k)]
+    at = draw(st.integers(1, k))
+    shuffled = draw(st.permutations(layers[at - 1]).filter(lambda pts: pts != layers[at - 1]))
+    layers.insert(at, shuffled)
+    return make_config(layers, [draw(st.sampled_from([1, 2, 4, 5])) for _ in range(k)])
+
+
+@CHECKS
+@given(reordered_configs())
+def test_count_tree_edge_order_is_the_lexsort(cfg):
+    # whichever sort _CountTree picks for a run, its edges are ordered by
+    # parent point, then by the class of the child point
+    adj = build_adjacency(cfg)
+    tree = _chain_tree(cfg, adj)
+    assert not all(np.all(c[1:] >= c[:-1]) for c in tree.classes)
+    for u, (offsets, p) in enumerate(adj.pairs):
+        q = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        by = np.lexsort((tree.classes[u][q], p))
+        got_q, got_p, csr = tree.edges[u]
+        assert got_q.tolist() == q[by].tolist() and got_p.tolist() == p[by].tolist()
+        assert got_q[csr].tolist() == q.tolist()
+
+
 @CHECKS
 @given(trees(), SMALL_SET, st.sampled_from([None, 1e-9, 1.5, 4.5]))
 def test_single_set_trees_in_both_dtypes(tree, points, eps):
