@@ -257,7 +257,10 @@ def _cmd_rich(args) -> int:
 
 def _cmd_decompose(args) -> int:
     cfg = read_manifest(args.manifest)
-    classes = stable_covering(cfg, args.eps)
+    try:
+        classes = stable_covering(cfg, args.eps)
+    except ValueError as exc:  # an eps outside (0, 1]
+        raise SystemExit(str(exc)) from None
     print(f"classes {len(classes)}")
     for cc in classes:
         steps = ";".join(",".join(map(str, vec)) for vec in cc.sequence.vectors)
@@ -298,19 +301,17 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.claim in ("closed-form", "floor"):
-        if not args.construction:
-            raise SystemExit(f"{args.claim} verification needs --construction")
-        verify = verify_closed_form if args.claim == "closed-form" else verify_floor
-        try:
+    flag = "manifest" if args.claim == "covering" else "construction"
+    if not getattr(args, flag):
+        raise SystemExit(f"{args.claim} verification needs --{flag}")
+    try:  # a bad size, construction or eps outside (0, 1] is one error line
+        if args.claim == "covering":
+            res = verify_covering(read_manifest(args.manifest), args.eps)
+        else:
+            verify = verify_closed_form if args.claim == "closed-form" else verify_floor
             res = verify(args.construction, args.k, args.n, float(args.eps), args.seed)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    else:
-        if not args.manifest:
-            raise SystemExit("covering verification needs --manifest")
-        cfg = read_manifest(args.manifest)
-        res = verify_covering(cfg, args.eps)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     print(f"{res.verdict} computed={res.computed} expected={res.expected} ({res.detail})")
     return 0 if res.passed else 1
 

@@ -109,12 +109,6 @@ class LayeredConfig:
         layers = (Layer(tuple(map(ly.points.__getitem__, pick)), ly.label) for ly, pick in zip(self.layers, picks))
         return LayeredConfig(tuple(layers), self.spec)
 
-    def reversed(self) -> "LayeredConfig":
-        return LayeredConfig(
-            tuple(reversed(self.layers)),
-            DistanceSpec(tuple(reversed(self.spec.delta2)), self.spec.eps),
-        )
-
 
 def make_config(layers, delta2, eps: float | None = None) -> LayeredConfig:
     lys = tuple(
@@ -131,22 +125,15 @@ class BipartiteAdjacency:
     """The edges of every consecutive layer pair as CSR arrays: pairs[i] is
     (offsets, indices), and indices[offsets[p]:offsets[p + 1]] are the
     ascending indices (into layer i+1) of the points at the i-th squared
-    distance from point p of layer i.  The counting engine and the
-    covering search read the arrays; `neighbors` lists them as tuples."""
+    distance from point p of layer i."""
 
     pairs: tuple
 
-    @property
-    def neighbors(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """neighbors[i][p]: the indices of pair i's row p, as a tuple."""
-        out = []
-        for offsets, indices in self.pairs:
-            cuts, flat = offsets.tolist(), indices.tolist()
-            out.append(tuple(tuple(flat[lo:hi]) for lo, hi in zip(cuts, cuts[1:])))
-        return tuple(out)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, BipartiteAdjacency) and self.neighbors == other.neighbors
+        import numpy as np
+
+        same = isinstance(other, BipartiteAdjacency) and len(self.pairs) == len(other.pairs)
+        return same and all(np.array_equal(a, b) for x, y in zip(self.pairs, other.pairs) for a, b in zip(x, y))
 
     def edge_count(self, i: int) -> int:
         return int(self.pairs[i][0][-1])
@@ -474,6 +461,18 @@ def _ranges(first, sizes):
     return out
 
 
+def _transpose(offsets, indices, n: int):
+    """A pair's CSR arrays read from the other side, whose n points become
+    the rows, and the permutation `by` that lists the edges in that order
+    (by index, then by row): a stable counting sort of the indices, which
+    numpy runs as a radix sort below 2^16 points."""
+    import numpy as np
+
+    by = np.argsort(indices.astype(np.min_scalar_type(n)), kind="stable")
+    rows = np.arange(len(offsets) - 1).repeat(np.diff(offsets))
+    return np.concatenate(([0], np.bincount(indices, minlength=n).cumsum())), rows[by], by
+
+
 def _ascending(keys, vals):
     """Distinct keys and their values, in key order."""
     import numpy as np
@@ -519,20 +518,22 @@ class _CountTree:
         # per child u: its edges (q, p) to the parent, p ascending and then
         # the class of q ascending, and the order that lists them as the
         # CSR arrays do (by q, then p); sorted once per distinct pair.  The
-        # CSR order has q ascending, so when classes ascend with q a stable
-        # sort by p alone gives that order
+        # transpose lists them by p, then q, which is that order when
+        # classes ascend with q
         self.edges: list = [None] * len(classes)
         runs: dict = {}
         for u, v in enumerate(parent):
             key = id(pairs[u]), id(classes[u])
             if v >= 0 and key not in runs:
                 offsets, p = pairs[u]
-                q = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+                _, q, by = _transpose(offsets, p, len(classes[v]))
                 cu = self.classes[u]
-                by = np.argsort(p, kind="stable") if np.all(cu[1:] >= cu[:-1]) else np.lexsort((cu[q], p))
+                if np.any(cu[1:] < cu[:-1]):  # each p's run by the class of q
+                    sub = np.lexsort((cu[q], p[by]))
+                    q, by = q[sub], by[sub]
                 csr = np.empty_like(by)
                 csr[by] = np.arange(len(by))
-                runs[key] = q[by], p[by], csr
+                runs[key] = q, p[by], csr
             self.edges[u] = runs.get(key)
         self._memo: dict = {}  # pushes reused across patterns, oldest first
         self._stored = 0
@@ -790,8 +791,6 @@ def count_walks(config: LayeredConfig, adjacency: BipartiteAdjacency | None = No
     One layer-by-layer dynamic programming pass over the adjacency, O(E);
     the distinct-free upper surrogate for count_chains.
     """
-    if config.k == 0:
-        return len(config.layers[0])
     return _chain_tree(config, adjacency).homs()
 
 
@@ -811,8 +810,6 @@ def count_chains(config: LayeredConfig, adjacency: BipartiteAdjacency | None = N
 def count_chains_and_walks(config: LayeredConfig, adjacency: BipartiteAdjacency | None = None) -> tuple[int, int]:
     """(count_chains, count_walks) from one counting engine: the walk count
     is the first term of the chain count's Möbius sum."""
-    if config.k == 0:
-        return len(config.layers[0].coord_set()), len(config.layers[0])
     tree = _chain_tree(config, adjacency)
     walks = tree.homs()
     return tree.injective(walks), walks

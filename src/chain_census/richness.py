@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import DistanceSpec
-from .layered import BipartiteAdjacency, Layer, LayeredConfig, _certified_pairs, _ranges, build_adjacency
+from .layered import BipartiteAdjacency, Layer, LayeredConfig, _certified_pairs, _ranges, _transpose, build_adjacency
 
 
 def degree_vector(target: Layer, reference: Layer, d2, spec: DistanceSpec) -> list[int]:
@@ -78,30 +78,17 @@ class _Filtering:
     def __init__(self, config: LayeredConfig, cuts, adjacency=None):
         import numpy as np
 
-        self.config = config
         self.sizes = [len(layer) for layer in config.layers]
-        pairs = (adjacency or build_adjacency(config)).pairs
         # (ref, i): offsets, indices and row lengths of the neighbours in layer i of layer ref's points
-        self.csr = {(i, i + 1): (offsets, indices, np.diff(offsets)) for i, (offsets, indices) in enumerate(pairs)}
-        self.flipped = {}  # transposes, by the id of the indices they transpose
+        self.csr, flipped = {}, {}  # right to left: the transpose, once per distinct pair
+        for i, (offsets, indices) in enumerate((adjacency or build_adjacency(config)).pairs):
+            if id(indices) not in flipped:
+                back_offsets, back_indices, _ = _transpose(offsets, indices, self.sizes[i + 1])
+                flipped[id(indices)] = back_offsets, back_indices, np.diff(back_offsets)
+            self.csr[i, i + 1] = offsets, indices, np.diff(offsets)
+            self.csr[i + 1, i] = flipped[id(indices)]
         self.whole = tuple(map(np.arange, self.sizes))
         self.cuts = np.array(cuts)
-
-    def _neighbours(self, ref: int, i: int):
-        """The CSR from layer ref to layer i.  A right-to-left one is the
-        transpose, built once per distinct pair by a stable counting sort
-        of the neighbour indices (numpy's radix sort below 2^16 points)."""
-        import numpy as np
-
-        if (ref, i) not in self.csr:
-            offsets, indices, lengths = self.csr[i, ref]
-            if id(indices) not in self.flipped:
-                by = np.argsort(indices.astype(np.min_scalar_type(self.sizes[ref])), kind="stable")
-                counts = np.bincount(indices, minlength=self.sizes[ref])
-                rows = np.arange(self.sizes[i]).repeat(lengths)
-                self.flipped[id(indices)] = np.concatenate(([0], counts.cumsum())), rows[by], counts
-            self.csr[ref, i] = self.flipped[id(indices)]
-        return self.csr[ref, i]
 
     def level(self, subs):
         """The level of the one configuration whose sub-layers are the
@@ -110,13 +97,6 @@ class _Filtering:
 
         bits = tuple(np.packbits(np.bincount(s, minlength=n) > 0)[None] for s, n in zip(subs, self.sizes))
         return bits, np.array([list(map(len, subs))])
-
-    def children(self, subs, parity: int):
-        """(class indices, configuration) of every pass over the
-        configuration subs that leaves every layer nonempty (see expand)."""
-        _, vectors, kids = self.expand(self.level(subs), parity)
-        picks = self.picks([(kids, range(len(vectors)))])
-        return [(tuple(v), self.config.restrict(p)) for v, p in zip(vectors.tolist(), picks)]
 
     def expand(self, level, parity: int):
         """Every pass over every configuration of a level that leaves every
@@ -141,7 +121,7 @@ class _Filtering:
         own, pts = np.unpackbits(bits[order[0]], axis=1, count=self.sizes[order[0]]).nonzero()
         fend, steps = np.concatenate(([0], lengths[:, order[0]].cumsum())), []
         for ref, i in zip(order, order[1:]):
-            n, (aoff, aidx, reach) = self.sizes[i], self._neighbours(ref, i)
+            n, (aoff, aidx, reach) = self.sizes[i], self.csr[ref, i]
             reach, starts = reach[pts], [0]
             if reach.sum() + n * len(node) > _BUDGET:  # chunks that fit: their neighbours and dense entries
                 cost = np.concatenate(([0], reach.cumsum()))[fend] + n * np.arange(len(fend))
@@ -230,6 +210,23 @@ class CoveringClass:
         return same and list(map(list, self.picks)) == list(map(list, other.picks))
 
 
+def _is_stable(old_size: int, new_size: int, n: int, eps: Fraction) -> bool:
+    """Whether a step from old_size to new_size (both >= 1) is stable:
+    new >= old n^-eps, that is new^den n^num >= old^den for eps = num/den."""
+    num, den = eps.numerator, eps.denominator
+    # math.log2 of an int is within 2^-50 (|log2 x| + 1) of the truth, and
+    # each float conversion, product or difference adds a relative 2^-53;
+    # so the margin num log2 n - den log2(old/new) is within 2^-48 (num
+    # (log2 n + 1) + den (log2 old + log2 new + 2)) of the true one, and its
+    # sign decides outside 8 times that.  Inside, the integers decide, at a
+    # cost that grows with den
+    log_n, log_old, log_new = math.log2(n), math.log2(old_size), math.log2(new_size)
+    margin = num * log_n - den * (log_old - log_new)
+    if abs(margin) > 2**-45 * (num * (log_n + 1) + den * (log_old + log_new + 2)):
+        return margin > 0
+    return new_size**den * n**num >= old_size**den
+
+
 def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | None = None) -> list[CoveringClass]:
     """The set of maximal unstable-then-stable filtering sequences.
 
@@ -249,12 +246,7 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
     cuts = richness_thresholds(n, eps)
     filtering = _Filtering(config, cuts, adjacency)
     expo = [m * eps for m in range(len(cuts))]  # class index -> exponent
-    p_num, p_den = eps.numerator, eps.denominator
     max_len = math.floor((config.k + 1) / eps) + 1
-
-    def is_stable(old_size: int, new_size: int) -> bool:
-        # new >= old * n^(-eps)  <=>  new^den * n^num >= old^den
-        return new_size**p_den * n**p_num >= old_size**p_den
 
     # one BFS depth at a time: its sequences share one parity, so one
     # expand filters all of them
@@ -266,7 +258,7 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
         for j, (p, vec, lens) in enumerate(zip(node.tolist(), vectors.tolist(), kids[1].tolist())):
             prefix, sizes, size = nodes[p]
             child, new_size = prefix + (tuple(vec),), math.prod(lens)
-            if is_stable(size, new_size):
+            if _is_stable(size, new_size, n, eps):
                 stable.append(j)
                 found.append((child, sizes + (new_size,)))
             elif len(child) > max_len:

@@ -10,8 +10,11 @@ its degrees afresh.  The library builds rational circle points from
 integers; `circle_point_oracle` and `circle_points_oracle` are its former
 generators, one `Fraction` operation at a time.  The library keeps its
 adjacency as CSR arrays; `adjacency_oracle` decides every pair with
-`matches_distance`, and `restrict_oracle` is the former restriction of
-adjacency lists.  The library builds float planar bases from the circle
+`matches_distance`, `neighbors` lists an adjacency's arrays as tuples, and
+`restrict_oracle` is the former restriction of adjacency lists.
+`reversed_config` reverses a configuration's layers and distances, and
+`filtering_children` lists the one-pass children of a configuration from
+the library's filtering.  The library builds float planar bases from the circle
 kernel's integers; `to_float_layers` is the former route, `Point.as_float`
 of every point of the exact base.
 """
@@ -24,9 +27,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from chain_census.geometry import Point, matches_distance
+from chain_census.geometry import DistanceSpec, Point, matches_distance
 from chain_census.layered import Layer, LayeredConfig, build_adjacency
-from chain_census.richness import CoveringClass, DecompositionSequence, degree_vector, richness_thresholds
+from chain_census.richness import CoveringClass, DecompositionSequence, _Filtering, degree_vector, richness_thresholds
 
 
 def circle_point_oracle(center: Point, seed: tuple, t) -> Point:
@@ -63,11 +66,38 @@ def adjacency_oracle(config: LayeredConfig) -> tuple:
     )
 
 
-def restrict_oracle(neighbors, picks) -> tuple:
+def neighbors(adjacency) -> tuple:
+    """neighbors(adjacency)[i][p]: the indices of pair i's row p, as a tuple."""
+    out = []
+    for offsets, indices in adjacency.pairs:
+        cuts, flat = offsets.tolist(), indices.tolist()
+        out.append(tuple(tuple(flat[lo:hi]) for lo, hi in zip(cuts, cuts[1:])))
+    return tuple(out)
+
+
+def reversed_config(config: LayeredConfig) -> LayeredConfig:
+    """The layers and squared distances of config in reverse order."""
+    return LayeredConfig(
+        tuple(reversed(config.layers)),
+        DistanceSpec(tuple(reversed(config.spec.delta2)), config.spec.eps),
+    )
+
+
+def filtering_children(config: LayeredConfig, cuts, parity: int) -> list:
+    """(class indices, configuration) of every pass over config under the
+    richness cutoffs cuts that leaves every layer nonempty, from the
+    library's _Filtering (see its expand)."""
+    filtering = _Filtering(config, cuts)
+    _, vectors, kids = filtering.expand(filtering.level(filtering.whole), parity)
+    picks = filtering.picks([(kids, range(len(vectors)))])
+    return [(tuple(v), config.restrict(p)) for v, p in zip(vectors.tolist(), picks)]
+
+
+def restrict_oracle(lists, picks) -> tuple:
     """Adjacency lists among the points picks[i] of each layer i, renumbered
     0, 1, ... in pick order."""
     out = []
-    for nbs, rows, cols in zip(neighbors, picks, picks[1:]):
+    for nbs, rows, cols in zip(lists, picks, picks[1:]):
         rank = {q: j for j, q in enumerate(cols)}
         out.append(tuple(tuple(sorted(rank[q] for q in nbs[p] if q in rank)) for p in rows))
     return tuple(out)
@@ -83,7 +113,7 @@ def backtrack_chains(config: LayeredConfig) -> int:
     classes, n_classes = _classes(config.layers)
     if config.k == 0:
         return len(set(classes[0]))
-    neighbors = build_adjacency(config).neighbors
+    adjacency = neighbors(build_adjacency(config))
     k = config.k
     visited = bytearray(n_classes)
 
@@ -92,7 +122,7 @@ def backtrack_chains(config: LayeredConfig) -> int:
             return 1
         total = 0
         nxt = classes[i + 1]
-        for q in neighbors[i][p]:
+        for q in adjacency[i][p]:
             c = nxt[q]
             if not visited[c]:
                 visited[c] = 1
@@ -213,7 +243,7 @@ def _nonempty_children(config: LayeredConfig, parity: int, cuts):
     configuration, read back in reverse."""
     if parity == 0:
         return [
-            (idx[::-1], filt[::-1]) for idx, filt in _nonempty_children(config.reversed(), 1, cuts)
+            (idx[::-1], filt[::-1]) for idx, filt in _nonempty_children(reversed_config(config), 1, cuts)
         ]
     layers, spec = config.layers, config.spec
     partials = [([0], [layers[0]])]

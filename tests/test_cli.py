@@ -203,6 +203,17 @@ class TestDecomposeExperimentVerify:
         proc = run_process("--eps", "1/10", "verify", "--claim", "covering", "--manifest", manifest, timeout=20)
         assert proc.stdout == "PASS computed=(39744, 3) expected=(39744, 41) (14 covering classes)\n"
 
+    def test_long_denominator_eps_decomposes(self, tmp_path, capsys):
+        # eps over 10^10: the stability test decided by raising class sizes
+        # to the 10^10-th power did not finish
+        code, out = run(
+            capsys,
+            "--out", str(tmp_path),
+            "generate", "--construction", "3d-odd-regular", "--k", "3", "--n", "64",
+        )
+        proc = run_process("--eps", "0.3333333333", "decompose", "--manifest", out.strip(), timeout=20)
+        assert proc.returncode == 0 and proc.stdout.startswith("classes 1\nsequence 0,3333333333/10000000000,")
+
     def test_verify_covering_line(self, tmp_path, capsys):
         code, out = run(
             capsys,
@@ -336,6 +347,15 @@ def test_bad_construction_is_one_error_line(argv, code, message):
     assert "Traceback" not in proc.stderr
     errors = [ln for ln in proc.stderr.splitlines() if not ln.startswith(("usage:", " "))]
     assert len(errors) == 1 and errors[0].startswith(message)
+
+
+@pytest.mark.parametrize("eps", ["2", "0", "-1"])
+@pytest.mark.parametrize("verb", ["decompose", "verify --claim covering"])
+def test_eps_outside_unit_interval_is_one_error_line(tmp_path, capsys, eps, verb):
+    run(capsys, "--out", str(tmp_path), "generate", "--construction", "3d-odd-regular", "--k", "3", "--n", "8")
+    proc = run_process(f"--eps={eps}", *verb.split(), "--manifest", str(tmp_path / "manifest.txt"))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["eps must be in (0, 1]"]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chain_census.geometry import (
@@ -14,12 +15,14 @@ from chain_census.geometry import (
     rational_circle_points,
 )
 from chain_census.layered import (
+    BipartiteAdjacency,
     LabeledTree,
     Layer,
     _chain_tree,
     _tree_counter,
     build_adjacency,
     count_chains,
+    count_chains_and_walks,
     count_incidences,
     count_tree_embeddings,
     count_walks,
@@ -29,7 +32,7 @@ from chain_census.layered import (
 )
 from chain_census import layered
 from chain_census.constructions import gen_orthogonal_circles, gen_planar_chain, gen_star
-from oracles import backtrack_tree_embeddings, enumerate_chains, enumerate_walks_count
+from oracles import backtrack_tree_embeddings, enumerate_chains, enumerate_walks_count, neighbors, reversed_config
 
 F = Fraction
 
@@ -101,12 +104,12 @@ class TestAdjacency:
     def test_single_edge(self):
         cfg = make_config([[(0, 0)], [(1, 0)]], (1,))
         adj = build_adjacency(cfg)
-        assert adj.neighbors == (((0,),),)
+        assert neighbors(adj) == (((0,),),)
 
     def test_orthogonal_circles_complete_bipartite(self):
         cfg = gen_orthogonal_circles(4, 1, 20).config
         adj = build_adjacency(cfg)
-        for i, nbs in enumerate(adj.neighbors[0]):
+        for i, nbs in enumerate(neighbors(adj)[0]):
             assert len(nbs) == 10
             side = 0 if i < 10 else 1
             assert all((q >= 10) == (side == 0) for q in nbs)
@@ -115,6 +118,16 @@ class TestAdjacency:
         cfg = make_config([[(0.0, 0.0)], [(1.0 + 2e-8, 0.0)]], (1.0,), eps=1e-9)
         with pytest.raises(CertificationError):
             build_adjacency(cfg)
+
+    def test_equality_compares_every_array(self):
+        cfg = make_config([[(0, 0), (2, 0)], [(1, 0), (3, 0)], [(2, 0)]], (1, 1))
+        adj = build_adjacency(cfg)
+        assert adj == build_adjacency(cfg)
+        assert adj != BipartiteAdjacency(adj.pairs[:1])  # one pair fewer
+        indices = np.array([0, 1])
+        split = BipartiteAdjacency(((np.array([0, 1, 2]), indices),))
+        assert split == BipartiteAdjacency(((np.array([0, 1, 2]), indices.copy()),))
+        assert split != BipartiteAdjacency(((np.array([0, 2, 2]), indices),))  # same indices, rows split apart
 
 
 class TestRepeatedPairs:
@@ -160,6 +173,12 @@ class TestWalks:
         cfg = make_config([[(i, 0) for i in range(5)]], ())
         assert count_walks(cfg) == 5
 
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_k0_chains_and_walks(self, size):
+        # the engine's root alone: one chain and one walk per point
+        cfg = make_config([[(i, 0) for i in range(size)]], ())
+        assert count_chains_and_walks(cfg) == (size, size)
+
     def test_complete_bipartite_product(self):
         # alternating 10-point circle layers: every step has degree 10
         base = gen_orthogonal_circles(4, 1, 20).config
@@ -195,7 +214,7 @@ class TestChains:
         rng = random.Random(37)
         for _ in range(20):
             cfg = random_int_config(rng, rng.randint(1, 3), 5, d2=rng.choice([1, 2]))
-            assert count_chains(cfg) == count_chains(cfg.reversed())
+            assert count_chains(cfg) == count_chains(reversed_config(cfg))
 
     def test_matches_enumeration(self):
         rng = random.Random(41)
@@ -253,7 +272,7 @@ class TestSeparationCertificate:
 
     def test_clean_set_passes(self):
         adj = self.certify([(0.0, 0.0)], [(1.0, 0.0), (5.0, 5.0)])
-        assert adj.neighbors == (((0,),),)
+        assert neighbors(adj) == (((0,),),)
 
     def test_guard_band_flagged(self):
         # squared gap ~4e-8: inside (eps, 100*eps]

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chain_census import layered
+from chain_census import layered, richness
 from chain_census.constructions import (
     _dyadic_below,
     _matched,
@@ -59,7 +59,7 @@ from chain_census.layered import (
     make_layer,
     path_tree,
 )
-from chain_census.richness import _Filtering, degree_vector, richness_thresholds, stable_covering
+from chain_census.richness import degree_vector, richness_thresholds, stable_covering
 from oracles import (
     adjacency_oracle,
     backtrack_chains,
@@ -69,8 +69,11 @@ from oracles import (
     covering_oracle,
     enumerate_chains,
     enumerate_walks_count,
+    filtering_children,
+    neighbors,
     product_tree_embeddings,
     restrict_oracle,
+    reversed_config,
 )
 
 CHECKS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -137,9 +140,9 @@ def test_reversal_and_translation_invariance(cfg, offset):
         cfg.spec.delta2,
     )
     want = count_chains(cfg)
-    assert count_chains(cfg.reversed()) == want
+    assert count_chains(reversed_config(cfg)) == want
     assert count_chains(moved) == want
-    assert count_walks(moved) == count_walks(cfg) == count_walks(cfg.reversed())
+    assert count_walks(moved) == count_walks(cfg) == count_walks(reversed_config(cfg))
 
 
 @CHECKS
@@ -225,6 +228,23 @@ def test_count_tree_edge_order_is_the_lexsort(cfg):
         got_q, got_p, csr = tree.edges[u]
         assert got_q.tolist() == q[by].tolist() and got_p.tolist() == p[by].tolist()
         assert got_q[csr].tolist() == q.tolist()
+
+
+@CHECKS
+@given(st.data(), st.sampled_from([0, 1, 7, 256, (1 << 16) - 1, 1 << 16, (1 << 16) + 5]))
+def test_transpose_lists_the_edges_as_the_lexsort(data, n):
+    # rows of ascending distinct indices, empty rows and an empty other
+    # side included; from 2^16 other-side points the indices sort as
+    # uint32, where numpy's stable sort is not a radix sort
+    row = st.lists(st.integers(0, n - 1), unique=True).map(sorted) if n else st.just([])
+    rows = data.draw(st.lists(row, max_size=12))
+    offsets = np.array([0, *itertools.accumulate(map(len, rows))], np.intp)
+    indices = np.array([q for r in rows for q in r], np.intp)
+    back_offsets, back_indices, by = layered._transpose(offsets, indices, n)
+    q = np.repeat(np.arange(len(rows)), np.diff(offsets))
+    assert by.tolist() == np.lexsort((q, indices)).tolist()
+    assert back_indices.tolist() == q[by].tolist()
+    assert back_offsets.tolist() == np.searchsorted(indices[by], np.arange(n + 1)).tolist()
 
 
 @CHECKS
@@ -326,7 +346,7 @@ def oracle_lists(pa, pb, d2, spec):
 
 def kernel_lists(*args):
     """The pair kernel's CSR arrays as adjacency lists, as oracle_lists gives them."""
-    return BipartiteAdjacency((_pair_lists(*args),)).neighbors[0]
+    return neighbors(BipartiteAdjacency((_pair_lists(*args),)))[0]
 
 
 # Tile sizes in pairs: below len(pb) a tile is one row.
@@ -508,7 +528,7 @@ def test_repeated_pairs_decided_once(cfg):
         adj = BipartiteAdjacency(tuple(map(layered._pair_runs(cfg.spec), points, points[1:], cfg.spec.delta2)))
     else:
         assert not offenders
-    assert adj.neighbors == want == adjacency_oracle(cfg)
+    assert neighbors(adj) == want == adjacency_oracle(cfg)
     # positions holding one (tuple, tuple, d2) share its arrays; others do not
     for (i, ti), (j, tj) in itertools.combinations(enumerate(triples), 2):
         same = (id(ti[0]), id(ti[1]), ti[2]) == (id(tj[0]), id(tj[1]), tj[2])
@@ -632,6 +652,21 @@ def test_level_search_matches_oracle(cfg, eps):
 
 
 @CHECKS
+@given(st.integers(1, 1000).flatmap(lambda den: st.builds(Fraction, st.integers(1, den), st.just(den))), st.data())
+def test_stability_filter_equals_the_integer_decision(eps, data):
+    # near ties too: n = t^den and old = new t^num, give or take one
+    num, den = eps.numerator, eps.denominator
+    if data.draw(st.booleans()):
+        t = data.draw(st.integers(2, 3))
+        n, new = t**den, data.draw(st.integers(1, 10**6))
+        old = new * t**num + data.draw(st.integers(-1, 1))
+    else:
+        n, new = data.draw(st.integers(1, 10**6)), data.draw(st.integers(1, 10**30))
+        old = data.draw(st.integers(new, new * n))
+    assert richness._is_stable(old, new, n, eps) == (new**den * n**num >= old**den)
+
+
+@CHECKS
 @given(exact_or_tolerant_configs(), EPS, st.sampled_from([0, 1]))
 def test_richness_filter_matches_degree_filter(cfg, eps, parity):
     # the former filter: degrees from the pair kernel, one layer at a time,
@@ -653,8 +688,7 @@ def test_richness_filter_matches_degree_filter(cfg, eps, parity):
 
     if cfg.layers[order[0]].points:
         extend({order[0]: 0}, {order[0]: cfg.layers[order[0]]})
-    filtering = _Filtering(cfg, cuts)
-    got = filtering.children(filtering.whole, parity)
+    got = filtering_children(cfg, cuts, parity)
     assert {idx: sub.layers for idx, sub in got} == want and len(got) == len(want)
 
 
@@ -807,8 +841,8 @@ def test_adjacency_matches_pair_oracle(cfg, kind):
         layers = [[tuple(scale * c for c in p.coords) for p in ly.points] for ly in cfg.layers]
         cfg = make_config(layers, [d2 * scale * scale for d2 in cfg.spec.delta2], None if kind == "rational" else 1e-9)
     adj = build_adjacency(cfg)
-    assert adj.neighbors == adjacency_oracle(cfg)
-    assert [adj.edge_count(i) for i in range(cfg.k)] == [sum(map(len, nbs)) for nbs in adj.neighbors]
+    assert neighbors(adj) == adjacency_oracle(cfg)
+    assert [adj.edge_count(i) for i in range(cfg.k)] == [sum(map(len, nbs)) for nbs in neighbors(adj)]
 
 
 @CHECKS
@@ -817,4 +851,4 @@ def test_restrict_matches_list_oracle(cfg, data):
     # picks in any order, empty ones included
     picks = [data.draw(st.lists(st.sampled_from(range(len(ly))), unique=True)) if len(ly) else [] for ly in cfg.layers]
     adj = build_adjacency(cfg)
-    assert adj.restrict(picks).neighbors == restrict_oracle(adj.neighbors, picks)
+    assert neighbors(adj.restrict(picks)) == restrict_oracle(neighbors(adj), picks)

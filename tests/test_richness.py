@@ -11,7 +11,6 @@ from chain_census import richness
 from chain_census.geometry import exact_spec
 from chain_census.layered import BipartiteAdjacency, LayeredConfig, count_incidences, make_config, make_layer
 from chain_census.richness import (
-    _Filtering,
     degree_vector,
     rich_points,
     richness_thresholds,
@@ -23,7 +22,7 @@ from chain_census.constructions import (
     gen_star,
     gen_unit_rich_grid,
 )
-from oracles import covering_oracle, enumerate_chains
+from oracles import covering_oracle, enumerate_chains, filtering_children
 
 F = Fraction
 
@@ -93,8 +92,7 @@ class TestThresholds:
 
 def passes(cfg, eps, parity=1):
     """{class vector: filtered layers} of every filtering pass over cfg."""
-    filtering = _Filtering(cfg, richness_thresholds(max(map(len, cfg.layers)), eps))
-    return {idx: sub.layers for idx, sub in filtering.children(filtering.whole, parity)}
+    return {idx: sub.layers for idx, sub in filtering_children(cfg, richness_thresholds(max(map(len, cfg.layers)), eps), parity)}
 
 
 class TestRichnessFilter:
@@ -259,7 +257,7 @@ class TestLevelSearch:
         # true class sizes cannot outlast the bound; sizes that shrink by
         # more than n^eps at every step do
         sizes = (10 ** (100 - 3 * t) for t in itertools.count())
-        shrinking = SimpleNamespace(floor=math.floor, ceil=math.ceil, prod=lambda _: next(sizes))
+        shrinking = SimpleNamespace(floor=math.floor, ceil=math.ceil, log2=math.log2, prod=lambda _: next(sizes))
         monkeypatch.setattr(richness, "math", shrinking)
         cfg = make_config([[(0, 0)], [(1, 0)]], (1,))
         with pytest.raises(AssertionError, match="guaranteed length bound"):
