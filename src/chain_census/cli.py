@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .geometry import CertificationError, DistanceSpec, exact_point
+from .geometry import TOLERANCE, CertificationError, DistanceSpec, exact_point
 from .io import FileFormatError, _parse_exact, read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
 from .layered import (
     Layer,
@@ -199,7 +199,7 @@ def _cmd_generate(args) -> int:
 def _read_layers(args, *paths) -> tuple[list[Layer], DistanceSpec, str]:
     """Layers from point files, the spec (eps only) to compare them under,
     and the first file's mode.  The spec follows --mode when given, else
-    the first file: exact, or tolerance 1e-9 for a float file.  Under
+    the first file: exact, or TOLERANCE for a float file.  Under
     --mode exact float coordinates become Fractions, losslessly, so no
     float decides a count."""
     loaded = [read_points(path) for path in paths]
@@ -208,7 +208,7 @@ def _read_layers(args, *paths) -> tuple[list[Layer], DistanceSpec, str]:
         eps = None
         loaded = [([exact_point(p.coords, p.id) for p in pts], m) for pts, m in loaded]
     elif args.mode is None:
-        eps = None if mode == "exact" else 1e-9
+        eps = None if mode == "exact" else TOLERANCE
     else:
         eps = args.mode
     layers = [make_layer(pts) for pts, _ in loaded]

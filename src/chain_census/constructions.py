@@ -18,12 +18,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (
-    CertificationError,
+    TOLERANCE,
     Circle3D,
     DistanceSpec,
     NoRationalPointError,
@@ -39,20 +38,17 @@ from .geometry import (
 )
 from .layered import (
     _BLOCK,
-    BipartiteAdjacency,
     LabeledTree,
     Layer,
     LayeredConfig,
     _pair_lists,
     _pair_runs,
-    build_adjacency,
+    _with_adjacency,
     count_incidences,
     count_tree_embeddings,
     make_config,
     make_layer,
 )
-
-TOLERANCE = 1e-9
 
 
 class ConstructionError(RuntimeError):
@@ -178,13 +174,6 @@ def _decide(sides, d2s) -> tuple[list, list]:
     return list(map(run, sides, sides[1:], d2s)), band
 
 
-def _certified(pairs, band) -> BipartiteAdjacency:
-    """The adjacency of the pairs _decide decided, unless one is in the guard band."""
-    if band:
-        raise CertificationError(band)
-    return BipartiteAdjacency(tuple(pairs))
-
-
 def _extend_three(
     layers: list[Layer],
     d2_a: float,
@@ -232,13 +221,6 @@ def _extend_three(
     raise ConstructionError("could not place the extension joint after 64 attempts")
 
 
-class _Certified(NamedTuple):
-    """A configuration and the adjacency its certificate built (None if none ran)."""
-
-    config: LayeredConfig
-    adjacency: BipartiteAdjacency | None
-
-
 def gen_planar_chain(k: int, delta2=None, n: int = 1, eps: float = 0.25, seed: int = 0) -> LayeredConfig:
     """Planar chain construction with count at least n^(floor((k+1)/3)+1).
 
@@ -247,15 +229,11 @@ def gen_planar_chain(k: int, delta2=None, n: int = 1, eps: float = 0.25, seed: i
     inductive step consumes three distances: a matched layer with one
     circle-intersection point per point of the previous layer, a joint
     placed so every previous point sees the joint's circle, and a fresh arc
-    of n points whose diameter is at most eps.
+    of n points whose diameter is at most eps.  For k >= 3 the
+    configuration holds the adjacency of its certificate: every layer pair
+    decided once, with the guard-band check, as the layers are built (see
+    _planar_layers).
     """
-    return _planar_chain(k, delta2, n, eps, seed).config
-
-
-def _planar_chain(k: int, delta2, n: int, eps: float, seed: int) -> _Certified:
-    """gen_planar_chain with the adjacency of its certificate: for k >= 3
-    every layer pair decided once, with the guard-band check, as the
-    layers are built (see _planar_layers)."""
     if k < 0 or n < 1 or not eps > 0:
         raise ValueError("need k >= 0, n >= 1, eps > 0")
     if delta2 is None:
@@ -267,10 +245,9 @@ def _planar_chain(k: int, delta2, n: int, eps: float, seed: int) -> _Certified:
         if not d > 0:
             raise ValueError("squared distances must be positive")
     if k <= 2:
-        return _Certified(make_config(*_planar_base(k, delta2, n, eps)), None)
+        return make_config(*_planar_base(k, delta2, n, eps))
     layers, pairs, band = _planar_layers(k, delta2, n, eps, seed)
-    cfg = make_config(layers, [float(d) for d in delta2], eps=TOLERANCE)
-    return _Certified(cfg, _certified(pairs, band))
+    return _with_adjacency(make_config(layers, [float(d) for d in delta2], eps=TOLERANCE), pairs, band)
 
 
 def _planar_layers(k: int, delta2, n: int, eps: float, seed: int) -> tuple[list[Layer], list, list]:
@@ -453,7 +430,6 @@ class PlanarK1Result:
     preserved_incidences: int
     popular_d2: Fraction
     split: SplitResult
-    adjacency: BipartiteAdjacency | None = None  # the certificate's, for k >= 4
 
 
 def gen_planar_k1mod3(k: int, n: int, eps: float = 0.25, seed: int = 0) -> PlanarK1Result:
@@ -465,7 +441,8 @@ def gen_planar_k1mod3(k: int, n: int, eps: float = 0.25, seed: int = 0) -> Plana
     enough that the whole translated pair meets the extension step's
     diameter requirement, so the preserved incidences track the pair's
     full edge count.  The guarantee is count >= n^((k-1)/3) * preserved
-    incidences of the base pair.
+    incidences of the base pair.  For k >= 4 the configuration holds the
+    adjacency of its certificate, decided as its layers are built.
     """
     if k < 1 or k % 3 != 1:
         raise ValueError("k must be congruent to 1 mod 3 and >= 1")
@@ -491,8 +468,8 @@ def gen_planar_k1mod3(k: int, n: int, eps: float = 0.25, seed: int = 0) -> Plana
         arc_eps = split_eps if s < steps - 1 else eps
         layers, more = _extend_three(layers, d_step, d_step, d_step, n, arc_eps, split_eps, rng)
         pairs += more
-    cfg = make_config(layers, d2f, eps=TOLERANCE)
-    return PlanarK1Result(cfg, split.preserved_incidences, d_pop, split, _certified(pairs, band))
+    cfg = _with_adjacency(make_config(layers, d2f, eps=TOLERANCE), pairs, band)
+    return PlanarK1Result(cfg, split.preserved_incidences, d_pop, split)
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +483,12 @@ def gen_3d_even(k: int, delta2=None, n: int = 1) -> LayeredConfig:
     spheres meet in circles; layer 1 and layer k+1 sit on short-latitude
     circles of the end spheres, interior odd layers on the intersection
     circles.  All layers are pairwise disjoint, so the chain count is the
-    full product.
+    full product.  The separation certificate runs here, and the adjacency
+    it builds stays with the configuration.
     """
-    return _3d_even(k, delta2, n).config
-
-
-def _3d_even(k: int, delta2, n: int) -> _Certified:
-    """gen_3d_even with the adjacency of its certificate."""
     cfg = _3d_even_config(k, delta2, n)
-    return _Certified(cfg, build_adjacency(cfg))
+    cfg.adjacency  # a guard-band pair raises CertificationError here
+    return cfg
 
 
 def _3d_even_config(k: int, delta2, n: int) -> LayeredConfig:
@@ -665,7 +639,6 @@ class Odd3dSphereResult:
     config: LayeredConfig
     sphere_incidences: int
     floor: int
-    adjacency: BipartiteAdjacency  # the certificate's
 
 
 def gen_3d_odd_sphere(k: int, n: int) -> Odd3dSphereResult:
@@ -693,9 +666,8 @@ def gen_3d_odd_sphere(k: int, n: int) -> Odd3dSphereResult:
         raise ConstructionError("bouquet points collide with the chain scaffold")
     layers = keep + [make_layer(xs, k), make_layer(ys, k + 1)]
     cfg = make_config(layers, [1.0] * k, eps=TOLERANCE)
-    adj = build_adjacency(cfg)
-    inc = adj.edge_count(k - 1)
-    return Odd3dSphereResult(cfg, inc, n ** ((k - 1) // 2) * inc, adj)
+    inc = cfg.adjacency.edge_count(k - 1)
+    return Odd3dSphereResult(cfg, inc, n ** ((k - 1) // 2) * inc)
 
 
 # ---------------------------------------------------------------------------

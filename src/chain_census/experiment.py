@@ -22,13 +22,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import constructions as cons
-from .layered import (
-    LayeredConfig,
-    build_adjacency,
-    count_chains,
-    count_chains_and_walks,
-    count_tree_embeddings,
-)
+from .layered import LayeredConfig, count_chains, count_chains_and_walks, count_tree_embeddings
 from .richness import stable_covering
 
 
@@ -93,7 +87,7 @@ class ExperimentReport:
 
 
 def _chains(res) -> int:
-    return count_chains(getattr(res, "config", res), getattr(res, "adjacency", None))
+    return count_chains(getattr(res, "config", res))
 
 
 class Construction(NamedTuple):
@@ -120,7 +114,7 @@ class Construction(NamedTuple):
 
 REGISTRY = {
     "planar-chain": Construction(
-        lambda p: cons._planar_chain(p.k, p.delta2 or cons.default_delta2(p.k), p.n, p.eps, p.seed),
+        lambda p: cons.gen_planar_chain(p.k, p.delta2, p.n, p.eps, p.seed),
         "manifest",
         {"closed-form": lambda r, p: (p.n * p.n, "planar k=2 count = n^2") if p.k == 2 else None,
          "floor": lambda r, p: (p.n ** ((p.k + 1) // 3 + 1), "count >= n^(floor((k+1)/3)+1)")},
@@ -137,7 +131,7 @@ REGISTRY = {
         floor_only=True,
     ),
     "3d-even": Construction(
-        lambda p: cons._3d_even(p.k, p.delta2 or [1.0] * p.k, p.n),
+        lambda p: cons.gen_3d_even(p.k, p.delta2, p.n),
         "manifest",
         {"closed-form": lambda r, p: (p.n ** (p.k // 2 + 1), "3d even count = n^(k/2+1)")},
         exponent=lambda k: Fraction(k, 2) + 1,
@@ -210,10 +204,9 @@ def run_experiment(
     slope_tol: float = 0.2,
 ) -> ExperimentReport:
     """Generate the chain construction at each size and count its chains,
-    walks and adjacency edges on one adjacency: the one its generator's
-    separation certificate built, if any (the result's `adjacency`), else
-    one built here.  A size that fails becomes an error row; the fit and
-    verdict come from the rows that succeed."""
+    walks and adjacency edges on the configuration's adjacency (its
+    certificate's, where one ran).  A size that fails becomes an error
+    row; the fit and verdict come from the rows that succeed."""
     entry = _entry(construction)
     if entry.files != "manifest":
         raise ValueError(f"{construction!r} is not a chain construction")
@@ -229,9 +222,8 @@ def run_experiment(
         try:
             res = entry.build(_params(k, n, eps, seed))
             cfg = getattr(res, "config", res)
-            adj = getattr(res, "adjacency", None) or build_adjacency(cfg)
-            chains, walks = count_chains_and_walks(cfg, adjacency=adj)
-            inc = adj.total_edges()
+            chains, walks = count_chains_and_walks(cfg)
+            inc = cfg.adjacency.total_edges()
             row = ExperimentRow(
                 construction, k, n, chains, walks, inc, time.perf_counter() - t0
             )
@@ -322,8 +314,7 @@ def verify_covering(config: LayeredConfig, eps) -> VerifyResult:
     taken on the input's adjacency restricted to each class, sum to the
     input's count.
     """
-    adj = build_adjacency(config)
-    classes = stable_covering(config, eps, adjacency=adj)
+    classes = stable_covering(config, eps)
     sizes = list(map(len, config.layers))
     # each class's distinct indices into its input layer; those past it are dropped and refuse the class
     picks = [[sorted(j for j in set(map(int, pk)) if 0 <= j < n) for pk, n in zip(cc.picks, sizes)] for cc in classes]
@@ -332,8 +323,8 @@ def verify_covering(config: LayeredConfig, eps) -> VerifyResult:
     )
     sets = [list(map(set, pk)) for pk in picks]
     disjoint = all(any(s.isdisjoint(t) for s, t in zip(x, y)) for x, y in combinations(sets, 2))
-    want = count_chains(config, adjacency=adj)
-    got = sum(count_chains(config.restrict(pk), adj.restrict(pk)) for pk in picks)
+    want = count_chains(config)
+    got = sum(count_chains(config.restrict(pk)) for pk in picks)
     max_len = math.floor((config.k + 1) / Fraction(eps)) + 1
     longest = max((len(cc.sequence) for cc in classes), default=0)
     return VerifyResult(

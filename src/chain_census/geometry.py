@@ -13,7 +13,8 @@ that band, the pair kernel that builds adjacency (``layered._pair_lists``)
 also collects the pairs in the guard band ``(eps, 100*eps]``, the
 separation certificate; ``build_adjacency`` raises
 :class:`CertificationError` for them, and generated tolerant
-configurations are expected to pass it.
+configurations are expected to pass it.  A band that float64 cannot
+resolve at the distance raises :class:`ResolutionError` instead.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable
+
+
+# The tolerance of tolerant constructions and of float point files.
+TOLERANCE = 1e-9
 
 
 class NoRationalPointError(ValueError):
@@ -40,6 +45,15 @@ class CertificationError(RuntimeError):
         super().__init__(
             f"{len(self.offenders)} pair(s) inside the separation guard band: {preview}"
         )
+
+
+class ResolutionError(CertificationError):
+    """Raised when a tolerance is too fine for float64 to resolve a squared distance."""
+
+    def __init__(self, eps: float, d2, bound: float):
+        self.offenders = []
+        msg = f"tolerance {eps!r} cannot resolve squared distance {float(d2)!r} (float64 rounding bound {bound:.3e})"
+        RuntimeError.__init__(self, msg)
 
 
 def _rational(t: type) -> bool:
@@ -143,7 +157,7 @@ def exact_spec(*delta2) -> DistanceSpec:
     return DistanceSpec(tuple(Fraction(d) for d in delta2), None)
 
 
-def tolerant_spec(delta2, eps: float = 1e-9) -> DistanceSpec:
+def tolerant_spec(delta2, eps: float = TOLERANCE) -> DistanceSpec:
     return DistanceSpec(tuple(float(d) for d in delta2), eps)
 
 

@@ -20,7 +20,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .geometry import CertificationError, DistanceSpec, Point, _rational
+from .geometry import CertificationError, DistanceSpec, Point, ResolutionError, _rational
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,17 @@ class LayeredConfig:
             elif (0 in dims or any(map(_rational, types))) and any(p.is_exact() for p in layer.points):
                 raise ValueError("tolerant spec requires float coordinates")
 
+    @functools.cached_property
+    def adjacency(self) -> "BipartiteAdjacency":
+        """The certified adjacency of the layer pairs, built on first read
+        (see build_adjacency) unless the configuration was made with it."""
+        return build_adjacency(self)
+
     def restrict(self, picks) -> "LayeredConfig":
-        """The configuration of the points picks[i] (indices) of each layer i."""
+        """The configuration of the points picks[i] (distinct indices) of
+        each layer i, with this one's adjacency restricted to them."""
         layers = (Layer(tuple(map(ly.points.__getitem__, pick)), ly.label) for ly, pick in zip(self.layers, picks))
-        return LayeredConfig(tuple(layers), self.spec)
+        return _with_adjacency(LayeredConfig(tuple(layers), self.spec), self.adjacency.restrict(picks).pairs)
 
 
 def make_config(layers, delta2, eps: float | None = None) -> LayeredConfig:
@@ -320,6 +327,10 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
     counting is stable.  It runs where the band lies below d2, eps <
     d2/100 as DistanceSpec asks of a spec's distances; a coarser
     tolerance, which `--mode tol:<eps>` may give, decides pairs uncertified.
+    A certified pair with no offender raises ResolutionError if eps <=
+    (dim + 2) u d2, u = 2^-53, which bounds the rounding of a computed
+    squared distance near d2 (gamma_{dim+2}, Higham, ch. 3): a band that
+    narrow certifies nothing.
     """
     import numpy as np
 
@@ -348,6 +359,8 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
         if certify:
             band.append((near[~hit] + lo * nb, gap[~hit]))
     hits, (band, gap) = np.concatenate(hits), map(np.concatenate, zip(*band))
+    if certify and not len(band) and eps <= (bound := (view.dim + 2) * 2.0**-53 * float(d2)):
+        raise ResolutionError(eps, d2, bound)
     for ratio, a, b in view.more:  # each further prime tests the pairs the earlier ones kept
         hits = hits[view._agree(ratio, a.take(hits // nb, -1), b.take(hits % nb, -1))]
     if len(band):
@@ -399,6 +412,16 @@ def build_adjacency(config: LayeredConfig) -> BipartiteAdjacency:
     _certified_pairs)."""
     points = [ly.points for ly in config.layers]
     return BipartiteAdjacency(tuple(_certified_pairs(config.spec, zip(points, points[1:], config.spec.delta2))))
+
+
+def _with_adjacency(config: LayeredConfig, pairs, band=()) -> LayeredConfig:
+    """`config`, its adjacency the CSR arrays `pairs` of its layer pairs as
+    decided where it was built, unless `band` holds guard-band offenders
+    of those decisions, which raise CertificationError."""
+    if band:
+        raise CertificationError(band)
+    config.__dict__["adjacency"] = BipartiteAdjacency(tuple(pairs))
+    return config
 
 
 def _coord_classes(layers, exact: bool) -> list[list[int]]:
@@ -774,27 +797,26 @@ class _CountTree:
         return out, (ks[:used], vs[:used])
 
 
-def _chain_tree(config: LayeredConfig, adjacency: BipartiteAdjacency | None) -> _CountTree:
-    adj = adjacency or build_adjacency(config)
+def _chain_tree(config: LayeredConfig) -> _CountTree:
     k = config.k
     return _CountTree(
         _coord_classes(config.layers, config.spec.exact),
         list(range(1, k + 1)) + [-1],
-        [*adj.pairs, None],
+        [*config.adjacency.pairs, None],
         range(k + 1),
     )
 
 
-def count_walks(config: LayeredConfig, adjacency: BipartiteAdjacency | None = None) -> int:
+def count_walks(config: LayeredConfig) -> int:
     """Tuples with matching consecutive distances, repetitions allowed.
 
     One layer-by-layer dynamic programming pass over the adjacency, O(E);
     the distinct-free upper surrogate for count_chains.
     """
-    return _chain_tree(config, adjacency).homs()
+    return _chain_tree(config).homs()
 
 
-def count_chains(config: LayeredConfig, adjacency: BipartiteAdjacency | None = None) -> int:
+def count_chains(config: LayeredConfig) -> int:
     """Tuples with matching consecutive distances and all points distinct.
 
     The walk DP with a Möbius correction over coincidence patterns: blocks
@@ -804,13 +826,13 @@ def count_chains(config: LayeredConfig, adjacency: BipartiteAdjacency | None = N
     child's edges reached along those edges, not a row of every shared
     point per edge.
     """
-    return count_chains_and_walks(config, adjacency)[0]
+    return count_chains_and_walks(config)[0]
 
 
-def count_chains_and_walks(config: LayeredConfig, adjacency: BipartiteAdjacency | None = None) -> tuple[int, int]:
+def count_chains_and_walks(config: LayeredConfig) -> tuple[int, int]:
     """(count_chains, count_walks) from one counting engine: the walk count
     is the first term of the chain count's Möbius sum."""
-    tree = _chain_tree(config, adjacency)
+    tree = _chain_tree(config)
     walks = tree.homs()
     return tree.injective(walks), walks
 

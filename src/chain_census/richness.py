@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import DistanceSpec
-from .layered import BipartiteAdjacency, Layer, LayeredConfig, _certified_pairs, _ranges, _transpose, build_adjacency
+from .layered import Layer, LayeredConfig, _certified_pairs, _ranges, _transpose
 
 
 def degree_vector(target: Layer, reference: Layer, d2, spec: DistanceSpec) -> list[int]:
@@ -66,7 +66,7 @@ _BUDGET = 1 << 16
 
 
 class _Filtering:
-    """The filtering passes of a configuration, on one adjacency.
+    """The filtering passes of a configuration, on its adjacency.
 
     A sub-layer is a subset of the points of its layer.  A level holds the
     sub-layers of many configurations: per layer a matrix of bit rows, one
@@ -75,13 +75,13 @@ class _Filtering:
     point pair is tested again.
     """
 
-    def __init__(self, config: LayeredConfig, cuts, adjacency=None):
+    def __init__(self, config: LayeredConfig, cuts):
         import numpy as np
 
         self.sizes = [len(layer) for layer in config.layers]
         # (ref, i): offsets, indices and row lengths of the neighbours in layer i of layer ref's points
         self.csr, flipped = {}, {}  # right to left: the transpose, once per distinct pair
-        for i, (offsets, indices) in enumerate((adjacency or build_adjacency(config)).pairs):
+        for i, (offsets, indices) in enumerate(config.adjacency.pairs):
             if id(indices) not in flipped:
                 back_offsets, back_indices, _ = _transpose(offsets, indices, self.sizes[i + 1])
                 flipped[id(indices)] = back_offsets, back_indices, np.diff(back_offsets)
@@ -227,7 +227,7 @@ def _is_stable(old_size: int, new_size: int, n: int, eps: Fraction) -> bool:
     return new_size**den * n**num >= old_size**den
 
 
-def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | None = None) -> list[CoveringClass]:
+def stable_covering(config: LayeredConfig, eps) -> list[CoveringClass]:
     """The set of maximal unstable-then-stable filtering sequences.
 
     Starting from the full configuration, repeatedly apply the richness
@@ -235,7 +235,7 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
     size drops by a factor smaller than n^eps.  Sequences stop at their
     first stable step; every chain of the input lies in exactly one
     returned class, and no sequence is longer than (k+1)/eps + 1.  The
-    search runs on one adjacency, built here when not given.
+    search runs on the configuration's adjacency.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -244,7 +244,7 @@ def stable_covering(config: LayeredConfig, eps, adjacency: BipartiteAdjacency | 
     if n == 0:
         return []
     cuts = richness_thresholds(n, eps)
-    filtering = _Filtering(config, cuts, adjacency)
+    filtering = _Filtering(config, cuts)
     expo = [m * eps for m in range(len(cuts))]  # class index -> exponent
     max_len = math.floor((config.k + 1) / eps) + 1
 

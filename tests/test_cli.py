@@ -226,6 +226,22 @@ class TestDecomposeExperimentVerify:
         assert code == 0
         assert out == "PASS computed=(39744, 3) expected=(39744, 17) (8 covering classes)\n"
 
+    def test_resolvable_large_distances_count(self, tmp_path, capsys):
+        # five squared distances 2^20: float64 resolves them at the tolerance
+        code, out = run(capsys, "--out", str(tmp_path), "generate", "--construction", "planar-chain", "--k", "5",
+                        "--n", "9", "--delta2", ",".join([str(2**20)] * 5))
+        assert code == 0
+        assert run(capsys, "count", "--manifest", out.strip(), "--walks") == (0, "chains 729\nwalks 729\n")
+
+    @pytest.mark.parametrize("verb", ["count --walks", "decompose", "verify --claim covering"])
+    def test_verb_builds_the_adjacency_once(self, tmp_path, capsys, monkeypatch, verb):
+        run(capsys, "--out", str(tmp_path), "generate", "--construction", "3d-odd-regular", "--k", "3", "--n", "64")
+        calls, build = [], layered.build_adjacency
+        monkeypatch.setattr(layered, "build_adjacency", lambda cfg: calls.append(cfg) or build(cfg))
+        code, out = run(capsys, *verb.split(), "--manifest", str(tmp_path / "manifest.txt"))
+        assert code == 0 and out.startswith(("chains 39744", "classes 8", "PASS"))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("verb", ["count --walks", "decompose"])
     def test_repeated_layers_run_the_kernel_once(self, tmp_path, capsys, monkeypatch, verb):
         # four layers of one file at one distance: three positions, one pair
@@ -324,6 +340,21 @@ def run_process(*argv, timeout=None):
             1,
             "12 pair(s) inside the separation guard band: ",
         ),
+        (
+            "generate --construction planar-chain --k 5 --n 9 --delta2 " + ",".join([str(2**30)] * 5),
+            1,
+            "tolerance 1e-09 cannot resolve squared distance 1073741824.0 (float64 rounding bound 4.768e-07)",
+        ),
+        (
+            "generate --construction planar-chain --k 5 --n 9 --delta2 " + ",".join([str(2**40)] * 5),
+            1,
+            "tolerance 1e-09 cannot resolve squared distance 1099511627776.0 (float64 rounding bound 4.883e-04)",
+        ),
+        (
+            f"generate --construction planar-chain --k 5 --n 9 --delta2 {2**40},{2**40},1,4,9",
+            1,
+            "tolerance 1e-09 cannot resolve squared distance 1099511627776.0 (float64 rounding bound 4.883e-04)",
+        ),
         ("--eps 1e-300 generate --construction planar-chain --k 2 --n 4", 1, "eps=1e-300 too small for a dyadic arc window"),
         (
             "experiment --construction planar-chain --k 2 --n-list 4,x",
@@ -337,7 +368,8 @@ def run_process(*argv, timeout=None):
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
         "generate-unread", "generate-variant", "covering-unread",
         "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-zero-denominator", "generate-star-n",
-        "generate-guard-band", "generate-construction-error",
+        "generate-guard-band", "generate-unresolvable-2^30", "generate-unresolvable-2^40",
+        "generate-unresolvable-mixed", "generate-construction-error",
         "experiment-bad-n-list", "eps-zero-denominator", "eps-infinite",
     ],
 )

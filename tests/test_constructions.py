@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from chain_census.geometry import (
+    TOLERANCE,
     CertificationError,
     Point,
+    ResolutionError,
     exact_point,
     exact_spec,
     float_point,
@@ -33,7 +35,7 @@ from chain_census.constructions import (
     peel_min_degree,
     split_and_translate,
 )
-from chain_census import constructions, experiment, layered
+from chain_census import constructions, layered
 from chain_census.experiment import run_experiment
 from oracles import enumerate_chains, to_float_layers
 
@@ -101,6 +103,19 @@ class TestPlanarChain:
         # only the certificate of the whole configuration tests base pairs
         with pytest.raises(CertificationError):
             gen_planar_chain(5, [10**8, 10**8, 1, 4, 9], 9)
+
+    @pytest.mark.parametrize("j", range(21))
+    def test_scaled_distances_count_or_refuse(self, j):
+        # the default distances scaled by 4^j: the count of the unscaled
+        # construction, or a refusal once float64 rounding of the largest
+        # squared distance, (2 + 2) 2^-53 d2, reaches the tolerance; never
+        # a smaller count
+        delta2 = [4**j * d for d in (1, 4, 9, 16, 25)]
+        if 4 * 2.0**-53 * max(delta2) < TOLERANCE:
+            assert count_chains(gen_planar_chain(5, delta2, 3)) == 27
+        else:
+            with pytest.raises(ResolutionError, match="cannot resolve squared distance"):
+                gen_planar_chain(5, delta2, 3)
 
     def test_determinism(self):
         a = gen_planar_chain(5, None, 6, 0.25, seed=9)
@@ -175,8 +190,7 @@ class TestCertifiedOnce:
             calls.append(args[0].k)
             return build(*args, **kwargs)
 
-        for module in (layered, constructions, experiment):
-            monkeypatch.setattr(module, "build_adjacency", counted)
+        monkeypatch.setattr(layered, "build_adjacency", counted)
         row = run_experiment(construction, k, [16]).rows[0]
         assert row.status == "ok" and row.chains > 0
         assert len(calls) == builds
@@ -195,13 +209,13 @@ class TestCertifiedOnce:
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("k, delta2", [(3, None), (5, None), (6, None), (8, None), (5, [3, 3, 1, 4, 9])])
     def test_planar_chain_adjacency_is_the_certificate(self, k, delta2, n):
-        res = constructions._planar_chain(k, delta2, n, 0.25, 0)
-        assert res.adjacency == build_adjacency(res.config)
+        cfg = gen_planar_chain(k, delta2, n, 0.25, 0)
+        assert cfg.adjacency == build_adjacency(cfg)
 
     @pytest.mark.parametrize("k, n", [(4, 9), (4, 30), (7, 9)])
     def test_planar_k1_adjacency_is_the_certificate(self, k, n):
-        res = gen_planar_k1mod3(k, n)
-        assert res.adjacency == build_adjacency(res.config)
+        cfg = gen_planar_k1mod3(k, n).config
+        assert cfg.adjacency == build_adjacency(cfg)
 
 
 def nudged(points, count):

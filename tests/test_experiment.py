@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chain_census import experiment
+from chain_census import experiment, layered
 from chain_census.experiment import (
     fit_exponent,
     report_csv,
@@ -14,7 +14,8 @@ from chain_census.experiment import (
     verify_floor,
 )
 from chain_census.constructions import gen_3d_odd_regular
-from chain_census.layered import make_config
+from chain_census.layered import count_chains_and_walks, make_config
+from chain_census.richness import stable_covering
 
 
 class TestFitExponent:
@@ -97,6 +98,16 @@ class TestVerify:
         cfg = make_config([[(0, 0), (1, 1)], [(1, 0), (0, 1)], [(0, 0), (1, 1)]], (1, 1))
         res = verify_covering(cfg, "1/2")
         assert res.passed
+
+
+def test_one_configuration_builds_its_adjacency_once(monkeypatch):
+    calls, build = [], layered.build_adjacency
+    monkeypatch.setattr(layered, "build_adjacency", lambda cfg: calls.append(cfg) or build(cfg))
+    cfg = gen_3d_odd_regular(3, 64).config
+    assert count_chains_and_walks(cfg) == (39744, 49920)
+    assert len(stable_covering(cfg, Fraction(1, 4))) == 8
+    assert verify_covering(cfg, Fraction(1, 4)).passed
+    assert calls == [cfg]
 
 
 class TestCoveringCertificate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from chain_census.geometry import (
     CertificationError,
     DistanceSpec,
     Point,
+    ResolutionError,
     exact_point,
     exact_spec,
     matches_distance,
@@ -119,6 +121,12 @@ class TestAdjacency:
         with pytest.raises(CertificationError):
             build_adjacency(cfg)
 
+    def test_config_adjacency_is_cached_and_read_only(self):
+        cfg = make_config([[(0, 0), (2, 0)], [(1, 0), (3, 0)], [(2, 0)]], (1, 1))
+        assert cfg.adjacency is cfg.adjacency and cfg.adjacency == build_adjacency(cfg)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.adjacency = build_adjacency(cfg)
+
     def test_equality_compares_every_array(self):
         cfg = make_config([[(0, 0), (2, 0)], [(1, 0), (3, 0)], [(2, 0)]], (1, 1))
         adj = build_adjacency(cfg)
@@ -136,12 +144,12 @@ class TestRepeatedPairs:
 
     def test_shared_arrays_are_read_only(self):
         res = gen_orthogonal_circles(4, 3, 12)
-        adj = build_adjacency(res.config)
+        adj = res.config.adjacency
         assert adj.pairs[0] is adj.pairs[1] is adj.pairs[2]
         for arr in adj.pairs[0]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
-        assert count_chains(res.config, adj) == res.closed_form == 1800
+        assert count_chains(res.config) == res.closed_form == 1800
 
     def test_guard_band_offenders_once_per_position(self):
         # positions 0 and 1 repeat (a, a, 1.0), position 2 does not; the
@@ -283,6 +291,35 @@ class TestSeparationCertificate:
     def test_far_pairs_ignored(self):
         assert self.certify([(0.0, 0.0)], [(2.0, 0.0)]).total_edges() == 0
 
+    def test_unresolvable_distance_refused(self):
+        # 1e-9 lies below (2 + 2) 2^-53 2^30, float64 rounding of a squared
+        # distance near 2^30, so a clean band certifies nothing
+        cfg = make_config([[(0.0, 0.0)], [(2.0**15, 0.0)]], (2.0**30,), eps=1e-9)
+        with pytest.raises(ResolutionError) as err:
+            build_adjacency(cfg)
+        assert str(err.value) == (
+            "tolerance 1e-09 cannot resolve squared distance 1073741824.0 (float64 rounding bound 4.768e-07)"
+        )
+        assert isinstance(err.value, CertificationError) and err.value.offenders == []
+
+    def test_resolvable_distance_certified(self):
+        # 2^20: the bound 4.7e-10 is below the tolerance
+        cfg = make_config([[(0.0, 0.0)], [(2.0**10, 0.0)]], (2.0**20,), eps=1e-9)
+        assert build_adjacency(cfg).total_edges() == 1
+
+    def test_offenders_keep_their_error(self):
+        # at 10^8 the band is unresolvable too, but one ulp past 10^4 puts a
+        # pair 3e-8 off its target: the offender is what the error names
+        cfg = make_config([[(0.0, 0.0)], [(1e4, 0.0), (math.nextafter(1e4, 2e4), 0.0)]], (1e8,), eps=1e-9)
+        with pytest.raises(CertificationError) as err:
+            build_adjacency(cfg)
+        assert str(err.value) == "1 pair(s) inside the separation guard band: |d2(0,1)-target|=2.980e-08"
+
+    def test_uncertified_tolerance_not_refused(self):
+        # a tolerance coarser than d2/100 decides pairs uncertified
+        spec = DistanceSpec((), 2.0**24)
+        assert count_incidences(make_layer([(0.0, 0.0)]), make_layer([(2.0**15, 0.0)]), 2.0**30, spec) == 1
+
 
 class TestLargeOffsetGrid:
     """Exact adjacency on a lattice whose coordinates are far larger than
@@ -400,13 +437,13 @@ class TestCountingEngine:
 
     def test_wide_chains_equal_int64_chains(self):
         cfg = gen_orthogonal_circles(4, 3, 12).config
-        wide = _chain_tree(cfg, None)
+        wide = _chain_tree(cfg)
         wide.dtype = object
         assert wide.injective() == count_chains(cfg) == 1800
         assert wide.homs() == count_walks(cfg) == 2592
 
     def test_repeated_layers_share_one_sort_and_one_class_array(self):
-        tree = _chain_tree(gen_orthogonal_circles(4, 3, 12).config, None)
+        tree = _chain_tree(gen_orthogonal_circles(4, 3, 12).config)
         assert tree.edges[0] is tree.edges[1] is tree.edges[2]
         assert tree.classes[0] is tree.classes[1] is tree.classes[2] is tree.classes[3]
 

@@ -195,7 +195,7 @@ def aliased_configs(draw):
 def test_aliased_layers_match_enumeration(cfg):
     want = len(enumerate_chains(cfg)), enumerate_walks_count(cfg)
     assert count_chains_and_walks(cfg) == want
-    counter = wide(_chain_tree(cfg, None))
+    counter = wide(_chain_tree(cfg))
     walks = counter.homs()
     assert (counter.injective(walks), walks) == want
 
@@ -220,7 +220,7 @@ def test_count_tree_edge_order_is_the_lexsort(cfg):
     # whichever sort _CountTree picks for a run, its edges are ordered by
     # parent point, then by the class of the child point
     adj = build_adjacency(cfg)
-    tree = _chain_tree(cfg, adj)
+    tree = _chain_tree(cfg)
     assert not all(np.all(c[1:] >= c[:-1]) for c in tree.classes)
     for u, (offsets, p) in enumerate(adj.pairs):
         q = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
@@ -852,3 +852,11 @@ def test_restrict_matches_list_oracle(cfg, data):
     picks = [data.draw(st.lists(st.sampled_from(range(len(ly))), unique=True)) if len(ly) else [] for ly in cfg.layers]
     adj = build_adjacency(cfg)
     assert neighbors(adj.restrict(picks)) == restrict_oracle(neighbors(adj), picks)
+
+
+@CHECKS
+@given(configs(), st.data())
+def test_restricted_config_carries_restricted_adjacency(cfg, data):
+    picks = [data.draw(st.lists(st.sampled_from(range(len(ly))), unique=True)) if len(ly) else [] for ly in cfg.layers]
+    sub = cfg.restrict(picks)
+    assert sub.adjacency == cfg.adjacency.restrict(picks) == build_adjacency(sub)

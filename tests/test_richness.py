@@ -9,7 +9,7 @@ import pytest
 
 from chain_census import richness
 from chain_census.geometry import exact_spec
-from chain_census.layered import BipartiteAdjacency, LayeredConfig, count_incidences, make_config, make_layer
+from chain_census.layered import BipartiteAdjacency, LayeredConfig, _with_adjacency, count_incidences, make_config, make_layer
 from chain_census.richness import (
     degree_vector,
     rich_points,
@@ -251,7 +251,7 @@ class TestLevelSearch:
         cfg = make_config([[(0, 0)], [(1, 0)]], (1,))
         adjacency = BipartiteAdjacency(((np.array([0, 3]), np.array([0, 0, 0])),))
         with pytest.raises(AssertionError, match="degree 3 outside threshold range"):
-            stable_covering(cfg, F(1, 2), adjacency)
+            stable_covering(_with_adjacency(cfg, adjacency.pairs), F(1, 2))
 
     def test_length_bound_is_checked(self, monkeypatch):
         # true class sizes cannot outlast the bound; sizes that shrink by
