@@ -8,9 +8,9 @@ __version__ = "0.1.0"
 
 # module: the public names it gives the package
 _EXPORTS = {
-    "geometry": "CertificationError Circle3D DistanceSpec NoRationalPointError Point circle_circle_intersection"
-    " exact_point exact_spec float_point matches_distance rational_circle_points sample_circle_3d"
-    " sphere_sphere_intersection_circle squared_distance tolerant_spec",
+    "geometry": "CertificationError Circle3D DistanceSpec NoRationalPointError Point exact_point exact_spec"
+    " float_point rational_circle_points sample_circle_3d sphere_sphere_intersection_circle squared_distance"
+    " tolerant_spec",
     "layered": "BipartiteAdjacency LabeledTree Layer LayeredConfig build_adjacency count_chains"
     " count_incidences count_tree_embeddings count_walks make_config make_layer path_tree",
     "richness": "CoveringClass DecompositionSequence rich_points stable_covering",

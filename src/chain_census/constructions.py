@@ -41,6 +41,8 @@ from .layered import (
     LabeledTree,
     Layer,
     LayeredConfig,
+    _Coords,
+    _disjoint,
     _pair_lists,
     _pair_runs,
     _with_adjacency,
@@ -88,30 +90,29 @@ def _popular_sq_distance(coords) -> tuple[int, int]:
 # planar chains
 
 
-def _exact_arc(center: Point, r2: Fraction, n: int, eps: float, window: int, div) -> list[Point]:
-    """n rational points on an arc of chord diameter <= eps around the
-    circle of squared radius r2, each coordinate div(numerator,
+def _exact_arc(center: Point, r2: Fraction, n: int, eps: float, window: int, div) -> Layer:
+    """A layer of n rational points on an arc of chord diameter <= eps
+    around the circle of squared radius r2, each coordinate div(numerator,
     denominator); `window` selects disjoint parameter ranges."""
     r = math.sqrt(float(r2))
     t_hi = _dyadic_below(min(1.0, eps / (4.0 * r)))
     if t_hi <= 0:
         raise ConstructionError(f"eps={eps} too small for a dyadic arc window")
     lo = t_hi * 2 * window
-    return [Point(c, j) for j, c in enumerate(_circle_coords(center, r2, n, (lo, lo + t_hi), div=div))]
+    return Layer(_Coords(rows=list(_circle_coords(center, r2, n, (lo, lo + t_hi), div=div))))
 
 
-def _float_arc(center, r: float, n: int, eps: float, phase: float, id_base: int = 0) -> list[Point]:
-    """n float points on an arc of diameter <= eps starting at angle phase."""
-    span = min(1.0, eps / (2.0 * r))
+def _float_arc(center, r: float, n: int, eps: float, phase: float) -> Layer:
+    """A layer of n float points on an arc of diameter <= eps starting at
+    angle phase: point j at angle phase + span * (j + 1) / (n + 1), by that
+    expression's IEEE operations, with `math`'s cosine and sine."""
+    th = (phase + min(1.0, eps / (2.0 * r)) * np.arange(1, n + 1) / (n + 1)).tolist()
     cx, cy = center
-    pts = []
-    for j in range(n):
-        th = phase + span * (j + 1) / (n + 1)
-        pts.append(Point((cx + r * math.cos(th), cy + r * math.sin(th)), id_base + j))
-    return pts
+    xs, ys = (np.fromiter(map(f, th), float, n) for f in (math.cos, math.sin))
+    return Layer(_Coords(axes=np.array([cx + r * xs, cy + r * ys])))
 
 
-def _planar_base(k: int, delta2, n: int, eps: float, div=Fraction) -> tuple[list, list, float | None]:
+def _planar_base(k: int, delta2, n: int, eps: float, div=Fraction) -> tuple[list[Layer], list, float | None]:
     """(layers, squared distances, tolerance) of the base cases: k=0 a
     dyadic segment, k=1 the origin and an arc, k=2 two arcs around the
     origin.  The arcs are rational (each coordinate div(numerator,
@@ -120,7 +121,7 @@ def _planar_base(k: int, delta2, n: int, eps: float, div=Fraction) -> tuple[list
     the first radius takes a disjoint window or phase."""
     if k == 0:
         h = _dyadic_below(eps) / (2 * n)
-        return [[Point((div(j * h.numerator, h.denominator), div(0, 1)), j) for j in range(n)]], [], None
+        return [Layer(_Coords(rows=[(div(j * h.numerator, h.denominator), div(0, 1)) for j in range(n)]))], [], None
     try:
         d2 = [Fraction(d) for d in delta2]
         origin, tol = Point((div(0, 1), div(0, 1))), None
@@ -132,18 +133,14 @@ def _planar_base(k: int, delta2, n: int, eps: float, div=Fraction) -> tuple[list
             _float_arc(origin.coords, math.sqrt(r2), n, eps, eps / math.sqrt(r2) if i and r2 == d2[0] else 0.0)
             for i, r2 in enumerate(d2)
         ]
-    return ([[origin], arcs[0]] if k == 1 else [arcs[0], [origin], arcs[1]]), d2, tol
-
-
-def _xy(points) -> np.ndarray:
-    """The float coordinates of planar points, one row per axis."""
-    return np.array([p.coords for p in points], dtype=float).T
+    center = Layer((origin,))
+    return ([center, arcs[0]] if k == 1 else [arcs[0], center, arcs[1]]), d2, tol
 
 
 def _matched(c1, r1sq, c2, r2sq) -> dict | None:
     """The first intersection of each circle of squared radius r1sq around a
-    column of c1 with the one of squared radius r2sq around c2's column (_xy
-    arrays, one of one column), as dict keys in first-seen order; None if a
+    column of c1 with the one of squared radius r2sq around c2's column
+    (float axes, one of one column), as dict keys in first-seen order; None if a
     pair misses, ValueError if one is concentric.  Each step is the IEEE
     operation `circle_circle_intersection` does, in its order, so every hit
     is its first point bit for bit."""
@@ -166,9 +163,8 @@ def _matched(c1, r1sq, c2, r2sq) -> dict | None:
 
 
 def _decide(sides, d2s) -> tuple[list, list]:
-    """The CSR arrays of the consecutive pairs of float point sequences at
-    the squared distances d2s, and their guard-band offenders; a sequence
-    in two pairs is converted once (see _pair_runs)."""
+    """The CSR arrays of the consecutive pairs of float layers at the
+    squared distances d2s, and their guard-band offenders (see _pair_runs)."""
     band: list = []
     run = _pair_runs(DistanceSpec((), TOLERANCE), band)
     return list(map(run, sides, sides[1:], d2s)), band
@@ -195,29 +191,33 @@ def _extend_three(
     d_a, d_b, d_c = math.sqrt(d2_a), math.sqrt(d2_b), math.sqrt(d2_c)
     if last_diam > min(d_a, d_b) / 3 + 1e-12:
         raise ConstructionError("last-layer diameter too large for the extension step")
-    existing = set().union(*(layer.coord_set() for layer in layers))
-    last = layers[-1].points
-    last_xy, y = _xy(last), last[0].coords
+    existing = set().union(*(layer.coords.keyset for layer in layers))
+    last = layers[-1].coords
+    y = last.rows[0]
     reach = d_a + d_b - 2.0 * last_diam
     for _ in range(64):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         x = (y[0] + reach * math.cos(theta), y[1] + reach * math.sin(theta))
         if x in existing:
             continue
-        xp = Point(x)
-        matched = _matched(last_xy, d2_a, _xy([xp]), d2_b)
-        if matched is None or matched.keys() & existing or x in matched:
+        joint = Layer((Point(x),))
+        matched = _matched(last.axes, d2_a, joint.coords.axes, d2_b)
+        if matched is None:
+            continue
+        matched = Layer(_Coords(rows=list(matched)))
+        seen = matched.coords.keyset
+        if not seen.isdisjoint(existing) or x in seen:
             continue
         phase = rng.uniform(0.0, 2.0 * math.pi)
         arc = _float_arc(x, d_c, n, arc_eps, phase)
-        arc_coords = {p.coords for p in arc}
-        if len(arc_coords) != n or arc_coords & (existing | matched.keys() | {x}):
+        arc_keys = arc.coords.keyset
+        if len(arc_keys) != n or not (arc_keys.isdisjoint(existing) and arc_keys.isdisjoint(seen)) or x in arc_keys:
             continue
-        new = [[Point(w, i) for i, w in enumerate(matched)], [xp], arc]
-        pairs, band = _decide([last, *new], (d2_a, d2_b, d2_c))
+        new = [matched, joint, arc]
+        pairs, band = _decide([layers[-1], *new], (d2_a, d2_b, d2_c))
         if band:
             continue
-        return list(layers) + [make_layer(pts, len(layers) + 1 + i) for i, pts in enumerate(new)], pairs
+        return list(layers) + [Layer(ly.coords, len(layers) + 1 + i) for i, ly in enumerate(new)], pairs
     raise ConstructionError("could not place the extension joint after 64 attempts")
 
 
@@ -257,8 +257,8 @@ def _planar_layers(k: int, delta2, n: int, eps: float, seed: int) -> tuple[list[
     step per three distances, which decides its own pairs."""
     d2f = [float(d) for d in delta2]
     if k <= 2:
-        layers = [make_layer(pts) for pts in _planar_base(k, delta2, n, eps, operator.truediv)[0]]
-        return layers, *_decide([ly.points for ly in layers], d2f)
+        layers = _planar_base(k, delta2, n, eps, operator.truediv)[0]
+        return layers, *_decide(layers, d2f)
     inner_eps = min(math.sqrt(d2f[k - 3]), math.sqrt(d2f[k - 2])) / 3.0
     layers, pairs, band = _planar_layers(k - 3, delta2[: k - 3], n, inner_eps, seed)
     rng = random.Random(f"planar:{seed}:{k}")
@@ -461,7 +461,7 @@ def gen_planar_k1mod3(k: int, n: int, eps: float = 0.25, seed: int = 0) -> Plana
     d_step = (3.0 * split_eps) ** 2
     d2f = [float(d_pop)] + [d_step] * (k - 1)
     layers = [make_layer([p.as_float() for p in side]) for side in (split.x1, split.x2)]
-    pairs, band = _decide([ly.points for ly in layers], d2f[:1])
+    pairs, band = _decide(layers, d2f[:1])
     rng = random.Random(f"k1mod3:{seed}:{k}")
     steps = (k - 1) // 3
     for s in range(steps):
@@ -525,12 +525,8 @@ def _3d_even_config(k: int, delta2, n: int) -> LayeredConfig:
     )
     layers[k + 1] = make_layer(sample_circle_3d(front, n, phase=0.3), k + 1)
     ordered = [layers[i] for i in range(1, k + 2)]
-    seen = set()
-    for layer in ordered:
-        cs = layer.coord_set()
-        if cs & seen:
-            raise ConstructionError("layers are not pairwise disjoint")
-        seen |= cs
+    if not _disjoint(ordered):
+        raise ConstructionError("layers are not pairwise disjoint")
     return make_config(ordered, delta2, eps=TOLERANCE)
 
 
@@ -553,8 +549,8 @@ def peel_min_degree(P: Layer, d2, spec: DistanceSpec) -> PeelResult:
     the threshold is frozen up front.  The survivors are nonempty with
     minimum degree at least E0/(2N).
     """
-    offsets, nbs = _pair_lists(P.points, P.points, d2, spec)
-    n, e0 = len(P.points), len(nbs) // 2
+    offsets, nbs = _pair_lists(P, P, d2, spec)
+    n, e0 = len(P), len(nbs) // 2
     if e0 < 1:
         raise ValueError("the distance graph has no edges")
     rows = np.repeat(np.arange(n), np.diff(offsets))
@@ -571,8 +567,7 @@ def peel_min_degree(P: Layer, d2, spec: DistanceSpec) -> PeelResult:
     survivors = np.flatnonzero(keep).tolist()
     if not survivors:
         raise ConstructionError("peeling emptied the set despite positive edge count")
-    pts = tuple(Point(P.points[v].coords, i) for i, v in enumerate(survivors))
-    return PeelResult(Layer(pts, P.label), e0, n, int(degs[keep].min()))
+    return PeelResult(make_layer(map(P.coords.rows.__getitem__, survivors), P.label), e0, n, int(degs[keep].min()))
 
 
 @dataclass(frozen=True)
@@ -599,16 +594,14 @@ def gen_3d_odd_regular(k: int, n: int) -> Odd3dRegularResult:
     side = round(n ** (1 / 3))
     while side**3 < n:
         side += 1
-    coords = []
-    for i in range(n):
-        coords.append((i % side, (i // side) % side, i // (side * side)))
+    coords = [(i % side, (i // side) % side, i // (side * side)) for i in range(n)]
     popular = Fraction(_popular_sq_distance(coords)[0])
-    pts = make_layer([Point(tuple(int(v) for v in c), i) for i, c in enumerate(coords)], 1)
+    pts = make_layer(coords, 1)
     spec = DistanceSpec((popular,), None)
     peel = peel_min_degree(pts, popular, spec)
     core = peel.layer
     cfg = make_config([core] * (k + 1), (popular,) * k)
-    floor = len(core.points) * max(peel.min_degree - k, 0) ** k
+    floor = len(core) * max(peel.min_degree - k, 0) ** k
     return Odd3dRegularResult(cfg, popular, core, peel.initial_edges, peel.min_degree, floor)
 
 
@@ -629,8 +622,6 @@ def _circle_bouquet(n: int, center: Point) -> tuple[list[Point], list[Point]]:
             raise ConstructionError("bouquet sphere missed the unit sphere")
         xs.extend(sample_circle_3d(circ, s, phase=0.3 + 0.05 * j, id_base=len(xs)))
         ys.append(cj)
-    if len({p.coords for p in xs}) != len(xs):
-        raise ConstructionError("bouquet circles produced coincident points")
     return xs, ys
 
 
@@ -661,10 +652,9 @@ def gen_3d_odd_sphere(k: int, n: int) -> Odd3dSphereResult:
     for p in xs:
         if abs(float(squared_distance(p, center)) - 1.0) > TOLERANCE:
             raise ValueError("bouquet returned a point off the unit sphere")
-    existing = set().union(*(layer.coord_set() for layer in keep))
-    if {p.coords for p in xs} & existing or {p.coords for p in ys} & (existing | {p.coords for p in xs}):
-        raise ConstructionError("bouquet points collide with the chain scaffold")
     layers = keep + [make_layer(xs, k), make_layer(ys, k + 1)]
+    if not _disjoint(layers):
+        raise ConstructionError("bouquet points coincide with each other or with the chain scaffold")
     cfg = make_config(layers, [1.0] * k, eps=TOLERANCE)
     inc = cfg.adjacency.edge_count(k - 1)
     return Odd3dSphereResult(cfg, inc, n ** ((k - 1) // 2) * inc)
@@ -701,7 +691,7 @@ def gen_orthogonal_circles(d: int, k: int, n: int) -> OrthogonalResult:
     pad, zero = (Fraction(0),) * (d - 4), (Fraction(0), Fraction(0))
     arc = list(_rotated_coords(origin, seed, ((j, 4 * m) for j in range(1, m + 1))))
     coords = [c + zero + pad for c in arc] + [zero + c + pad for c in arc]
-    layer = make_layer([Point(c, i) for i, c in enumerate(coords)], 1)
+    layer = make_layer(coords, 1)
     cfg = make_config([layer] * (k + 1), (Fraction(1),) * k)
     closed = 2 * math.perm(m, (k + 2) // 2) * math.perm(m, (k + 1) // 2)
     return OrthogonalResult(cfg, closed)
@@ -789,37 +779,29 @@ def gen_star_of_paths(
 
 def _star_of_paths_joints_fixed(l: int, n: int):
     h = 0.002 / n
-    cluster = [Point((j * h, 0.0), j) for j in range(n)]
-    layers = [make_layer(cluster, 1)]
-    existing = {p.coords for p in cluster}
-    edge_d2s = []
+    cluster = Layer(_Coords(rows=[(j * h, 0.0) for j in range(n)]), 1)
+    layers, edge_d2s = [cluster], []
     for j in range(l):
         phi = 2.0 * math.pi * j / l + 0.35
-        b = Point((1.5 * math.cos(phi), 1.5 * math.sin(phi)))
-        matched = _matched(_xy(cluster), 1.0, _xy([b]), 1.0)
+        b = (1.5 * math.cos(phi), 1.5 * math.sin(phi))
+        joint = Layer((Point(b),))
+        matched = _matched(cluster.coords.axes, 1.0, joint.coords.axes, 1.0)
         if matched is None:
             raise ConstructionError("arm joint out of reach of the cluster")
-        seen = matched.keys()
-        if seen & existing or b.coords in existing:
-            raise ConstructionError("arm points collide with the cluster")
-        leaves = _float_arc(b.coords, 1.0, n, 0.01, phi + 0.9)
-        leaf_coords = {p.coords for p in leaves}
-        if leaf_coords & (existing | seen | {b.coords}) or len(leaf_coords) != n:
-            raise ConstructionError("leaf arc collides with existing points")
-        existing |= seen | {b.coords} | leaf_coords
-        layers.append(make_layer([Point(w, i) for i, w in enumerate(matched)], len(layers) + 1))
-        layers.append(make_layer([b], len(layers) + 1))
-        layers.append(make_layer(leaves, len(layers) + 1))
+        for layer in (Layer(_Coords(rows=list(matched))), joint, _float_arc(b, 1.0, n, 0.01, phi + 0.9)):
+            layers.append(Layer(layer.coords, len(layers) + 1))
         edge_d2s.append((1.0, 1.0, 1.0))
+    if not _disjoint(layers):
+        raise ConstructionError("arm points collide with each other or with the cluster")
     tree = star_of_paths_tree(l, edge_d2s)
     return layers, tree, n ** (l + 1)
 
 
 def _star_of_paths_center_fixed(l: int, n: int, seed: int, grid_m: int | None):
     m = grid_m or n
-    center = Point((0.0, 0.0))
-    layers = [make_layer([center], 1)]
-    existing = {center.coords}
+    center = Layer((Point((0.0, 0.0)),), 1)
+    layers = [center]
+    existing = set(center.coords.keyset)
     edge_d2s = []
     floor = 1
     for j in range(l):
@@ -829,23 +811,23 @@ def _star_of_paths_center_fixed(l: int, n: int, seed: int, grid_m: int | None):
         )
         phi = 2.0 * math.pi * j / l + 0.2
         off = (60.0 * math.cos(phi), 60.0 * math.sin(phi))
-        b_pts = [Point((float(p.coords[0]) + off[0], float(p.coords[1]) + off[1]), i) for i, p in enumerate(split.x1)]
-        e_pts = [Point((float(p.coords[0]) + off[0], float(p.coords[1]) + off[1]), i) for i, p in enumerate(split.x2)]
-        dmax = max(math.hypot(*p.coords) for p in b_pts)
+        b, e = (
+            Layer(_Coords(rows=[(float(p.coords[0]) + off[0], float(p.coords[1]) + off[1]) for p in side]))
+            for side in (split.x1, split.x2)
+        )
+        dmax = max(math.hypot(*c) for c in b.coords.rows)
         radius = dmax / 2.0 + 1.0
         r2 = radius * radius
-        matched = _matched(_xy([center]), r2, _xy(b_pts), r2)
+        matched = _matched(center.coords.axes, r2, b.coords.axes, r2)
         if matched is None:
             raise ConstructionError("arm pair out of reach of the center")
         seen = matched.keys()
-        b_coords = {p.coords for p in b_pts}
-        e_coords = {p.coords for p in e_pts}
+        b_coords, e_coords = b.coords.keyset, e.coords.keyset
         if (seen | b_coords | e_coords) & existing or seen & (b_coords | e_coords):
             raise ConstructionError("arm collides with previous arms")
         existing |= seen | b_coords | e_coords
-        layers.append(make_layer([Point(w, i) for i, w in enumerate(matched)], len(layers) + 1))
-        layers.append(make_layer(b_pts, len(layers) + 1))
-        layers.append(make_layer(e_pts, len(layers) + 1))
+        for layer in (Layer(_Coords(rows=list(matched))), b, e):
+            layers.append(Layer(layer.coords, len(layers) + 1))
         edge_d2s.append((r2, r2, float(split.d2)))
         floor *= split.preserved_incidences
     tree = star_of_paths_tree(l, edge_d2s)

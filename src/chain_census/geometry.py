@@ -1,4 +1,4 @@
-"""Exact and tolerant distance predicates, plus primitive point generators.
+"""Points, their exact or float squared distances, and point generators.
 
 Coordinates are either exact rationals (``fractions.Fraction``, with plain
 ``int`` accepted as a degenerate rational) or IEEE floats.  All distance
@@ -168,16 +168,6 @@ def squared_distance(p: Point, q: Point):
     return sum((a - b) * (a - b) for a, b in zip(p.coords, q.coords))
 
 
-def matches_distance(p: Point, q: Point, d2, spec: DistanceSpec) -> bool:
-    """Whether p and q realize squared distance d2 under the spec's mode.
-
-    Tolerant mode reads every coordinate as a float first, as the pair
-    kernel does, so on rational points both decide margin pairs alike."""
-    if spec.eps is None:
-        return squared_distance(p, q) == d2
-    return abs(squared_distance(p.as_float(), q.as_float()) - float(d2)) <= spec.eps
-
-
 def two_integer_squares(n: int) -> tuple[int, int] | None:
     """Some (a, b) with a*a + b*b == n, or None. Brute force up to isqrt(n)."""
     if n < 0:
@@ -261,32 +251,6 @@ def _circle_coords(center: Point, r2, m: int, t_range, seed=None, div=Fraction):
     a0, b = lo.numerator * w.denominator * (m + 1), lo.denominator * w.denominator * (m + 1)
     step = w.numerator * lo.denominator
     return _rotated_coords(center, (x0, y0), ((a0 + step * j, b) for j in range(1, m + 1)), div)
-
-
-def circle_circle_intersection(c1: Point, r1sq, c2: Point, r2sq) -> list[Point]:
-    """Real intersection points of two circles, to float precision.
-
-    Returns 0, 1 (tangency) or 2 points; concentric circles are an error.
-    """
-    x1, y1 = (float(c) for c in c1.coords)
-    x2, y2 = (float(c) for c in c2.coords)
-    dx, dy = x2 - x1, y2 - y1
-    d2 = dx * dx + dy * dy
-    if d2 == 0.0:
-        raise ValueError("concentric circles have no well-defined intersection")
-    r1sq, r2sq = float(r1sq), float(r2sq)
-    d = math.sqrt(d2)
-    a = (d2 + r1sq - r2sq) / (2.0 * d)
-    h2 = r1sq - a * a
-    tol = 1e-12 * max(r1sq, r2sq, d2)
-    if h2 < -tol:
-        return []
-    ux, uy = dx / d, dy / d
-    px, py = x1 + a * ux, y1 + a * uy
-    if h2 <= tol:
-        return [Point((px, py), 0)]
-    h = math.sqrt(h2)
-    return [Point((px - h * uy, py + h * ux), 0), Point((px + h * uy, py - h * ux), 1)]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .geometry import Point
-from .layered import LabeledTree, Layer, LayeredConfig, _coord_keys, make_config
+from .layered import LabeledTree, Layer, LayeredConfig, make_config
 
 
 class FileFormatError(ValueError):
@@ -140,17 +140,16 @@ def write_manifest(path, config: LayeredConfig, directory=None) -> str:
     directory = directory or os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     mode = "exact" if config.spec.exact else "float"
-    # aliased layers share a point tuple: its coordinates are keyed once
-    distinct = {id(layer.points): layer.points for layer in config.layers}
-    keys, _ = _coord_keys([[p.coords for p in pts] for pts in distinct.values()])
+    # aliased layers share a coordinate store: its coordinates are keyed once
+    distinct = {id(layer.coords): layer.coords for layer in config.layers}
     file_of: dict[tuple, str] = {}
     by_id: dict[int, str] = {}
-    for (i, pts), key in zip(distinct.items(), keys):
+    for i, coords in distinct.items():
         known = len(file_of)
-        by_id[i] = fname = file_of.setdefault(tuple(key), f"layer{known + 1}.pts")
+        by_id[i] = fname = file_of.setdefault(tuple(coords.keys), f"layer{known + 1}.pts")
         if len(file_of) > known:
-            write_points(os.path.join(directory, fname), pts, mode)
-    layer_files = [by_id[id(layer.points)] for layer in config.layers]
+            write_points(os.path.join(directory, fname), coords.points, mode)
+    layer_files = [by_id[id(layer.coords)] for layer in config.layers]
     lines = [f"k {config.k}", f"dim {config.dim}"]
     if config.spec.exact:
         lines.append("mode exact")
@@ -212,7 +211,7 @@ def read_manifest(path) -> LayeredConfig:
     extra = sorted(set(layer_paths) - set(range(1, k + 2)))
     if extra:
         raise FileFormatError(f"{path}: layer(s) {extra} beyond 1..{k + 1}")
-    cache: dict[str, tuple[Point, ...]] = {}  # aliased layers share one tuple
+    cache: dict[str, Layer] = {}  # aliased layers share one coordinate store
     layers = []
     for i in range(1, k + 2):
         fname = layer_paths[i]
@@ -224,8 +223,8 @@ def read_manifest(path) -> LayeredConfig:
                 raise FileFormatError(f"{full}: mode {pmode}, manifest wants {want}")
             if pts and pts[0].dim != dim:
                 raise FileFormatError(f"{full}: dim {pts[0].dim}, manifest says {dim}")
-            cache[full] = tuple(pts)
-        layers.append(Layer(cache[full], i))
+            cache[full] = Layer(pts, i)
+        layers.append(cache[full])
     return make_config(layers, delta2, eps)
 
 

@@ -18,54 +18,129 @@ import math
 import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain
+from fractions import Fraction
+from itertools import accumulate, chain
 
 from .geometry import CertificationError, DistanceSpec, Point, ResolutionError, _rational
 
 
+def _key(c):
+    """A coordinate as a key equal to another's iff they are equal numbers,
+    fast to hash: a Fraction becomes its int, the float equal to it, or
+    else its (numerator, denominator), which no int or float equals."""
+    if not isinstance(c, Fraction):
+        return c
+    num, den = c.as_integer_ratio()
+    if den == 1:
+        return num
+    if den & (den - 1) or abs(num) >> 53 or den.bit_length() > 1075:  # not a float64
+        return num, den
+    return num / den
+
+
+class _Coords:
+    """The coordinates of one point sequence, shared by the layers holding
+    them (relabelled or repeated), given as Points, coordinate tuples
+    (`rows`) or float64 `axes` (one row per axis).  The rows are read at
+    once, every other form on first read; built Points have ids 0, 1, ...
+    and Python numbers."""
+
+    def __init__(self, points=None, rows=None, axes=None):
+        if points is not None:
+            self.points = tuple(points)
+            rows = [p.coords for p in self.points]
+        elif axes is not None:
+            self.axes, rows = axes, list(zip(*axes.tolist()))
+        self.rows, self.n = rows, len(rows)
+        self.dims, self.types = set(map(len, rows)), set(map(type, chain.from_iterable(rows)))
+
+    def __eq__(self, other) -> bool:  # as the Points would be, whose ids do not count
+        return self is other or isinstance(other, _Coords) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.rows))
+
+    def __repr__(self) -> str:
+        return repr(self.points)
+
+    @functools.cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.rows, range(self.n)))
+
+    @functools.cached_property
+    def keys(self) -> list[tuple]:
+        """Each point's coordinates as _key tuples."""
+        if not any(issubclass(t, Fraction) for t in self.types):
+            return self.rows
+        return [tuple(map(_key, cs)) for cs in self.rows]
+
+    @functools.cached_property
+    def keyset(self) -> set[tuple]:
+        """The keys, hashed once for every duplicate or collision test."""
+        return set(self.keys)
+
+    @functools.cached_property
+    def axes(self):
+        """The pair kernel's tolerant form (``float`` rounds a Fraction correctly)."""
+        import numpy as np
+
+        dim = len(self.rows[0])  # fromiter: far faster than np.array on tuples
+        return np.fromiter(chain.from_iterable(self.rows), float, self.n * dim).reshape(self.n, dim).T.copy()
+
+    @functools.cached_property
+    def ratios(self) -> tuple[list, list, list]:
+        """The pair kernel's exact form: each point's denominator D_p, its
+        integers N_p = D_p * p per axis, and each axis's floor of its
+        minimum.  Integer points are the rational case with D_p = 1, their
+        axes taken as they are."""
+        rows, dim = self.rows, len(self.rows[0])
+        if self.types == {int}:
+            axes = list(zip(*rows))
+            return [1] * self.n, axes, list(map(min, axes))
+        ratios = [c.as_integer_ratio() for cs in rows for c in cs]
+        axes = [tuple(zip(*ratios[c::dim])) for c in range(dim)]  # (numerators, denominators)
+        dens = list(map(math.lcm, *(ds for _, ds in axes)))
+        nums = [[D // d * n for n, d, D in zip(ns, ds, dens)] for ns, ds in axes]
+        return dens, nums, [min(map(operator.floordiv, ns, ds)) for ns, ds in axes]
+
+
 @dataclass(frozen=True)
 class Layer:
-    points: tuple[Point, ...]
+    """A point layer: its coordinates (a _Coords, or Points kept as given) and a label."""
+
+    coords: _Coords
     label: int = 0
 
-    def __len__(self) -> int:
-        return len(self.points)
+    def __post_init__(self):
+        if not isinstance(self.coords, _Coords):
+            object.__setattr__(self, "coords", _Coords(self.coords))
 
-    def coord_set(self) -> set:
-        return {p.coords for p in self.points}
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return self.coords.points
+
+    def __len__(self) -> int:
+        return self.coords.n
 
     def validate(self, name: str = "") -> set:
         """Check ids and coordinates are unique, naming the layer (or `name`)
         in an error; the set of coordinate types."""
         name = name or f"layer {self.label}"
-        ids = [p.id for p in self.points]
-        if len(set(ids)) != len(ids):
+        c = self.coords
+        if "points" in c.__dict__ and len({p.id for p in c.points}) != c.n:  # Points given, or built with ids 0, 1, ...
             raise ValueError(f"{name}: point ids are not unique")
-        (coords,), types = _coord_keys([[p.coords for p in self.points]])
-        if len(set(coords)) != len(coords):
+        if len(c.keyset) != c.n:
             raise ValueError(f"{name}: duplicate point coordinates")
-        return types
-
-
-def _coord_keys(groups) -> tuple[list, set]:
-    """(keys, types): groups of coordinate tuples as keys equal iff they are,
-    and the coordinate types.  Rationals that are not all ints become
-    (numerator, denominator) pairs, which hash far faster than Fractions
-    (int tuples do too, and are kept)."""
-    types = set(map(type, chain.from_iterable(chain.from_iterable(groups))))
-    if types - {int} and all(map(_rational, types)):
-        groups = [[tuple([(c.numerator, c.denominator) for c in cs]) for cs in coords] for coords in groups]
-    return groups, types
+        return c.types
 
 
 def make_layer(points, label: int = 0) -> Layer:
-    pts = tuple(
-        p if isinstance(p, Point) else Point(tuple(p), i) for i, p in enumerate(points)
-    )
-    # re-id when the caller gave raw tuples or ids collide
-    if len({p.id for p in pts}) != len(pts):
-        pts = tuple(Point(p.coords, i) for i, p in enumerate(pts))
-    return Layer(pts, label)
+    """A layer of Points, their ids kept when unique, else of their (or
+    coordinate tuples') coordinates, ids 0, 1, ..."""
+    pts = tuple(points)
+    if all(isinstance(p, Point) for p in pts) and len({p.id for p in pts}) == len(pts):
+        return Layer(pts, label)
+    return Layer(_Coords(rows=[p.coords if isinstance(p, Point) else tuple(p) for p in pts]), label)
 
 
 @dataclass(frozen=True)
@@ -79,22 +154,19 @@ class LayeredConfig:
 
     @property
     def dim(self) -> int:
-        for layer in self.layers:
-            if layer.points:
-                return layer.points[0].dim
-        return 0
+        return next((len(ly.coords.rows[0]) for ly in self.layers if len(ly)), 0)
 
     def validate(self) -> None:
         if len(self.layers) != self.spec.k + 1:
             raise ValueError(
                 f"{len(self.layers)} layers but {self.spec.k} squared distances"
             )
-        dims, types_of = set(), {}  # Layer.validate and dimensions once per point tuple
+        dims, types_of = set(), {}  # Layer.validate and dimensions once per coordinate store
         for layer in self.layers:
-            if id(layer.points) not in types_of:
-                types_of[id(layer.points)] = layer.validate()
-                dims.update({len(p.coords) for p in layer.points})
-            types = types_of[id(layer.points)]
+            if id(layer.coords) not in types_of:
+                types_of[id(layer.coords)] = layer.validate()
+                dims |= layer.coords.dims
+            types = types_of[id(layer.coords)]
             if len(dims) > 1:
                 raise ValueError("layers mix dimensions")
             if self.spec.exact:
@@ -118,10 +190,8 @@ class LayeredConfig:
 
 
 def make_config(layers, delta2, eps: float | None = None) -> LayeredConfig:
-    lys = tuple(
-        ly if isinstance(ly, Layer) else make_layer(ly, i + 1) for i, ly in enumerate(layers)
-    )
-    lys = tuple(Layer(ly.points, i + 1) for i, ly in enumerate(lys))
+    # layer i + 1: a Layer relabelled (its coordinates shared) or a new one
+    lys = tuple(Layer((ly if isinstance(ly, Layer) else make_layer(ly)).coords, i + 1) for i, ly in enumerate(layers))
     cfg = LayeredConfig(lys, DistanceSpec(tuple(delta2), eps))
     cfg.validate()
     return cfg
@@ -186,41 +256,6 @@ def _primes(count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Side:
-    """One point sequence in the pair kernel's array form, built once per
-    layer however many pairs it belongs to: float64 axes in tolerant mode;
-    in exact mode each point's denominator D_p, its integers N_p = D_p * p
-    per axis, and each axis's floor of its minimum.  Integer points are the
-    rational case with D_p = 1, their axes taken as they are."""
-
-    def __init__(self, points, eps):
-        import numpy as np
-
-        self.points = points
-        coords = [p.coords for p in points]
-        self.dim = dim = len(coords[0]) if coords else 0
-        if set(map(len, coords)) - {dim}:
-            raise ValueError("dimension mismatch between the two point sets")
-        if not points:
-            return
-        if eps is not None:  # fromiter: far faster than np.array on a list of tuples
-            flat = np.fromiter(chain.from_iterable(coords), float, len(coords) * dim)
-            self.axes = flat.reshape(len(coords), dim).T.copy()
-            return
-        axes = list(zip(*coords))
-        if set(map(type, chain.from_iterable(axes))) == {int}:
-            self.dens, self.nums, self.lows = [1] * len(points), axes, list(map(min, axes))
-            return
-        ratios = [c.as_integer_ratio() for cs in coords for c in cs]
-        axes = [tuple(zip(*ratios[c::dim])) for c in range(dim)]  # (numerators, denominators)
-        self.dens = list(map(math.lcm, *(ds for _, ds in axes)))
-        self.nums = [[D // d * n for n, d, D in zip(ns, ds, self.dens)] for ns, ds in axes]
-        self.lows = [min(map(operator.floordiv, ns, ds)) for ns, ds in axes]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 class _PairView:
     """Both sides of a layer pair as arrays, one row per axis, and the one
     distance predicate on them.
@@ -245,25 +280,25 @@ class _PairView:
     """
 
     def __init__(self, pa, pb, d2, eps):
-        """pa and pb are point sequences or their _Side forms."""
+        """pa and pb are Layers or point sequences."""
         import numpy as np  # at call time: a module-level import raised peak RSS
 
-        sa, sb = (side if isinstance(side, _Side) else _Side(side, eps) for side in (pa, pb))
-        if sa.dim != sb.dim:
+        self.sides = sa, sb = [x.coords if isinstance(x, Layer) else _Coords(x) for x in (pa, pb)]
+        if len(sa.dims | sb.dims) > 1:
             raise ValueError("dimension mismatch between the two point sets")
-        self.dim = dim = sa.dim
+        self.dim = dim = len(sa.rows[0])
         self.eps, self.more = eps, ()
-        self.points = sa.points, sb.points
         if eps is not None:
             self.a, self.b, self.target = sa.axes, sb.axes, float(d2)
             return
-        dens = sa.dens + sb.dens
+        (dens_a, nums_a, lows_a), (dens_b, nums_b, lows_b) = sa.ratios, sb.ratios
+        dens = dens_a + dens_b
         # one denominator D for all points, as on integer layers: each axis
         # shifts by one integer, D^2 moves into d2 and the row of D_p = 1 is
         # left out, whose products would add about a third to those layers'
         # adjacency time
         shared, cols = len(set(dens)) == 1, []
-        for na, nb, low in zip(sa.nums, sb.nums, map(min, sa.lows, sb.lows)):
+        for na, nb, low in zip(nums_a, nums_b, map(min, lows_a, lows_b)):
             ns, shift = chain(na, nb), low * dens[0]
             cols.append([n - shift for n in ns] if shared else [n - low * D for n, D in zip(ns, dens)])
         num, den = d2.as_integer_ratio()
@@ -316,12 +351,12 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
     """CSR arrays (offsets, indices): indices[offsets[a]:offsets[a + 1]]
     are the ascending indices b with pa[a], pb[b] at squared distance d2.
 
-    The one kernel that decides point pairs (see _PairView), on point
-    sequences or their _Side forms: only ``spec.eps`` is read, so the spec
-    may carry other distances.  It tests every pair, O(|pa| |pb|), in row
-    tiles of pa against all of pb by broadcasting, each tile about _BLOCK
-    pairs, so a call costs a few array operations per tile plus Python
-    work per coordinate not yet converted.  With an `offenders` list,
+    The one kernel that decides point pairs (see _PairView), on Layers or
+    point sequences: only ``spec.eps`` is read, so the spec may carry other
+    distances.  It tests every pair, O(|pa| |pb|), in row tiles of pa
+    against all of pb by broadcasting, each tile about _BLOCK pairs, so a
+    call costs a few array operations per tile plus Python work per
+    coordinate not yet in array form.  With an `offenders` list,
     tolerant pairs in the guard band (eps, 100*eps] are appended to it as
     (p, q, gap) in (a, b) order: the separation certificate that tolerant
     counting is stable.  It runs where the band lies below d2, eps <
@@ -330,7 +365,9 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
     A certified pair with no offender raises ResolutionError if eps <=
     (dim + 2) u d2, u = 2^-53, which bounds the rounding of a computed
     squared distance near d2 (gamma_{dim+2}, Higham, ch. 3): a band that
-    narrow certifies nothing.
+    narrow certifies nothing, unless float64 computes every squared
+    distance and its gap to d2 exactly: integer coordinates, with the sum
+    over the axes of (max - min)^2 and d2 integers of at most 2^53.
     """
     import numpy as np
 
@@ -360,30 +397,30 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
             band.append((near[~hit] + lo * nb, gap[~hit]))
     hits, (band, gap) = np.concatenate(hits), map(np.concatenate, zip(*band))
     if certify and not len(band) and eps <= (bound := (view.dim + 2) * 2.0**-53 * float(d2)):
-        raise ResolutionError(eps, d2, bound)
+        both, (num, den) = np.concatenate((view.a, view.b), axis=1), d2.as_integer_ratio()
+        span2 = sum(int(s) ** 2 for s in (both.max(axis=1) - both.min(axis=1)).tolist())
+        if den != 1 or max(num, span2) > 1 << 53 or not (both == np.trunc(both)).all():
+            raise ResolutionError(eps, d2, bound)
     for ratio, a, b in view.more:  # each further prime tests the pairs the earlier ones kept
         hits = hits[view._agree(ratio, a.take(hits // nb, -1), b.take(hits % nb, -1))]
     if len(band):
-        (pts_a, pts_b), (rows, cols) = view.points, (side.tolist() for side in np.divmod(band, nb))
+        (pts_a, pts_b), (rows, cols) = (c.points for c in view.sides), (s.tolist() for s in np.divmod(band, nb))
         offenders.extend((pts_a[p], pts_b[q], g) for p, q, g in zip(rows, cols, gap.tolist()))
     return np.searchsorted(hits, np.arange(0, (na + 1) * nb, nb)), hits % nb
 
 
 def _pair_runs(spec: DistanceSpec, offenders=None):
-    """_pair_lists as a function (pa, pb, d2) of point tuples, run once per
-    distinct (pa, pb, d2) with tuples told apart by identity: calls with
-    one key share one _Side per tuple and one pair of read-only CSR arrays,
+    """_pair_lists as a function (pa, pb, d2) of Layers, run once per
+    distinct (coordinates, coordinates, d2), coordinates told apart by
+    identity: calls with one key share one pair of read-only CSR arrays,
     and each call appends the pair's guard-band offenders, as a run would."""
-    sides, runs = {}, {}
+    runs = {}
 
     def run(pa, pb, d2):
-        key = id(pa), id(pb), d2
+        key = id(pa.coords), id(pb.coords), d2
         if key not in runs:
-            for pts in (pa, pb):
-                if id(pts) not in sides:
-                    sides[id(pts)] = _Side(pts, spec.eps)
             band = None if offenders is None else []
-            runs[key] = _pair_lists(sides[id(pa)], sides[id(pb)], d2, spec, band), band
+            runs[key] = _pair_lists(pa, pb, d2, spec, band), band
             for arr in runs[key][0]:
                 arr.flags.writeable = False
         csr, band = runs[key]
@@ -395,7 +432,7 @@ def _pair_runs(spec: DistanceSpec, offenders=None):
 
 
 def _certified_pairs(spec: DistanceSpec, triples) -> list:
-    """The CSR arrays of the pairs (pa, pb, d2) of point tuples, each
+    """The CSR arrays of the pairs (pa, pb, d2) of Layers, each
     distinct one decided once (see _pair_runs).  In tolerant mode the
     guard-band certificate runs alongside: a pair in the band raises
     CertificationError."""
@@ -410,8 +447,8 @@ def _certified_pairs(spec: DistanceSpec, triples) -> list:
 def build_adjacency(config: LayeredConfig) -> BipartiteAdjacency:
     """The certified CSR adjacency of every consecutive layer pair (see
     _certified_pairs)."""
-    points = [ly.points for ly in config.layers]
-    return BipartiteAdjacency(tuple(_certified_pairs(config.spec, zip(points, points[1:], config.spec.delta2))))
+    layers = config.layers
+    return BipartiteAdjacency(tuple(_certified_pairs(config.spec, zip(layers, layers[1:], config.spec.delta2))))
 
 
 def _with_adjacency(config: LayeredConfig, pairs, band=()) -> LayeredConfig:
@@ -424,17 +461,26 @@ def _with_adjacency(config: LayeredConfig, pairs, band=()) -> LayeredConfig:
     return config
 
 
-def _coord_classes(layers, exact: bool) -> list[list[int]]:
-    """Map coordinates to dense integer classes shared across layers, one
-    list per distinct point tuple; exact ones keyed by _coord_keys."""
-    distinct = {id(layer.points): layer.points for layer in layers}
-    ids: dict[tuple, int] = {}
-    if exact:
-        keys, _ = _coord_keys([[p.coords for p in pts] for pts in distinct.values()])
-        lists = {i: [ids.setdefault(c, len(ids)) for c in ks] for i, ks in zip(distinct, keys)}
+def _disjoint(layers) -> bool:
+    """Whether no coordinates repeat within or across the layers' distinct
+    coordinate stores: their key sets, whose hashes are kept, join to a set
+    as large as the stores."""
+    distinct = {id(layer.coords): layer.coords for layer in layers}.values()
+    return len(set().union(*(c.keyset for c in distinct))) == sum(c.n for c in distinct)
+
+
+def _coord_classes(layers) -> list[list[int]]:
+    """Map coordinates to dense integer classes shared across layers, in
+    order of first appearance, one list per distinct coordinate store: a
+    run per store when no coordinates repeat (see _disjoint)."""
+    distinct = {id(layer.coords): layer.coords for layer in layers}
+    if _disjoint(layers):
+        starts = dict(zip(distinct, accumulate((c.n for c in distinct.values()), initial=0)))
+        lists = {i: list(range(starts[i], starts[i] + c.n)) for i, c in distinct.items()}
     else:
-        lists = {i: [ids.setdefault(p.coords, len(ids)) for p in pts] for i, pts in distinct.items()}
-    return [lists[id(layer.points)] for layer in layers]
+        ids: dict[tuple, int] = {}
+        lists = {i: [ids.setdefault(key, len(ids)) for key in c.keys] for i, c in distinct.items()}
+    return [lists[id(layer.coords)] for layer in layers]
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +660,7 @@ class _CountTree:
 
         if total:
             place(0)
+        del place  # the closure refers to itself: free the tree now, not at a gc pass
         return total
 
     def homs(self, blocks=()) -> int:
@@ -800,7 +847,7 @@ class _CountTree:
 def _chain_tree(config: LayeredConfig) -> _CountTree:
     k = config.k
     return _CountTree(
-        _coord_classes(config.layers, config.spec.exact),
+        _coord_classes(config.layers),
         list(range(1, k + 1)) + [-1],
         [*config.adjacency.pairs, None],
         range(k + 1),
@@ -840,7 +887,7 @@ def count_chains_and_walks(config: LayeredConfig) -> tuple[int, int]:
 def count_incidences(P: Layer, Q: Layer, d2, spec: DistanceSpec) -> int:
     """Ordered pairs (p, q) in P x Q realizing squared distance d2; a
     tolerant pair in the guard band raises CertificationError."""
-    return len(_certified_pairs(spec, [(P.points, Q.points, d2)])[0][1])
+    return len(_certified_pairs(spec, [(P, Q, d2)])[0][1])
 
 
 @dataclass(frozen=True)
@@ -907,7 +954,7 @@ def _tree_counter(layers, tree: LabeledTree, spec: DistanceSpec) -> _CountTree:
     order = tree.traversal()
     parent, pairs = [-1] * tree.vertex_count, [None] * tree.vertex_count
     # one run per distinct (vertex set, parent set, d2)
-    decided = _certified_pairs(spec, ((layers[v].points, layers[u].points, d2) for v, u, d2 in order[1:]))
+    decided = _certified_pairs(spec, ((layers[v], layers[u], d2) for v, u, d2 in order[1:]))
     for (v, u, _), csr in zip(order[1:], decided):
         parent[v], pairs[v] = u, csr
-    return _CountTree(_coord_classes(layers, spec.exact), parent, pairs, [v for v, _, _ in reversed(order)])
+    return _CountTree(_coord_classes(layers), parent, pairs, [v for v, _, _ in reversed(order)])

@@ -26,7 +26,7 @@ def degree_vector(target: Layer, reference: Layer, d2, spec: DistanceSpec) -> li
     point; a tolerant pair in the guard band raises CertificationError."""
     import numpy as np
 
-    return np.diff(_certified_pairs(spec, [(target.points, reference.points, d2)])[0][0]).tolist()
+    return np.diff(_certified_pairs(spec, [(target, reference, d2)])[0][0]).tolist()
 
 
 def rich_points(target: Layer, reference: Layer, d2, r: int, spec: DistanceSpec) -> Layer:

@@ -10,8 +10,12 @@ its degrees afresh.  The library builds rational circle points from
 integers; `circle_point_oracle` and `circle_points_oracle` are its former
 generators, one `Fraction` operation at a time.  The library keeps its
 adjacency as CSR arrays; `adjacency_oracle` decides every pair with
-`matches_distance`, `neighbors` lists an adjacency's arrays as tuples, and
-`restrict_oracle` is the former restriction of adjacency lists.
+`matches_distance`, the former pair-by-pair predicate, `neighbors` lists
+an adjacency's arrays as tuples, and `restrict_oracle` is the former
+restriction of adjacency lists.  The library intersects circles and
+builds planar arcs as float arrays; `circle_circle_intersection`,
+`float_arc_oracle` and `exact_arc_oracle` are the former scalar
+intersection and the former arcs of Points, one point at a time.
 `reversed_config` reverses a configuration's layers and distances, and
 `filtering_children` lists the one-pass children of a configuration from
 the library's filtering.  The library builds float planar bases from the circle
@@ -27,9 +31,66 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from chain_census.geometry import DistanceSpec, Point, matches_distance
+from chain_census.constructions import _dyadic_below
+from chain_census.geometry import DistanceSpec, Point, _circle_coords, squared_distance
 from chain_census.layered import Layer, LayeredConfig, build_adjacency
 from chain_census.richness import CoveringClass, DecompositionSequence, _Filtering, degree_vector, richness_thresholds
+
+
+def matches_distance(p: Point, q: Point, d2, spec: DistanceSpec) -> bool:
+    """Whether p and q realize squared distance d2 under the spec's mode.
+
+    Tolerant mode reads every coordinate as a float first, as the pair
+    kernel does, so on rational points both decide margin pairs alike."""
+    if spec.eps is None:
+        return squared_distance(p, q) == d2
+    return abs(squared_distance(p.as_float(), q.as_float()) - float(d2)) <= spec.eps
+
+
+def circle_circle_intersection(c1: Point, r1sq, c2: Point, r2sq) -> list[Point]:
+    """Real intersection points of two circles, to float precision, one
+    scalar operation at a time: 0, 1 (tangency) or 2 points; concentric
+    circles are an error."""
+    x1, y1 = (float(c) for c in c1.coords)
+    x2, y2 = (float(c) for c in c2.coords)
+    dx, dy = x2 - x1, y2 - y1
+    d2 = dx * dx + dy * dy
+    if d2 == 0.0:
+        raise ValueError("concentric circles have no well-defined intersection")
+    r1sq, r2sq = float(r1sq), float(r2sq)
+    d = math.sqrt(d2)
+    a = (d2 + r1sq - r2sq) / (2.0 * d)
+    h2 = r1sq - a * a
+    tol = 1e-12 * max(r1sq, r2sq, d2)
+    if h2 < -tol:
+        return []
+    ux, uy = dx / d, dy / d
+    px, py = x1 + a * ux, y1 + a * uy
+    if h2 <= tol:
+        return [Point((px, py), 0)]
+    h = math.sqrt(h2)
+    return [Point((px - h * uy, py + h * ux), 0), Point((px + h * uy, py - h * ux), 1)]
+
+
+def float_arc_oracle(center, r: float, n: int, eps: float, phase: float) -> list[Point]:
+    """The former float arc, point by point: n float points on an arc of
+    diameter <= eps starting at angle phase."""
+    span = min(1.0, eps / (2.0 * r))
+    cx, cy = center
+    pts = []
+    for j in range(n):
+        th = phase + span * (j + 1) / (n + 1)
+        pts.append(Point((cx + r * math.cos(th), cy + r * math.sin(th)), j))
+    return pts
+
+
+def exact_arc_oracle(center: Point, r2, n: int, eps: float, window: int, div) -> list[Point]:
+    """The former rational arc, as Points: n points on an arc of chord
+    diameter <= eps around the circle of squared radius r2, each coordinate
+    div(numerator, denominator)."""
+    t_hi = _dyadic_below(min(1.0, eps / (4.0 * math.sqrt(float(r2)))))
+    lo = t_hi * 2 * window
+    return [Point(c, j) for j, c in enumerate(_circle_coords(center, r2, n, (lo, lo + t_hi), div=div))]
 
 
 def circle_point_oracle(center: Point, seed: tuple, t) -> Point:

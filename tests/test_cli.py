@@ -582,6 +582,17 @@ def test_mode_exact_compares_floats_exactly(tmp_path, capsys):
     assert code == 0 and out == "1\n0 0\n"
 
 
+def test_integer_floats_resolve_at_any_tolerance(tmp_path, capsys):
+    # every squared distance of small integer floats is computed exactly,
+    # so the rounding bound of 4e6 (1.8e-9 > 1e-9) refuses nothing: the
+    # float count is the exact one
+    p = tmp_path / "pair.pts"
+    p.write_text("dim 2 count 2 mode float\n0.0 0.0\n2000.0 0.0\n")
+    argv = ["incidences", "--a", str(p), "--b", str(p), "--d2", "4000000"]
+    assert run(capsys, *argv) == (0, "2\n")
+    assert run(capsys, "--mode", "exact", *argv) == (0, "2\n")
+
+
 @pytest.mark.parametrize(
     "verb", ["count", "decompose", "verify --claim covering"], ids=["count", "decompose", "verify"]
 )
@@ -648,11 +659,12 @@ def test_repeated_point_is_one_error_line(tmp_path, verb, body):
     assert proc.stderr.splitlines() == [f"{dup}: duplicate point coordinates"]
 
 
-# the names chain_census exported when it imported every module eagerly
+# the names chain_census exported when it imported every module eagerly,
+# less circle_circle_intersection and matches_distance, now test oracles
 EXPORTS = {
-    "geometry": "CertificationError Circle3D DistanceSpec NoRationalPointError Point circle_circle_intersection"
-    " exact_point exact_spec float_point matches_distance rational_circle_points sample_circle_3d"
-    " sphere_sphere_intersection_circle squared_distance tolerant_spec",
+    "geometry": "CertificationError Circle3D DistanceSpec NoRationalPointError Point exact_point exact_spec"
+    " float_point rational_circle_points sample_circle_3d sphere_sphere_intersection_circle squared_distance"
+    " tolerant_spec",
     "layered": "BipartiteAdjacency LabeledTree Layer LayeredConfig build_adjacency count_chains"
     " count_incidences count_tree_embeddings count_walks make_config make_layer path_tree",
     "richness": "CoveringClass DecompositionSequence rich_points stable_covering",

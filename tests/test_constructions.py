@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -96,7 +97,7 @@ class TestPlanarChain:
         assert all(type(c) is float for layer in cfg.layers for p in layer.points for c in p.coords)
         assert count_chains(cfg) == chains
         if k == 2:
-            assert not cfg.layers[0].coord_set() & cfg.layers[2].coord_set()
+            assert not cfg.layers[0].coords.keyset & cfg.layers[2].coords.keyset
 
     def test_float_converted_base_is_certified(self):
         # the exact base turned to floats puts pairs in the guard band, and
@@ -195,6 +196,27 @@ class TestCertifiedOnce:
         assert row.status == "ok" and row.chains > 0
         assert len(calls) == builds
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    def test_k5_converts_each_layer_once(self, monkeypatch, n, seed):
+        # the kernel reads the array forms of the six layers' own
+        # coordinate stores, and the build and the count hash each store's
+        # keys once: no store builds a form twice
+        built = {"axes": [], "keyset": []}
+        for name, ids in built.items():
+            form = layered._Coords.__dict__[name]
+            prop = functools.cached_property(lambda c, form=form, ids=ids: ids.append(id(c)) or form.func(c))
+            prop.__set_name__(layered._Coords, name)
+            monkeypatch.setattr(layered._Coords, name, prop)
+        views, init = [], layered._PairView.__init__
+        monkeypatch.setattr(layered._PairView, "__init__", lambda v, *a: init(v, *a) or views.extend(map(id, v.sides)))
+        cfg = gen_planar_chain(5, None, n, 0.25, seed)
+        assert count_chains(cfg) == n**3
+        stores = {id(ly.coords) for ly in cfg.layers}
+        assert len(stores) == 6 and set(views) == stores
+        for ids in built.values():
+            assert len(ids) == len(set(ids)) and set(ids) <= stores
+
     def test_k8_certifies_each_pair_once(self, monkeypatch):
         calls = count_pair_calls(monkeypatch)
         gen_planar_chain(8, None, 4)
@@ -236,7 +258,7 @@ class TestBaseGuardBand:
 
         def patched(*args, **kwargs):
             layers, d2, tol = base(*args, **kwargs)
-            return [nudged(layers[0], 2), *layers[1:]], d2, tol
+            return [make_layer(nudged(layers[0].points, 2)), *layers[1:]], d2, tol
 
         monkeypatch.setattr(constructions, "_planar_base", patched)
 
@@ -388,7 +410,7 @@ class Test3dEven:
         cfg = gen_3d_even(6, [1.0] * 6, 4)
         seen = set()
         for layer in cfg.layers:
-            cs = layer.coord_set()
+            cs = layer.coords.keyset
             assert not (cs & seen)
             seen |= cs
         build_adjacency(cfg)
@@ -444,8 +466,8 @@ class Test3dOddRegular:
 
     def test_layers_identical(self):
         res = gen_3d_odd_regular(3, 27)
-        first = res.config.layers[0].coord_set()
-        assert all(layer.coord_set() == first for layer in res.config.layers)
+        first = res.config.layers[0].coords.keyset
+        assert all(layer.coords.keyset == first for layer in res.config.layers)
 
 
 class Test3dOddSphere:
@@ -527,7 +549,7 @@ class TestStar:
     def test_three_circles_brute_force(self):
         from itertools import product
 
-        from chain_census.geometry import matches_distance
+        from oracles import matches_distance
 
         res = gen_star(3, 12)
         brute = 0
@@ -542,7 +564,7 @@ class TestStar:
         res = gen_star(2, 8)
         center = res.layers[0].points[0]
         for layer in res.layers[1:]:
-            assert center.coords not in layer.coord_set()
+            assert center.coords not in layer.coords.keyset
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):

@@ -11,11 +11,9 @@ from chain_census.geometry import (
     DistanceSpec,
     NoRationalPointError,
     Point,
-    circle_circle_intersection,
     exact_point,
     exact_spec,
     float_point,
-    matches_distance,
     rational_circle_points,
     rational_point_on_circle,
     sample_circle_3d,
@@ -24,6 +22,7 @@ from chain_census.geometry import (
     tolerant_spec,
     two_integer_squares,
 )
+from oracles import circle_circle_intersection, matches_distance
 
 F = Fraction
 

@@ -13,7 +13,7 @@ from chain_census.io import (
     write_points,
     write_tree,
 )
-from chain_census.layered import count_chains, count_tree_embeddings, make_config, make_layer
+from chain_census.layered import _coord_classes, count_chains, count_tree_embeddings, make_config, make_layer
 
 from oracles import enumerate_chains
 
@@ -173,6 +173,22 @@ class TestManifests:
         assert text.count("layer ") == 4
         loaded = read_manifest(mpath)
         assert count_chains(loaded) == count_chains(res.config)
+
+    def test_repeated_layers_share_one_store(self, tmp_path):
+        # a manifest naming one file for every layer, read and relabelled:
+        # one coordinate store, one class list, one point file, same bytes
+        res = gen_3d_odd_regular(3, 27)
+        write_manifest(tmp_path / "manifest.txt", res.config, tmp_path)
+        loaded = read_manifest(tmp_path / "manifest.txt")
+        relabelled = make_config(loaded.layers[::-1], loaded.spec.delta2)
+        for i, cfg in enumerate((res.config, loaded, relabelled)):
+            assert len({id(ly.coords) for ly in cfg.layers}) == 1
+            assert len({id(c) for c in _coord_classes(cfg.layers)}) == 1
+            out = tmp_path / f"copy{i}"
+            write_manifest(out / "manifest.txt", cfg, out)
+            assert sorted(p.name for p in out.iterdir()) == ["layer1.pts", "manifest.txt"]
+            for name in ("layer1.pts", "manifest.txt"):
+                assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_equal_layers_share_a_file_whatever_their_number_types(self, tmp_path):
         ints = make_layer([(0, 0), (1, 2)])

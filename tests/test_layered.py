@@ -13,7 +13,6 @@ from chain_census.geometry import (
     ResolutionError,
     exact_point,
     exact_spec,
-    matches_distance,
     rational_circle_points,
 )
 from chain_census.layered import (
@@ -34,7 +33,14 @@ from chain_census.layered import (
 )
 from chain_census import layered
 from chain_census.constructions import gen_orthogonal_circles, gen_planar_chain, gen_star
-from oracles import backtrack_tree_embeddings, enumerate_chains, enumerate_walks_count, neighbors, reversed_config
+from oracles import (
+    backtrack_tree_embeddings,
+    enumerate_chains,
+    enumerate_walks_count,
+    matches_distance,
+    neighbors,
+    reversed_config,
+)
 
 F = Fraction
 
@@ -96,10 +102,24 @@ def test_coord_classes_key_equal_numbers_alike():
     fracs = make_layer([(F(1), F(2)), (F(1, 2), 0), (0, F(0))]).points
     more = make_layer([(F(3), 4), (F(1, 2), F(0))]).points
     want = [[0, 1, 2], [1, 3, 0], [2, 3], [0, 1, 2]]
-    for exact in (True, False):
-        assert layered._coord_classes([Layer(ints), Layer(fracs), Layer(more), Layer(ints)], exact) == want
-        floats = make_layer([(0.5, 0.0), (1.0, 2.0)]).points
-        assert layered._coord_classes([Layer(fracs), Layer(floats)], exact) == [[0, 1, 2], [1, 0]]
+    assert layered._coord_classes([Layer(ints), Layer(fracs), Layer(more), Layer(ints)]) == want
+    floats = make_layer([(0.5, 0.0), (1.0, 2.0)]).points
+    assert layered._coord_classes([Layer(fracs), Layer(floats)]) == [[0, 1, 2], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (F(1, 2), 0.5), (F(4, 2), 2), (F(4, 2), 2.0), (F(2**60), 2.0**60), (F(3, 2**1074), 3 * 2.0**-1074),
+        (F(1, 3), 1 / 3), (F(1, 2**1100), 0.0), (F(2**53 + 1, 2), (2**53 + 1) / 2), (F(-1, 2), F(1, 2)),
+    ],
+)
+def test_coordinate_keys_are_equal_iff_the_numbers_are(a, b):
+    # a Fraction's key is its int, the float equal to it, or a pair no
+    # int or float equals; equal keys hash alike
+    ka, kb = layered._key(a), layered._key(b)
+    assert (ka == kb) == (a == b)
+    assert ka != kb or hash(ka) == hash(kb)
 
 
 class TestAdjacency:
@@ -293,14 +313,35 @@ class TestSeparationCertificate:
 
     def test_unresolvable_distance_refused(self):
         # 1e-9 lies below (2 + 2) 2^-53 2^30, float64 rounding of a squared
-        # distance near 2^30, so a clean band certifies nothing
-        cfg = make_config([[(0.0, 0.0)], [(2.0**15, 0.0)]], (2.0**30,), eps=1e-9)
+        # distance near 2^30, so a clean band certifies nothing (half-integer
+        # coordinates: integer ones have exact squared distances)
+        cfg = make_config([[(0.5, 0.0)], [(2.0**15 + 0.5, 0.0)]], (2.0**30,), eps=1e-9)
         with pytest.raises(ResolutionError) as err:
             build_adjacency(cfg)
         assert str(err.value) == (
             "tolerance 1e-09 cannot resolve squared distance 1073741824.0 (float64 rounding bound 4.768e-07)"
         )
         assert isinstance(err.value, CertificationError) and err.value.offenders == []
+
+    @pytest.mark.parametrize(
+        "b, d2, edges",
+        [
+            ([(2.0**15, 0.0)], 2.0**30, 1),
+            ([(2.0**15, 0.0), (0.0, 2.0**26)], 2.0**30, 1),  # span^2 2^52 + 2^30: still exact
+            ([(2.0**15, 0.0), (2.0**27, 0.0)], 2.0**30, None),  # span^2 2^54
+            ([(2.0**15, 0.0)], 2.0**30 + 0.5, None),  # d2 no integer
+            ([(2.0**27, 0.0)], 2.0**54, None),  # d2 past 2^53
+        ],
+    )
+    def test_integer_coordinates_resolve_exactly(self, b, d2, edges):
+        # integer coordinates whose squared distances, and their gaps to an
+        # integer d2, stay at most 2^53 are summed exactly: no refusal
+        cfg = make_config([[(0.0, 0.0)], b], (d2,), eps=1e-9)
+        if edges is None:
+            with pytest.raises(ResolutionError):
+                build_adjacency(cfg)
+        else:
+            assert build_adjacency(cfg).total_edges() == edges
 
     def test_resolvable_distance_certified(self):
         # 2^20: the bound 4.7e-10 is below the tolerance

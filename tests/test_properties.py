@@ -12,6 +12,7 @@ and in the guard band.
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -23,9 +24,10 @@ from hypothesis import assume, given, settings, strategies as st
 from chain_census import layered, richness
 from chain_census.constructions import (
     _dyadic_below,
+    _exact_arc,
+    _float_arc,
     _matched,
     _popular_sq_distance,
-    _xy,
     gen_orthogonal_circles,
     gen_star,
 )
@@ -33,10 +35,8 @@ from chain_census.geometry import (
     CertificationError,
     DistanceSpec,
     Point,
-    circle_circle_intersection,
     exact_point,
     exact_spec,
-    matches_distance,
     rational_circle_points,
     rational_point_on_circle,
     squared_distance,
@@ -46,6 +46,8 @@ from chain_census.layered import (
     LabeledTree,
     Layer,
     _chain_tree,
+    _coord_classes,
+    _Coords,
     _pair_lists,
     _PairView,
     _primes,
@@ -64,12 +66,16 @@ from oracles import (
     adjacency_oracle,
     backtrack_chains,
     backtrack_tree_embeddings,
+    circle_circle_intersection,
     circle_point_oracle,
     circle_points_oracle,
     covering_oracle,
     enumerate_chains,
     enumerate_walks_count,
+    exact_arc_oracle,
+    float_arc_oracle,
     filtering_children,
+    matches_distance,
     neighbors,
     product_tree_embeddings,
     restrict_oracle,
@@ -515,8 +521,8 @@ def aliased_configs(draw):
 @given(aliased_configs())
 def test_repeated_pairs_decided_once(cfg):
     # each position against a kernel run of its own, offenders and all
-    points = [ly.points for ly in cfg.layers]
-    triples = list(zip(points, points[1:], cfg.spec.delta2))
+    layers = cfg.layers
+    triples = list(zip(layers, layers[1:], cfg.spec.delta2))
     offenders = []
     want = tuple(kernel_lists(a, b, d2, cfg.spec, offenders) for a, b, d2 in triples)
     try:
@@ -525,13 +531,14 @@ def test_repeated_pairs_decided_once(cfg):
         assert str(err) == str(CertificationError(offenders))
         assert [(p.id, q.id, g) for p, q, g in err.offenders] == [(p.id, q.id, g) for p, q, g in offenders]
         # the uncertified runs that build_adjacency shares
-        adj = BipartiteAdjacency(tuple(map(layered._pair_runs(cfg.spec), points, points[1:], cfg.spec.delta2)))
+        adj = BipartiteAdjacency(tuple(map(layered._pair_runs(cfg.spec), layers, layers[1:], cfg.spec.delta2)))
     else:
         assert not offenders
     assert neighbors(adj) == want == adjacency_oracle(cfg)
-    # positions holding one (tuple, tuple, d2) share its arrays; others do not
+    # positions holding one (coordinates, coordinates, d2) share its arrays;
+    # others do not
     for (i, ti), (j, tj) in itertools.combinations(enumerate(triples), 2):
-        same = (id(ti[0]), id(ti[1]), ti[2]) == (id(tj[0]), id(tj[1]), tj[2])
+        same = (id(ti[0].coords), id(ti[1].coords), ti[2]) == (id(tj[0].coords), id(tj[1].coords), tj[2])
         assert (adj.pairs[i] is adj.pairs[j]) == same
 
 
@@ -758,6 +765,11 @@ def test_star_layers_equal_the_oracle_built_ones():
         assert [(p.id, p.coords) for p in layer.points] == [(p.id, p.coords) for p in want]
 
 
+def axes(points):
+    """The float axes of a layer of points, one row per axis."""
+    return Layer(points).coords.axes
+
+
 def matched_both_ways(points, r2, fixed, fixed_r2):
     """constructions._matched with the fixed circle second, then first,
     each next to the first hits of circle_circle_intersection called point
@@ -776,8 +788,8 @@ def matched_both_ways(points, r2, fixed, fixed_r2):
         return hits
 
     pts, joint = [Point(c, i) for i, c in enumerate(points)], Point(fixed)
-    second = _matched(_xy(pts), r2, _xy([joint]), fixed_r2), scalar((p, r2, joint, fixed_r2) for p in pts)
-    first = _matched(_xy([joint]), fixed_r2, _xy(pts), r2), scalar((joint, fixed_r2, p, r2) for p in pts)
+    second = _matched(axes(pts), r2, axes([joint]), fixed_r2), scalar((p, r2, joint, fixed_r2) for p in pts)
+    first = _matched(axes([joint]), fixed_r2, axes(pts), r2), scalar((joint, fixed_r2, p, r2) for p in pts)
     return [tuple(map(hexes, pair)) for pair in (second, first)]
 
 
@@ -800,6 +812,66 @@ def test_circle_kernel_equals_the_scalar_intersection(fixed, r, fixed_r, polar):
     assume(all(p != fixed for p in points))
     for got, want in matched_both_ways(points, r * r, fixed, fixed_r * fixed_r):
         assert got == want
+
+
+def hex_rows(rows):
+    """Coordinate rows as float.hex tuples, so that -0.0 and 0.0 differ."""
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
+@CHECKS
+@given(
+    st.tuples(FLOAT, FLOAT),
+    st.floats(1e-3, 1e3),
+    st.integers(1, 300),
+    st.floats(1e-6, 10.0),
+    st.floats(-10.0, 10.0),
+)
+def test_float_arc_is_the_per_point_arc(center, r, n, eps, phase):
+    # angles on an arange by the scalar expression's IEEE operations, cos
+    # and sin from math: every bit of the former per-point arc
+    layer, want = _float_arc(center, r, n, eps, phase), float_arc_oracle(center, r, n, eps, phase)
+    assert hex_rows(zip(*layer.coords.axes.tolist())) == hex_rows(p.coords for p in want)
+    assert repr(layer.points) == repr(tuple(want)) and layer.points == tuple(want)
+    assert all(type(c) is float for p in layer.points for c in p.coords)
+
+
+@CHECKS
+@given(
+    st.integers(1, 200),
+    st.integers(0, 30),
+    st.integers(1, 30),
+    st.integers(1, 12),
+    st.integers(0, 3),
+    st.floats(1e-3, 2.0),
+    st.sampled_from([Fraction, operator.truediv]),
+)
+def test_exact_arc_is_the_per_point_arc(n, a, b, c, window, eps, div):
+    # radii (a^2 + b^2)/c^2 admit rational points; each window its range
+    center, r2 = Point((div(0, 1), div(0, 1))), Fraction(a * a + b * b, c * c)
+    layer, want = _exact_arc(center, r2, n, eps, window, div), exact_arc_oracle(center, r2, n, eps, window, div)
+    assert repr(layer.points) == repr(tuple(want)) and layer.points == tuple(want)
+    if div is operator.truediv:
+        assert hex_rows(zip(*layer.coords.axes.tolist())) == hex_rows(p.coords for p in want)
+
+
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-1074])
+
+
+@CHECKS
+@given(st.lists(st.tuples(SIGNED, SIGNED), min_size=1, max_size=12))
+def test_array_layers_key_rows_as_tuples(rows):
+    # a layer given as float axes keys its rows as the tuples would: a
+    # repeated row is refused, and -0.0 equals 0.0
+    layer = Layer(_Coords(axes=np.array(rows, dtype=float).T.copy()))
+    tuples = Layer(tuple(Point(row, i) for i, row in enumerate(rows)))
+    assert layer.points == tuples.points and repr(layer.points) == repr(tuples.points)
+    if len(set(rows)) < len(rows):
+        with pytest.raises(ValueError, match="duplicate point coordinates"):
+            layer.validate()
+    else:
+        assert layer.validate() == {float}
+    assert _coord_classes([layer, tuples]) == _coord_classes([Layer(tuples.points), tuples])
 
 
 def test_circle_kernel_fixed_cases():
@@ -825,11 +897,11 @@ def test_circle_kernel_fixed_cases():
     assert [list(reversed(h)) for h in forward] == list(hits(points[::-1], 1.0, (0.0, 0.0), 1.0))
     # concentric circles are an error whichever side is fixed
     for points in (((1.0, 2.0), (1.0, 2.0)), ((1.0, 2.0), (0.0, 0.0), (1.0, 2.0))):
-        pts = _xy([Point(c) for c in points])
+        pts = axes([Point(c) for c in points])
         with pytest.raises(ValueError, match="concentric"):
-            _matched(pts, 1.0, _xy([Point((1.0, 2.0))]), 2.0)
+            _matched(pts, 1.0, axes([Point((1.0, 2.0))]), 2.0)
         with pytest.raises(ValueError, match="concentric"):
-            _matched(_xy([Point((1.0, 2.0))]), 2.0, pts, 1.0)
+            _matched(axes([Point((1.0, 2.0))]), 2.0, pts, 1.0)
 
 
 @CHECKS
