@@ -16,15 +16,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .geometry import TOLERANCE, CertificationError, DistanceSpec, exact_point
-from .io import FileFormatError, _parse_exact, read_manifest, read_points, read_tree, write_manifest, write_points, write_tree
+from .geometry import TOLERANCE, CertificationError, DistanceSpec
+from .io import FileFormatError, _parse_exact, read_coords, read_manifest, read_tree, write_manifest, write_points, write_tree
 from .layered import (
     Layer,
     count_chains,
     count_chains_and_walks,
     count_incidences,
     count_tree_embeddings,
-    make_layer,
 )
 from .richness import rich_points, stable_covering
 
@@ -202,21 +201,25 @@ def _read_layers(args, *paths) -> tuple[list[Layer], DistanceSpec, str]:
     the first file: exact, or TOLERANCE for a float file.  Under
     --mode exact float coordinates become Fractions, losslessly, so no
     float decides a count."""
-    loaded = [read_points(path) for path in paths]
+    loaded = [read_coords(path) for path in paths]
     mode = loaded[0][1]
     if args.mode == "exact":
         eps = None
-        loaded = [([exact_point(p.coords, p.id) for p in pts], m) for pts, m in loaded]
+        loaded = [(c.exact() if m == "float" else c, m) for c, m in loaded]
     elif args.mode is None:
         eps = None if mode == "exact" else TOLERANCE
     else:
         eps = args.mode
-    layers = [make_layer(pts) for pts, _ in loaded]
+    layers = [Layer(c) for c, _ in loaded]
     try:  # a point file repeats no point
         for path, layer in zip(paths, layers):
             layer.validate(path)
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
+    sized = [(path, *c.dims) for path, (c, _) in zip(paths, loaded) if c.dims]
+    for path, dim in sized:  # nor do two files differ in dimension
+        if dim != sized[0][1]:
+            raise FileFormatError(f"{path}: dim {dim}, {sized[0][0]} has dim {sized[0][1]}")
     return layers, DistanceSpec((), eps), mode
 
 

@@ -21,14 +21,16 @@ Layers may alias one file (repeated-layer configurations).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import operator
 import os
 from fractions import Fraction
 from itertools import chain
 
 from .geometry import Point
-from .layered import LabeledTree, Layer, LayeredConfig, make_config
+from .layered import LabeledTree, Layer, LayeredConfig, _Coords, make_config
 
 
 class FileFormatError(ValueError):
@@ -89,7 +91,10 @@ def write_points(path, points, mode: str) -> None:
         fh.write("\n".join([head, *map(" ".join, rows)]) + "\n")
 
 
-def read_points(path) -> tuple[list[Point], str]:
+def read_coords(path) -> tuple[_Coords, str]:
+    """A point file as a coordinate store, of the header's dimension (an
+    empty file's too), and its mode.  No Point or Fraction is built until
+    the store's points or rows are read (see _exact_coords)."""
     with open(path) as fh:
         lines = list(filter(str.strip, fh.read().split("\n")))
     if not lines:
@@ -106,29 +111,48 @@ def read_points(path) -> tuple[list[Point], str]:
         raise FileFormatError(f"{path}: unknown mode {mode!r}")
     if len(lines) - 1 != count:
         raise FileFormatError(f"{path}: header says {count} points, found {len(lines) - 1}")
-    if not count:
-        return [], mode
     rows = list(map(str.split, lines[1:]))
-    try:  # every token a whole number: ints in one pass
-        if mode != "exact" or set(map(len, rows)) - {dim}:
-            raise ValueError
-        values = list(map(int, chain.from_iterable(rows)))
-    except ValueError:  # line by line: rationals, floats, or the first line refused
-        values = []
-        for i, toks in enumerate(rows):
-            if len(toks) != dim:
-                raise FileFormatError(f"{path}: line {i + 2} has {len(toks)} coords, want {dim}") from None
-            if mode == "exact":
-                values += map(_parse_exact, toks)
-                continue
-            try:
-                coords = list(map(float, toks))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: line {i + 2}: bad float") from exc
-            if not all(map(math.isfinite, coords)):
-                raise FileFormatError(f"{path}: line {i + 2}: non-finite coordinate") from None
-            values += coords
-    return list(map(Point, zip(*[iter(values)] * dim), range(count))), mode
+    if mode == "exact" and not set(map(len, rows)) - {dim}:
+        with contextlib.suppress(ValueError):  # else the first fault, line by line, below
+            return _exact_coords(list(chain.from_iterable(rows)), dim), mode
+    values = []
+    for i, toks in enumerate(rows):
+        if len(toks) != dim:
+            raise FileFormatError(f"{path}: line {i + 2} has {len(toks)} coords, want {dim}")
+        if mode == "exact":
+            list(map(_parse_exact, toks))
+            continue
+        try:
+            coords = list(map(float, toks))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: line {i + 2}: bad float") from exc
+        if not all(map(math.isfinite, coords)):
+            raise FileFormatError(f"{path}: line {i + 2}: non-finite coordinate")
+        values += coords
+    return _Coords(rows=list(zip(*[iter(values)] * dim)), dim=dim), mode
+
+
+def _exact_coords(toks: list[str], dim: int) -> _Coords:
+    """The store of exact tokens, p/q as its reduced (numerator,
+    denominator), an integer n as (n, 1); ValueError at a bad token."""
+    if not any("/" in tok for tok in toks):  # every token a whole number: ints in one pass
+        return _Coords(rows=list(zip(*[iter(map(int, toks))] * dim)), dim=dim)
+    parts = [tok.partition("/") for tok in toks]
+    nums = [int(n) for n, _, _ in parts]
+    dens = [int(d) if s else 1 for _, s, d in parts]
+    if 0 in dens:
+        raise ValueError
+    gcds = list(map(math.gcd, nums, dens))
+    if gcds.count(1) != len(gcds) or min(dens) < 0:  # to lowest terms, denominators positive
+        gcds = [g if d > 0 else -g for g, d in zip(gcds, dens)]
+        nums, dens = list(map(operator.floordiv, nums, gcds)), list(map(operator.floordiv, dens, gcds))
+    return _Coords(pairs=(nums, dens, [bool(s) for _, s, _ in parts]), dim=dim)
+
+
+def read_points(path) -> tuple[list[Point], str]:
+    """A point file's Points, ids 0, 1, ..., and its mode."""
+    coords, mode = read_coords(path)
+    return list(coords.points), mode
 
 
 def write_manifest(path, config: LayeredConfig, directory=None) -> str:
@@ -217,13 +241,13 @@ def read_manifest(path) -> LayeredConfig:
         fname = layer_paths[i]
         full = fname if os.path.isabs(fname) else os.path.join(base, fname)
         if full not in cache:
-            pts, pmode = read_points(full)
+            coords, pmode = read_coords(full)
             want = "exact" if eps is None else "float"
             if pmode != want:
                 raise FileFormatError(f"{full}: mode {pmode}, manifest wants {want}")
-            if pts and pts[0].dim != dim:
-                raise FileFormatError(f"{full}: dim {pts[0].dim}, manifest says {dim}")
-            cache[full] = Layer(pts, i)
+            if coords.dims - {dim}:  # the header's, of an empty file too
+                raise FileFormatError(f"{full}: dim {min(coords.dims)}, manifest says {dim}")
+            cache[full] = Layer(coords, i)
         layers.append(cache[full])
     return make_config(layers, delta2, eps)
 

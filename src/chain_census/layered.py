@@ -28,9 +28,11 @@ def _key(c):
     """A coordinate as a key equal to another's iff they are equal numbers,
     fast to hash: a Fraction becomes its int, the float equal to it, or
     else its (numerator, denominator), which no int or float equals."""
-    if not isinstance(c, Fraction):
-        return c
-    num, den = c.as_integer_ratio()
+    return _pair_key(*c.as_integer_ratio()) if isinstance(c, Fraction) else c
+
+
+def _pair_key(num: int, den: int):
+    """_key of the Fraction num/den (reduced, den > 0)."""
     if den == 1:
         return num
     if den & (den - 1) or abs(num) >> 53 or den.bit_length() > 1075:  # not a float64
@@ -41,38 +43,56 @@ def _key(c):
 class _Coords:
     """The coordinates of one point sequence, shared by the layers holding
     them (relabelled or repeated), given as Points, coordinate tuples
-    (`rows`) or float64 `axes` (one row per axis).  The rows are read at
-    once, every other form on first read; built Points have ids 0, 1, ...
-    and Python numbers."""
+    (`rows`), float64 `axes` (one row per axis) or, from the exact reader,
+    `pairs` (numerators, denominators, whether each is a Fraction); every
+    other form is built on first read, Points with ids 0, 1, ... and
+    Python numbers.  `dim`, when given, is the dimension even of no points."""
 
-    def __init__(self, points=None, rows=None, axes=None):
+    def __init__(self, points=None, rows=None, axes=None, pairs=None, dim=None):
         if points is not None:
             self.points = tuple(points)
             rows = [p.coords for p in self.points]
         elif axes is not None:
             self.axes, rows = axes, list(zip(*axes.tolist()))
-        self.rows, self.n = rows, len(rows)
-        self.dims, self.types = set(map(len, rows)), set(map(type, chain.from_iterable(rows)))
+        if pairs is not None:
+            *self.pairs, self._fracs = pairs
+            self.n, self.types = len(self._fracs) // (dim or 1), {Fraction if f else int for f in set(self._fracs)}
+        else:
+            self.rows, self.n, self.types = rows, len(rows), set(map(type, chain.from_iterable(rows)))
+        self.dims = set(map(len, rows)) if dim is None else {dim} - {0}
 
     def __eq__(self, other) -> bool:  # as the Points would be, whose ids do not count
-        return self is other or isinstance(other, _Coords) and self.rows == other.rows
+        return self is other or isinstance(other, _Coords) and self.keys == other.keys
 
     def __hash__(self) -> int:
-        return hash(tuple(self.rows))
+        return hash(tuple(self.keys))
 
     def __repr__(self) -> str:
         return repr(self.points)
+
+    @functools.cached_property
+    def rows(self) -> list[tuple]:
+        (nums, dens), dim = self.pairs, min(self.dims, default=1)
+        flat = [Fraction(n, d) if f else n for n, d, f in zip(nums, dens, self._fracs)]
+        return list(zip(*[iter(flat)] * dim))
 
     @functools.cached_property
     def points(self) -> tuple[Point, ...]:
         return tuple(map(Point, self.rows, range(self.n)))
 
     @functools.cached_property
+    def pairs(self) -> list[list]:
+        """The coordinates' reduced numerators and positive denominators, point by point."""
+        return list(map(list, zip(*(c.as_integer_ratio() for c in chain.from_iterable(self.rows))))) or [[], []]
+
+    @functools.cached_property
     def keys(self) -> list[tuple]:
         """Each point's coordinates as _key tuples."""
         if not any(issubclass(t, Fraction) for t in self.types):
             return self.rows
-        return [tuple(map(_key, cs)) for cs in self.rows]
+        (nums, dens), dim = self.pairs, min(self.dims)
+        flat = [n if d == 1 else _pair_key(n, d) for n, d in zip(nums, dens)]
+        return list(zip(*[iter(flat)] * dim))
 
     @functools.cached_property
     def keyset(self) -> set[tuple]:
@@ -84,24 +104,36 @@ class _Coords:
         """The pair kernel's tolerant form (``float`` rounds a Fraction correctly)."""
         import numpy as np
 
-        dim = len(self.rows[0])  # fromiter: far faster than np.array on tuples
+        dim = min(self.dims)  # fromiter: far faster than np.array on tuples
         return np.fromiter(chain.from_iterable(self.rows), float, self.n * dim).reshape(self.n, dim).T.copy()
 
     @functools.cached_property
-    def ratios(self) -> tuple[list, list, list]:
+    def ratios(self) -> tuple:
         """The pair kernel's exact form: each point's denominator D_p, its
         integers N_p = D_p * p per axis, and each axis's floor of its
-        minimum.  Integer points are the rational case with D_p = 1, their
-        axes taken as they are."""
-        rows, dim = self.rows, len(self.rows[0])
+        minimum, as arrays: int64 when every D_p and |N_p| is below 2^31,
+        so that no product or difference the kernel forms with them
+        overflows, else of Python ints.  Integer points are the rational
+        case with D_p = 1, their axes taken as they are."""
+        import numpy as np
+
+        dim = min(self.dims)
         if self.types == {int}:
-            axes = list(zip(*rows))
-            return [1] * self.n, axes, list(map(min, axes))
-        ratios = [c.as_integer_ratio() for cs in rows for c in cs]
-        axes = [tuple(zip(*ratios[c::dim])) for c in range(dim)]  # (numerators, denominators)
-        dens = list(map(math.lcm, *(ds for _, ds in axes)))
-        nums = [[D // d * n for n, d, D in zip(ns, ds, dens)] for ns, ds in axes]
-        return dens, nums, [min(map(operator.floordiv, ns, ds)) for ns, ds in axes]
+            nums = list(zip(*self.rows))
+            dens, lows = [1] * self.n, list(map(min, nums))
+        else:
+            nums, dens = self.pairs
+            axes = [(nums[c::dim], dens[c::dim]) for c in range(dim)]
+            dens = list(map(math.lcm, *(ds for _, ds in axes)))
+            nums = [[D // d * n for n, d, D in zip(ns, ds, dens)] for ns, ds in axes]
+            lows = [min(map(operator.floordiv, ns, ds)) for ns, ds in axes]
+        small = max(dens) >> 31 == 0 and -(1 << 31) < min(map(min, nums)) and max(map(max, nums)) < 1 << 31
+        kind = np.int64 if small else object
+        return np.array(dens, kind), np.array(nums, kind), np.array(lows, kind)
+
+    def exact(self) -> "_Coords":
+        """These coordinates as Fractions, each the rational it is (a float's exact value)."""
+        return _Coords(pairs=(*self.pairs, [True] * len(self.pairs[0])), dim=min(self.dims, default=0))
 
 
 @dataclass(frozen=True)
@@ -154,7 +186,7 @@ class LayeredConfig:
 
     @property
     def dim(self) -> int:
-        return next((len(ly.coords.rows[0]) for ly in self.layers if len(ly)), 0)
+        return next((min(ly.coords.dims) for ly in self.layers if ly.coords.dims), 0)
 
     def validate(self) -> None:
         if len(self.layers) != self.spec.k + 1:
@@ -164,11 +196,11 @@ class LayeredConfig:
         dims, types_of = set(), {}  # Layer.validate and dimensions once per coordinate store
         for layer in self.layers:
             if id(layer.coords) not in types_of:
+                dims |= layer.coords.dims  # first: a store's keys are cut into points of one dimension
+                if len(dims) > 1:
+                    raise ValueError("layers mix dimensions")
                 types_of[id(layer.coords)] = layer.validate()
-                dims |= layer.coords.dims
             types = types_of[id(layer.coords)]
-            if len(dims) > 1:
-                raise ValueError("layers mix dimensions")
             if self.spec.exact:
                 if not all(map(_rational, types)):
                     raise ValueError("exact spec requires rational coordinates")
@@ -286,31 +318,29 @@ class _PairView:
         self.sides = sa, sb = [x.coords if isinstance(x, Layer) else _Coords(x) for x in (pa, pb)]
         if len(sa.dims | sb.dims) > 1:
             raise ValueError("dimension mismatch between the two point sets")
-        self.dim = dim = len(sa.rows[0])
+        self.dim = dim = min(sa.dims | sb.dims)
         self.eps, self.more = eps, ()
         if eps is not None:
             self.a, self.b, self.target = sa.axes, sb.axes, float(d2)
             return
         (dens_a, nums_a, lows_a), (dens_b, nums_b, lows_b) = sa.ratios, sb.ratios
-        dens = dens_a + dens_b
+        dens = np.concatenate((dens_a, dens_b))
+        rows = np.concatenate((nums_a, nums_b), axis=1) - np.minimum(lows_a, lows_b)[:, None] * dens
+        num, den = d2.as_integer_ratio()
+        nmax, dmax = max(1, int(rows.max())), int(dens.max())
         # one denominator D for all points, as on integer layers: each axis
         # shifts by one integer, D^2 moves into d2 and the row of D_p = 1 is
         # left out, whose products would add about a third to those layers'
         # adjacency time
-        shared, cols = len(set(dens)) == 1, []
-        for na, nb, low in zip(nums_a, nums_b, map(min, lows_a, lows_b)):
-            ns, shift = chain(na, nb), low * dens[0]
-            cols.append([n - shift for n in ns] if shared else [n - low * D for n, D in zip(ns, dens)])
-        num, den = d2.as_integer_ratio()
-        if shared:
-            num, dens = num * dens[0] ** 2, [1]
-        dmax, nmax = max(dens), max(1, *map(max, cols))
+        if dmax == dens.min():
+            num, dmax = num * dmax**2, 1
+        else:
+            rows = np.concatenate((rows, dens[None]))  # N_p per axis, then D_p
         bound = max(den * dim * (dmax * nmax) ** 2, num * dmax**4)
         # each prime exceeds 2^30, so their product exceeds 2 * bound
         self.primes = _primes(-(-(2 * bound).bit_length() // 30)) if bound >> 63 else ()
-        rows = cols if shared else [*cols, dens]  # N_p per axis, then D_p
         ratios = [(mod, num % mod, den % mod) for mod in self.primes] or [(0, num, den)]
-        values = [[[v % mod for v in row] for row in rows] if mod else rows for mod, _, _ in ratios]
+        values = [rows % mod if mod else rows for mod, _, _ in ratios]
         values = np.array(values, np.int64 if self.primes or bound >> 31 else np.int32)
         sides = [(ratio, v[:, : len(pa)], v[:, len(pa) :]) for ratio, v in zip(ratios, values)]
         (self.ratio, self.a, self.b), *self.more = sides

@@ -20,7 +20,9 @@ intersection and the former arcs of Points, one point at a time.
 `filtering_children` lists the one-pass children of a configuration from
 the library's filtering.  The library builds float planar bases from the circle
 kernel's integers; `to_float_layers` is the former route, `Point.as_float`
-of every point of the exact base.
+of every point of the exact base.  The library reads exact point files
+into reduced integer pairs; `read_points_oracle` is the former reader, one
+`Fraction` or int per token and one Point per line.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from itertools import product
 
 from chain_census.constructions import _dyadic_below
 from chain_census.geometry import DistanceSpec, Point, _circle_coords, squared_distance
+from chain_census.io import _parse_exact
 from chain_census.layered import Layer, LayeredConfig, build_adjacency
 from chain_census.richness import CoveringClass, DecompositionSequence, _Filtering, degree_vector, richness_thresholds
 
@@ -112,6 +115,14 @@ def circle_points_oracle(center: Point, seed: tuple, m: int, t_range, id_base: i
         Point(circle_point_oracle(center, seed, lo + (hi - lo) * Fraction(j + 1, m + 1)).coords, id_base + j)
         for j in range(m)
     ]
+
+
+def read_points_oracle(path) -> list[Point]:
+    """The Points of a well-formed exact point file, ids 0, 1, ..., each
+    token parsed on its own: an int, or for p/q the Fraction p/q."""
+    with open(path) as fh:
+        _, *lines = filter(str.strip, fh.read().split("\n"))
+    return [Point(tuple(map(_parse_exact, ln.split())), i) for i, ln in enumerate(lines)]
 
 
 def to_float_layers(layers) -> list[Layer]:

@@ -634,9 +634,11 @@ def test_guard_band_point_files_are_one_error_line(tmp_path, verb):
     [
         "dim 2 count 3 mode exact\n0 0\n1 0\n1 0\n",
         "dim 2 count 3 mode exact\n0 0\n1/2 0\n2/4 0\n",
+        "dim 2 count 2 mode exact\n2 0\n4/2 0\n",
+        "dim 2 count 2 mode exact\n0 1\n-0 1\n",
         "dim 2 count 3 mode float\n0 0\n1 0\n1.0 0\n",
     ],
-    ids=["exact", "exact-spelling", "float"],
+    ids=["exact", "exact-spelling", "exact-whole-spelling", "exact-zero-spelling", "float"],
 )
 @pytest.mark.parametrize(
     "verb",
@@ -657,6 +659,51 @@ def test_repeated_point_is_one_error_line(tmp_path, verb, body):
     proc = run_process(*verb.format(pts=pts, tree=tree, dup=dup).split())
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == [f"{dup}: duplicate point coordinates"]
+
+
+@pytest.mark.parametrize("body", ["1/2 0\n2/4 0", "2 0\n4/2 0", "0 1\n-0 1"], ids=["halves", "whole", "zero"])
+def test_unreduced_repeated_point_in_a_manifest_is_refused(tmp_path, capsys, body):
+    # one number in two spellings is one coordinate: the layer repeats a point
+    (tmp_path / "dup.pts").write_text(f"dim 2 count 2 mode exact\n{body}\n")
+    m = tmp_path / "m.txt"
+    m.write_text("k 1\ndim 2\nmode exact\ndelta2 1\nlayer 1 dup.pts\nlayer 2 dup.pts\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--manifest", str(m)])
+    assert exc.value.code == f"{m}: layer 1: duplicate point coordinates" and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        "incidences --a {a} --b {b} --d2 1",
+        "rich --target {a} --ref {b} --d2 1 --r 1",
+        "count-tree --tree {tree} --layer {a} --layer {b}",
+    ],
+    ids=["incidences", "rich", "count-tree"],
+)
+def test_point_files_of_two_dimensions_are_one_error_line(tmp_path, verb):
+    files = {"a": tmp_path / "a.pts", "b": tmp_path / "b3.pts", "tree": tmp_path / "edge.tree"}
+    files["a"].write_text("dim 2 count 2 mode exact\n0 0\n1 0\n")
+    files["b"].write_text("dim 3 count 2 mode exact\n0 0 0\n1 0 0\n")
+    files["tree"].write_text("vertices 2\nedge 1 2 1\n")
+    proc = run_process(*verb.format(**files).split())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"{files['b']}: dim 3, {files['a']} has dim 2"]
+
+
+def test_empty_file_of_another_dimension_is_refused(tmp_path, capsys):
+    # the header's dimension counts though the file holds no point; an
+    # empty layer as write_points writes it (dim 0) fits any manifest
+    (tmp_path / "a.pts").write_text("dim 2 count 2 mode exact\n0 0\n1 0\n")
+    (tmp_path / "e3.pts").write_text("dim 3 count 0 mode exact\n")
+    write_points(tmp_path / "e0.pts", [], "exact")
+    m = tmp_path / "m.txt"
+    m.write_text("k 1\ndim 2\nmode exact\ndelta2 1\nlayer 1 a.pts\nlayer 2 e3.pts\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--manifest", str(m), "--walks"])
+    assert exc.value.code == f"{tmp_path / 'e3.pts'}: dim 3, manifest says 2" and capsys.readouterr().out == ""
+    m.write_text("k 1\ndim 2\nmode exact\ndelta2 1\nlayer 1 a.pts\nlayer 2 e0.pts\n")
+    assert run(capsys, "count", "--manifest", str(m), "--walks") == (0, "chains 0\nwalks 0\n")
 
 
 # the names chain_census exported when it imported every module eagerly,

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from chain_census.constructions import gen_3d_odd_regular, gen_planar_chain, gen_star
+from chain_census.constructions import gen_3d_odd_regular, gen_orthogonal_circles, gen_planar_chain, gen_star
 from chain_census.io import (
     FileFormatError,
     _parse_exact,
+    read_coords,
     read_manifest,
     read_points,
     read_tree,
@@ -13,7 +14,15 @@ from chain_census.io import (
     write_points,
     write_tree,
 )
-from chain_census.layered import _coord_classes, count_chains, count_tree_embeddings, make_config, make_layer
+from chain_census.layered import (
+    Layer,
+    _coord_classes,
+    count_chains,
+    count_chains_and_walks,
+    count_tree_embeddings,
+    make_config,
+    make_layer,
+)
 
 from oracles import enumerate_chains
 
@@ -121,6 +130,26 @@ class TestExactTokens:
         path.write_text(f"dim 2 count 3 mode exact\n{body}")
         with pytest.raises(FileFormatError, match=message):
             read_points(path)
+
+
+def test_exact_files_count_without_points_or_fractions(tmp_path):
+    # a rational manifest and rational star files are counted from their
+    # stores' integers: no Point and no Fraction is built on the way
+    cfg = gen_orthogonal_circles(4, 3, 12).config
+    write_manifest(tmp_path / "manifest.txt", cfg, tmp_path)
+    loaded = read_manifest(tmp_path / "manifest.txt")
+    assert count_chains_and_walks(loaded) == count_chains_and_walks(cfg)
+    star = gen_star(3, 15)
+    for i, layer in enumerate(star.layers):
+        write_points(tmp_path / f"star{i}.pts", layer.points, "exact")
+    layers = [Layer(read_coords(tmp_path / f"star{i}.pts")[0]) for i in range(4)]
+    assert count_tree_embeddings(layers, star.tree, star.spec) == star.closed_form
+    for store in [loaded.layers[0].coords, *(ly.coords for ly in layers[1:])]:
+        assert store.types == {int, Fraction} or store.types == {Fraction}
+        assert "points" not in store.__dict__ and "rows" not in store.__dict__
+    # read back, the same Points as the constructions built
+    assert loaded.layers[0].points == cfg.layers[0].points
+    assert [ly.points for ly in layers] == [ly.points for ly in star.layers]
 
 
 def _shifted_grid(shift):

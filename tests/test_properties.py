@@ -13,6 +13,8 @@ and in the guard band.
 import itertools
 import math
 import operator
+import os
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chain_census import layered, richness
+from chain_census.io import read_coords, read_points
 from chain_census.constructions import (
     _dyadic_below,
     _exact_arc,
@@ -55,6 +58,7 @@ from chain_census.layered import (
     build_adjacency,
     count_chains,
     count_chains_and_walks,
+    count_incidences,
     count_tree_embeddings,
     count_walks,
     make_config,
@@ -73,6 +77,7 @@ from oracles import (
     enumerate_chains,
     enumerate_walks_count,
     exact_arc_oracle,
+    read_points_oracle,
     float_arc_oracle,
     filtering_children,
     matches_distance,
@@ -932,3 +937,86 @@ def test_restricted_config_carries_restricted_adjacency(cfg, data):
     picks = [data.draw(st.lists(st.sampled_from(range(len(ly))), unique=True)) if len(ly) else [] for ly in cfg.layers]
     sub = cfg.restrict(picks)
     assert sub.adjacency == cfg.adjacency.restrict(picks) == build_adjacency(sub)
+
+
+# exact coordinates: small ints and rationals, ints past 2^63, and
+# denominators whose lcm on one point passes 2^63; -2^40 times a
+# denominator past 2^32 passes 2^63 too
+EXACT_VALUE = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.sampled_from([2**63 + 1, -(2**64) - 3, Fraction(2**64 + 1, 3), -(2**40), Fraction(2**40 + 1, 3)]),
+    st.sampled_from([Fraction(1, 2**32 + 15), Fraction(-3, 2**32 - 5)]),
+)
+
+
+@st.composite
+def exact_token(draw, value):
+    """One spelling of an exact value: a whole one bare or as p/q, p/q
+    scaled by any factor (unreduced, perhaps over a negative denominator),
+    with leading zeros, a + on a positive and a - on zero."""
+    value = Fraction(value)
+
+    def spell(n):
+        sign = "-" if n < 0 or (n == 0 and draw(st.booleans())) else draw(st.sampled_from(["", "+"]))
+        return sign + "0" * draw(st.integers(0, 2)) + str(abs(n))
+
+    if value.denominator == 1 and draw(st.booleans()):
+        return spell(value.numerator)
+    m = draw(st.sampled_from([1, 2, 3, -1, -2]))
+    return f"{spell(value.numerator * m)}/{spell(value.denominator * m)}"
+
+
+def write_exact_file(draw, path, points, dim):
+    lines = [" ".join(draw(exact_token(c)) for c in p) for p in points]
+    with open(path, "w") as fh:
+        fh.write("\n".join([f"dim {dim} count {len(points)} mode exact", *lines]) + "\n")
+
+
+def oracle_ratios(points):
+    """D_p, N_p per axis and each axis's floor of its minimum, from Fractions."""
+    dens = [math.lcm(*(Fraction(c).denominator for c in p.coords)) for p in points]
+    axes = list(zip(*(p.coords for p in points)))
+    return [dens, [[D * c for D, c in zip(dens, axis)] for axis in axes], [math.floor(min(axis)) for axis in axes]]
+
+
+@CHECKS
+@given(st.integers(1, 3), st.data())
+def test_exact_reader_equals_the_fraction_reader(dim, data):
+    # two files of points drawn from one pool, so points repeat within a
+    # file (in other spellings) and across the files
+    pool = data.draw(st.lists(st.tuples(*[EXACT_VALUE] * dim), min_size=1, max_size=4))
+    sides = [data.draw(st.lists(st.sampled_from(pool), max_size=5)) for _ in range(2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{name}.pts") for name in "ab"]
+        for path, points in zip(paths, sides):
+            write_exact_file(data.draw, path, points, dim)
+        stores = [read_coords(path)[0] for path in paths]
+        oracles = [read_points_oracle(path) for path in paths]
+        read = [read_points(path)[0] for path in paths]
+    for store, want, got in zip(stores, oracles, read):
+        # the same values and types as the per-token reader, built on demand
+        assert [p.coords for p in got] == [p.coords for p in want]
+        assert [list(map(type, p.coords)) for p in got] == [list(map(type, p.coords)) for p in want]
+        assert store.dims == {dim}
+        if want:
+            assert [a.tolist() for a in store.ratios] == oracle_ratios(want)
+        refused = len({p.coords for p in want}) < len(want)
+        if refused:
+            with pytest.raises(ValueError, match="duplicate point coordinates"):
+                Layer(store).validate()
+        else:
+            Layer(store).validate()
+    # keys equal exactly for equal numbers, within and across the stores
+    mine, theirs = _coord_classes([Layer(s) for s in stores]), _coord_classes([Layer(p) for p in oracles])
+    assert mine == theirs
+    if all(len({p.coords for p in pts}) == len(pts) for pts in oracles):
+        d2 = squared_distance(oracles[0][0], oracles[1][0]) if all(oracles) else 1
+        d2, spec, tree = d2 or 1, DistanceSpec((), None), LabeledTree(3, ((0, 1, d2 or 1), (0, 2, d2 or 1)))
+        a, b = (Layer(s) for s in stores)
+        want_a, want_b = (Layer(p) for p in oracles)
+        want = sum(matches_distance(p, q, d2, spec) for p in oracles[0] for q in oracles[1])
+        assert count_incidences(a, b, d2, spec) == count_incidences(want_a, want_b, d2, spec) == want
+        assert count_tree_embeddings([a, b, b], tree, spec) == backtrack_tree_embeddings([want_a, want_b, want_b], tree, spec)
+    # no Point and, past whole numbers, no Fraction was built on the way
+    assert all("points" not in s.__dict__ and ("rows" not in s.__dict__ or s.types <= {int}) for s in stores)
