@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import math
 import os
@@ -78,22 +79,27 @@ def _parse_eps(text: str) -> Fraction:
 
 def _parse_d2(text: str):
     """A squared distance: p/q or an integer as in exact point files, else
-    a float.  Text that is none of them exits with one error line."""
+    a float.  Text that is none of them, or a value that is not finite and
+    positive, exits with one error line."""
     try:
         if "/" in text:
-            return _parse_exact(text)
-        try:
-            return int(text)
-        except ValueError:
-            return float(text)
+            d2 = _parse_exact(text)
+        else:
+            try:
+                d2 = int(text)
+            except ValueError:
+                d2 = float(text)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+    if not 0 < d2 < math.inf:
+        raise SystemExit(f"squared distances must be {'positive' if d2 <= 0 else 'finite'}")
+    return d2
 
 
 class _Verb(argparse.ArgumentParser):
     """A verb's parser that records its keywords and arguments and builds
-    itself, -h first, when argparse dispatches to it (once per parser), so
-    that a call builds only the verb it runs."""
+    itself, -h first, the first time argparse dispatches to it, so that a
+    process builds only the verbs it runs."""
 
     def __init__(self, **kwargs):
         self.kwargs = kwargs
@@ -103,12 +109,15 @@ class _Verb(argparse.ArgumentParser):
         self.todo.append((args, kwargs))
 
     def parse_known_args(self, args=None, namespace=None):
-        super().__init__(add_help=False, **self.kwargs)
-        for a, kw in self.todo:
-            super().add_argument(*a, **kw)
+        if self.todo:  # not built yet
+            super().__init__(add_help=False, **self.kwargs)
+            for a, kw in self.todo:
+                super().add_argument(*a, **kw)
+            self.todo = None
         return super().parse_known_args(args, namespace)
 
 
+@functools.cache  # one parser a process, built by the first main call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chain-census")
     ap.add_argument("--seed", type=int, default=0, help="u64 seed for randomized steps")
@@ -320,8 +329,8 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_args(argv):
-    # apart from main so the parser is garbage before the verb runs; kept
-    # alive across the verb, it made peak RSS creep from call to call
+    # the parser is shared by every call, so what a call sets goes on its
+    # own Namespace, never on the parser
     ap = build_parser()
     args = ap.parse_args(argv)
     verb = args.command + (f" --claim {args.claim}" if args.command == "verify" else "")

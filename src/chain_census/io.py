@@ -76,7 +76,9 @@ def _parse_exact(tok: str):
         raise FileFormatError(f"bad integer {tok!r}") from exc
 
 
-def write_points(path, points, mode: str) -> None:
+def write_points(path, points, mode: str, dim: int | None = None) -> None:
+    """Write the points under a header of their dimension, or of `dim`
+    (0 if not given) when there are none."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     coords = [p.coords for p in points]
@@ -86,7 +88,7 @@ def write_points(path, points, mode: str) -> None:
         rows = (map(str, cs) for cs in coords)
     else:
         rows = (map(_format_exact, cs) for cs in coords)
-    head = f"dim {len(coords[0]) if coords else 0} count {len(coords)} mode {mode}"
+    head = f"dim {len(coords[0]) if coords else dim or 0} count {len(coords)} mode {mode}"
     with open(path, "w") as fh:
         fh.write("\n".join([head, *map(" ".join, rows)]) + "\n")
 
@@ -172,7 +174,7 @@ def write_manifest(path, config: LayeredConfig, directory=None) -> str:
         known = len(file_of)
         by_id[i] = fname = file_of.setdefault(tuple(coords.keys), f"layer{known + 1}.pts")
         if len(file_of) > known:
-            write_points(os.path.join(directory, fname), coords.points, mode)
+            write_points(os.path.join(directory, fname), coords.points, mode, config.dim)
     layer_files = [by_id[id(layer.coords)] for layer in config.layers]
     lines = [f"k {config.k}", f"dim {config.dim}"]
     if config.spec.exact:

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import importlib
 import os
 import subprocess
@@ -6,7 +8,7 @@ import sys
 import pytest
 
 import chain_census
-from chain_census import layered
+from chain_census import cli, layered
 from chain_census.cli import main
 from chain_census.io import write_points, write_tree
 from chain_census.constructions import gen_star, gen_unit_rich_grid
@@ -396,16 +398,24 @@ def test_eps_outside_unit_interval_is_one_error_line(tmp_path, capsys, eps, verb
     ids=["incidences", "rich"],
 )
 @pytest.mark.parametrize(
-    "d2, message",
-    [("1/0", "zero denominator in '1/0'"), ("1/x", "bad rational '1/x'")],
-    ids=["zero-denominator", "bad-rational"],
+    "d2, mode, message",
+    [
+        pytest.param("1/0", "exact", "zero denominator in '1/0'", id="zero-denominator"),
+        pytest.param("1/x", "exact", "bad rational '1/x'", id="bad-rational"),
+        *(
+            pytest.param(d2, mode, f"squared distances must be {must}", id=f"{d2}-{mode}")
+            for d2, must in {"inf": "finite", "1e400": "finite", "nan": "finite", "0": "positive", "-1": "positive"}.items()
+            for mode in ("exact", "float")
+        ),
+    ],
 )
-def test_bad_d2_is_one_error_line(tmp_path, verb, d2, message):
+def test_bad_d2_is_one_error_line(tmp_path, capsys, verb, d2, mode, message):
+    # a SystemExit whose code is the message: one line on stderr, exit status 1
     p = tmp_path / "sq.pts"
-    write_points(p, make_layer([(0, 0), (1, 0)]).points, "exact")
-    proc = run_process(*verb.format(p=p).split(), "--d2", d2)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [message]
+    write_points(p, make_layer([(0, 0), (1, 0)]).points, mode)
+    with pytest.raises(SystemExit) as exc:
+        main([*verb.format(p=p).split(), "--d2", d2])
+    assert exc.value.code == message and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -492,6 +502,96 @@ def test_help_texts_are_pinned(capsys, monkeypatch):
         got.append(f"$ chain-census {' '.join(argv)}\n{capsys.readouterr().out}")
     with open(os.path.join(os.path.dirname(__file__), "golden", golden)) as fh:
         assert "".join(got) == fh.read()
+
+
+def outcome(capsys, argv):
+    """A main call's exit status, standard output and standard error."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+@pytest.fixture
+def fresh_parser():
+    """The process's parser dropped before and after the test."""
+    cli.build_parser.cache_clear()
+    yield cli.build_parser
+    cli.build_parser.cache_clear()
+
+
+def test_parser_is_built_once_a_process(tmp_path, capsys, monkeypatch, fresh_parser):
+    write_points(tmp_path / "sq.pts", make_layer([(0, 0), (1, 0)]).points, "exact")
+    (tmp_path / "m.txt").write_text("k 1\ndim 2\nmode exact\ndelta2 1\nlayer 1 sq.pts\nlayer 2 sq.pts\n")
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    m, sq = str(tmp_path / "m.txt"), str(tmp_path / "sq.pts")
+    for _ in range(3):
+        assert outcome(capsys, ["count", "--manifest", m, "--walks"])[:2] == (0, "chains 2\nwalks 2\n")
+        assert outcome(capsys, ["decompose", "--manifest", m])[0] == 0
+        assert outcome(capsys, ["incidences", "--a", sq, "--b", sq, "--d2", "1"])[:2] == (0, "2\n")
+    assert built == ["chain-census", "chain-census count", "chain-census decompose", "chain-census incidences"]
+
+
+def test_back_to_back_calls_act_as_fresh_calls(tmp_path, capsys, fresh_parser):
+    # a flag, a default or an error of one call does not reach the next
+    assert run(capsys, "--out", str(tmp_path / "odd"), "generate", "--construction", "3d-odd-regular",
+               "--k", "3", "--n", "8")[0] == 0
+    assert run(capsys, "--out", str(tmp_path / "star"), "generate", "--construction", "star", "--l", "3",
+               "--n", "6")[0] == 0
+    m, star = str(tmp_path / "odd" / "manifest.txt"), tmp_path / "star"
+    layers = [arg for i in range(1, 5) for arg in ("--layer", str(star / f"star-layer{i}.pts"))]
+    calls = [
+        ["--eps", "1", "decompose", "--manifest", m],
+        ["decompose", "--manifest", m],
+        ["count-tree", "--tree", str(star / "star.tree"), *layers],
+        ["count-tree", "--tree", str(star / "star.tree"), "--set", str(star / "star-layer2.pts")],
+        ["count"],
+        ["count", "--manifest", m],
+        ["count", "--help"],
+        ["count", "--help"],
+    ]
+    shared = [outcome(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        fresh_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert shared[0][1] != shared[1][1] and shared[1][1].startswith("classes 1\nsequence 0,1/2,1/2,1/2 ")
+    assert shared[4][2].endswith("error: the following arguments are required: --manifest\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --manifest {m} --walks",
+        "decompose --manifest {m}",
+        "verify --claim floor --construction 3d-odd-sphere --k 3 --n 16",
+        "experiment --construction 3d-even --k 2 --n-list 4,8",
+    ],
+    ids=["count", "decompose", "verify", "experiment"],
+)
+def test_a_call_leaves_no_cyclic_garbage(tmp_path, capsys, argv):
+    # garbage only the cyclic collector frees lets peak RSS follow when it
+    # runs; the parser and the verb's parser are built by the first call
+    run(capsys, "--out", str(tmp_path), "generate", "--construction", "3d-odd-regular", "--k", "3", "--n", "8")
+    argv = argv.format(m=tmp_path / "manifest.txt").split()
+    run(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        run(capsys, *argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -693,7 +793,8 @@ def test_point_files_of_two_dimensions_are_one_error_line(tmp_path, verb):
 
 def test_empty_file_of_another_dimension_is_refused(tmp_path, capsys):
     # the header's dimension counts though the file holds no point; an
-    # empty layer as write_points writes it (dim 0) fits any manifest
+    # empty file of no dimension (dim 0, as write_points writes an empty
+    # list it is given no dim for) fits any manifest
     (tmp_path / "a.pts").write_text("dim 2 count 2 mode exact\n0 0\n1 0\n")
     (tmp_path / "e3.pts").write_text("dim 3 count 0 mode exact\n")
     write_points(tmp_path / "e0.pts", [], "exact")

@@ -230,6 +230,17 @@ class TestManifests:
         assert layers == ["layer1.pts", "layer1.pts", "layer2.pts", "layer1.pts"]
         assert (tmp_path / "layer2.pts").read_text().splitlines()[1:] == ["1/2 0", "1 5/2"]
 
+    def test_empty_layer_keeps_its_dimension(self, tmp_path):
+        cfg = make_config([[], [(0, 0), (1, 0)]], [1])
+        write_manifest(tmp_path / "manifest.txt", cfg, tmp_path)
+        assert (tmp_path / "layer1.pts").read_text() == "dim 2 count 0 mode exact\n"
+        loaded = read_manifest(tmp_path / "manifest.txt")
+        assert loaded.dim == 2 and loaded.layers[0].coords.dims == {2}
+        assert count_chains_and_walks(loaded) == (0, 0)
+        write_manifest(tmp_path / "b" / "manifest.txt", loaded, tmp_path / "b")
+        for name in ("manifest.txt", "layer1.pts", "layer2.pts"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_missing_layer(self, tmp_path):
         cfg = gen_planar_chain(1, None, 3, 0.25)
         mpath = tmp_path / "manifest.txt"

@@ -602,6 +602,21 @@ def test_kernel_rejects_what_one_prime_fewer_accepts(x, q_den):
         assert kernel_lists([p], [q], d2, exact_spec()) == (((0,) if match else ()),)
 
 
+def test_prime_path_shifts_past_int64():
+    # every D_p and N_p is below 2^62, but shifting p's axis by the floor
+    # of its minimum, N_p - low * D_p, passes 2^63: in int64 it would wrap
+    # by a multiple of 2^64 that integer q's shift does not share, and the
+    # prime path would reduce the wrapped value
+    x = Fraction(2**61, 3**25)
+    far, p = Point((-(2**61), 0), 0), Point((x, 0), 1)
+    q = x.__floor__() + 1
+    d2 = (q - x) ** 2
+    pb = [Point((q, 0), 0), Point((2 * x - q, 0), 1), Point((x, q - x), 2), Point((q + 1, 0), 3)]
+    spec = exact_spec()
+    assert _PairView([far, p], pb, d2, None).primes
+    assert kernel_lists([far, p], pb, d2, spec) == oracle_lists([far, p], pb, d2, spec) == ((), (0, 1, 2))
+
+
 DENOMINATOR = st.integers(2**30, 2**60)
 
 
