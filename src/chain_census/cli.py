@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .geometry import TOLERANCE, CertificationError, DistanceSpec
-from .io import FileFormatError, _parse_exact, read_coords, read_manifest, read_tree, write_manifest, write_points, write_tree
+from .io import _parse_exact, read_coords, read_manifest, read_tree, write_manifest, write_points, write_tree
 from .layered import (
     Layer,
     count_chains,
@@ -71,28 +71,24 @@ def _parse_mode(text: str) -> str | float:
 
 def _parse_eps(text: str) -> Fraction:
     """--eps as the number its text names: 0.1 is 1/10, not the double nearest it."""
-    try:
+    with contextlib.suppress(ValueError, ZeroDivisionError):  # Fraction refusing the text is the error below
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"eps must be a finite number, got {text!r}") from None
+    raise argparse.ArgumentTypeError(f"eps must be a finite number, got {text!r}")
 
 
-def _parse_d2(text: str):
+def _parse_d2(text: str, to_float: bool = False):
     """A squared distance: p/q or an integer as in exact point files, else
-    a float.  Text that is none of them, or a value that is not finite and
-    positive, exits with one error line."""
-    try:
-        if "/" in text:
-            d2 = _parse_exact(text)
-        else:
-            try:
-                d2 = int(text)
-            except ValueError:
-                d2 = float(text)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    if not 0 < d2 < math.inf:
-        raise SystemExit(f"squared distances must be {'positive' if d2 <= 0 else 'finite'}")
+    a float.  ValueError for text that is none of them, or a value that is
+    not finite and positive, or on a float path (`to_float`) above the
+    largest float."""
+    if "/" in text:
+        d2 = _parse_exact(text)
+    else:
+        d2 = float(text)  # its ValueError names text that is no number
+        with contextlib.suppress(ValueError):  # an integer stays one
+            d2 = int(text)
+    if not 0 < d2 < (sys.float_info.max if to_float else math.inf):
+        raise ValueError(f"squared distances must be {'positive' if d2 <= 0 else 'finite'}")
     return d2
 
 
@@ -181,12 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     entry = REGISTRY[args.construction]
-    try:
-        args.delta2 = [_parse_d2(t) for t in args.delta2.split(",")] if args.delta2 else None
-        args.eps = float(args.eps)
-        res = entry.build(args)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    # the constructions that read --delta2 take square roots in floats
+    args.delta2 = [_parse_d2(t, True) for t in args.delta2.split(",")] if args.delta2 else None
+    args.eps = float(args.eps)
+    res = entry.build(args)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     if entry.files == "manifest":
@@ -220,15 +214,10 @@ def _read_layers(args, *paths) -> tuple[list[Layer], DistanceSpec, str]:
     else:
         eps = args.mode
     layers = [Layer(c) for c, _ in loaded]
-    try:  # a point file repeats no point
-        for path, layer in zip(paths, layers):
-            layer.validate(path)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
     sized = [(path, *c.dims) for path, (c, _) in zip(paths, loaded) if c.dims]
-    for path, dim in sized:  # nor do two files differ in dimension
+    for path, dim in sized:  # no two files differ in dimension
         if dim != sized[0][1]:
-            raise FileFormatError(f"{path}: dim {dim}, {sized[0][0]} has dim {sized[0][1]}")
+            raise ValueError(f"{path}: dim {dim}, {sized[0][0]} has dim {sized[0][1]}")
     return layers, DistanceSpec((), eps), mode
 
 
@@ -245,7 +234,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_count_tree(args) -> int:
     if bool(args.layer) == bool(args.single_set):
-        raise SystemExit("give either --set or one --layer per tree vertex")
+        raise ValueError("give either --set or one --layer per tree vertex")
     layers, spec, mode = _read_layers(args, *([args.single_set] if args.single_set else args.layer))
     tree = read_tree(args.tree, exact=(mode == "exact"))
     print(count_tree_embeddings(layers[0] if args.single_set else layers, tree, spec))
@@ -254,13 +243,13 @@ def _cmd_count_tree(args) -> int:
 
 def _cmd_incidences(args) -> int:
     (la, lb), spec, _ = _read_layers(args, args.a, args.b)
-    print(count_incidences(la, lb, _parse_d2(args.d2), spec))
+    print(count_incidences(la, lb, _parse_d2(args.d2, spec.eps is not None), spec))
     return 0
 
 
 def _cmd_rich(args) -> int:
     (lt, lr), spec, _ = _read_layers(args, args.target, args.ref)
-    sub = rich_points(lt, lr, _parse_d2(args.d2), args.r, spec)
+    sub = rich_points(lt, lr, _parse_d2(args.d2, spec.eps is not None), args.r, spec)
     print(len(sub.points))
     for p in sub.points:
         print(" ".join(str(c) for c in p.coords))
@@ -269,10 +258,7 @@ def _cmd_rich(args) -> int:
 
 def _cmd_decompose(args) -> int:
     cfg = read_manifest(args.manifest)
-    try:
-        classes = stable_covering(cfg, args.eps)
-    except ValueError as exc:  # an eps outside (0, 1]
-        raise SystemExit(str(exc)) from None
+    classes = stable_covering(cfg, args.eps)
     print(f"classes {len(classes)}")
     for cc in classes:
         steps = ";".join(",".join(map(str, vec)) for vec in cc.sequence.vectors)
@@ -282,10 +268,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        ns = [int(t) for t in args.n_list.split(",")]
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    ns = [int(t) for t in args.n_list.split(",")]
     report = run_experiment(
         args.construction,
         args.k,
@@ -315,15 +298,12 @@ def _cmd_experiment(args) -> int:
 def _cmd_verify(args) -> int:
     flag = "manifest" if args.claim == "covering" else "construction"
     if not getattr(args, flag):
-        raise SystemExit(f"{args.claim} verification needs --{flag}")
-    try:  # a bad size, construction or eps outside (0, 1] is one error line
-        if args.claim == "covering":
-            res = verify_covering(read_manifest(args.manifest), args.eps)
-        else:
-            verify = verify_closed_form if args.claim == "closed-form" else verify_floor
-            res = verify(args.construction, args.k, args.n, float(args.eps), args.seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise ValueError(f"{args.claim} verification needs --{flag}")
+    if args.claim == "covering":
+        res = verify_covering(read_manifest(args.manifest), args.eps)
+    else:
+        verify = verify_closed_form if args.claim == "closed-form" else verify_floor
+        res = verify(args.construction, args.k, args.n, float(args.eps), args.seed)
     print(f"{res.verdict} computed={res.computed} expected={res.expected} ({res.detail})")
     return 0 if res.passed else 1
 
@@ -377,9 +357,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    # a missing or malformed input file, points in the guard band, or a
-    # construction that could not be built
-    except (OSError, FileFormatError, CertificationError, ConstructionError) as exc:
+    # a missing or malformed input file (FileFormatError is a ValueError),
+    # a bad value, points in the guard band, or a construction that could
+    # not be built: one error line
+    except (OSError, ValueError, CertificationError, ConstructionError) as exc:
         raise SystemExit(str(exc)) from None
 
 

@@ -42,9 +42,8 @@ from .layered import (
     Layer,
     LayeredConfig,
     _Coords,
+    _certified_pairs,
     _disjoint,
-    _pair_lists,
-    _pair_runs,
     _with_adjacency,
     count_incidences,
     count_tree_embeddings,
@@ -55,6 +54,10 @@ from .layered import (
 
 class ConstructionError(RuntimeError):
     """A generator could not realize its postconditions."""
+
+
+# the tolerance that float layer pairs are decided under as they are built
+_TOLERANT = DistanceSpec((), TOLERANCE)
 
 
 def _dyadic_below(x: float, bits: int = 40) -> Fraction:
@@ -162,14 +165,6 @@ def _matched(c1, r1sq, c2, r2sq) -> dict | None:
     return dict.fromkeys(zip(xs.tolist(), ys.tolist()))
 
 
-def _decide(sides, d2s) -> tuple[list, list]:
-    """The CSR arrays of the consecutive pairs of float layers at the
-    squared distances d2s, and their guard-band offenders (see _pair_runs)."""
-    band: list = []
-    run = _pair_runs(DistanceSpec((), TOLERANCE), band)
-    return list(map(run, sides, sides[1:], d2s)), band
-
-
 def _extend_three(
     layers: list[Layer],
     d2_a: float,
@@ -213,8 +208,8 @@ def _extend_three(
         arc_keys = arc.coords.keyset
         if len(arc_keys) != n or not (arc_keys.isdisjoint(existing) and arc_keys.isdisjoint(seen)) or x in arc_keys:
             continue
-        new = [matched, joint, arc]
-        pairs, band = _decide([layers[-1], *new], (d2_a, d2_b, d2_c))
+        new, band = [matched, joint, arc], []
+        pairs = _certified_pairs(_TOLERANT, zip([layers[-1], *new], new, (d2_a, d2_b, d2_c)), band)
         if band:
             continue
         return list(layers) + [Layer(ly.coords, len(layers) + 1 + i) for i, ly in enumerate(new)], pairs
@@ -257,8 +252,8 @@ def _planar_layers(k: int, delta2, n: int, eps: float, seed: int) -> tuple[list[
     step per three distances, which decides its own pairs."""
     d2f = [float(d) for d in delta2]
     if k <= 2:
-        layers = _planar_base(k, delta2, n, eps, operator.truediv)[0]
-        return layers, *_decide(layers, d2f)
+        layers, band = _planar_base(k, delta2, n, eps, operator.truediv)[0], []
+        return layers, _certified_pairs(_TOLERANT, zip(layers, layers[1:], d2f), band), band
     inner_eps = min(math.sqrt(d2f[k - 3]), math.sqrt(d2f[k - 2])) / 3.0
     layers, pairs, band = _planar_layers(k - 3, delta2[: k - 3], n, inner_eps, seed)
     rng = random.Random(f"planar:{seed}:{k}")
@@ -327,7 +322,7 @@ def split_and_translate(x1_points, x2_points, d2, eps: float, seed: int = 0) -> 
         raise ValueError("eps must be positive")
     x1 = [p if isinstance(p, Point) else exact_point(p) for p in x1_points]
     x2 = [p if isinstance(p, Point) else exact_point(p) for p in x2_points]
-    offsets, nbs = _pair_lists(x1, x2, d2, DistanceSpec((), None))
+    [(offsets, nbs)] = _certified_pairs(DistanceSpec((), None), [(Layer(x1), Layer(x2), d2)])
     edges = list(zip(np.repeat(np.arange(len(x1)), np.diff(offsets)).tolist(), nbs.tolist()))
     if not edges:
         raise ValueError("no pairs at the prescribed distance between the sets")
@@ -461,7 +456,8 @@ def gen_planar_k1mod3(k: int, n: int, eps: float = 0.25, seed: int = 0) -> Plana
     d_step = (3.0 * split_eps) ** 2
     d2f = [float(d_pop)] + [d_step] * (k - 1)
     layers = [make_layer([p.as_float() for p in side]) for side in (split.x1, split.x2)]
-    pairs, band = _decide(layers, d2f[:1])
+    band: list = []
+    pairs = _certified_pairs(_TOLERANT, [(layers[0], layers[1], d2f[0])], band)
     rng = random.Random(f"k1mod3:{seed}:{k}")
     steps = (k - 1) // 3
     for s in range(steps):
@@ -549,7 +545,7 @@ def peel_min_degree(P: Layer, d2, spec: DistanceSpec) -> PeelResult:
     the threshold is frozen up front.  The survivors are nonempty with
     minimum degree at least E0/(2N).
     """
-    offsets, nbs = _pair_lists(P, P, d2, spec)
+    [(offsets, nbs)] = _certified_pairs(spec, [(P, P, d2)])
     n, e0 = len(P), len(nbs) // 2
     if e0 < 1:
         raise ValueError("the distance graph has no edges")

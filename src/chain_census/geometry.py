@@ -20,7 +20,7 @@ resolve at the distance raises :class:`ResolutionError` instead.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable
@@ -61,6 +61,7 @@ def _rational(t: type) -> bool:
     return issubclass(t, (int, Fraction)) and t is not bool
 
 
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Point:
     """A point of fixed dimension; equality and hashing use coordinates only.
 
@@ -68,13 +69,13 @@ class Point:
     from comparison: two points are the same point iff their coordinate
     tuples are equal.
 
-    A frozen value class with the semantics of ``@dataclass(frozen=True)``
-    (its ``repr``, its hash, FrozenInstanceError on assignment), but slotted
-    and set through the slot descriptors: a point costs less to build and
-    has no ``__dict__``.
+    Frozen by hand, not by ``frozen=True``: on a slotted dataclass that
+    raises TypeError, not FrozenInstanceError, for a name that is no field
+    (Python 3.10 to 3.13), and its ``__init__`` builds a point more slowly.
     """
 
-    __slots__ = ("coords", "id")
+    coords: tuple
+    id: int = field(default=-1, compare=False)
 
     def __init__(self, coords: tuple, id: int = -1):
         _set_coords(self, coords)
@@ -85,17 +86,6 @@ class Point:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"Point(coords={self.coords!r}, id={self.id!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
 
     def __reduce__(self):
         return Point, (self.coords, self.id)

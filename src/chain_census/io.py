@@ -39,7 +39,7 @@ class FileFormatError(ValueError):
 
 def _names_file(read):
     """`read(path, ...)` with the ValueErrors of a bad file (a token that
-    is no number, a duplicate point, a tree that is no tree) raised as
+    is no number, a repeated point, a tree that is no tree) raised as
     FileFormatErrors that name the file."""
 
     @functools.wraps(read)
@@ -66,14 +66,14 @@ def _parse_exact(tok: str):
         try:
             n, d = int(num), int(den)
         except ValueError as exc:
-            raise FileFormatError(f"bad rational {tok!r}") from exc
+            raise ValueError(f"bad rational {tok!r}") from exc
         if d == 0:
-            raise FileFormatError(f"zero denominator in {tok!r}")
+            raise ValueError(f"zero denominator in {tok!r}")
         return Fraction(n, d)
     try:
         return int(tok)
     except ValueError as exc:
-        raise FileFormatError(f"bad integer {tok!r}") from exc
+        raise ValueError(f"bad integer {tok!r}") from exc
 
 
 def write_points(path, points, mode: str, dim: int | None = None) -> None:
@@ -93,45 +93,49 @@ def write_points(path, points, mode: str, dim: int | None = None) -> None:
         fh.write("\n".join([head, *map(" ".join, rows)]) + "\n")
 
 
+@_names_file
 def read_coords(path) -> tuple[_Coords, str]:
     """A point file as a coordinate store, of the header's dimension (an
-    empty file's too), and its mode.  No Point or Fraction is built until
-    the store's points or rows are read (see _exact_coords)."""
+    empty file's too), and its mode; a file that repeats a point is
+    refused.  No Point or Fraction is built until the store's points or
+    rows are read (see _exact_coords)."""
     with open(path) as fh:
         lines = list(filter(str.strip, fh.read().split("\n")))
     if not lines:
-        raise FileFormatError(f"{path}: empty file")
+        raise ValueError("empty file")
     head = lines[0].split()
     if len(head) != 6 or head[0] != "dim" or head[2] != "count" or head[4] != "mode":
-        raise FileFormatError(f"{path}: malformed header {lines[0]!r}")
+        raise ValueError(f"malformed header {lines[0]!r}")
     try:
         dim, count = int(head[1]), int(head[3])
     except ValueError as exc:
-        raise FileFormatError(f"{path}: malformed header {lines[0]!r}") from exc
+        raise ValueError(f"malformed header {lines[0]!r}") from exc
     mode = head[5]
     if mode not in ("exact", "float"):
-        raise FileFormatError(f"{path}: unknown mode {mode!r}")
+        raise ValueError(f"unknown mode {mode!r}")
     if len(lines) - 1 != count:
-        raise FileFormatError(f"{path}: header says {count} points, found {len(lines) - 1}")
+        raise ValueError(f"header says {count} points, found {len(lines) - 1}")
     rows = list(map(str.split, lines[1:]))
+    coords = None
     if mode == "exact" and not set(map(len, rows)) - {dim}:
         with contextlib.suppress(ValueError):  # else the first fault, line by line, below
-            return _exact_coords(list(chain.from_iterable(rows)), dim), mode
-    values = []
-    for i, toks in enumerate(rows):
-        if len(toks) != dim:
-            raise FileFormatError(f"{path}: line {i + 2} has {len(toks)} coords, want {dim}")
-        if mode == "exact":
-            list(map(_parse_exact, toks))
-            continue
-        try:
-            coords = list(map(float, toks))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: line {i + 2}: bad float") from exc
-        if not all(map(math.isfinite, coords)):
-            raise FileFormatError(f"{path}: line {i + 2}: non-finite coordinate")
-        values += coords
-    return _Coords(rows=list(zip(*[iter(values)] * dim)), dim=dim), mode
+            coords = _exact_coords(list(chain.from_iterable(rows)), dim)
+    if coords is None:
+        values, parse = [], _parse_exact if mode == "exact" else float
+        for i, toks in enumerate(rows, 2):
+            if len(toks) != dim:
+                raise ValueError(f"line {i} has {len(toks)} coords, want {dim}")
+            try:
+                row = list(map(parse, toks))
+            except ValueError as exc:  # _parse_exact names the token
+                raise ValueError(f"line {i}: {exc if mode == 'exact' else 'bad float'}") from exc
+            if mode == "float" and not all(map(math.isfinite, row)):
+                raise ValueError(f"line {i}: non-finite coordinate")
+            values += row
+        coords = _Coords(rows=list(zip(*[iter(values)] * dim)), dim=dim)
+    if len(coords.keyset) != coords.n:
+        raise ValueError("duplicate point coordinates")
+    return coords, mode
 
 
 def _exact_coords(toks: list[str], dim: int) -> _Coords:

@@ -154,15 +154,14 @@ class Layer:
     def __len__(self) -> int:
         return self.coords.n
 
-    def validate(self, name: str = "") -> set:
-        """Check ids and coordinates are unique, naming the layer (or `name`)
-        in an error; the set of coordinate types."""
-        name = name or f"layer {self.label}"
+    def validate(self) -> set:
+        """Check ids and coordinates are unique, naming the layer in an
+        error; the set of coordinate types."""
         c = self.coords
         if "points" in c.__dict__ and len({p.id for p in c.points}) != c.n:  # Points given, or built with ids 0, 1, ...
-            raise ValueError(f"{name}: point ids are not unique")
+            raise ValueError(f"layer {self.label}: point ids are not unique")
         if len(c.keyset) != c.n:
-            raise ValueError(f"{name}: duplicate point coordinates")
+            raise ValueError(f"layer {self.label}: duplicate point coordinates")
         return c.types
 
 
@@ -439,37 +438,25 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
     return np.searchsorted(hits, np.arange(0, (na + 1) * nb, nb)), hits % nb
 
 
-def _pair_runs(spec: DistanceSpec, offenders=None):
-    """_pair_lists as a function (pa, pb, d2) of Layers, run once per
-    distinct (coordinates, coordinates, d2), coordinates told apart by
-    identity: calls with one key share one pair of read-only CSR arrays,
-    and each call appends the pair's guard-band offenders, as a run would."""
-    runs = {}
-
-    def run(pa, pb, d2):
+def _certified_pairs(spec: DistanceSpec, triples, band=None) -> list:
+    """The CSR arrays of _pair_lists for the pairs (pa, pb, d2) of Layers,
+    each distinct (coordinates, coordinates, d2), coordinates told apart
+    by identity, decided once: the triples holding it share one pair of
+    read-only arrays.  In tolerant mode the guard-band certificate runs alongside:
+    each pair's offenders are appended to `band` when it is given, else
+    an offender raises CertificationError."""
+    offenders = [] if band is None else band
+    runs, pairs = {}, []
+    for pa, pb, d2 in triples:
         key = id(pa.coords), id(pb.coords), d2
         if key not in runs:
-            band = None if offenders is None else []
-            runs[key] = _pair_lists(pa, pb, d2, spec, band), band
+            runs[key] = _pair_lists(pa, pb, d2, spec, found := []), found
             for arr in runs[key][0]:
                 arr.flags.writeable = False
-        csr, band = runs[key]
-        if band:
-            offenders.extend(band)
-        return csr
-
-    return run
-
-
-def _certified_pairs(spec: DistanceSpec, triples) -> list:
-    """The CSR arrays of the pairs (pa, pb, d2) of Layers, each
-    distinct one decided once (see _pair_runs).  In tolerant mode the
-    guard-band certificate runs alongside: a pair in the band raises
-    CertificationError."""
-    offenders: list = []
-    run = _pair_runs(spec, offenders)
-    pairs = [run(*triple) for triple in triples]
-    if offenders:
+        csr, found = runs[key]
+        offenders += found
+        pairs.append(csr)
+    if offenders and band is None:
         raise CertificationError(offenders)
     return pairs
 
@@ -933,8 +920,8 @@ class LabeledTree:
         for a, b, d2 in self.edges:
             if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
                 raise ValueError(f"edge ({a},{b}) out of vertex range")
-            if not d2 > 0:
-                raise ValueError("edge squared distances must be positive")
+            if not 0 < d2 < math.inf:
+                raise ValueError(f"edge squared distances must be {'positive' if d2 <= 0 else 'finite'}")
         if len(self.traversal()) != self.vertex_count:
             raise ValueError("edge list is disconnected or cyclic")
 

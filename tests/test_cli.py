@@ -337,6 +337,7 @@ def run_process(*argv, timeout=None):
         ("generate --construction planar-chain --k 2 --delta2 abc,1", 1, "could not convert string to float: 'abc'"),
         ("generate --construction planar-chain --k 2 --delta2 1/0,1", 1, "zero denominator in '1/0'"),
         ("generate --construction star --l 3 --n 10", 1, "n must be divisible by l"),
+        (f"generate --construction planar-chain --k 2 --n 4 --delta2 1{'0' * 400},1", 1, "squared distances must be finite"),
         (
             "generate --construction planar-chain --k 5 --n 9 --delta2 100000000,100000000,1,4,9",
             1,
@@ -370,6 +371,7 @@ def run_process(*argv, timeout=None):
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
         "generate-unread", "generate-variant", "covering-unread",
         "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-zero-denominator", "generate-star-n",
+        "generate-delta2-beyond-float",
         "generate-guard-band", "generate-unresolvable-2^30", "generate-unresolvable-2^40",
         "generate-unresolvable-mixed", "generate-construction-error",
         "experiment-bad-n-list", "eps-zero-denominator", "eps-infinite",
@@ -601,11 +603,19 @@ def test_a_call_leaves_no_cyclic_garbage(tmp_path, capsys, argv):
          "{d}/m.txt: invalid literal for int() with base 10: 'x'"),
         ("count --manifest {d}/m.txt", {"m.txt": "k 1\ndim 2\nmode exact\ndelta2 1\nlayer 1 sq.pts\nlayer 2 twice.pts\n",
                                         "twice.pts": "dim 2 count 2 mode exact\n0 0\n0 0\n"},
-         "{d}/m.txt: layer 2: duplicate point coordinates"),
+         "{d}/twice.pts: duplicate point coordinates"),
         ("count-tree --tree {d}/t.tree --set {d}/sq.pts", {"t.tree": "vertices 2\nedge 1 x 1\n"},
          "{d}/t.tree: invalid literal for int() with base 10: 'x'"),
+        ("incidences --a {d}/sq.pts --b {d}/z.pts --d2 1", {"z.pts": "dim 2 count 2 mode exact\n0 0\n1/0 0\n"},
+         "{d}/z.pts: line 3: zero denominator in '1/0'"),
+        ("count --manifest {d}/m.txt", {"m.txt": "k 1\ndim 2\nmode exact\ndelta2 1/0\nlayer 1 sq.pts\nlayer 2 sq.pts\n"},
+         "{d}/m.txt: zero denominator in '1/0'"),
+        ("count-tree --tree {d}/t.tree --set {d}/f.pts", {"t.tree": "vertices 2\nedge 1 2 1e400\n",
+                                                        "f.pts": "dim 2 count 2 mode float\n0.0 0.0\n1.0 0.0\n"},
+         "{d}/t.tree: edge squared distances must be finite"),
     ],
-    ids=["manifest-bad-k", "manifest-duplicate-point", "tree-bad-vertex"],
+    ids=["manifest-bad-k", "manifest-duplicate-point", "tree-bad-vertex", "points-zero-denominator",
+         "manifest-zero-denominator", "tree-infinite-distance"],
 )
 def test_bad_file_value_is_one_error_line(tmp_path, argv, files, message):
     write_points(tmp_path / "sq.pts", make_layer([(0, 0), (1, 0)]).points, "exact")
@@ -614,6 +624,40 @@ def test_bad_file_value_is_one_error_line(tmp_path, argv, files, message):
     proc = run_process(*argv.format(d=tmp_path).split())
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == [message.format(d=tmp_path)]
+
+
+BEYOND_FLOAT = "1" + "0" * 400  # an integer above the largest float
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("count-tree --tree {d}/path.tree --layer {d}/sq.pts --layer {d}/sq.pts", "need one layer per tree vertex"),
+        ("rich --target {d}/sq.pts --ref {d}/sq.pts --d2 1 --r 0", "richness threshold must be >= 1"),
+        (f"incidences --a {{d}}/f.pts --b {{d}}/f.pts --d2 {BEYOND_FLOAT}", "squared distances must be finite"),
+        (f"rich --target {{d}}/f.pts --ref {{d}}/f.pts --d2 {BEYOND_FLOAT} --r 1", "squared distances must be finite"),
+        (f"--mode tol:0.001 incidences --a {{d}}/sq.pts --b {{d}}/sq.pts --d2 {BEYOND_FLOAT}",
+         "squared distances must be finite"),
+    ],
+    ids=["count-tree-too-few-layers", "rich-r-0", "incidences-float", "rich-float", "incidences-tolerant-exact"],
+)
+def test_bad_argument_is_one_error_line(tmp_path, argv, message):
+    # a ValueError that any verb raises is one error line, printed by main
+    write_points(tmp_path / "sq.pts", make_layer([(0, 0), (1, 0)]).points, "exact")
+    write_points(tmp_path / "f.pts", make_layer([(0.0, 0.0), (1.0, 0.0)]).points, "float")
+    write_tree(tmp_path / "path.tree", path_tree((1, 1)), "exact")
+    proc = run_process(*argv.format(d=tmp_path).split())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_d2_beyond_float_counts_on_exact_files(tmp_path, capsys, mode):
+    # compared exactly, as on exact files (or under --mode exact), no pair is that far apart
+    p = tmp_path / "sq.pts"
+    write_points(p, make_layer([(0, 0), (1, 0)]).points, mode)
+    argv = [*(["--mode", "exact"] if mode == "float" else []), "incidences", "--a", str(p), "--b", str(p)]
+    assert run(capsys, *argv, "--d2", BEYOND_FLOAT) == (0, "0\n")
 
 
 @pytest.mark.parametrize(
@@ -769,7 +813,7 @@ def test_unreduced_repeated_point_in_a_manifest_is_refused(tmp_path, capsys, bod
     m.write_text("k 1\ndim 2\nmode exact\ndelta2 1\nlayer 1 dup.pts\nlayer 2 dup.pts\n")
     with pytest.raises(SystemExit) as exc:
         main(["count", "--manifest", str(m)])
-    assert exc.value.code == f"{m}: layer 1: duplicate point coordinates" and capsys.readouterr().out == ""
+    assert exc.value.code == f"{tmp_path / 'dup.pts'}: duplicate point coordinates" and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

@@ -139,7 +139,6 @@ def count_pair_calls(monkeypatch) -> list:
         return kernel(pa, pb, d2, spec, *args, **kwargs)
 
     monkeypatch.setattr(layered, "_pair_lists", counted)
-    monkeypatch.setattr(constructions, "_pair_lists", counted)
     return calls
 
 
@@ -428,6 +427,17 @@ class TestPeeling:
         res = peel_min_degree(pts, 1.0, DistanceSpec((1.0,), 1e-9))
         assert len(res.layer.points) == 3
         assert res.min_degree == 2
+
+    def test_tolerant_peel_runs_the_certificate(self):
+        # (0, 0) and (0, 1.00000002) lie in the guard band of d2 1: peeling
+        # the layer refuses it as counting its pairs does, not 3 edges
+        from chain_census.geometry import DistanceSpec
+
+        layer = make_layer([(0.0, 0.0), (1.0, 0.0), (0.0, 1.00000002), (1.0, 1.0)])
+        spec = DistanceSpec((1.0,), TOLERANCE)
+        for decide in (lambda: count_incidences(layer, layer, 1.0, spec), lambda: peel_min_degree(layer, 1.0, spec)):
+            with pytest.raises(CertificationError, match="^2 pair"):
+                decide()
 
     def test_star_keeps_everything(self):
         # K_{1,5} at unit distance: four lattice neighbors plus one rational

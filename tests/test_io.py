@@ -98,7 +98,7 @@ TOKENS = WHOLE + ["2/4", "-1/2", "1/-2", "4/2", f"{BIG}/3"]
 
 class TestExactTokens:
     """read_points gives each exact token the value and type _parse_exact
-    gives it, and the same error for a bad one."""
+    gives it, and for a bad one its error, after the file and the line."""
 
     @pytest.mark.parametrize("tokens", [WHOLE, TOKENS], ids=["whole", "mixed"])
     def test_values_and_types(self, tmp_path, tokens):
@@ -114,11 +114,11 @@ class TestExactTokens:
     def test_bad_token_error(self, tmp_path, before, tok):
         path = tmp_path / "bad.pts"
         path.write_text(f"dim 2 count 3 mode exact\n0 0\n{before}\n{tok} 0\n")
-        with pytest.raises(FileFormatError) as want:
+        with pytest.raises(ValueError) as want:
             _parse_exact(tok)
         with pytest.raises(FileFormatError) as got:
             read_points(path)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"{path}: line 4: {want.value}"
 
     @pytest.mark.parametrize(
         "body, message",

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chain_census import layered, richness
-from chain_census.io import read_coords, read_points
+from chain_census.io import FileFormatError, _exact_coords, read_coords, read_points
 from chain_census.constructions import (
     _dyadic_below,
     _exact_arc,
@@ -535,8 +535,8 @@ def test_repeated_pairs_decided_once(cfg):
     except CertificationError as err:
         assert str(err) == str(CertificationError(offenders))
         assert [(p.id, q.id, g) for p, q, g in err.offenders] == [(p.id, q.id, g) for p, q, g in offenders]
-        # the uncertified runs that build_adjacency shares
-        adj = BipartiteAdjacency(tuple(map(layered._pair_runs(cfg.spec), layers, layers[1:], cfg.spec.delta2)))
+        # the runs that build_adjacency shares, their offenders collected, not raised
+        adj = BipartiteAdjacency(tuple(layered._certified_pairs(cfg.spec, triples, [])))
     else:
         assert not offenders
     assert neighbors(adj) == want == adjacency_oracle(cfg)
@@ -988,6 +988,14 @@ def write_exact_file(draw, path, points, dim):
         fh.write("\n".join([f"dim {dim} count {len(points)} mode exact", *lines]) + "\n")
 
 
+def parsed_store(path, dim):
+    """The store read_coords parses a well-formed exact file into, before
+    it checks that no point repeats."""
+    with open(path) as fh:
+        _, *lines = filter(str.strip, fh.read().split("\n"))
+    return _exact_coords([tok for ln in lines for tok in ln.split()], dim)
+
+
 def oracle_ratios(points):
     """D_p, N_p per axis and each axis's floor of its minimum, from Fractions."""
     dens = [math.lcm(*(Fraction(c).denominator for c in p.coords)) for p in points]
@@ -1006,18 +1014,22 @@ def test_exact_reader_equals_the_fraction_reader(dim, data):
         paths = [os.path.join(tmp, f"{name}.pts") for name in "ab"]
         for path, points in zip(paths, sides):
             write_exact_file(data.draw, path, points, dim)
-        stores = [read_coords(path)[0] for path in paths]
         oracles = [read_points_oracle(path) for path in paths]
-        read = [read_points(path)[0] for path in paths]
-    for store, want, got in zip(stores, oracles, read):
+        refused = [len({p.coords for p in want}) < len(want) for want in oracles]
+        for path in itertools.compress(paths, refused):  # a point repeated, in any spelling, names the file
+            with pytest.raises(FileFormatError) as err:
+                read_coords(path)
+            assert str(err.value) == f"{path}: duplicate point coordinates"
+        stores = [parsed_store(path, dim) if dup else read_coords(path)[0] for path, dup in zip(paths, refused)]
+        read = [parsed_store(path, dim).points if dup else read_points(path)[0] for path, dup in zip(paths, refused)]
+    for store, want, got, dup in zip(stores, oracles, read, refused):
         # the same values and types as the per-token reader, built on demand
         assert [p.coords for p in got] == [p.coords for p in want]
         assert [list(map(type, p.coords)) for p in got] == [list(map(type, p.coords)) for p in want]
         assert store.dims == {dim}
         if want:
             assert [a.tolist() for a in store.ratios] == oracle_ratios(want)
-        refused = len({p.coords for p in want}) < len(want)
-        if refused:
+        if dup:
             with pytest.raises(ValueError, match="duplicate point coordinates"):
                 Layer(store).validate()
         else:
