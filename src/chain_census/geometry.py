@@ -191,9 +191,9 @@ def _rotated_coords(center: Point, seed: tuple, ts, div=Fraction):
     computed in integers, each coordinate div(numerator, denominator):
     Fraction for the exact point, int/int true division for its correctly
     rounded float."""
-    fr = [Fraction(v) for v in (*center.coords, *seed)]
-    L = math.lcm(*(v.denominator for v in fr))
-    CX, CY, X, Y = (v.numerator * (L // v.denominator) for v in fr)
+    ratios = [v.as_integer_ratio() for v in (*center.coords, *seed)]
+    L = math.lcm(*(d for _, d in ratios))
+    CX, CY, X, Y = (v * (L // d) for v, d in ratios)
     for a, b in ts:
         q, c, s = a * a + b * b, b * b - a * a, 2 * a * b
         yield div(CX * q + X * c - Y * s, L * q), div(CY * q + X * s + Y * c, L * q)

@@ -486,14 +486,16 @@ def _disjoint(layers) -> bool:
     return len(set().union(*(c.keyset for c in distinct))) == sum(c.n for c in distinct)
 
 
-def _coord_classes(layers) -> list[list[int]]:
+def _coord_classes(layers) -> list:
     """Map coordinates to dense integer classes shared across layers, in
-    order of first appearance, one list per distinct coordinate store: a
-    run per store when no coordinates repeat (see _disjoint)."""
+    order of first appearance, one list per distinct coordinate store: an
+    np.arange run per store when no coordinates repeat (see _disjoint)."""
+    import numpy as np
+
     distinct = {id(layer.coords): layer.coords for layer in layers}
     if _disjoint(layers):
         starts = dict(zip(distinct, accumulate((c.n for c in distinct.values()), initial=0)))
-        lists = {i: list(range(starts[i], starts[i] + c.n)) for i, c in distinct.items()}
+        lists = {i: np.arange(starts[i], starts[i] + c.n) for i, c in distinct.items()}
     else:
         ids: dict[tuple, int] = {}
         lists = {i: [ids.setdefault(key, len(ids)) for key in c.keys] for i, c in distinct.items()}
@@ -509,9 +511,10 @@ def _coord_classes(layers) -> list[list[int]]:
 # pairs[v] holds the CSR arrays of v's edges: offsets over v's points and
 # indices into its parent's layer.
 #
-# Homomorphisms (walks, for a path) come from one bottom-up pass of segment
-# sums over the edges sorted by parent point, O(E).  Injective counts
-# (chains, embeddings) follow by Möbius inversion on the partition lattice:
+# Homomorphisms (walks, for a path) come from one bottom-up pass that adds
+# each child's counts over its CSR arrays as given into the parent's points
+# (np.add.at), O(E).  Injective counts (chains, embeddings) follow by
+# Möbius inversion on the partition lattice:
 #
 #     injective = sum over coincidence patterns pi of mu(pi) * homs(pi),
 #     mu(pi) = product over blocks B of (-1)^(|B|-1) (|B|-1)!,
@@ -526,6 +529,9 @@ def _coord_classes(layers) -> list[list[int]]:
 # entry per edge, one that carries a block expands each entry of a row
 # along the row's edges, and one that closes a block looks up the entry at
 # the parent point's class, so a pattern costs the entries its edges reach.
+# Those pushes read a pair's edges sorted by parent point (see run), built
+# on first need like the class sets; when no two vertices may share a class
+# the walk pass is the count.
 # Patterns grow vertex by vertex, and a prefix with no homomorphism ends
 # its branch, as merging blocks only adds constraints (Curticapean, Dell
 # and Marx, STOC 2017); so two vertices no homomorphism puts on one class,
@@ -586,7 +592,7 @@ class _CountTree:
     def __init__(self, classes, parent, pairs, order):
         import numpy as np
 
-        self.parent = parent
+        self.parent, self.pairs = parent, pairs
         self.order = list(order)  # every child before its parent, root last
         self.kids: list[list[int]] = [[] for _ in classes]
         self.below = [1 << v for v in range(len(classes))]  # bit masks of subtrees
@@ -594,37 +600,45 @@ class _CountTree:
             if parent[v] >= 0:
                 self.kids[parent[v]].append(v)
                 self.below[parent[v]] |= self.below[v]
-        arrays: dict = {}  # one array and one set per distinct class list
-        for c in classes:
-            if id(c) not in arrays:
-                arrays[id(c)] = np.array(c, dtype=np.intp), frozenset(c)
-        self.classes, self.sets = ([arrays[id(c)][i] for c in classes] for i in (0, 1))
-        self.class_count = 1 + max((max(c) for c in classes if c), default=-1)
+        arrays = {id(c): c for c in classes}  # one array per distinct class list
+        arrays = {i: np.asarray(c, np.intp) for i, c in arrays.items()}
+        self.classes = [arrays[id(c)] for c in classes]
+        self.class_count = 1 + max((int(c.max()) for c in arrays.values() if len(c)), default=-1)
+        # classes are dense: as many as the lists' points when no two share one
+        self.coincide = len(arrays) < len(classes) or self.class_count < sum(map(len, arrays.values()))
         self.dtype = np.int64 if math.prod(map(len, classes)) < 1 << 63 else object
-        # per child u: its edges (q, p) to the parent, p ascending and then
-        # the class of q ascending, and the order that lists them as the
-        # CSR arrays do (by q, then p); sorted once per distinct pair.  The
-        # transpose lists them by p, then q, which is that order when
-        # classes ascend with q
-        self.edges: list = [None] * len(classes)
-        runs: dict = {}
-        for u, v in enumerate(parent):
-            key = id(pairs[u]), id(classes[u])
-            if v >= 0 and key not in runs:
-                offsets, p = pairs[u]
-                _, q, by = _transpose(offsets, p, len(classes[v]))
-                cu = self.classes[u]
-                if np.any(cu[1:] < cu[:-1]):  # each p's run by the class of q
-                    sub = np.lexsort((cu[q], p[by]))
-                    q, by = q[sub], by[sub]
-                csr = np.empty_like(by)
-                csr[by] = np.arange(len(by))
-                runs[key] = q, p[by], csr
-            self.edges[u] = runs.get(key)
+        self._runs: dict = {}  # sorted edges per distinct (pair, class list)
         self._memo: dict = {}  # pushes reused across patterns, oldest first
         self._stored = 0
         self._luts: dict = {}  # shared classes -> class -> axis index
         self._pairs: dict = {}
+
+    @functools.cached_property
+    def sets(self) -> list[frozenset]:
+        """Each vertex's classes as a set, one per distinct class array."""
+        made = {id(c): c for c in self.classes}
+        made = {i: frozenset(c.tolist()) for i, c in made.items()}
+        return [made[id(c)] for c in self.classes]
+
+    def run(self, u: int) -> tuple:
+        """Child u's edges (q, p) to its parent, by p and then the class of
+        q, and the order `csr` that lists them as the CSR arrays do: sorted
+        once per distinct (pair, class list), on first use.  The transpose
+        lists them by p, then q: that order when classes ascend with q."""
+        import numpy as np
+
+        key = id(self.pairs[u]), id(self.classes[u])
+        if key not in self._runs:
+            offsets, p = self.pairs[u]
+            _, q, by = _transpose(offsets, p, len(self.classes[self.parent[u]]))
+            cu = self.classes[u]
+            if np.any(cu[1:] < cu[:-1]):  # each p's run by the class of q
+                sub = np.lexsort((cu[q], p[by]))
+                q, by = q[sub], by[sub]
+            csr = np.empty_like(by)
+            csr[by] = np.arange(len(by))
+            self._runs[key] = q, p[by], csr
+        return self._runs[key]
 
     def _pair(self, u: int, v: int) -> int:
         """Homomorphisms that give vertices u < v one class: when there are
@@ -635,8 +649,8 @@ class _CountTree:
         if (u, v) not in self._pairs:
             child = u if self.parent[u] == v else v if self.parent[v] == u else None
             if child is not None:
-                q, p, _ = self.edges[child]
-                loops = np.any(self.classes[child][q] == self.classes[self.parent[child]][p])
+                offsets, p = self.pairs[child]
+                loops = np.any(np.repeat(self.classes[child], np.diff(offsets)) == self.classes[self.parent[child]][p])
             shared = self.sets[u] & self.sets[v]
             self._pairs[u, v] = self.homs([((u, v), shared)]) if child is None or loops else 0
         return self._pairs[u, v]
@@ -655,7 +669,7 @@ class _CountTree:
 
         def place(v: int) -> None:
             nonlocal total
-            if v == len(self.sets):
+            if v == len(self.classes):
                 return
             for block in blocks:
                 members, shared = block
@@ -675,7 +689,7 @@ class _CountTree:
             place(v + 1)
             blocks.pop()
 
-        if total:
+        if total and self.coincide:
             place(0)
         del place  # the closure refers to itself: free the tree now, not at a gc pass
         return total
@@ -684,7 +698,7 @@ class _CountTree:
         """Homomorphisms that give all members of each block one class."""
         import numpy as np
 
-        own = [-1] * len(self.sets)
+        own = [-1] * len(self.classes)
         masks, top, pos = [], [], []  # members; their lowest common vertex; class -> axis index
         for j, (members, shared) in enumerate(blocks):
             for v in members:
@@ -776,9 +790,13 @@ class _CountTree:
         import numpy as np
 
         v = self.parent[u]
-        q, p, csr = self.edges[u]
         ju, jv = own[u], own[v]
         grow = ju >= 0 and ju != jv and top[ju] != u
+        if axes or grow:  # a block open below the parent: the sorted run
+            q, p, csr = self.run(u)
+        else:  # each edge reads its child point's count: the CSR arrays as given
+            offsets, p = self.pairs[u]
+            q = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
         if jv >= 0 and jv == ju:  # neighbours in one block: equal classes
             cq = self.classes[u][q]
             keep = (cq == self.classes[v][p]) & (pos[jv][cq] >= 0)
@@ -810,12 +828,9 @@ class _CountTree:
             if axes:
                 hit = np.flatnonzero(sizes)
                 q, p, rows = q[hit], p[hit], first[hit]
-            if not grow:  # segment sums over the edges, sorted by p
+            if not grow:  # summed over the edges into their parent points
                 out = np.zeros(n, self.dtype)
-                for lo in range(0, len(q), _CHUNK):
-                    k = p[lo : lo + _CHUNK]
-                    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-                    out[k[starts]] += np.add.reduceat(vals[rows[lo : lo + _CHUNK]], starts)
+                np.add.at(out, p, vals[rows])
                 return (), (None, out)
             # an opening block: each point of a layer has its own class, so
             # each edge gives one entry, in key order

@@ -243,9 +243,15 @@ def stable_covering(config: LayeredConfig, eps) -> list[CoveringClass]:
     n = max((len(layer) for layer in config.layers), default=0)
     if n == 0:
         return []
-    cuts = richness_thresholds(n, eps)
-    filtering = _Filtering(config, cuts)
-    expo = [m * eps for m in range(len(cuts))]  # class index -> exponent
+    import numpy as np
+
+    # the filter reads each distinct cutoff once; its class takes the index
+    # of the cutoff's last repeat, as a degree's search in all cutoffs does,
+    # and a whole layer keeps index 0
+    cuts = np.array(richness_thresholds(n, eps))
+    last = np.flatnonzero(np.append(cuts[1:] != cuts[:-1], True))
+    filtering = _Filtering(config, cuts[last])
+    expo = {m: m * eps for m in [0, *last.tolist()]}  # class index -> exponent
     max_len = math.floor((config.k + 1) / eps) + 1
 
     # one BFS depth at a time: its sequences share one parity, so one
@@ -254,6 +260,8 @@ def stable_covering(config: LayeredConfig, eps) -> list[CoveringClass]:
     level, parity = filtering.level(filtering.whole), 1
     while nodes:
         node, vectors, kids = filtering.expand(level, parity)
+        vectors = last[vectors]
+        vectors[:, 0 if parity else -1] = 0
         stable, keep, queued = [], [], []
         for j, (p, vec, lens) in enumerate(zip(node.tolist(), vectors.tolist(), kids[1].tolist())):
             prefix, sizes, size = nodes[p]

@@ -337,6 +337,10 @@ def run_process(*argv, timeout=None):
         ("generate --construction planar-chain --k 2 --delta2 abc,1", 1, "could not convert string to float: 'abc'"),
         ("generate --construction planar-chain --k 2 --delta2 1/0,1", 1, "zero denominator in '1/0'"),
         ("generate --construction star --l 3 --n 10", 1, "n must be divisible by l"),
+        ("generate --construction star-paths --l 1 --n 0", 1, "n must be >= 1"),
+        ("generate --construction star-paths --l 1 --n -3", 1, "n must be >= 1"),
+        ("verify --claim floor --construction star-paths --k 1 --n 0", 1, "n must be >= 1"),
+        ("verify --claim floor --construction star-paths --k 3 --n -3", 1, "n must be >= 1"),
         (f"generate --construction planar-chain --k 2 --n 4 --delta2 1{'0' * 400},1", 1, "squared distances must be finite"),
         (
             "generate --construction planar-chain --k 5 --n 9 --delta2 100000000,100000000,1,4,9",
@@ -371,6 +375,7 @@ def run_process(*argv, timeout=None):
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
         "generate-unread", "generate-variant", "covering-unread",
         "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-zero-denominator", "generate-star-n",
+        "generate-star-paths-n-0", "generate-star-paths-n-negative", "verify-star-paths-n-0", "verify-star-paths-n-negative",
         "generate-delta2-beyond-float",
         "generate-guard-band", "generate-unresolvable-2^30", "generate-unresolvable-2^40",
         "generate-unresolvable-mixed", "generate-construction-error",

@@ -485,7 +485,7 @@ class TestCountingEngine:
 
     def test_repeated_layers_share_one_sort_and_one_class_array(self):
         tree = _chain_tree(gen_orthogonal_circles(4, 3, 12).config)
-        assert tree.edges[0] is tree.edges[1] is tree.edges[2]
+        assert tree.run(0) is tree.run(1) is tree.run(2)
         assert tree.classes[0] is tree.classes[1] is tree.classes[2] is tree.classes[3]
 
     def test_neighbours_are_kept_apart_without_a_pass(self, monkeypatch):

@@ -90,6 +90,17 @@ class TestThresholds:
         assert cuts[0] == 1 and cuts[1] == 10 and cuts[2] >= 11
 
 
+@pytest.mark.parametrize("eps", [F(1, 2), F(1, 3), F(1, 10)])
+def test_repeated_cutoffs_keep_their_exponents(eps):
+    # n = 1: every cutoff below the top one is 1, so the filter's one class
+    # (degree 1) takes the index of the last 1, as a search in all cutoffs
+    # does, while the pass's whole layer keeps index 0
+    cfg = make_config([[(0, 0)], [(1, 0)], [(1, 1)]], (1, 1))
+    got = stable_covering(cfg, eps)
+    assert got == covering_oracle(cfg, eps)
+    assert [c.sequence.vectors for c in got] == [((0, 1, 1),)]
+
+
 def passes(cfg, eps, parity=1):
     """{class vector: filtered layers} of every filtering pass over cfg."""
     return {idx: sub.layers for idx, sub in filtering_children(cfg, richness_thresholds(max(map(len, cfg.layers)), eps), parity)}
