@@ -27,11 +27,11 @@ from .geometry import (
     DistanceSpec,
     NoRationalPointError,
     Point,
+    _circle_coords,
     _rotated_coords,
     exact_point,
     float_point,
     rational_circle_points,
-    rational_point_on_circle,
     sample_circle_3d,
     sphere_sphere_intersection_circle,
     squared_distance,
@@ -96,18 +96,13 @@ def _popular_sq_distance(coords) -> tuple[int, int]:
 def _exact_arc(center: Point, r2: Fraction, n: int, eps: float, window: int, div) -> Layer:
     """A layer of n rational points on an arc of chord diameter <= eps
     around the circle of squared radius r2, each coordinate div(numerator,
-    denominator); `window` selects disjoint parameter ranges.  In integers:
-    with the dyadic window width t_hi = T/P, point j is the seed rotated
-    at the parameter (2 window + j/(n+1)) t_hi, the pair of integers
-    (T (2 window (n+1) + j), P (n+1))."""
+    denominator); `window` selects disjoint parameter ranges, each as wide
+    as the dyadic t_hi = T/P, and given to `_circle_coords` as integers."""
     T, P = _dyadic_below(min(1.0, eps / (4.0 * math.sqrt(float(r2))))).as_integer_ratio()
     if T <= 0:
         raise ConstructionError(f"eps={eps} too small for a dyadic arc window")
-    seed = rational_point_on_circle(r2)
-    if seed is None:
-        raise NoRationalPointError(f"no rational point on circle of squared radius {r2}")
-    ts = ((T * (2 * window * (n + 1) + j), P * (n + 1)) for j in range(1, n + 1))
-    return Layer(_Coords(rows=list(_rotated_coords(center, seed, ts, div))))
+    lo = 2 * window * T
+    return Layer(_Coords(rows=list(_circle_coords(center, r2, n, ((lo, P), (lo + T, P)), div=div))))
 
 
 def _float_arc(center, r: float, n: int, eps: float, phase: float) -> Layer:

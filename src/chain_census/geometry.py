@@ -216,31 +216,35 @@ def rational_circle_points(
     `_rotated_coords`; a narrow t_range = (lo, hi) yields a short arc
     (chord diameter at most 2*r*(hi-lo)).
     """
-    return [Point(c, id_base + j) for j, c in enumerate(_circle_coords(center, r2, m, t_range, seed))]
+    ratios = [Fraction(t).as_integer_ratio() for t in t_range]
+    return [Point(c, id_base + j) for j, c in enumerate(_circle_coords(center, r2, m, ratios, seed))]
 
 
 def _circle_coords(center: Point, r2, m: int, t_range, seed=None, div=Fraction):
     """The coordinates of rational_circle_points, each div(numerator,
-    denominator) as `_rotated_coords` gives it."""
+    denominator) as `_rotated_coords` gives it, for the parameter range
+    t_range given as integer ratios ((lo, den), (hi, den)).  Set up in
+    integers: over the range's common denominator L, t_j is the pair
+    (lo (m+1) + (hi-lo) j, L (m+1))."""
     if m < 1:
         raise ValueError("m must be >= 1")
     r2 = Fraction(r2)
-    if not r2 > 0:
+    N, D = r2.as_integer_ratio()
+    if not N > 0:
         raise ValueError("r2 must be positive")
     if seed is None:
         seed = rational_point_on_circle(r2)
         if seed is None:
             raise NoRationalPointError(f"no rational point on circle of squared radius {r2}")
-    x0, y0 = Fraction(seed[0]), Fraction(seed[1])
-    if x0 * x0 + y0 * y0 != r2:
+    (x, dx), (y, dy) = (v.as_integer_ratio() for v in seed)
+    if ((x * dy) ** 2 + (y * dx) ** 2) * D != N * (dx * dy) ** 2:
         raise ValueError("seed point does not lie on the circle")
-    lo, hi = Fraction(t_range[0]), Fraction(t_range[1])
+    (lo, dlo), (hi, dhi) = t_range
+    L = math.lcm(dlo, dhi)
+    lo, hi = lo * (L // dlo), hi * (L // dhi)
     if not lo < hi:
         raise ValueError("empty parameter range")
-    w = hi - lo
-    a0, b = lo.numerator * w.denominator * (m + 1), lo.denominator * w.denominator * (m + 1)
-    step = w.numerator * lo.denominator
-    return _rotated_coords(center, (x0, y0), ((a0 + step * j, b) for j in range(1, m + 1)), div)
+    return _rotated_coords(center, seed, ((lo * (m + 1) + (hi - lo) * j, L * (m + 1)) for j in range(1, m + 1)), div)
 
 
 @dataclass(frozen=True)

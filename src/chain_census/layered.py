@@ -488,18 +488,18 @@ def _disjoint(layers) -> bool:
 
 def _coord_classes(layers) -> list:
     """Map coordinates to dense integer classes shared across layers, in
-    order of first appearance, one list per distinct coordinate store: an
-    np.arange run per store when no coordinates repeat (see _disjoint)."""
+    order of first appearance, one array per distinct coordinate store:
+    an np.arange run per store when no coordinates repeat (see _disjoint)."""
     import numpy as np
 
     distinct = {id(layer.coords): layer.coords for layer in layers}
     if _disjoint(layers):
         starts = dict(zip(distinct, accumulate((c.n for c in distinct.values()), initial=0)))
-        lists = {i: np.arange(starts[i], starts[i] + c.n) for i, c in distinct.items()}
+        arrays = {i: np.arange(starts[i], starts[i] + c.n) for i, c in distinct.items()}
     else:
         ids: dict[tuple, int] = {}
-        lists = {i: [ids.setdefault(key, len(ids)) for key in c.keys] for i, c in distinct.items()}
-    return [lists[id(layer.coords)] for layer in layers]
+        arrays = {i: np.fromiter((ids.setdefault(k, len(ids)) for k in c.keys), int, c.n) for i, c in distinct.items()}
+    return [arrays[id(layer.coords)] for layer in layers]
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +600,8 @@ class _CountTree:
             if parent[v] >= 0:
                 self.kids[parent[v]].append(v)
                 self.below[parent[v]] |= self.below[v]
-        arrays = {id(c): c for c in classes}  # one array per distinct class list
-        arrays = {i: np.asarray(c, np.intp) for i, c in arrays.items()}
-        self.classes = [arrays[id(c)] for c in classes]
+        self.classes = classes  # as _coord_classes gives them: one array per distinct store
+        arrays = {id(c): c for c in classes}
         self.class_count = 1 + max((int(c.max()) for c in arrays.values() if len(c)), default=-1)
         # classes are dense: as many as the lists' points when no two share one
         self.coincide = len(arrays) < len(classes) or self.class_count < sum(map(len, arrays.values()))
@@ -792,11 +791,12 @@ class _CountTree:
         v = self.parent[u]
         ju, jv = own[u], own[v]
         grow = ju >= 0 and ju != jv and top[ju] != u
-        if axes or grow:  # a block open below the parent: the sorted run
-            q, p, csr = self.run(u)
-        else:  # each edge reads its child point's count: the CSR arrays as given
-            offsets, p = self.pairs[u]
-            q = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        if not (axes or grow or (jv >= 0 and jv == ju)):  # no block to carry, open or keep:
+            offsets, p = self.pairs[u]  # each edge reads its child point's count, as the CSR arrays list it
+            out = np.zeros(len(self.classes[v]), self.dtype)
+            np.add.at(out, p, np.repeat(state[1], np.diff(offsets)))
+            return (), (None, out)
+        q, p, csr = self.run(u)  # otherwise the edges sorted by parent point
         if jv >= 0 and jv == ju:  # neighbours in one block: equal classes
             cq = self.classes[u][q]
             keep = (cq == self.classes[v][p]) & (pos[jv][cq] >= 0)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 
 from chain_census.constructions import _dyadic_below
-from chain_census.geometry import DistanceSpec, Point, _circle_coords, squared_distance
+from chain_census.geometry import DistanceSpec, Point, rational_point_on_circle, squared_distance
 from chain_census.io import _parse_exact
 from chain_census.layered import Layer, LayeredConfig, build_adjacency
 from chain_census.richness import CoveringClass, DecompositionSequence, _Filtering, degree_vector, richness_thresholds
@@ -88,12 +88,14 @@ def float_arc_oracle(center, r: float, n: int, eps: float, phase: float) -> list
 
 
 def exact_arc_oracle(center: Point, r2, n: int, eps: float, window: int, div) -> list[Point]:
-    """The former rational arc, as Points: n points on an arc of chord
-    diameter <= eps around the circle of squared radius r2, each coordinate
-    div(numerator, denominator)."""
+    """The former rational arc, point by point: n points on an arc of chord
+    diameter <= eps around the circle of squared radius r2, in Fraction
+    arithmetic, each coordinate then div(numerator, denominator)."""
     t_hi = _dyadic_below(min(1.0, eps / (4.0 * math.sqrt(float(r2)))))
     lo = t_hi * 2 * window
-    return [Point(c, j) for j, c in enumerate(_circle_coords(center, r2, n, (lo, lo + t_hi), div=div))]
+    exact = Point(tuple(map(Fraction, center.coords)))
+    pts = circle_points_oracle(exact, rational_point_on_circle(r2), n, (lo, lo + t_hi))
+    return [Point(tuple(div(c.numerator, c.denominator) for c in p.coords), p.id) for p in pts]
 
 
 def circle_point_oracle(center: Point, seed: tuple, t) -> Point:

@@ -928,7 +928,8 @@ def test_array_layers_key_rows_as_tuples(rows):
             layer.validate()
     else:
         assert layer.validate() == {float}
-    assert _coord_classes([layer, tuples]) == _coord_classes([Layer(tuples.points), tuples])
+    mine, theirs = _coord_classes([layer, tuples]), _coord_classes([Layer(tuples.points), tuples])
+    assert [c.tolist() for c in mine] == [c.tolist() for c in theirs]
 
 
 def test_circle_kernel_fixed_cases():
@@ -1073,7 +1074,7 @@ def test_exact_reader_equals_the_fraction_reader(dim, data):
             Layer(store).validate()
     # keys equal exactly for equal numbers, within and across the stores
     mine, theirs = _coord_classes([Layer(s) for s in stores]), _coord_classes([Layer(p) for p in oracles])
-    assert list(map(list, mine)) == list(map(list, theirs))  # lists or np.arange runs
+    assert [c.tolist() for c in mine] == [c.tolist() for c in theirs]
     if all(len({p.coords for p in pts}) == len(pts) for pts in oracles):
         d2 = squared_distance(oracles[0][0], oracles[1][0]) if all(oracles) else 1
         d2, spec, tree = d2 or 1, DistanceSpec((), None), LabeledTree(3, ((0, 1, d2 or 1), (0, 2, d2 or 1)))
