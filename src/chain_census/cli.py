@@ -52,6 +52,11 @@ VERIFY_READS = {
     "floor": {"construction": None, "k": 2, "n": 10},
     "covering": {"manifest": None},
 }
+# the most coordinates a generated layer may hold, --n times the
+# dimension, and the largest --d: far more than the pair kernel, which
+# tests every point pair, can count in reasonable time, far less than what
+# would exhaust memory before any other check
+MAX_COORDINATES = 1 << 20
 # the verbs that read each global flag, with its default; the others refuse it
 GLOBAL_READS = {
     "mode": (("count-tree", "incidences", "rich"), None),
@@ -180,6 +185,9 @@ def _cmd_generate(args) -> int:
     # the constructions that read --delta2 take square roots in floats
     args.delta2 = [_parse_d2(t, True) for t in args.delta2.split(",")] if args.delta2 else None
     args.eps = float(args.eps)
+    dim = args.d if "d" in entry.reads else entry.dim
+    if max(dim, args.n * dim) > MAX_COORDINATES:
+        raise ValueError(f"--n {args.n} in dimension {dim} exceeds {MAX_COORDINATES} coordinates per layer")
     res = entry.build(args)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -338,8 +346,25 @@ def _parse_args(argv):
     return args
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed heap memory, up to 32 MB, for the next arrays.
+    By default it maps each array above 128 KB afresh and trims the heap
+    top behind the smaller ones, until some large free raises both limits,
+    so a count's many window temporaries cost page faults, about a third
+    of a count, depending on what ran before.  A C library without
+    mallopt is left as it is."""
+    import ctypes
+
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-1, 1 << 25)  # M_TRIM_THRESHOLD
+        libc.mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD, its largest value
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    _keep_freed_memory()
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,

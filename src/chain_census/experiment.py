@@ -100,7 +100,7 @@ class Construction(NamedTuple):
     ``exponent`` maps k to the theoretical exponent, only a lower bound
     when ``floor_only``.  ``reads`` names the parameters among l, d,
     delta2 and variant that ``build`` uses; ``generate`` refuses the
-    others."""
+    others.  ``dim`` is the dimension of its points, unless it reads d."""
 
     build: Callable
     files: str | None
@@ -110,6 +110,7 @@ class Construction(NamedTuple):
     floor_only: bool = False
     count: Callable = _chains
     reads: tuple[str, ...] = ()
+    dim: int = 2
 
 
 REGISTRY = {
@@ -136,18 +137,21 @@ REGISTRY = {
         {"closed-form": lambda r, p: (p.n ** (p.k // 2 + 1), "3d even count = n^(k/2+1)")},
         exponent=lambda k: Fraction(k, 2) + 1,
         reads=("delta2",),
+        dim=3,
     ),
     "3d-odd-regular": Construction(
         lambda p: cons.gen_3d_odd_regular(p.k, p.n),
         "manifest",
         {"floor": lambda r, p: (r.floor, "count >= |core|*(min_degree-k)^k")},
         note=lambda r: f"min_degree {r.min_degree} floor {r.floor}",
+        dim=3,
     ),
     "3d-odd-sphere": Construction(
         lambda p: cons.gen_3d_odd_sphere(p.k, p.n),
         "manifest",
         {"floor": lambda r, p: (r.floor, "count >= n^((k-1)/2) * sphere incidences")},
         note=lambda r: f"sphere_incidences {r.sphere_incidences} floor {r.floor}",
+        dim=3,
     ),
     "orthogonal": Construction(
         lambda p: cons.gen_orthogonal_circles(p.d, p.k, p.n),

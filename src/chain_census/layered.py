@@ -529,6 +529,10 @@ def _coord_classes(layers) -> list:
 # entry per edge, one that carries a block expands each entry of a row
 # along the row's edges, and one that closes a block looks up the entry at
 # the parent point's class, so a pattern costs the entries its edges reach.
+# A carry whose one remaining block closes at the next vertex up, through
+# a vertex with no other child, does that vertex's push too: each window
+# of carried rows is read at the classes of that vertex's edges and summed
+# into the closing vertex's points, so the carried state is never stored.
 # Those pushes read a pair's edges sorted by parent point (see run), built
 # on first need like the class sets; when no two vertices may share a class
 # the walk pass is the count.
@@ -540,8 +544,11 @@ def _coord_classes(layers) -> list:
 # of the layer sizes is below 2^63, Python ints in object arrays otherwise.
 
 # Entries gathered per chunk of edges: a push's transient arrays stay near
-# this size however many entries a row holds.
-_CHUNK = 1 << 15
+# this size however many entries a row holds.  As int64, 2^14 entries is
+# glibc's initial 128 KB mmap threshold: a larger temporary is a fresh
+# mapping, page faults included, unless some earlier, larger free raised
+# that threshold, so 2^15 made a push's cost depend on the process's past.
+_CHUNK = 1 << 14
 
 
 def _ranges(first, sizes):
@@ -742,8 +749,11 @@ class _CountTree:
                 axes, state = self._join(axes, state, *part, width)
             if self.parent[v] < 0:  # every block closes at the root
                 return int(state[1].sum())
-            part_axes, part = parts[v] = self._push(v, axes, state, own, top, pos, width)
-            key, inside = keys[v]
+            done, part_axes, part = self._push(v, axes, state, own, top, pos, width)
+            if done != v:  # v's parent pushed too (a fused close): it is done
+                todo.remove(done)
+            parts[done] = part_axes, part
+            key, inside = keys[done]
             if len(part[1]) <= _CHUNK:  # kept for later patterns, within _CHUNK entries in all
                 self._memo[key] = tuple(map(inside.index, part_axes)), part
                 self._stored += len(part[1])
@@ -780,12 +790,13 @@ class _CountTree:
         return joined, _ascending(joined_keys, vals[ia] * part[1][ib])
 
     def _push(self, u, axes, state, own, top, pos, width):
-        """(axes, state) of the parent: the child's counts summed over its
-        edges into each parent point, and over the classes of the blocks
-        whose members all lie below the child.  The parent's own block is
-        read at the class of the parent's point; the child's own block,
-        when open above the child, becomes an axis indexed by the class of
-        the child's point."""
+        """(u, axes, state) with the parent's state: the child's counts
+        summed over its edges into each parent point, and over the classes
+        of the blocks whose members all lie below the child.  The parent's
+        own block is read at the class of the parent's point; the child's
+        own block, when open above the child, becomes an axis indexed by
+        the class of the child's point.  A fused close returns (v, (),
+        state) with the state of v's parent instead: v's push done too."""
         import numpy as np
 
         v = self.parent[u]
@@ -795,7 +806,7 @@ class _CountTree:
             offsets, p = self.pairs[u]  # each edge reads its child point's count, as the CSR arrays list it
             out = np.zeros(len(self.classes[v]), self.dtype)
             np.add.at(out, p, np.repeat(state[1], np.diff(offsets)))
-            return (), (None, out)
+            return u, (), (None, out)
         q, p, csr = self.run(u)  # otherwise the edges sorted by parent point
         if jv >= 0 and jv == ju:  # neighbours in one block: equal classes
             cq = self.classes[u][q]
@@ -831,11 +842,11 @@ class _CountTree:
             if not grow:  # summed over the edges into their parent points
                 out = np.zeros(n, self.dtype)
                 np.add.at(out, p, vals[rows])
-                return (), (None, out)
+                return u, (), (None, out)
             # an opening block: each point of a layer has its own class, so
             # each edge gives one entry, in key order
             c = pos[ju][self.classes[u][q]]
-            return (ju,), (p[c >= 0] * width[ju] + c[c >= 0], vals[rows[c >= 0]])
+            return u, (ju,), (p[c >= 0] * width[ju] + c[c >= 0], vals[rows[c >= 0]])
         # carrying open blocks: the runs are summed into windows, the rows
         # of a few parent points, at most _CHUNK entries (a row at least)
         # from about _CHUNK read; the windows' nonzero entries fill arrays
@@ -851,7 +862,19 @@ class _CountTree:
         reach = np.concatenate(([0], np.cumsum(sizes)))[edge_at]
         chunk = np.arange(n) // max(1, _CHUNK // cols) * (reach[-1] // _CHUNK + 1) + reach[:-1] // _CHUNK
         tops = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), n]
-        bound = min(int(reach[-1]), n * cols)
+        # a fused close: when the one axis left is the block of v's parent w,
+        # which closes at w, u is v's only child and v owns no block, each
+        # window is read at the classes of v's edges into w and summed into
+        # w's points, so v's state is never stored and v's push is done
+        w = self.parent[v]
+        if fuse := jv < 0 and w >= 0 and out == (own[w],) and top[own[w]] == w and self.kids[v] == [u]:
+            offsets, into = self.pairs[v]
+            at = pos[own[w]][self.classes[w][into]]
+            keep = at >= 0
+            flat = (np.arange(n).repeat(np.diff(offsets)) * cols + at)[keep]
+            into, edge_at_v = into[keep], np.concatenate(([0], np.cumsum(keep)))[offsets]
+            closed = np.zeros(len(self.classes[w]), self.dtype)
+        bound = 0 if fuse else min(int(reach[-1]), n * cols)
         ks, vs, used = np.empty(bound, np.int64), np.empty(bound, self.dtype), 0
         for a, b in zip(tops, tops[1:]):
             lo, hi = edge_at[a], edge_at[b]
@@ -865,15 +888,21 @@ class _CountTree:
                 at_run += np.repeat((p[lo:hi] - a) * cols + (c[lo:hi] if grow else 0), got)
             window = np.zeros((b - a) * cols, self.dtype)
             np.add.at(window, at_run, vals[run])
+            if fuse:
+                e, f = edge_at_v[a], edge_at_v[b]
+                np.add.at(closed, into[e:f], window[flat[e:f] - a * cols])
+                continue
             nonzero = np.flatnonzero(window != 0)  # far faster than on int64
             ks[used : used + len(nonzero)] = nonzero + a * cols
             vs[used : used + len(nonzero)] = window[nonzero]
             used += len(nonzero)
+        if fuse:
+            return v, (), (None, closed)
         if not out:  # every axis summed: a dense array
             dense = np.zeros(n, self.dtype)
             dense[ks[:used]] = vs[:used]
-            return (), (None, dense)
-        return out, (ks[:used], vs[:used])
+            return u, (), (None, dense)
+        return u, out, (ks[:used], vs[:used])
 
 
 def _chain_tree(config: LayeredConfig) -> _CountTree:

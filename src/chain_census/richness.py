@@ -38,26 +38,67 @@ def rich_points(target: Layer, reference: Layer, d2, r: int, spec: DistanceSpec)
     return Layer(pts, target.label)
 
 
-def richness_thresholds(n: int, eps: Fraction) -> list[int]:
-    """Integer cutoffs T_0..T_{M+1} tiling [1, n] by richness exponent steps.
+def _at_least(t: int, q: int, n: int, m: int) -> bool:
+    """Whether t^q >= n^m, for integers t >= 1, n, q, m >= 0, without
+    forming either power.  Equal powers are powers of one base s: t = s^b
+    and n = s^a, a/b being q/m in lowest terms.  Unequal ones differ in
+    q log t - m log n, which floats decide outside their rounding bound (as
+    in _is_stable), and decimal logarithms to ever more digits inside it."""
+    if m == 0 or n <= 1 or t == 1 or q == 0:
+        return m == 0 or n <= 1
+    a, b = q // math.gcd(q, m), m // math.gcd(q, m)
+    if a <= n.bit_length() and b <= t.bit_length() and (s := round(n ** (1 / a))) ** a == n and s**b == t:
+        return True
+    size = q * (math.log2(t) + 1) + m * (math.log2(n) + 1)
+    gap, digits = q * math.log2(t) - m * math.log2(n), 15
+    while abs(gap) <= size * 10.0 ** (3 - digits):
+        import decimal  # on first need: importing it costs every process a few ms
 
-    The class at exponent index i is [T_i, T_{i+1}); T_0 = 1 and the top
-    cutoff exceeds n so every positive degree lands in exactly one class.
+        digits *= 2
+        with decimal.localcontext() as context:
+            context.prec = digits
+            gap = q * decimal.Decimal(t).ln() - m * decimal.Decimal(n).ln()
+    return gap > 0
+
+
+def _ceil_root(n: int, m: int, q: int, low: int = 1) -> int:
+    """The smallest t >= low with t^q >= n^m: a float guess, corrected."""
+    t = max(low, math.ceil(n ** (m / q)))
+    while t > low and _at_least(t - 1, q, n, m):
+        t -= 1
+    while not _at_least(t, q, n, m):
+        t += 1
+    return t
+
+
+def richness_thresholds(n: int, eps: Fraction) -> tuple[list[int], list[int]]:
+    """The distinct integer cutoffs of the richness classes, ascending, and
+    the last exponent index of each.
+
+    For eps = p/q the cutoff at exponent index i, 0 <= i <= M + 1 with
+    M = floor(1/eps), is T_i = ceil(n^(i eps)): the smallest t with
+    t^q >= n^(i p), decided in integers.  The class at index i is [T_i,
+    T_{i+1}).  T_0 = 1, and the top cutoff T_{M+1} is at least n + 1, so
+    every degree from 1 to n lands in one class.  Only the indices where
+    T_i changes are visited, at most n + 2: O(min(n, 1/eps)) steps.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
-    m_top = math.floor(1 / eps)
-    cuts = []
-    for i in range(m_top + 2):
-        expo = float(i * eps)
-        cuts.append(max(1, math.ceil(n**expo - 1e-9)))
-    cuts[0] = 1
-    cuts[-1] = max(cuts[-1], n + 1)
-    for i in range(1, len(cuts)):
-        if cuts[i] < cuts[i - 1]:
-            cuts[i] = cuts[i - 1]
-    return cuts
+    p, q, top = eps.numerator, eps.denominator, math.floor(1 / eps) + 1
+    cuts, last, i = [], [], 0
+    while i < top:
+        t = _ceil_root(n, i * p, q)
+        # the last index below the top whose cutoff is t: n^(j p) <= t^q
+        j = top - 1 if n <= 1 else min(top - 1, math.floor(q * math.log(t) / (p * math.log(n))))
+        while j + 1 < top and _at_least(t, q, n, (j + 1) * p):
+            j += 1
+        while j > i and not _at_least(t, q, n, j * p):
+            j -= 1
+        cuts.append(t)
+        last.append(j)
+        i = j + 1
+    return [*cuts, _ceil_root(n, top * p, q, n + 1)], [*last, top]
 
 
 # A chunk of partial passes gathers about this many neighbours and dense
@@ -248,9 +289,8 @@ def stable_covering(config: LayeredConfig, eps) -> list[CoveringClass]:
     # the filter reads each distinct cutoff once; its class takes the index
     # of the cutoff's last repeat, as a degree's search in all cutoffs does,
     # and a whole layer keeps index 0
-    cuts = np.array(richness_thresholds(n, eps))
-    last = np.flatnonzero(np.append(cuts[1:] != cuts[:-1], True))
-    filtering = _Filtering(config, cuts[last])
+    cuts, last = richness_thresholds(n, eps)
+    filtering, last = _Filtering(config, cuts), np.array(last)
     expo = {m: m * eps for m in [0, *last.tolist()]}  # class index -> exponent
     max_len = math.floor((config.k + 1) / eps) + 1
 

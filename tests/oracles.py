@@ -37,7 +37,7 @@ from chain_census.constructions import _dyadic_below
 from chain_census.geometry import DistanceSpec, Point, rational_point_on_circle, squared_distance
 from chain_census.io import _parse_exact
 from chain_census.layered import Layer, LayeredConfig, build_adjacency
-from chain_census.richness import CoveringClass, DecompositionSequence, _Filtering, degree_vector, richness_thresholds
+from chain_census.richness import CoveringClass, DecompositionSequence, _Filtering, degree_vector
 
 
 def matches_distance(p: Point, q: Point, d2, spec: DistanceSpec) -> bool:
@@ -304,6 +304,20 @@ def enumerate_walks_count(config: LayeredConfig) -> int:
     return total
 
 
+def thresholds_oracle(n: int, eps) -> list[int]:
+    """Every richness cutoff T_0..T_{M+1}, M = floor(1/eps), by its
+    definition in Fractions: T_i is the smallest integer t >= n^(i eps),
+    t^q >= n^(i p) for eps = p/q, scanning up from T_{i-1}; the top one
+    at least n + 1."""
+    eps, cuts, t = Fraction(eps), [], 1
+    for i in range(math.floor(1 / eps) + 2):
+        while Fraction(t) ** eps.denominator < Fraction(n) ** (i * eps.numerator):
+            t += 1
+        cuts.append(t)
+    cuts[-1] = max(cuts[-1], n + 1)
+    return cuts
+
+
 def _class_index(cuts, degree: int) -> int:
     m = bisect_right(cuts, degree) - 1
     if not 0 <= m < len(cuts) - 1:
@@ -341,7 +355,7 @@ def covering_oracle(config: LayeredConfig, eps) -> list[CoveringClass]:
     n = max((len(layer) for layer in config.layers), default=0)
     if n == 0:
         return []
-    cuts = richness_thresholds(n, eps)
+    cuts = thresholds_oracle(n, eps)
     where = [{p.coords: j for j, p in enumerate(layer.points)} for layer in config.layers]
     results = []
     queue = deque([((), tuple(config.layers), math.prod(map(len, config.layers)), ())])

@@ -338,6 +338,14 @@ def run_process(*argv, timeout=None):
         ("generate --construction planar-chain --k 2 --delta2 1/0,1", 1, "zero denominator in '1/0'"),
         ("generate --construction star --l 3 --n 10", 1, "n must be divisible by l"),
         ("generate --construction star-paths --l 1 --n 0", 1, "n must be >= 1"),
+        (
+            "generate --construction orthogonal --k 1 --n 4 --d 4000000000",
+            1,
+            "--n 4 in dimension 4000000000 exceeds 1048576 coordinates per layer",
+        ),
+        ("generate --construction orthogonal --k 1 --n 0 --d 4000000000", 1, "--n 0 in dimension 4000000000 exceeds"),
+        ("generate --construction planar-chain --k 2 --n 600000", 1, "--n 600000 in dimension 2 exceeds"),
+        ("generate --construction 3d-odd-regular --k 3 --n 400000", 1, "--n 400000 in dimension 3 exceeds"),
         ("generate --construction star-paths --l 1 --n -3", 1, "n must be >= 1"),
         ("verify --claim floor --construction star-paths --k 1 --n 0", 1, "n must be >= 1"),
         ("verify --claim floor --construction star-paths --k 3 --n -3", 1, "n must be >= 1"),
@@ -375,7 +383,9 @@ def run_process(*argv, timeout=None):
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
         "generate-unread", "generate-variant", "covering-unread",
         "generate-odd-n", "generate-zero-delta2", "generate-bad-delta2", "generate-zero-denominator", "generate-star-n",
-        "generate-star-paths-n-0", "generate-star-paths-n-negative", "verify-star-paths-n-0", "verify-star-paths-n-negative",
+        "generate-star-paths-n-0", "generate-orthogonal-d-huge", "generate-orthogonal-d-huge-n-0", "generate-n-huge",
+        "generate-3d-n-huge",
+        "generate-star-paths-n-negative", "verify-star-paths-n-0", "verify-star-paths-n-negative",
         "generate-delta2-beyond-float",
         "generate-guard-band", "generate-unresolvable-2^30", "generate-unresolvable-2^40",
         "generate-unresolvable-mixed", "generate-construction-error",

@@ -497,6 +497,34 @@ class TestCountingEngine:
         assert count_chains(gen_orthogonal_circles(4, 3, 12).config) == 1800
         assert sorted(set(blocks)) == [(0, 2), (0, 3), (1, 3)]
 
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_spanning_block_closes_inside_its_carry(self, monkeypatch, wide):
+        # block {0, 3}: push 0 -> 1 opens it, push 1 -> 2 carries it and
+        # sums each window straight into vertex 3's points along vertex
+        # 2's edges, so vertex 2 never pushes (no closing lookup) and no
+        # (point, class) state of vertex 2 is built or kept
+        cfg = gen_orthogonal_circles(4, 3, 12).config
+        tree = _chain_tree(cfg)
+        tree.dtype = object if wide else tree.dtype
+        calls, push = [], layered._CountTree._push
+
+        def spy(self, u, *args):
+            done, axes, state = out = push(self, u, *args)
+            calls.append((u, done, axes))
+            return out
+
+        monkeypatch.setattr(layered._CountTree, "_push", spy)
+        searches, searchsorted = [], np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda a, v, *rest: searches.append(np.size(v)) or searchsorted(a, v, *rest))
+        got = tree.homs([((0, 3), tree.sets[0] & tree.sets[3])])
+        assert calls == [(0, 0, (0,)), (1, 2, ())]
+        assert [key[0] for key in tree._memo] == [0, 2]  # the opening push and vertex 2's dense push
+        assert cfg.adjacency.edge_count(2) not in searches  # no lookup per edge of vertex 2
+        a = [np.zeros((len(q) - 1, 12), int) for q, _ in cfg.adjacency.pairs]
+        for m, (offsets, indices) in zip(a, cfg.adjacency.pairs):
+            m[np.repeat(np.arange(12), np.diff(offsets)), indices] = 1
+        assert got == np.trace(a[0] @ a[1] @ a[2]) == 0  # odd closed walks: none on two circles
+
 
 class TestValidation:
     def test_layer_count_mismatch(self):

@@ -10,6 +10,7 @@ sides of its int32 and int64 bounds, far from the origin, at tiny radii
 and in the guard band.
 """
 
+import bisect
 import itertools
 import math
 import operator
@@ -85,6 +86,7 @@ from oracles import (
     product_tree_embeddings,
     restrict_oracle,
     reversed_config,
+    thresholds_oracle,
 )
 
 CHECKS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -307,6 +309,47 @@ def test_single_set_trees_in_both_dtypes(tree, points, eps):
     want = product_tree_embeddings(layer, tree, spec)
     assert count_tree_embeddings(layer, tree, spec) == want
     assert wide(_tree_counter(layer, tree, spec)).injective() == want
+
+
+@st.composite
+def deep_trees(draw):
+    """A path 0-1-2-3 with up to two more vertices hung anywhere: vertices
+    three apart, whose block a carrying push meets two vertices below the
+    one where it closes."""
+    m = draw(st.integers(4, 6))
+    edges = [(v - 1, v) for v in range(1, 4)] + [(draw(st.integers(0, v - 1)), v) for v in range(4, m)]
+    return LabeledTree(m, tuple((a, b, draw(st.sampled_from([1, 2, 4]))) for a, b in edges))
+
+
+@CHECKS
+@given(
+    st.integers(3, 5),
+    deep_trees(),
+    st.lists(st.lists(POINT, min_size=1, max_size=4, unique=True), min_size=1, max_size=2),
+    st.sampled_from([None, 1e-9, 1.5]),
+    st.data(),
+)
+def test_blocks_closing_above_their_carry(k, tree, pool, eps, data):
+    # every position reads one of one or two point sets, so blocks span
+    # three or more vertices: the push that carries such a block and the
+    # one above it that closes it run as one (a tree's tolerance of 1.5
+    # also lets neighbours share a point); int64 and Python ints alike
+    spec = exact_spec() if eps is None else DistanceSpec((), eps)
+    num = (lambda x: x) if eps is None else float
+    pool = [make_layer([(num(x), num(y)) for x, y in s]) for s in pool]
+    layers = [data.draw(st.sampled_from(pool)) for _ in range(k + 1)]
+    delta2 = [num(data.draw(st.sampled_from([1, 2, 4, 5]))) for _ in range(k)]
+    cfg = make_config(layers, delta2, None if eps is None else 1e-9)  # a chain's spec asks eps < d2/100
+    want = backtrack_chains(cfg), enumerate_walks_count(cfg)
+    assert count_chains_and_walks(cfg) == want
+    counter = wide(_chain_tree(cfg))
+    walks = counter.homs()
+    assert (counter.injective(walks), walks) == want
+    tree = LabeledTree(tree.vertex_count, tuple((a, b, num(d)) for a, b, d in tree.edges))
+    layers = [data.draw(st.sampled_from(pool)) for _ in range(tree.vertex_count)]
+    want_tree = backtrack_tree_embeddings(layers, tree, spec)
+    assert count_tree_embeddings(layers, tree, spec) == want_tree
+    assert wide(_tree_counter(layers, tree, spec)).injective() == want_tree
 
 
 @st.composite
@@ -730,13 +773,49 @@ def test_stability_filter_equals_the_integer_decision(eps, data):
     assert richness._is_stable(old, new, n, eps) == (new**den * n**num >= old**den)
 
 
+@settings(CHECKS, max_examples=60)
+@given(
+    st.one_of(
+        st.integers(1, 100),
+        st.integers(1, 10**6),
+        st.builds(pow, st.integers(2, 1000), st.integers(2, 19)).filter(lambda n: n <= 10**6),
+    ),
+    st.one_of(st.integers(1, 60), st.integers(1, 10**4)).flatmap(lambda q: st.builds(Fraction, st.integers(1, q), st.just(q))),
+    st.data(),
+)
+def test_thresholds_match_the_fraction_oracle(n, eps, data):
+    # perfect powers n = b^c meet exponents i eps = x/c on the nose, where
+    # a float n^(i eps) may land either side of the integer b^x; each
+    # cutoff is checked against its definition at the first and last index
+    # of its run and at drawn indices, and small cases against every cutoff
+    cuts, last = richness_thresholds(n, eps)
+    top = math.floor(1 / eps) + 1
+    assert cuts[0] == 1 and cuts[-1] >= n + 1 and last[-1] == top
+    assert all(map(operator.lt, cuts, cuts[1:])) and all(map(operator.lt, last, last[1:]))
+    if n <= 100 and eps.denominator <= 60:
+        assert [t for t, run in zip(cuts, np.diff([-1, *last])) for _ in range(run)] == thresholds_oracle(n, eps)
+    runs = data.draw(st.lists(st.integers(0, len(last) - 2), max_size=2)) if len(last) > 1 else []
+    for i in {0, top, data.draw(st.integers(0, top)), *(last[j] for j in runs), *(last[j] + 1 for j in runs)}:
+        t, low, power = cuts[bisect.bisect_left(last, i)], n + 1 if i == top else 1, Fraction(n) ** (i * eps.numerator)
+        assert t >= low and Fraction(t) ** eps.denominator >= power
+        assert t == low or Fraction(t - 1) ** eps.denominator < power
+
+
+@pytest.mark.parametrize("n, eps", [(64, Fraction(1, 6)), (64, Fraction(5, 12)), (729, Fraction(1, 6)), (1024, Fraction(1, 10)), (4096, Fraction(1, 12))])
+def test_perfect_power_cutoffs_fall_on_the_powers(n, eps):
+    # n = b^c and eps = 1/c or a multiple of 1/(2c): some n^(i eps) are
+    # the integers b^x exactly, each its own cutoff
+    cuts, last = richness_thresholds(n, eps)
+    assert [t for t, run in zip(cuts, np.diff([-1, *last])) for _ in range(run)] == thresholds_oracle(n, eps)
+
+
 @CHECKS
 @given(exact_or_tolerant_configs(), EPS, st.sampled_from([0, 1]))
 def test_richness_filter_matches_degree_filter(cfg, eps, parity):
     # the former filter: degrees from the pair kernel, one layer at a time,
     # for every class vector that leaves every layer nonempty
     order = list(range(cfg.k + 1))[:: 1 if parity else -1]
-    cuts = richness_thresholds(max(map(len, cfg.layers)), eps)
+    cuts = thresholds_oracle(max(map(len, cfg.layers)), eps)
     want = {}
 
     def extend(idx, out):

@@ -22,7 +22,7 @@ from chain_census.constructions import (
     gen_star,
     gen_unit_rich_grid,
 )
-from oracles import covering_oracle, enumerate_chains, filtering_children
+from oracles import covering_oracle, enumerate_chains, filtering_children, thresholds_oracle
 
 F = Fraction
 
@@ -80,14 +80,25 @@ class TestRichPoints:
 
 class TestThresholds:
     def test_tiling(self):
-        cuts = richness_thresholds(16, F(1, 2))
-        assert cuts[0] == 1
-        assert cuts[-1] >= 17
-        assert all(a <= b for a, b in zip(cuts, cuts[1:]))
+        # 16^(i/2) for i = 0..3: every cutoff distinct, the top one above 16
+        assert richness_thresholds(16, F(1, 2)) == ([1, 4, 16, 64], [0, 1, 2, 3])
 
     def test_eps_one(self):
-        cuts = richness_thresholds(10, F(1))
-        assert cuts[0] == 1 and cuts[1] == 10 and cuts[2] >= 11
+        assert richness_thresholds(10, F(1)) == ([1, 10, 100], [0, 1, 2])
+
+    def test_repeated_cutoffs_give_their_last_index(self):
+        # 4^(i/5): 1, 2 (i = 1, 2), 3 (i = 3), 4 (i = 4, 5), then the top 6
+        assert richness_thresholds(4, F(1, 5)) == ([1, 2, 3, 4, 6], [0, 2, 3, 5, 6])
+        assert thresholds_oracle(4, F(1, 5)) == [1, 2, 2, 3, 4, 4, 6]
+
+    @pytest.mark.parametrize(
+        "t, q, n, m", [(3, 190537, 2, 301994), (2, 301994, 3, 190537), (8, 2, 64, 1), (4, 3, 8, 2), (7, 2, 64, 1), (1, 5, 1, 9)]
+    )
+    def test_power_comparison(self, t, q, n, m):
+        # 3^190537 and 2^301994 differ in log2 by about 1e-7, inside the
+        # floats' rounding bound: decimal logarithms decide; 8^2 = 64^1
+        # and 4^3 = 8^2 are equal powers of one base
+        assert richness._at_least(t, q, n, m) == (t**q >= n**m)
 
 
 @pytest.mark.parametrize("eps", [F(1, 2), F(1, 3), F(1, 10)])
@@ -103,7 +114,7 @@ def test_repeated_cutoffs_keep_their_exponents(eps):
 
 def passes(cfg, eps, parity=1):
     """{class vector: filtered layers} of every filtering pass over cfg."""
-    return {idx: sub.layers for idx, sub in filtering_children(cfg, richness_thresholds(max(map(len, cfg.layers)), eps), parity)}
+    return {idx: sub.layers for idx, sub in filtering_children(cfg, thresholds_oracle(max(map(len, cfg.layers)), eps), parity)}
 
 
 class TestRichnessFilter:
