@@ -74,6 +74,13 @@ def _parse_mode(text: str) -> str | float:
     raise argparse.ArgumentTypeError("mode must be 'exact' or 'tol:<eps>' with a finite eps > 0")
 
 
+def _parse_slope_tol(text: str) -> float:
+    with contextlib.suppress(ValueError):  # float() refusing the text is the error below
+        if 0 <= (tol := float(text)) < math.inf:
+            return tol
+    raise argparse.ArgumentTypeError(f"slope tolerance must be a finite number >= 0, got {text!r}")
+
+
 def _parse_eps(text: str) -> Fraction:
     """--eps as the number its text names: 0.1 is 1/10, not the double nearest it."""
     with contextlib.suppress(ValueError, ZeroDivisionError):  # Fraction refusing the text is the error below
@@ -168,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--n-list", required=True, help="comma list of sizes")
-    e.add_argument("--slope-tol", type=float, default=0.2)
+    e.add_argument("--slope-tol", type=_parse_slope_tol, default=0.2)
     e.add_argument("--timings", action="store_true", help="append a wall-seconds CSV column")
 
     v = sub.add_parser("verify", help="run a certified check")
@@ -221,8 +228,8 @@ def _read_layers(args, *paths) -> tuple[list[Layer], DistanceSpec, str]:
         eps = None if mode == "exact" else TOLERANCE
     else:
         eps = args.mode
-    layers = [Layer(c) for c, _ in loaded]
-    sized = [(path, *c.dims) for path, (c, _) in zip(paths, loaded) if c.dims]
+    layers = [layer for layer, _ in loaded]
+    sized = [(path, *ly.dims) for path, ly in zip(paths, layers) if ly.dims]
     for path, dim in sized:  # no two files differ in dimension
         if dim != sized[0][1]:
             raise ValueError(f"{path}: dim {dim}, {sized[0][0]} has dim {sized[0][1]}")
@@ -291,6 +298,9 @@ def _cmd_experiment(args) -> int:
             fh.write(csv)
     else:
         sys.stdout.write(csv)
+    failed = [r for r in report.rows if r.status != "ok"]
+    for r in failed:
+        log.error("n=%d: %s", r.n, r.status.removeprefix("error: "))
     if report.fit:
         log.info(
             "slope %.4f theory %s verdict %s",
@@ -300,7 +310,7 @@ def _cmd_experiment(args) -> int:
         )
     if report.notice:
         log.info("%s", report.notice)
-    return 0 if report.verdict != "FAIL" else 1
+    return 1 if report.verdict == "FAIL" or len(failed) == len(report.rows) else 0
 
 
 def _cmd_verify(args) -> int:

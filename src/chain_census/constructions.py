@@ -41,7 +41,6 @@ from .layered import (
     LabeledTree,
     Layer,
     LayeredConfig,
-    _Coords,
     _certified_pairs,
     _disjoint,
     _with_adjacency,
@@ -102,7 +101,7 @@ def _exact_arc(center: Point, r2: Fraction, n: int, eps: float, window: int, div
     if T <= 0:
         raise ConstructionError(f"eps={eps} too small for a dyadic arc window")
     lo = 2 * window * T
-    return Layer(_Coords(rows=list(_circle_coords(center, r2, n, ((lo, P), (lo + T, P)), div=div))))
+    return Layer(rows=list(_circle_coords(center, r2, n, ((lo, P), (lo + T, P)), div=div)))
 
 
 def _float_arc(center, r: float, n: int, eps: float, phase: float) -> Layer:
@@ -112,7 +111,7 @@ def _float_arc(center, r: float, n: int, eps: float, phase: float) -> Layer:
     th = (phase + min(1.0, eps / (2.0 * r)) * np.arange(1, n + 1) / (n + 1)).tolist()
     cx, cy = center
     xs, ys = (np.fromiter(map(f, th), float, n) for f in (math.cos, math.sin))
-    return Layer(_Coords(axes=np.array([cx + r * xs, cy + r * ys])))
+    return Layer(axes=np.array([cx + r * xs, cy + r * ys]))
 
 
 def _planar_base(k: int, delta2, n: int, eps: float, div=Fraction) -> tuple[list[Layer], list, float | None]:
@@ -124,7 +123,7 @@ def _planar_base(k: int, delta2, n: int, eps: float, div=Fraction) -> tuple[list
     the first radius takes a disjoint window or phase."""
     if k == 0:
         h = _dyadic_below(eps) / (2 * n)
-        return [Layer(_Coords(rows=[(div(j * h.numerator, h.denominator), div(0, 1)) for j in range(n)]))], [], None
+        return [Layer(rows=[(div(j * h.numerator, h.denominator), div(0, 1)) for j in range(n)])], [], None
     try:
         d2 = [Fraction(d) for d in delta2]
         origin, tol = Point((div(0, 1), div(0, 1))), None
@@ -186,8 +185,8 @@ def _extend_three(
     d_a, d_b, d_c = math.sqrt(d2_a), math.sqrt(d2_b), math.sqrt(d2_c)
     if last_diam > min(d_a, d_b) / 3 + 1e-12:
         raise ConstructionError("last-layer diameter too large for the extension step")
-    existing = set().union(*(layer.coords.keyset for layer in layers))
-    last = layers[-1].coords
+    existing = set().union(*(layer.keyset for layer in layers))
+    last = layers[-1]
     y = last.rows[0]
     reach = d_a + d_b - 2.0 * last_diam
     for _ in range(64):
@@ -196,23 +195,23 @@ def _extend_three(
         if x in existing:
             continue
         joint = Layer((Point(x),))
-        matched = _matched(last.axes, d2_a, joint.coords.axes, d2_b)
+        matched = _matched(last.axes, d2_a, joint.axes, d2_b)
         if matched is None:
             continue
-        matched = Layer(_Coords(rows=list(matched)))
-        seen = matched.coords.keyset
+        matched = Layer(rows=list(matched))
+        seen = matched.keyset
         if not seen.isdisjoint(existing) or x in seen:
             continue
         phase = rng.uniform(0.0, 2.0 * math.pi)
         arc = _float_arc(x, d_c, n, arc_eps, phase)
-        arc_keys = arc.coords.keyset
+        arc_keys = arc.keyset
         if len(arc_keys) != n or not (arc_keys.isdisjoint(existing) and arc_keys.isdisjoint(seen)) or x in arc_keys:
             continue
         new, band = [matched, joint, arc], []
         pairs = _certified_pairs(_TOLERANT, zip([layers[-1], *new], new, (d2_a, d2_b, d2_c)), band)
         if band:
             continue
-        return list(layers) + [Layer(ly.coords, len(layers) + 1 + i) for i, ly in enumerate(new)], pairs
+        return list(layers) + new, pairs
     raise ConstructionError("could not place the extension joint after 64 attempts")
 
 
@@ -504,22 +503,22 @@ def _3d_even_config(k: int, delta2, n: int) -> LayeredConfig:
         pos[j + 2] = pos[j] + max(deltas[j - 1], deltas[j])
     layers: dict[int, Layer] = {}
     for j, x in pos.items():
-        layers[j] = make_layer([Point((x, 0.0, 0.0), 0)], j)
+        layers[j] = make_layer([Point((x, 0.0, 0.0), 0)])
     d1 = deltas[0]
     back = Circle3D(Point((pos[2] - 0.4 * d1, 0.0, 0.0)), (1.0, 0.0, 0.0), d1 * d1 * 0.84)
-    layers[1] = make_layer(sample_circle_3d(back, n, phase=0.1), 1)
+    layers[1] = make_layer(sample_circle_3d(back, n, phase=0.1))
     for i in range(3, k, 2):
         circ = sphere_sphere_intersection_circle(
             layers[i - 1].points[0], delta2[i - 2], layers[i + 1].points[0], delta2[i - 1]
         )
         if circ is None:
             raise ConstructionError(f"spheres around joints {i-1},{i+1} do not meet")
-        layers[i] = make_layer(sample_circle_3d(circ, n, phase=0.2 + 0.01 * i), i)
+        layers[i] = make_layer(sample_circle_3d(circ, n, phase=0.2 + 0.01 * i))
     dk = deltas[-1]
     front = Circle3D(
         Point((pos[k] + 0.4 * dk, 0.0, 0.0)), (1.0, 0.0, 0.0), dk * dk * 0.84
     )
-    layers[k + 1] = make_layer(sample_circle_3d(front, n, phase=0.3), k + 1)
+    layers[k + 1] = make_layer(sample_circle_3d(front, n, phase=0.3))
     ordered = [layers[i] for i in range(1, k + 2)]
     if not _disjoint(ordered):
         raise ConstructionError("layers are not pairwise disjoint")
@@ -563,7 +562,7 @@ def peel_min_degree(P: Layer, d2, spec: DistanceSpec) -> PeelResult:
     survivors = np.flatnonzero(keep).tolist()
     if not survivors:
         raise ConstructionError("peeling emptied the set despite positive edge count")
-    return PeelResult(make_layer(map(P.coords.rows.__getitem__, survivors), P.label), e0, n, int(degs[keep].min()))
+    return PeelResult(make_layer(map(P.rows.__getitem__, survivors)), e0, n, int(degs[keep].min()))
 
 
 @dataclass(frozen=True)
@@ -592,7 +591,7 @@ def gen_3d_odd_regular(k: int, n: int) -> Odd3dRegularResult:
         side += 1
     coords = [(i % side, (i // side) % side, i // (side * side)) for i in range(n)]
     popular = Fraction(_popular_sq_distance(coords)[0])
-    pts = make_layer(coords, 1)
+    pts = make_layer(coords)
     spec = DistanceSpec((popular,), None)
     peel = peel_min_degree(pts, popular, spec)
     core = peel.layer
@@ -648,7 +647,7 @@ def gen_3d_odd_sphere(k: int, n: int) -> Odd3dSphereResult:
     for p in xs:
         if abs(float(squared_distance(p, center)) - 1.0) > TOLERANCE:
             raise ValueError("bouquet returned a point off the unit sphere")
-    layers = keep + [make_layer(xs, k), make_layer(ys, k + 1)]
+    layers = keep + [make_layer(xs), make_layer(ys)]
     if not _disjoint(layers):
         raise ConstructionError("bouquet points coincide with each other or with the chain scaffold")
     cfg = make_config(layers, [1.0] * k, eps=TOLERANCE)
@@ -687,7 +686,7 @@ def gen_orthogonal_circles(d: int, k: int, n: int) -> OrthogonalResult:
     pad, zero = (Fraction(0),) * (d - 4), (Fraction(0), Fraction(0))
     arc = list(_rotated_coords(origin, seed, ((j, 4 * m) for j in range(1, m + 1))))
     coords = [c + zero + pad for c in arc] + [zero + c + pad for c in arc]
-    layer = make_layer(coords, 1)
+    layer = make_layer(coords)
     cfg = make_config([layer] * (k + 1), (Fraction(1),) * k)
     closed = 2 * math.perm(m, (k + 2) // 2) * math.perm(m, (k + 1) // 2)
     return OrthogonalResult(cfg, closed)
@@ -714,10 +713,9 @@ def gen_star(l: int, n: int) -> StarResult:
     radii2 = [Fraction((i + 1) ** 2) for i in range(l)]
     per = n // l
     origin = exact_point((0, 0))
-    layers = [make_layer([origin], 1)]
-    for i, r2 in enumerate(radii2):
-        pts = rational_circle_points(origin, r2, per)
-        layers.append(make_layer(pts, i + 2))
+    layers = [make_layer([origin])]
+    for r2 in radii2:
+        layers.append(make_layer(rational_circle_points(origin, r2, per)))
     tree = LabeledTree(l + 1, tuple((0, i + 1, radii2[i]) for i in range(l)))
     tree.validate()
     spec = DistanceSpec(tuple(radii2), None)
@@ -747,9 +745,7 @@ class StarOfPathsResult:
     count: int
 
 
-def gen_star_of_paths(
-    l: int, n: int, variant: str = "joints-fixed", seed: int = 0, grid_m: int | None = None
-) -> StarOfPathsResult:
+def gen_star_of_paths(l: int, n: int, variant: str = "joints-fixed", seed: int = 0) -> StarOfPathsResult:
     """The two lower-bound configurations for the star of three-vertex paths.
 
     "joints-fixed" pins each leaf-neighbor, giving at least n^(l+1)
@@ -767,7 +763,7 @@ def gen_star_of_paths(
     if variant == "joints-fixed":
         layers, tree, floor = _star_of_paths_joints_fixed(l, n)
     else:
-        layers, tree, floor = _star_of_paths_center_fixed(l, n, seed, grid_m)
+        layers, tree, floor = _star_of_paths_center_fixed(l, n, seed)
     spec = DistanceSpec((1.0,), TOLERANCE)
     count = count_tree_embeddings(layers, tree, spec)
     if count < floor:
@@ -777,17 +773,16 @@ def gen_star_of_paths(
 
 def _star_of_paths_joints_fixed(l: int, n: int):
     h = 0.002 / n
-    cluster = Layer(_Coords(rows=[(j * h, 0.0) for j in range(n)]), 1)
+    cluster = Layer(rows=[(j * h, 0.0) for j in range(n)])
     layers, edge_d2s = [cluster], []
     for j in range(l):
         phi = 2.0 * math.pi * j / l + 0.35
         b = (1.5 * math.cos(phi), 1.5 * math.sin(phi))
         joint = Layer((Point(b),))
-        matched = _matched(cluster.coords.axes, 1.0, joint.coords.axes, 1.0)
+        matched = _matched(cluster.axes, 1.0, joint.axes, 1.0)
         if matched is None:
             raise ConstructionError("arm joint out of reach of the cluster")
-        for layer in (Layer(_Coords(rows=list(matched))), joint, _float_arc(b, 1.0, n, 0.01, phi + 0.9)):
-            layers.append(Layer(layer.coords, len(layers) + 1))
+        layers += [Layer(rows=list(matched)), joint, _float_arc(b, 1.0, n, 0.01, phi + 0.9)]
         edge_d2s.append((1.0, 1.0, 1.0))
     if not _disjoint(layers):
         raise ConstructionError("arm points collide with each other or with the cluster")
@@ -795,37 +790,35 @@ def _star_of_paths_joints_fixed(l: int, n: int):
     return layers, tree, n ** (l + 1)
 
 
-def _star_of_paths_center_fixed(l: int, n: int, seed: int, grid_m: int | None):
-    m = grid_m or n
-    center = Layer((Point((0.0, 0.0)),), 1)
+def _star_of_paths_center_fixed(l: int, n: int, seed: int):
+    center = Layer((Point((0.0, 0.0)),))
     layers = [center]
-    existing = set(center.coords.keyset)
+    existing = set(center.keyset)
     edge_d2s = []
     floor = 1
     for j in range(l):
-        grid = gen_unit_rich_grid(m)
+        grid = gen_unit_rich_grid(n)
         split = split_and_translate(
             grid.points, grid.points, grid.popular_d2, 1.0, seed=31 * seed + j + 1
         )
         phi = 2.0 * math.pi * j / l + 0.2
         off = (60.0 * math.cos(phi), 60.0 * math.sin(phi))
         b, e = (
-            Layer(_Coords(rows=[(float(p.coords[0]) + off[0], float(p.coords[1]) + off[1]) for p in side]))
+            Layer(rows=[(float(p.coords[0]) + off[0], float(p.coords[1]) + off[1]) for p in side])
             for side in (split.x1, split.x2)
         )
-        dmax = max(math.hypot(*c) for c in b.coords.rows)
+        dmax = max(math.hypot(*c) for c in b.rows)
         radius = dmax / 2.0 + 1.0
         r2 = radius * radius
-        matched = _matched(center.coords.axes, r2, b.coords.axes, r2)
+        matched = _matched(center.axes, r2, b.axes, r2)
         if matched is None:
             raise ConstructionError("arm pair out of reach of the center")
         seen = matched.keys()
-        b_coords, e_coords = b.coords.keyset, e.coords.keyset
+        b_coords, e_coords = b.keyset, e.keyset
         if (seen | b_coords | e_coords) & existing or seen & (b_coords | e_coords):
             raise ConstructionError("arm collides with previous arms")
         existing |= seen | b_coords | e_coords
-        for layer in (Layer(_Coords(rows=list(matched))), b, e):
-            layers.append(Layer(layer.coords, len(layers) + 1))
+        layers += [Layer(rows=list(matched)), b, e]
         edge_d2s.append((r2, r2, float(split.d2)))
         floor *= split.preserved_incidences
     tree = star_of_paths_tree(l, edge_d2s)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .geometry import Point
-from .layered import LabeledTree, Layer, LayeredConfig, _Coords, make_config
+from .layered import LabeledTree, Layer, LayeredConfig, make_config
 
 
 class FileFormatError(ValueError):
@@ -94,11 +94,11 @@ def write_points(path, points, mode: str, dim: int | None = None) -> None:
 
 
 @_names_file
-def read_coords(path) -> tuple[_Coords, str]:
-    """A point file as a coordinate store, of the header's dimension (an
-    empty file's too), and its mode; a file that repeats a point is
-    refused.  No Point or Fraction is built until the store's points or
-    rows are read (see _exact_coords)."""
+def read_coords(path) -> tuple[Layer, str]:
+    """A point file as a layer, of the header's dimension (an empty file's
+    too), and its mode; a file that repeats a point is refused.  No Point
+    or Fraction is built until the layer's points or rows are read (see
+    _exact_coords)."""
     with open(path) as fh:
         lines = list(filter(str.strip, fh.read().split("\n")))
     if not lines:
@@ -116,11 +116,11 @@ def read_coords(path) -> tuple[_Coords, str]:
     if len(lines) - 1 != count:
         raise ValueError(f"header says {count} points, found {len(lines) - 1}")
     rows = list(map(str.split, lines[1:]))
-    coords = None
+    layer = None
     if mode == "exact" and not set(map(len, rows)) - {dim}:
         with contextlib.suppress(ValueError):  # else the first fault, line by line, below
-            coords = _exact_coords(list(chain.from_iterable(rows)), dim)
-    if coords is None:
+            layer = _exact_coords(list(chain.from_iterable(rows)), dim)
+    if layer is None:
         values, parse = [], _parse_exact if mode == "exact" else float
         for i, toks in enumerate(rows, 2):
             if len(toks) != dim:
@@ -132,17 +132,16 @@ def read_coords(path) -> tuple[_Coords, str]:
             if mode == "float" and not all(map(math.isfinite, row)):
                 raise ValueError(f"line {i}: non-finite coordinate")
             values += row
-        coords = _Coords(rows=list(zip(*[iter(values)] * dim)), dim=dim)
-    if len(coords.keyset) != coords.n:
-        raise ValueError("duplicate point coordinates")
-    return coords, mode
+        layer = Layer(rows=list(zip(*[iter(values)] * dim)), dim=dim)
+    layer.validate()  # a repeated point is refused
+    return layer, mode
 
 
-def _exact_coords(toks: list[str], dim: int) -> _Coords:
-    """The store of exact tokens, p/q as its reduced (numerator,
+def _exact_coords(toks: list[str], dim: int) -> Layer:
+    """The layer of exact tokens, p/q as its reduced (numerator,
     denominator), an integer n as (n, 1); ValueError at a bad token."""
     if not any("/" in tok for tok in toks):  # every token a whole number: ints in one pass
-        return _Coords(rows=list(zip(*[iter(map(int, toks))] * dim)), dim=dim)
+        return Layer(rows=list(zip(*[iter(map(int, toks))] * dim)), dim=dim)
     parts = [tok.partition("/") for tok in toks]
     nums = [int(n) for n, _, _ in parts]
     dens = [int(d) if s else 1 for _, s, d in parts]
@@ -152,13 +151,13 @@ def _exact_coords(toks: list[str], dim: int) -> _Coords:
     if gcds.count(1) != len(gcds) or min(dens) < 0:  # to lowest terms, denominators positive
         gcds = [g if d > 0 else -g for g, d in zip(gcds, dens)]
         nums, dens = list(map(operator.floordiv, nums, gcds)), list(map(operator.floordiv, dens, gcds))
-    return _Coords(pairs=(nums, dens, [bool(s) for _, s, _ in parts]), dim=dim)
+    return Layer(pairs=(nums, dens, [bool(s) for _, s, _ in parts]), dim=dim)
 
 
 def read_points(path) -> tuple[list[Point], str]:
     """A point file's Points, ids 0, 1, ..., and its mode."""
-    coords, mode = read_coords(path)
-    return list(coords.points), mode
+    layer, mode = read_coords(path)
+    return list(layer.points), mode
 
 
 def write_manifest(path, config: LayeredConfig, directory=None) -> str:
@@ -170,16 +169,16 @@ def write_manifest(path, config: LayeredConfig, directory=None) -> str:
     directory = directory or os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     mode = "exact" if config.spec.exact else "float"
-    # aliased layers share a coordinate store: its coordinates are keyed once
-    distinct = {id(layer.coords): layer.coords for layer in config.layers}
+    # a repeated layer is one object: its coordinates are keyed once
+    distinct = {id(layer): layer for layer in config.layers}
     file_of: dict[tuple, str] = {}
     by_id: dict[int, str] = {}
-    for i, coords in distinct.items():
+    for i, layer in distinct.items():
         known = len(file_of)
-        by_id[i] = fname = file_of.setdefault(tuple(coords.keys), f"layer{known + 1}.pts")
+        by_id[i] = fname = file_of.setdefault(tuple(layer.keys), f"layer{known + 1}.pts")
         if len(file_of) > known:
-            write_points(os.path.join(directory, fname), coords.points, mode, config.dim)
-    layer_files = [by_id[id(layer.coords)] for layer in config.layers]
+            write_points(os.path.join(directory, fname), layer.points, mode, config.dim)
+    layer_files = [by_id[id(layer)] for layer in config.layers]
     lines = [f"k {config.k}", f"dim {config.dim}"]
     if config.spec.exact:
         lines.append("mode exact")
@@ -241,19 +240,19 @@ def read_manifest(path) -> LayeredConfig:
     extra = sorted(set(layer_paths) - set(range(1, k + 2)))
     if extra:
         raise FileFormatError(f"{path}: layer(s) {extra} beyond 1..{k + 1}")
-    cache: dict[str, Layer] = {}  # aliased layers share one coordinate store
+    cache: dict[str, Layer] = {}  # layers aliasing one file are one layer
     layers = []
     for i in range(1, k + 2):
         fname = layer_paths[i]
         full = fname if os.path.isabs(fname) else os.path.join(base, fname)
         if full not in cache:
-            coords, pmode = read_coords(full)
+            layer, pmode = read_coords(full)
             want = "exact" if eps is None else "float"
             if pmode != want:
                 raise FileFormatError(f"{full}: mode {pmode}, manifest wants {want}")
-            if coords.dims - {dim}:  # the header's, of an empty file too
-                raise FileFormatError(f"{full}: dim {min(coords.dims)}, manifest says {dim}")
-            cache[full] = Layer(coords, i)
+            if layer.dims - {dim}:  # the header's, of an empty file too
+                raise FileFormatError(f"{full}: dim {min(layer.dims)}, manifest says {dim}")
+            cache[full] = layer
         layers.append(cache[full])
     return make_config(layers, delta2, eps)
 

@@ -24,15 +24,10 @@ from itertools import accumulate, chain
 from .geometry import CertificationError, DistanceSpec, Point, ResolutionError, _rational
 
 
-def _key(c):
-    """A coordinate as a key equal to another's iff they are equal numbers,
-    fast to hash: a Fraction becomes its int, the float equal to it, or
-    else its (numerator, denominator), which no int or float equals."""
-    return _pair_key(*c.as_integer_ratio()) if isinstance(c, Fraction) else c
-
-
 def _pair_key(num: int, den: int):
-    """_key of the Fraction num/den (reduced, den > 0)."""
+    """The coordinate num/den (reduced, den > 0) as a key equal to another's
+    iff they are equal numbers, fast to hash: its int, the float equal to
+    it, or else (num, den), which no int or float equals."""
     if den == 1:
         return num
     if den & (den - 1) or abs(num) >> 53 or den.bit_length() > 1075:  # not a float64
@@ -40,13 +35,14 @@ def _pair_key(num: int, den: int):
     return num / den
 
 
-class _Coords:
-    """The coordinates of one point sequence, shared by the layers holding
-    them (relabelled or repeated), given as Points, coordinate tuples
-    (`rows`), float64 `axes` (one row per axis) or, from the exact reader,
-    `pairs` (numerators, denominators, whether each is a Fraction); every
-    other form is built on first read, Points with ids 0, 1, ... and
-    Python numbers.  `dim`, when given, is the dimension even of no points."""
+class Layer:
+    """A point layer: the coordinates of one point sequence, given as Points
+    (their ids kept), coordinate tuples (`rows`), float64 `axes` (one row
+    per axis) or, from the exact reader, `pairs` (numerators, denominators,
+    whether each is a Fraction); every other form is built on first read,
+    Points with ids 0, 1, ... and Python numbers.  `dim`, when given, is
+    the dimension even of no points.  A configuration that repeats a layer
+    holds the one object at each position."""
 
     def __init__(self, points=None, rows=None, axes=None, pairs=None, dim=None):
         if points is not None:
@@ -62,13 +58,24 @@ class _Coords:
         self.dims = set(map(len, rows)) if dim is None else {dim} - {0}
 
     def __eq__(self, other) -> bool:  # as the Points would be, whose ids do not count
-        return self is other or isinstance(other, _Coords) and self.keys == other.keys
+        return self is other or isinstance(other, Layer) and self.keys == other.keys
 
     def __hash__(self) -> int:
         return hash(tuple(self.keys))
 
     def __repr__(self) -> str:
         return repr(self.points)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def validate(self) -> set:
+        """Check ids and coordinates are unique; the set of coordinate types."""
+        if "points" in self.__dict__ and len({p.id for p in self.points}) != self.n:  # given, or built with ids 0, 1, ...
+            raise ValueError("point ids are not unique")
+        if len(self.keyset) != self.n:
+            raise ValueError("duplicate point coordinates")
+        return self.types
 
     @functools.cached_property
     def rows(self) -> list[tuple]:
@@ -87,7 +94,7 @@ class _Coords:
 
     @functools.cached_property
     def keys(self) -> list[tuple]:
-        """Each point's coordinates as _key tuples."""
+        """Each point's coordinates as keys (see _pair_key): ints and floats as they are."""
         if not any(issubclass(t, Fraction) for t in self.types):
             return self.rows
         (nums, dens), dim = self.pairs, min(self.dims)
@@ -131,47 +138,18 @@ class _Coords:
         kind = np.int64 if small else object
         return np.array(dens, kind), np.array(nums, kind), np.array(lows, kind)
 
-    def exact(self) -> "_Coords":
+    def exact(self) -> "Layer":
         """These coordinates as Fractions, each the rational it is (a float's exact value)."""
-        return _Coords(pairs=(*self.pairs, [True] * len(self.pairs[0])), dim=min(self.dims, default=0))
+        return Layer(pairs=(*self.pairs, [True] * len(self.pairs[0])), dim=min(self.dims, default=0))
 
 
-@dataclass(frozen=True)
-class Layer:
-    """A point layer: its coordinates (a _Coords, or Points kept as given) and a label."""
-
-    coords: _Coords
-    label: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.coords, _Coords):
-            object.__setattr__(self, "coords", _Coords(self.coords))
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return self.coords.points
-
-    def __len__(self) -> int:
-        return self.coords.n
-
-    def validate(self) -> set:
-        """Check ids and coordinates are unique, naming the layer in an
-        error; the set of coordinate types."""
-        c = self.coords
-        if "points" in c.__dict__ and len({p.id for p in c.points}) != c.n:  # Points given, or built with ids 0, 1, ...
-            raise ValueError(f"layer {self.label}: point ids are not unique")
-        if len(c.keyset) != c.n:
-            raise ValueError(f"layer {self.label}: duplicate point coordinates")
-        return c.types
-
-
-def make_layer(points, label: int = 0) -> Layer:
+def make_layer(points) -> Layer:
     """A layer of Points, their ids kept when unique, else of their (or
     coordinate tuples') coordinates, ids 0, 1, ..."""
     pts = tuple(points)
     if all(isinstance(p, Point) for p in pts) and len({p.id for p in pts}) == len(pts):
-        return Layer(pts, label)
-    return Layer(_Coords(rows=[p.coords if isinstance(p, Point) else tuple(p) for p in pts]), label)
+        return Layer(pts)
+    return Layer(rows=[p.coords if isinstance(p, Point) else tuple(p) for p in pts])
 
 
 @dataclass(frozen=True)
@@ -185,21 +163,24 @@ class LayeredConfig:
 
     @property
     def dim(self) -> int:
-        return next((min(ly.coords.dims) for ly in self.layers if ly.coords.dims), 0)
+        return next((min(ly.dims) for ly in self.layers if ly.dims), 0)
 
     def validate(self) -> None:
         if len(self.layers) != self.spec.k + 1:
             raise ValueError(
                 f"{len(self.layers)} layers but {self.spec.k} squared distances"
             )
-        dims, types_of = set(), {}  # Layer.validate and dimensions once per coordinate store
-        for layer in self.layers:
-            if id(layer.coords) not in types_of:
-                dims |= layer.coords.dims  # first: a store's keys are cut into points of one dimension
+        dims, types_of = set(), {}  # Layer.validate and dimensions once per distinct layer
+        for i, layer in enumerate(self.layers, 1):
+            if id(layer) not in types_of:
+                dims |= layer.dims  # first: a layer's keys are cut into points of one dimension
                 if len(dims) > 1:
                     raise ValueError("layers mix dimensions")
-                types_of[id(layer.coords)] = layer.validate()
-            types = types_of[id(layer.coords)]
+                try:
+                    types_of[id(layer)] = layer.validate()
+                except ValueError as exc:  # named by the first position holding it
+                    raise ValueError(f"layer {i}: {exc}") from None
+            types = types_of[id(layer)]
             if self.spec.exact:
                 if not all(map(_rational, types)):
                     raise ValueError("exact spec requires rational coordinates")
@@ -216,13 +197,12 @@ class LayeredConfig:
     def restrict(self, picks) -> "LayeredConfig":
         """The configuration of the points picks[i] (distinct indices) of
         each layer i, with this one's adjacency restricted to them."""
-        layers = (Layer(tuple(map(ly.points.__getitem__, pick)), ly.label) for ly, pick in zip(self.layers, picks))
+        layers = (Layer(tuple(map(ly.points.__getitem__, pick))) for ly, pick in zip(self.layers, picks))
         return _with_adjacency(LayeredConfig(tuple(layers), self.spec), self.adjacency.restrict(picks).pairs)
 
 
 def make_config(layers, delta2, eps: float | None = None) -> LayeredConfig:
-    # layer i + 1: a Layer relabelled (its coordinates shared) or a new one
-    lys = tuple(Layer((ly if isinstance(ly, Layer) else make_layer(ly)).coords, i + 1) for i, ly in enumerate(layers))
+    lys = tuple(ly if isinstance(ly, Layer) else make_layer(ly) for ly in layers)
     cfg = LayeredConfig(lys, DistanceSpec(tuple(delta2), eps))
     cfg.validate()
     return cfg
@@ -314,7 +294,7 @@ class _PairView:
         """pa and pb are Layers or point sequences."""
         import numpy as np  # at call time: a module-level import raised peak RSS
 
-        self.sides = sa, sb = [x.coords if isinstance(x, Layer) else _Coords(x) for x in (pa, pb)]
+        self.sides = sa, sb = [x if isinstance(x, Layer) else Layer(x) for x in (pa, pb)]
         if len(sa.dims | sb.dims) > 1:
             raise ValueError("dimension mismatch between the two point sets")
         self.dim = dim = min(sa.dims | sb.dims)
@@ -440,15 +420,15 @@ def _pair_lists(pa, pb, d2, spec: DistanceSpec, offenders=None):
 
 def _certified_pairs(spec: DistanceSpec, triples, band=None) -> list:
     """The CSR arrays of _pair_lists for the pairs (pa, pb, d2) of Layers,
-    each distinct (coordinates, coordinates, d2), coordinates told apart
-    by identity, decided once: the triples holding it share one pair of
-    read-only arrays.  In tolerant mode the guard-band certificate runs alongside:
+    each distinct (layer, layer, d2), layers told apart by identity,
+    decided once: the triples holding it share one pair of read-only
+    arrays.  In tolerant mode the guard-band certificate runs alongside:
     each pair's offenders are appended to `band` when it is given, else
     an offender raises CertificationError."""
     offenders = [] if band is None else band
     runs, pairs = {}, []
     for pa, pb, d2 in triples:
-        key = id(pa.coords), id(pb.coords), d2
+        key = id(pa), id(pb), d2
         if key not in runs:
             runs[key] = _pair_lists(pa, pb, d2, spec, found := []), found
             for arr in runs[key][0]:
@@ -479,27 +459,27 @@ def _with_adjacency(config: LayeredConfig, pairs, band=()) -> LayeredConfig:
 
 
 def _disjoint(layers) -> bool:
-    """Whether no coordinates repeat within or across the layers' distinct
-    coordinate stores: their key sets, whose hashes are kept, join to a set
-    as large as the stores."""
-    distinct = {id(layer.coords): layer.coords for layer in layers}.values()
-    return len(set().union(*(c.keyset for c in distinct))) == sum(c.n for c in distinct)
+    """Whether no coordinates repeat within or across the distinct layers:
+    their key sets, whose hashes are kept, join to a set as large as the
+    layers."""
+    distinct = {id(layer): layer for layer in layers}.values()
+    return len(set().union(*(ly.keyset for ly in distinct))) == sum(ly.n for ly in distinct)
 
 
 def _coord_classes(layers) -> list:
     """Map coordinates to dense integer classes shared across layers, in
-    order of first appearance, one array per distinct coordinate store:
-    an np.arange run per store when no coordinates repeat (see _disjoint)."""
+    order of first appearance, one array per distinct layer: an np.arange
+    run per layer when no coordinates repeat (see _disjoint)."""
     import numpy as np
 
-    distinct = {id(layer.coords): layer.coords for layer in layers}
+    distinct = {id(layer): layer for layer in layers}
     if _disjoint(layers):
-        starts = dict(zip(distinct, accumulate((c.n for c in distinct.values()), initial=0)))
-        arrays = {i: np.arange(starts[i], starts[i] + c.n) for i, c in distinct.items()}
+        starts = dict(zip(distinct, accumulate((ly.n for ly in distinct.values()), initial=0)))
+        arrays = {i: np.arange(starts[i], starts[i] + ly.n) for i, ly in distinct.items()}
     else:
         ids: dict[tuple, int] = {}
-        arrays = {i: np.fromiter((ids.setdefault(k, len(ids)) for k in c.keys), int, c.n) for i, c in distinct.items()}
-    return [arrays[id(layer.coords)] for layer in layers]
+        arrays = {i: np.fromiter((ids.setdefault(k, len(ids)) for k in ly.keys), int, ly.n) for i, ly in distinct.items()}
+    return [arrays[id(layer)] for layer in layers]
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +587,7 @@ class _CountTree:
             if parent[v] >= 0:
                 self.kids[parent[v]].append(v)
                 self.below[parent[v]] |= self.below[v]
-        self.classes = classes  # as _coord_classes gives them: one array per distinct store
+        self.classes = classes  # as _coord_classes gives them: one array per distinct layer
         arrays = {id(c): c for c in classes}
         self.class_count = 1 + max((int(c.max()) for c in arrays.values() if len(c)), default=-1)
         # classes are dense: as many as the lists' points when no two share one

@@ -34,8 +34,7 @@ def rich_points(target: Layer, reference: Layer, d2, r: int, spec: DistanceSpec)
     if r < 1:
         raise ValueError("richness threshold must be >= 1")
     degs = degree_vector(target, reference, d2, spec)
-    pts = tuple(p for p, d in zip(target.points, degs) if d >= r)
-    return Layer(pts, target.label)
+    return Layer(tuple(p for p, d in zip(target.points, degs) if d >= r))
 
 
 def _at_least(t: int, q: int, n: int, m: int) -> bool:

@@ -128,7 +128,7 @@ def read_points_oracle(path) -> list[Point]:
 
 
 def to_float_layers(layers) -> list[Layer]:
-    return [Layer(tuple(p.as_float() for p in layer.points), layer.label) for layer in layers]
+    return [Layer(tuple(p.as_float() for p in layer.points)) for layer in layers]
 
 
 def adjacency_oracle(config: LayeredConfig) -> tuple:
@@ -344,7 +344,7 @@ def _nonempty_children(config: LayeredConfig, parity: int, cuts):
                 if d >= 1:
                     buckets.setdefault(_class_index(cuts, d), []).append(p)
             for m in sorted(buckets):
-                nxt.append((idx_prefix + [m], filt + [Layer(tuple(buckets[m]), layers[i].label)]))
+                nxt.append((idx_prefix + [m], filt + [Layer(tuple(buckets[m]))]))
         partials = nxt
     return [(tuple(idx), tuple(filt)) for idx, filt in partials]
 

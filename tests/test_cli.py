@@ -378,6 +378,14 @@ def run_process(*argv, timeout=None):
         ),
         ("--eps 1/0 decompose --manifest m.txt", 2, "chain-census: error: argument --eps: eps must be a finite number, got '1/0'"),
         ("--eps inf decompose --manifest m.txt", 2, "chain-census: error: argument --eps: eps must be a finite number, got 'inf'"),
+        *(
+            (
+                f"experiment --construction planar-chain --k 5 --n-list 4,8,16 --slope-tol={tol}",
+                2,
+                f"chain-census experiment: error: argument --slope-tol: slope tolerance must be a finite number >= 0, got {tol!r}",
+            )
+            for tol in ("nan", "-1", "-inf")
+        ),
     ],
     ids=[
         "unknown-verify", "unknown-generate", "missing", "planar-k3", "no-certificate",
@@ -390,6 +398,7 @@ def run_process(*argv, timeout=None):
         "generate-guard-band", "generate-unresolvable-2^30", "generate-unresolvable-2^40",
         "generate-unresolvable-mixed", "generate-construction-error",
         "experiment-bad-n-list", "eps-zero-denominator", "eps-infinite",
+        "slope-tol-nan", "slope-tol-negative", "slope-tol-infinite",
     ],
 )
 def test_bad_construction_is_one_error_line(argv, code, message):
@@ -727,6 +736,34 @@ def test_mode_tolerance_must_be_finite_and_positive(tmp_path, eps):
     assert "Traceback" not in proc.stderr
     errors = [ln for ln in proc.stderr.splitlines() if not ln.startswith(("usage:", " "))]
     assert errors == ["chain-census: error: argument --mode: mode must be 'exact' or 'tol:<eps>' with a finite eps > 0"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, rows, errors",
+    [
+        (
+            "--construction orthogonal --k 1 --n-list 7,8,16,32",
+            0,
+            ["orthogonal,1,7,,,", "orthogonal,1,8,32,32,32", "orthogonal,1,16,128,128,128", "orthogonal,1,32,512,512,512"],
+            ["ERROR n=7: n must be even and >= 2"],
+        ),
+        (
+            "--construction planar-chain --k -1 --n-list 4,8,16",
+            1,
+            ["planar-chain,-1,4,,,", "planar-chain,-1,8,,,", "planar-chain,-1,16,,,"],
+            [f"ERROR n={n}: need k >= 0, n >= 1, eps > 0" for n in (4, 8, 16)],
+        ),
+    ],
+    ids=["one-size-fails", "every-size-fails"],
+)
+def test_experiment_names_each_failed_size(argv, code, rows, errors):
+    # a failed size keeps its empty CSV row and is one stderr line naming n
+    # and its error; a sweep in which no size succeeds exits 1
+    proc = run_process("experiment", *argv.split())
+    assert proc.returncode == code
+    assert proc.stdout == "\n".join(["construction,k,n,chains,walks,incidences", *rows]) + "\n"
+    assert [ln for ln in proc.stderr.splitlines() if ln.startswith("ERROR")] == errors
+    assert "Traceback" not in proc.stderr
 
 
 def test_mode_exact_compares_floats_exactly(tmp_path, capsys):

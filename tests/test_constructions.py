@@ -97,7 +97,7 @@ class TestPlanarChain:
         assert all(type(c) is float for layer in cfg.layers for p in layer.points for c in p.coords)
         assert count_chains(cfg) == chains
         if k == 2:
-            assert not cfg.layers[0].coords.keyset & cfg.layers[2].coords.keyset
+            assert not cfg.layers[0].keyset & cfg.layers[2].keyset
 
     def test_float_converted_base_is_certified(self):
         # the exact base turned to floats puts pairs in the guard band, and
@@ -198,23 +198,23 @@ class TestCertifiedOnce:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("n", [1, 7, 64, 256])
     def test_k5_converts_each_layer_once(self, monkeypatch, n, seed):
-        # the kernel reads the array forms of the six layers' own
-        # coordinate stores, and the build and the count hash each store's
-        # keys once: no store builds a form twice
+        # the kernel reads the array forms of the six layers, and the
+        # build and the count hash each layer's keys once: no layer builds
+        # a form twice
         built = {"axes": [], "keyset": []}
         for name, ids in built.items():
-            form = layered._Coords.__dict__[name]
+            form = layered.Layer.__dict__[name]
             prop = functools.cached_property(lambda c, form=form, ids=ids: ids.append(id(c)) or form.func(c))
-            prop.__set_name__(layered._Coords, name)
-            monkeypatch.setattr(layered._Coords, name, prop)
+            prop.__set_name__(layered.Layer, name)
+            monkeypatch.setattr(layered.Layer, name, prop)
         views, init = [], layered._PairView.__init__
         monkeypatch.setattr(layered._PairView, "__init__", lambda v, *a: init(v, *a) or views.extend(map(id, v.sides)))
         cfg = gen_planar_chain(5, None, n, 0.25, seed)
         assert count_chains(cfg) == n**3
-        stores = {id(ly.coords) for ly in cfg.layers}
-        assert len(stores) == 6 and set(views) == stores
+        distinct = {id(ly) for ly in cfg.layers}
+        assert len(distinct) == 6 and set(views) == distinct
         for ids in built.values():
-            assert len(ids) == len(set(ids)) and set(ids) <= stores
+            assert len(ids) == len(set(ids)) and set(ids) <= distinct
 
     def test_k8_certifies_each_pair_once(self, monkeypatch):
         calls = count_pair_calls(monkeypatch)
@@ -409,7 +409,7 @@ class Test3dEven:
         cfg = gen_3d_even(6, [1.0] * 6, 4)
         seen = set()
         for layer in cfg.layers:
-            cs = layer.coords.keyset
+            cs = layer.keyset
             assert not (cs & seen)
             seen |= cs
         build_adjacency(cfg)
@@ -476,8 +476,8 @@ class Test3dOddRegular:
 
     def test_layers_identical(self):
         res = gen_3d_odd_regular(3, 27)
-        first = res.config.layers[0].coords.keyset
-        assert all(layer.coords.keyset == first for layer in res.config.layers)
+        first = res.config.layers[0].keyset
+        assert all(layer.keyset == first for layer in res.config.layers)
 
 
 class Test3dOddSphere:
@@ -574,7 +574,7 @@ class TestStar:
         res = gen_star(2, 8)
         center = res.layers[0].points[0]
         for layer in res.layers[1:]:
-            assert center.coords not in layer.coords.keyset
+            assert center.coords not in layer.keyset
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
@@ -600,7 +600,7 @@ class TestStarOfPaths:
         assert res.floor == 8**4
 
     def test_center_fixed_floor(self):
-        res = gen_star_of_paths(2, 8, variant="center-fixed", grid_m=16)
+        res = gen_star_of_paths(2, 16, variant="center-fixed")
         assert res.count >= res.floor
         assert res.floor >= 1
 

@@ -15,7 +15,6 @@ from chain_census.io import (
     write_tree,
 )
 from chain_census.layered import (
-    Layer,
     _coord_classes,
     count_chains,
     count_chains_and_walks,
@@ -134,7 +133,7 @@ class TestExactTokens:
 
 def test_exact_files_count_without_points_or_fractions(tmp_path):
     # a rational manifest and rational star files are counted from their
-    # stores' integers: no Point and no Fraction is built on the way
+    # layers' integers: no Point and no Fraction is built on the way
     cfg = gen_orthogonal_circles(4, 3, 12).config
     write_manifest(tmp_path / "manifest.txt", cfg, tmp_path)
     loaded = read_manifest(tmp_path / "manifest.txt")
@@ -142,11 +141,11 @@ def test_exact_files_count_without_points_or_fractions(tmp_path):
     star = gen_star(3, 15)
     for i, layer in enumerate(star.layers):
         write_points(tmp_path / f"star{i}.pts", layer.points, "exact")
-    layers = [Layer(read_coords(tmp_path / f"star{i}.pts")[0]) for i in range(4)]
+    layers = [read_coords(tmp_path / f"star{i}.pts")[0] for i in range(4)]
     assert count_tree_embeddings(layers, star.tree, star.spec) == star.closed_form
-    for store in [loaded.layers[0].coords, *(ly.coords for ly in layers[1:])]:
-        assert store.types == {int, Fraction} or store.types == {Fraction}
-        assert "points" not in store.__dict__ and "rows" not in store.__dict__
+    for layer in [loaded.layers[0], *layers[1:]]:
+        assert layer.types == {int, Fraction} or layer.types == {Fraction}
+        assert "points" not in layer.__dict__ and "rows" not in layer.__dict__
     # read back, the same Points as the constructions built
     assert loaded.layers[0].points == cfg.layers[0].points
     assert [ly.points for ly in layers] == [ly.points for ly in star.layers]
@@ -204,14 +203,14 @@ class TestManifests:
         assert count_chains(loaded) == count_chains(res.config)
 
     def test_repeated_layers_share_one_store(self, tmp_path):
-        # a manifest naming one file for every layer, read and relabelled:
-        # one coordinate store, one class list, one point file, same bytes
+        # a manifest naming one file for every layer, generated, read and
+        # reversed: one layer object, one class list, one point file, same bytes
         res = gen_3d_odd_regular(3, 27)
         write_manifest(tmp_path / "manifest.txt", res.config, tmp_path)
         loaded = read_manifest(tmp_path / "manifest.txt")
-        relabelled = make_config(loaded.layers[::-1], loaded.spec.delta2)
-        for i, cfg in enumerate((res.config, loaded, relabelled)):
-            assert len({id(ly.coords) for ly in cfg.layers}) == 1
+        backwards = make_config(loaded.layers[::-1], loaded.spec.delta2)
+        for i, cfg in enumerate((res.config, loaded, backwards)):
+            assert len({id(ly) for ly in cfg.layers}) == 1
             assert len({id(c) for c in _coord_classes(cfg.layers)}) == 1
             out = tmp_path / f"copy{i}"
             write_manifest(out / "manifest.txt", cfg, out)
@@ -235,7 +234,7 @@ class TestManifests:
         write_manifest(tmp_path / "manifest.txt", cfg, tmp_path)
         assert (tmp_path / "layer1.pts").read_text() == "dim 2 count 0 mode exact\n"
         loaded = read_manifest(tmp_path / "manifest.txt")
-        assert loaded.dim == 2 and loaded.layers[0].coords.dims == {2}
+        assert loaded.dim == 2 and loaded.layers[0].dims == {2}
         assert count_chains_and_walks(loaded) == (0, 0)
         write_manifest(tmp_path / "b" / "manifest.txt", loaded, tmp_path / "b")
         for name in ("manifest.txt", "layer1.pts", "layer2.pts"):

@@ -76,7 +76,7 @@ def random_int_config(rng, k, max_pts, box=4, d2=1):
             "layer 2: duplicate point coordinates", id="duplicate-float",
         ),
         pytest.param(
-            [Layer((Point((0, 0), 0), Point((1, 0), 0)), 1)], [], None,
+            [Layer((Point((0, 0), 0), Point((1, 0), 0)))], [], None,
             "layer 1: point ids are not unique", id="duplicate-ids",
         ),
         pytest.param([[(0, 0)]], [1], None, "1 layers but 1 squared distances", id="layer-count"),
@@ -117,8 +117,9 @@ def test_coord_classes_key_equal_numbers_alike():
 )
 def test_coordinate_keys_are_equal_iff_the_numbers_are(a, b):
     # a Fraction's key is its int, the float equal to it, or a pair no
-    # int or float equals; equal keys hash alike
-    ka, kb = layered._key(a), layered._key(b)
+    # int or float equals; equal keys hash alike.  Read as the keys of
+    # one-point layers, which _coord_classes reads
+    [(ka,)], [(kb,)] = Layer(rows=[(a,)]).keys, Layer(rows=[(b,)]).keys
     assert (ka == kb) == (a == b)
     assert ka != kb or hash(ka) == hash(kb)
 

@@ -51,7 +51,6 @@ from chain_census.layered import (
     Layer,
     _chain_tree,
     _coord_classes,
-    _Coords,
     _pair_lists,
     _PairView,
     _primes,
@@ -224,7 +223,7 @@ def disjoint_point_sets(draw, count):
 @CHECKS
 @given(st.data(), trees(), st.sampled_from([None, 1e-9]))
 def test_disjoint_stores_count_without_sorts_or_class_sets(data, tree, eps):
-    # each layer its own store, no point in two of them: no two vertices
+    # each layer its own object, no point in two of them: no two vertices
     # may share a point, so the walk pass over the CSR arrays as given is
     # the whole count, in int64 and in Python ints; no edge is sorted and
     # no class set is built
@@ -620,10 +619,10 @@ def test_repeated_pairs_decided_once(cfg):
     else:
         assert not offenders
     assert neighbors(adj) == want == adjacency_oracle(cfg)
-    # positions holding one (coordinates, coordinates, d2) share its arrays;
+    # positions holding one (layer, layer, d2) share its arrays;
     # others do not
     for (i, ti), (j, tj) in itertools.combinations(enumerate(triples), 2):
-        same = (id(ti[0].coords), id(ti[1].coords), ti[2]) == (id(tj[0].coords), id(tj[1].coords), tj[2])
+        same = (id(ti[0]), id(ti[1]), ti[2]) == (id(tj[0]), id(tj[1]), tj[2])
         assert (adj.pairs[i] is adj.pairs[j]) == same
 
 
@@ -827,7 +826,7 @@ def test_richness_filter_matches_degree_filter(cfg, eps, parity):
         for m in range(len(cuts) - 1):
             kept = tuple(p for p, d in zip(cfg.layers[i].points, degrees) if cuts[m] <= d < cuts[m + 1])
             if kept:
-                extend({**idx, i: m}, {**out, i: Layer(kept, cfg.layers[i].label)})
+                extend({**idx, i: m}, {**out, i: Layer(kept)})
 
     if cfg.layers[order[0]].points:
         extend({order[0]: 0}, {order[0]: cfg.layers[order[0]]})
@@ -903,7 +902,7 @@ def test_star_layers_equal_the_oracle_built_ones():
 
 def axes(points):
     """The float axes of a layer of points, one row per axis."""
-    return Layer(points).coords.axes
+    return Layer(points).axes
 
 
 def matched_both_ways(points, r2, fixed, fixed_r2):
@@ -967,7 +966,7 @@ def test_float_arc_is_the_per_point_arc(center, r, n, eps, phase):
     # angles on an arange by the scalar expression's IEEE operations, cos
     # and sin from math: every bit of the former per-point arc
     layer, want = _float_arc(center, r, n, eps, phase), float_arc_oracle(center, r, n, eps, phase)
-    assert hex_rows(zip(*layer.coords.axes.tolist())) == hex_rows(p.coords for p in want)
+    assert hex_rows(zip(*layer.axes.tolist())) == hex_rows(p.coords for p in want)
     assert repr(layer.points) == repr(tuple(want)) and layer.points == tuple(want)
     assert all(type(c) is float for p in layer.points for c in p.coords)
 
@@ -988,7 +987,7 @@ def test_exact_arc_is_the_per_point_arc(n, a, b, c, window, eps, div):
     layer, want = _exact_arc(center, r2, n, eps, window, div), exact_arc_oracle(center, r2, n, eps, window, div)
     assert repr(layer.points) == repr(tuple(want)) and layer.points == tuple(want)
     if div is operator.truediv:
-        assert hex_rows(zip(*layer.coords.axes.tolist())) == hex_rows(p.coords for p in want)
+        assert hex_rows(zip(*layer.axes.tolist())) == hex_rows(p.coords for p in want)
 
 
 SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-1074])
@@ -999,7 +998,7 @@ SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-1074])
 def test_array_layers_key_rows_as_tuples(rows):
     # a layer given as float axes keys its rows as the tuples would: a
     # repeated row is refused, and -0.0 equals 0.0
-    layer = Layer(_Coords(axes=np.array(rows, dtype=float).T.copy()))
+    layer = Layer(axes=np.array(rows, dtype=float).T.copy())
     tuples = Layer(tuple(Point(row, i) for i, row in enumerate(rows)))
     assert layer.points == tuples.points and repr(layer.points) == repr(tuples.points)
     if len(set(rows)) < len(rows):
@@ -1106,7 +1105,7 @@ def write_exact_file(draw, path, points, dim):
 
 
 def parsed_store(path, dim):
-    """The store read_coords parses a well-formed exact file into, before
+    """The layer read_coords parses a well-formed exact file into, before
     it checks that no point repeats."""
     with open(path) as fh:
         _, *lines = filter(str.strip, fh.read().split("\n"))
@@ -1137,30 +1136,30 @@ def test_exact_reader_equals_the_fraction_reader(dim, data):
             with pytest.raises(FileFormatError) as err:
                 read_coords(path)
             assert str(err.value) == f"{path}: duplicate point coordinates"
-        stores = [parsed_store(path, dim) if dup else read_coords(path)[0] for path, dup in zip(paths, refused)]
+        layers = [parsed_store(path, dim) if dup else read_coords(path)[0] for path, dup in zip(paths, refused)]
         read = [parsed_store(path, dim).points if dup else read_points(path)[0] for path, dup in zip(paths, refused)]
-    for store, want, got, dup in zip(stores, oracles, read, refused):
+    for layer, want, got, dup in zip(layers, oracles, read, refused):
         # the same values and types as the per-token reader, built on demand
         assert [p.coords for p in got] == [p.coords for p in want]
         assert [list(map(type, p.coords)) for p in got] == [list(map(type, p.coords)) for p in want]
-        assert store.dims == {dim}
+        assert layer.dims == {dim}
         if want:
-            assert [a.tolist() for a in store.ratios] == oracle_ratios(want)
+            assert [a.tolist() for a in layer.ratios] == oracle_ratios(want)
         if dup:
             with pytest.raises(ValueError, match="duplicate point coordinates"):
-                Layer(store).validate()
+                layer.validate()
         else:
-            Layer(store).validate()
-    # keys equal exactly for equal numbers, within and across the stores
-    mine, theirs = _coord_classes([Layer(s) for s in stores]), _coord_classes([Layer(p) for p in oracles])
+            layer.validate()
+    # keys equal exactly for equal numbers, within and across the layers
+    mine, theirs = _coord_classes(layers), _coord_classes([Layer(p) for p in oracles])
     assert [c.tolist() for c in mine] == [c.tolist() for c in theirs]
     if all(len({p.coords for p in pts}) == len(pts) for pts in oracles):
         d2 = squared_distance(oracles[0][0], oracles[1][0]) if all(oracles) else 1
         d2, spec, tree = d2 or 1, DistanceSpec((), None), LabeledTree(3, ((0, 1, d2 or 1), (0, 2, d2 or 1)))
-        a, b = (Layer(s) for s in stores)
+        a, b = layers
         want_a, want_b = (Layer(p) for p in oracles)
         want = sum(matches_distance(p, q, d2, spec) for p in oracles[0] for q in oracles[1])
         assert count_incidences(a, b, d2, spec) == count_incidences(want_a, want_b, d2, spec) == want
         assert count_tree_embeddings([a, b, b], tree, spec) == backtrack_tree_embeddings([want_a, want_b, want_b], tree, spec)
     # no Point and, past whole numbers, no Fraction was built on the way
-    assert all("points" not in s.__dict__ and ("rows" not in s.__dict__ or s.types <= {int}) for s in stores)
+    assert all("points" not in s.__dict__ and ("rows" not in s.__dict__ or s.types <= {int}) for s in layers)
