@@ -246,6 +246,11 @@ def run_experiment(
         report.notice = "fit skipped: fewer than 3 successful rows"
     if report.fit and report.theory_exponent is not None:
         gap = report.fit.slope - float(report.theory_exponent)
+        # counts exactly c n^(p/q), c^q / n^p one number in every fitted row:
+        # gap 0, whatever the float fit's rounding
+        p, q = report.theory_exponent.as_integer_ratio()
+        if len({Fraction(c) ** q / Fraction(n) ** p for n, c in good if c > 0}) == 1:
+            gap = 0.0
         if entry.floor_only:
             report.verdict = "PASS" if gap >= -slope_tol else "FAIL"
         else:

@@ -202,8 +202,14 @@ class LayeredConfig:
 
 
 def make_config(layers, delta2, eps: float | None = None) -> LayeredConfig:
-    lys = tuple(ly if isinstance(ly, Layer) else make_layer(ly) for ly in layers)
-    cfg = LayeredConfig(lys, DistanceSpec(tuple(delta2), eps))
+    """A validated configuration of `layers`, Layers kept as they are and
+    one Layer made per distinct sequence object, held at each of its
+    positions."""
+    layers, made = list(layers), {}
+    for ly in layers:  # the list keeps every sequence alive, so no id is reused
+        if id(ly) not in made:
+            made[id(ly)] = ly if isinstance(ly, Layer) else make_layer(ly)
+    cfg = LayeredConfig(tuple(made[id(ly)] for ly in layers), DistanceSpec(tuple(delta2), eps))
     cfg.validate()
     return cfg
 
@@ -510,9 +516,13 @@ def _coord_classes(layers) -> list:
 # along the row's edges, and one that closes a block looks up the entry at
 # the parent point's class, so a pattern costs the entries its edges reach.
 # A carry whose one remaining block closes at the next vertex up, through
-# a vertex with no other child, does that vertex's push too: each window
-# of carried rows is read at the classes of that vertex's edges and summed
-# into the closing vertex's points, so the carried state is never stored.
+# a vertex with no other child, does that vertex's push too, so the
+# carried state is never stored: each entry adds its value times its
+# 2-paths to the closing vertex's point of its class, the popcount of two
+# packed bit rows ANDed (Chiba and Nishizeki, SIAM J. Comput. 1985), when
+# those words are no more than the 2-paths themselves; otherwise each
+# window of carried rows is read at the classes of the middle vertex's
+# edges and summed into the closing vertex's points.
 # Those pushes read a pair's edges sorted by parent point (see run), built
 # on first need like the class sets; when no two vertices may share a class
 # the walk pass is the count.
@@ -598,6 +608,7 @@ class _CountTree:
         self._stored = 0
         self._luts: dict = {}  # shared classes -> class -> axis index
         self._pairs: dict = {}
+        self._rows: dict = {}  # bit rows per distinct (pair, side)
 
     @functools.cached_property
     def sets(self) -> list[frozenset]:
@@ -787,15 +798,31 @@ class _CountTree:
             out = np.zeros(len(self.classes[v]), self.dtype)
             np.add.at(out, p, np.repeat(state[1], np.diff(offsets)))
             return u, (), (None, out)
+        keys, vals = state
+        n = len(self.classes[v])
+        rest = tuple(j for j in axes if j != jv)  # the axes of the run an edge reads
+        span = math.prod(width[j] for j in rest)
+        out = tuple(sorted({j for j in rest if top[j] != u} | ({ju} if grow else set())))
+        # a fused close: when the one axis left is the block of v's parent w,
+        # which closes at w, u is v's only child and v owns no block, v's
+        # push is done here too and v's state is never stored
+        w = self.parent[v]
+        if fuse := rest and jv < 0 and w >= 0 and out == (own[w],) and top[own[w]] == w and self.kids[v] == [u]:
+            # by bit rows when their words are no more than the 2-paths the
+            # window loop would scatter, an entry's degree each
+            per_q = np.diff(np.searchsorted(keys, np.arange(len(self.classes[u]) + 1) * span))
+            if grow:
+                per_q[pos[ju][self.classes[u]] < 0] = 0
+            if int(per_q.sum()) * -(-n // 64) <= int(per_q @ np.diff(self.pairs[u][0])):
+                q = keys // span  # each entry's point and w's block's axis index
+                c = pos[ju][self.classes[u][q]] if grow else _rekey(keys, axes, out, width) % width[out[0]]
+                keep = c >= 0
+                return v, (), (None, self._close_by_bits(u, q[keep], c[keep], vals[keep], pos[own[w]]))
         q, p, csr = self.run(u)  # otherwise the edges sorted by parent point
         if jv >= 0 and jv == ju:  # neighbours in one block: equal classes
             cq = self.classes[u][q]
             keep = (cq == self.classes[v][p]) & (pos[jv][cq] >= 0)
             q, p = q[keep], p[keep]
-        keys, vals = state
-        n = len(self.classes[v])
-        rest = tuple(j for j in axes if j != jv)  # the axes of the run an edge reads
-        span = math.prod(width[j] for j in rest)
         if jv in axes:  # with the parent's block first among the axes, an
             # edge reads the entries of its row at its parent point's class
             if axes[0] != jv:
@@ -820,9 +847,9 @@ class _CountTree:
                 hit = np.flatnonzero(sizes)
                 q, p, rows = q[hit], p[hit], first[hit]
             if not grow:  # summed over the edges into their parent points
-                out = np.zeros(n, self.dtype)
-                np.add.at(out, p, vals[rows])
-                return u, (), (None, out)
+                sums = np.zeros(n, self.dtype)
+                np.add.at(sums, p, vals[rows])
+                return u, (), (None, sums)
             # an opening block: each point of a layer has its own class, so
             # each edge gives one entry, in key order
             c = pos[ju][self.classes[u][q]]
@@ -832,7 +859,6 @@ class _CountTree:
         # from about _CHUNK read; the windows' nonzero entries fill arrays
         # sized for the fewer of one per entry read and one per point and
         # axis index, whose pages beyond them stay untouched
-        out = tuple(sorted({j for j in rest if top[j] != u} | ({ju} if grow else set())))
         cols = math.prod(width[j] for j in out)
         if grow:  # the new axis's index, times its stride
             c = pos[ju][self.classes[u][q]]
@@ -842,12 +868,9 @@ class _CountTree:
         reach = np.concatenate(([0], np.cumsum(sizes)))[edge_at]
         chunk = np.arange(n) // max(1, _CHUNK // cols) * (reach[-1] // _CHUNK + 1) + reach[:-1] // _CHUNK
         tops = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), n]
-        # a fused close: when the one axis left is the block of v's parent w,
-        # which closes at w, u is v's only child and v owns no block, each
-        # window is read at the classes of v's edges into w and summed into
-        # w's points, so v's state is never stored and v's push is done
-        w = self.parent[v]
-        if fuse := jv < 0 and w >= 0 and out == (own[w],) and top[own[w]] == w and self.kids[v] == [u]:
+        # a fused close by windows: each is read at the classes of v's edges
+        # into w and summed into w's points
+        if fuse:
             offsets, into = self.pairs[v]
             at = pos[own[w]][self.classes[w][into]]
             keep = at >= 0
@@ -883,6 +906,47 @@ class _CountTree:
             dense[ks[:used]] = vs[:used]
             return u, (), (None, dense)
         return u, out, (ks[:used], vs[:used])
+
+    def _bits(self, u: int, back: bool):
+        """u's edges as bit rows, uint64 words laid out (word, point): the
+        row of each point of u's layer over its parent's points, or (back)
+        of each parent point over u's points, set by `np.bitwise_or.at`
+        with no dense matrix; built once per distinct (pair, side)."""
+        import numpy as np
+
+        key = id(self.pairs[u]), back
+        if key not in self._rows:
+            offsets, cols = self.pairs[u]
+            rows = np.arange(len(offsets) - 1).repeat(np.diff(offsets))
+            sizes = len(offsets) - 1, len(self.classes[self.parent[u]])  # rows, then bits
+            if back:
+                rows, cols, sizes = cols, rows, sizes[::-1]
+            bits = self._rows[key] = np.zeros((-(-sizes[1] // 64), sizes[0]), np.uint64)
+            np.bitwise_or.at(bits, (cols >> 6, rows), np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
+        return self._rows[key]
+
+    def _close_by_bits(self, u, q, c, vals, lut):
+        """The dense state of w, the parent of u's parent v, from the
+        entries (q, c, vals) of u's state, c the index of w's block, whose
+        shared classes `lut` indexes: each entry adds its value times the
+        2-paths from q through v to the one point r of w's layer at that
+        class, the popcount of q's bit row ANDed with r's, in chunks of at
+        most _CHUNK words."""
+        import numpy as np
+
+        w = self.parent[self.parent[u]]
+        at = lut[self.classes[w]]
+        point = np.empty(len(at), np.intp)  # w's point at each axis index
+        point[at[at >= 0]] = np.flatnonzero(at >= 0)
+        r = point[c]
+        mine, theirs = self._bits(u, False), self._bits(self.parent[u], True)
+        closed = np.zeros(len(at), self.dtype)
+        step = max(1, _CHUNK // max(1, len(mine)))  # words per entry: none on an empty layer
+        for s in range(0, len(q), step):
+            both = mine.take(q[s : s + step], axis=1)
+            both &= theirs.take(r[s : s + step], axis=1)
+            np.add.at(closed, r[s : s + step], vals[s : s + step] * np.bitwise_count(both).sum(axis=0, dtype=np.int64))
+        return closed
 
 
 def _chain_tree(config: LayeredConfig) -> _CountTree:

@@ -49,6 +49,21 @@ class TestRunExperiment:
         assert rep.verdict == "PASS"
         assert abs(rep.fit.slope - 3.0) <= 0.05
 
+    def test_exact_power_law_passes_at_zero_tolerance(self):
+        # counts n^3 exactly; the float fit reads 2.9999999999999996
+        rep = run_experiment("planar-chain", 5, [4, 8, 16], slope_tol=0.0)
+        assert [r.chains for r in rep.rows] == [64, 512, 4096]
+        assert rep.fit.slope != 3.0
+        assert rep.verdict == "PASS"
+
+    def test_inexact_fit_fails_at_zero_tolerance(self, monkeypatch):
+        # one count off n^3 fits a slope 1.7e-4 above 3: FAIL at tolerance 0
+        count = experiment.count_chains_and_walks
+        monkeypatch.setattr(experiment, "count_chains_and_walks", lambda cfg: (lambda c, w: (c + (c == 4096), w))(*count(cfg)))
+        reports = [run_experiment("planar-chain", 5, [4, 8, 16], slope_tol=tol) for tol in (0.0, 1e-3)]
+        assert [r.rows[-1].chains for r in reports] == [4097, 4097]
+        assert [r.verdict for r in reports] == ["FAIL", "PASS"]
+
     def test_single_n_skips_fit(self):
         rep = run_experiment("planar-chain", 2, [10], seed=1)
         assert rep.fit is None

@@ -34,6 +34,7 @@ from chain_census.layered import (
 from chain_census import layered
 from chain_census.constructions import gen_orthogonal_circles, gen_planar_chain, gen_star
 from oracles import (
+    backtrack_chains,
     backtrack_tree_embeddings,
     enumerate_chains,
     enumerate_walks_count,
@@ -196,6 +197,21 @@ class TestRepeatedPairs:
         got = count_tree_embeddings(grid, tree, exact_spec())
         assert got == 464 == backtrack_tree_embeddings(grid, tree, exact_spec())
         assert sorted(calls) == [1, 2]
+
+    def test_one_sequence_object_is_one_layer(self, monkeypatch):
+        # one point list at every position becomes one Layer, so its pair
+        # is decided once, as a repeated Layer's is
+        pts = [(x, y) for x in range(6) for y in range(6)]
+        calls, kernel = [], layered._pair_lists
+        monkeypatch.setattr(layered, "_pair_lists", lambda *a, **kw: calls.append(a[2]) or kernel(*a, **kw))
+        cfg = make_config([pts] * 4, (1, 1, 1))
+        got = count_chains_and_walks(cfg)
+        assert calls == [1]
+        assert len({id(ly) for ly in cfg.layers}) == 1
+        copies = make_config([list(pts) for _ in range(4)], (1, 1, 1))
+        assert len({id(ly) for ly in copies.layers}) == 4
+        assert got == count_chains_and_walks(copies)
+        assert got[0] == backtrack_chains(copies)
 
 
 class TestWalks:
@@ -501,9 +517,11 @@ class TestCountingEngine:
     @pytest.mark.parametrize("wide", [False, True])
     def test_spanning_block_closes_inside_its_carry(self, monkeypatch, wide):
         # block {0, 3}: push 0 -> 1 opens it, push 1 -> 2 carries it and
-        # sums each window straight into vertex 3's points along vertex
-        # 2's edges, so vertex 2 never pushes (no closing lookup) and no
-        # (point, class) state of vertex 2 is built or kept
+        # closes it at vertex 3, each entry of vertex 1 adding its value
+        # times its 2-paths through vertex 2, counted by bit rows (every
+        # point of one circle neighbours all of the other), so vertex 2
+        # never pushes (no closing lookup) and no (point, class) state of
+        # vertex 2 is built or kept
         cfg = gen_orthogonal_circles(4, 3, 12).config
         tree = _chain_tree(cfg)
         tree.dtype = object if wide else tree.dtype
@@ -525,6 +543,40 @@ class TestCountingEngine:
         for m, (offsets, indices) in zip(a, cfg.adjacency.pairs):
             m[np.repeat(np.arange(12), np.diff(offsets)), indices] = 1
         assert got == np.trace(a[0] @ a[1] @ a[2]) == 0  # odd closed walks: none on two circles
+
+    @staticmethod
+    def fused_closes(monkeypatch):
+        """Spies listing the children whose push also did their parent's
+        (a fused close), and those whose fused close went by bit rows."""
+        fused, bits = [], []
+        push, close = layered._CountTree._push, layered._CountTree._close_by_bits
+
+        def spy(self, u, *args):
+            out = push(self, u, *args)
+            if out[0] != u:
+                fused.append(u)
+            return out
+
+        monkeypatch.setattr(layered._CountTree, "_push", spy)
+        monkeypatch.setattr(layered._CountTree, "_close_by_bits", lambda self, u, *a: bits.append(u) or close(self, u, *a))
+        return fused, bits
+
+    def test_dense_close_takes_bit_rows(self, monkeypatch):
+        # every point of one circle neighbours the 6 of the other: one
+        # word per entry against 6 2-paths
+        fused, bits = self.fused_closes(monkeypatch)
+        assert count_chains_and_walks(gen_orthogonal_circles(4, 3, 12).config) == (1800, 2592)
+        assert fused and bits == fused
+
+    def test_sparse_close_takes_the_window_loop(self, monkeypatch):
+        # 200 points on a line at d2 = 1: four words per entry against at
+        # most two 2-paths
+        fused, bits = self.fused_closes(monkeypatch)
+        cfg = make_config([[(x, 0) for x in range(200)]] * 4, (1, 1, 1))
+        line = np.eye(200, k=1, dtype=int) + np.eye(200, k=-1, dtype=int)
+        walks = int((line @ line @ line).sum())
+        assert count_chains_and_walks(cfg) == (backtrack_chains(cfg), walks) == (2 * 197, walks)
+        assert fused and not bits
 
 
 class TestValidation:

@@ -351,6 +351,44 @@ def test_blocks_closing_above_their_carry(k, tree, pool, eps, data):
     assert wide(_tree_counter(layers, tree, spec)).injective() == want_tree
 
 
+@CHECKS
+@given(
+    st.integers(3, 5),
+    deep_trees(),
+    st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=6, unique=True), min_size=1, max_size=2),
+    st.sampled_from([None, 1e-9, 1.5]),
+    st.sampled_from([0, 200]),
+    st.data(),
+)
+def test_fused_close_on_either_side_of_its_cost_rule(k, tree, pool, eps, pad, data):
+    # a block that closes two vertices above its carry is summed by bit
+    # rows while their words (one per 64 points of the middle layer, per
+    # entry) are no more than the 2-paths the window loop would scatter:
+    # on a few points of a 3 x 3 grid, mostly so; `pad` points far from
+    # every other point make it four words per entry, so mostly windows
+    # (about 30 of the 80 examples each way), and change no count.
+    # Repeated layers, exact and tolerant, int64 and Python ints
+    spec = exact_spec() if eps is None else DistanceSpec((), eps)
+    num = (lambda x: x) if eps is None else float
+    far = [(100 + 3 * i, 100) for i in range(pad)]
+    small, padded = ([make_layer([(num(x), num(y)) for x, y in s + extra]) for s in pool] for extra in ([], far))
+    picks = [data.draw(st.integers(0, len(pool) - 1)) for _ in range(k + 1)]
+    delta2 = [num(data.draw(st.sampled_from([1, 2]))) for _ in range(k)]
+    eps_chain = None if eps is None else 1e-9  # a chain's spec asks eps < d2/100
+    cfg = make_config([padded[i] for i in picks], delta2, eps_chain)
+    oracle = make_config([small[i] for i in picks], delta2, eps_chain)
+    want = backtrack_chains(oracle), enumerate_walks_count(oracle)
+    assert count_chains_and_walks(cfg) == want
+    counter = wide(_chain_tree(cfg))
+    walks = counter.homs()
+    assert (counter.injective(walks), walks) == want
+    tree = LabeledTree(tree.vertex_count, tuple((a, b, num(d)) for a, b, d in tree.edges))
+    picks = [data.draw(st.integers(0, len(pool) - 1)) for _ in range(tree.vertex_count)]
+    want_tree = backtrack_tree_embeddings([small[i] for i in picks], tree, spec)
+    assert count_tree_embeddings([padded[i] for i in picks], tree, spec) == want_tree
+    assert wide(_tree_counter([padded[i] for i in picks], tree, spec)).injective() == want_tree
+
+
 @st.composite
 def odd_trees(draw):
     """A path 0-1-2-3 with up to three more vertices hung anywhere, every
